@@ -36,6 +36,7 @@ from toyfield.toy_dynamics import (
     PhaseShift,
     SwapModes,
     ToyGate,
+    gate_image,
     gate_table,
     push_forward,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "ToyPlan",
     "compile_quantum",
     "compile_toy",
+    "default_labeler",
     "enumerate_toy_runs",
     "parse",
     "render",
@@ -603,7 +605,7 @@ def compile_toy(program: Program) -> ToyPlan:
     plan = ToyPlan(program, shape, initial, tuple(steps))
     for step in plan.steps:
         if isinstance(step, GateStep):
-            gate_table(step.gate, shape)  # verifies the permutation up front
+            gate_image(step.gate, shape)  # verifies the permutation up front
     return plan
 
 
@@ -818,6 +820,11 @@ def enumerate_toy_runs(plan: ToyPlan) -> JointDistribution:
             key = tuple(sorted(events.items()))
             joint[key] = joint.get(key, Fraction(0)) + weight
     return joint
+
+
+def default_labeler(outcome: dict[str, int]) -> str:
+    """Name an outcome by its ``label=value`` assignments in label order."""
+    return " ".join(f"{k}={v}" for k, v in sorted(outcome.items()))
 
 
 def joint_to_labeled(

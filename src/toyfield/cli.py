@@ -87,6 +87,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not needs_shots and (args.shots is not None or args.seed is not None):
         print(f"engine {engine!r} is exact; --shots/--seed do not apply", file=sys.stderr)
         return 2
+    if needs_shots and args.shots < 1:
+        print("--shots must be at least 1", file=sys.stderr)
+        return 2
 
     is_scenario = args.target in scenarios.SCENARIO_NAMES
     if is_scenario:
@@ -122,10 +125,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 0
     else:
         from toyfield.automaton import plan_from_program, run_experiment
-        from toyfield.montecarlo import _default_labeler
 
         counts = run_experiment(
-            plan_from_program(program), args.shots, args.seed, _default_labeler
+            plan_from_program(program), args.shots, args.seed, circuits.default_labeler
         )
         dist = OutcomeDistribution(
             {k: Fraction(v, args.shots) for k, v in counts.items()},
@@ -134,9 +136,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
         _print_distribution(dist, args.format)
         return 0
-    from toyfield.montecarlo import _default_labeler
-
-    labeled = circuits.joint_to_labeled(joint, _default_labeler)
+    labeled = circuits.joint_to_labeled(joint, circuits.default_labeler)
     _print_distribution(OutcomeDistribution(labeled), args.format)
     return 0
 
@@ -331,6 +331,11 @@ def _check_locality(shots: int, seed: int) -> list[tuple[str, bool, str]]:
 
 def cmd_check(args: argparse.Namespace) -> int:
     suite = args.suite
+    shots = 100_000 if args.shots is None else args.shots
+    seed = 7 if args.seed is None else args.seed
+    if shots < 1:
+        print("--shots must be at least 1", file=sys.stderr)
+        return 2
     rows: list[tuple[str, bool, str]] = []
     if suite in ("equivalence", "all"):
         rows.extend(_check_equivalence())
@@ -339,7 +344,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if suite in ("destructive", "all"):
         rows.extend(_check_destructive())
     if suite in ("locality", "all"):
-        rows.extend(_check_locality(args.shots or 100_000, args.seed or 7))
+        rows.extend(_check_locality(shots, seed))
     failed = 0
     for name, ok, detail in rows:
         status = "PASS" if ok else "FAIL"

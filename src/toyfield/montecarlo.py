@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from toyfield.circuits import GateStep, MeasureStep, ToyPlan
+from toyfield.circuits import GateStep, MeasureStep, ToyPlan, default_labeler
 from toyfield.phase_space import RegisterShape
 from toyfield.toy_dynamics import gate_table
 from toyfield.toy_measurement import (
@@ -160,7 +160,7 @@ def estimate(
     if shots <= 0:
         raise ValueError("shots must be positive")
     if labeler is None:
-        labeler = _default_labeler
+        labeler = default_labeler
     if exact is None:
         from toyfield.circuits import joint_to_labeled, run_toy_exact
 
@@ -180,10 +180,6 @@ def estimate(
         for label in labels
     )
     return FrequencyReport(scenario, shots, seed, counts, dict(exact), z_scores, tv)
-
-
-def _default_labeler(outcome: dict[str, int]) -> str:
-    return " ".join(f"{k}={v}" for k, v in sorted(outcome.items()))
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,7 @@ __all__ = [
     "apply_swap",
     "beamsplitter_formula",
     "beamsplitter_swap_rule",
+    "gate_image",
     "gate_table",
     "push_forward",
 ]
@@ -199,16 +200,97 @@ def apply_swap(state: PhysicalState, a: int, b: int) -> PhysicalState:
     return apply_gate(SwapModes(a, b), state)
 
 
+def _touched_subsystems(gate: ToyGate, shape: RegisterShape) -> tuple[int, ...]:
+    if isinstance(gate, (Beamsplitter, SwapModes)):
+        return (gate.a, gate.b)
+    if isinstance(gate, PhaseShift):
+        return (gate.mode,)
+    if isinstance(gate, Cnot):
+        return (gate.control, shape.modes + gate.ancilla)
+    if isinstance(gate, Identity):
+        return ()
+    raise TypeError(f"unknown gate {gate!r}")
+
+
+def _gate_kernel(gate: ToyGate, shape: RegisterShape) -> tuple[int, int, tuple[int, ...]]:
+    """``(shift0, shift1, deltas)``: the gate maps ``x`` to
+    ``x ^ deltas[(x >> shift0) & 3 | ((x >> shift1) & 3) << 2]``.
+
+    The deltas are :func:`apply_gate_index` on the local bit patterns of the
+    touched subsystems: 16 for two, 4 for one (its second shift repeats the
+    first and its deltas repeat every 4 entries), 1 for none.  Raises
+    ``ValueError`` unless they permute the patterns and write only the
+    touched bits, which makes the gate a permutation of the whole register.
+    """
+    shifts = [shape.subsystem_slots(s)[0] for s in _touched_subsystems(gate, shape)]
+    points = [0]  # local pattern i at index i: first subsystem in the low bits
+    for shift in shifts:
+        points = [x | (bits << shift) for bits in range(4) for x in points]
+    images = [apply_gate_index(gate, x, shape) for x in points]
+    inside = sum(0b11 << shift for shift in shifts)
+    if len(set(images)) != len(points) or any(y & ~inside for y in images):
+        raise ValueError(f"gate {gate!r} is not a bijection on {shape}")
+    deltas = [x ^ y for x, y in zip(points, images)]
+    shift0, shift1 = (shifts * 2)[:2] if shifts else (0, 0)
+    return shift0, shift1, tuple(deltas * (16 // len(deltas)))
+
+
+class _LazyImage(dict):
+    """A gate's permutation of one register, filled in as points are asked for."""
+
+    __slots__ = ("_shift0", "_shift1", "_deltas")
+
+    def __init__(self, shift0: int, shift1: int, deltas: tuple[int, ...]) -> None:
+        super().__init__()
+        self._shift0, self._shift1, self._deltas = shift0, shift1, deltas
+
+    def __missing__(self, x: int) -> int:
+        y = x ^ self._deltas[(x >> self._shift0) & 3 | ((x >> self._shift1) & 3) << 2]
+        self[x] = y
+        return y
+
+
+@lru_cache(maxsize=None)
+def _lazy_image(gate: ToyGate, shape: RegisterShape) -> _LazyImage:
+    return _LazyImage(*_gate_kernel(gate, shape))
+
+
+# Up to three subsystems (64 points, the quantum engine's cap) a full table
+# is about as cheap to build as one push-forward's visits, and indexing a
+# tuple beats the lazy image's dict lookup; beyond that the table grows 4x
+# per subsystem while a state's support need not.
+_FULL_TABLE_POINTS = 64
+
+
+def gate_image(gate: ToyGate, shape: RegisterShape) -> tuple[int, ...] | dict[int, int]:
+    """Point -> image under the gate, checked to be a permutation.
+
+    On registers of at most three subsystems this is :func:`gate_table`;
+    on larger ones it is filled from the gate's kernel only at the points
+    asked for, so no 4^n table is built.
+    """
+    if shape.point_count <= _FULL_TABLE_POINTS:
+        return gate_table(gate, shape)
+    return _lazy_image(gate, shape)
+
+
 @lru_cache(maxsize=None)
 def gate_table(gate: ToyGate, shape: RegisterShape) -> tuple[int, ...]:
-    """Permutation table of the gate on the register; bijectivity is checked.
+    """Permutation table of the gate on the whole register: 4^n entries.
 
-    Registers never exceed 3 subsystems (64 points), so exhaustive
-    verification at construction is cheap.
+    Each gate reads and writes only the bits of the one or two subsystems it
+    touches (a splitter or swap its two modes, a phase shift its mode, a
+    marker its mode and ancilla), so at most 16 local patterns fix its action
+    everywhere.  The table is built from that kernel, whose local check
+    already proves the map a permutation, and is checked once more in full.
+    Push-forwards on more than three subsystems go through :func:`gate_image`
+    and never build it; the per-shot samplers index it once per gate and shot.
     """
-    table = tuple(
-        apply_gate_index(gate, index, shape) for index in range(shape.point_count)
-    )
+    shift0, shift1, deltas = _gate_kernel(gate, shape)
+    table = tuple([
+        x ^ deltas[(x >> shift0) & 3 | ((x >> shift1) & 3) << 2]
+        for x in range(shape.point_count)
+    ])
     if len(set(table)) != shape.point_count:
         raise ValueError(f"gate {gate!r} is not a bijection on {shape}")
     return table
@@ -216,5 +298,5 @@ def gate_table(gate: ToyGate, shape: RegisterShape) -> tuple[int, ...]:
 
 def push_forward(state: EpistemicState, gate: ToyGate) -> EpistemicState:
     """Image of the support under the gate permutation; stays flat."""
-    table = gate_table(gate, state.shape)
-    return EpistemicState(state.shape, frozenset(table[x] for x in state.support))
+    image = gate_image(gate, state.shape)
+    return EpistemicState(state.shape, frozenset(image[x] for x in state.support))

@@ -42,6 +42,17 @@ class TestRun:
         assert code == 2
         assert "requires --shots and --seed" in err
 
+    @pytest.mark.parametrize("engine", ["montecarlo", "ca"])
+    @pytest.mark.parametrize("shots", ["0", "-5"])
+    def test_sampled_engine_rejects_shots_below_one(self, capsys, engine, shots):
+        code, out, err = run_cli(
+            capsys, "run", "mzi_whichway", "--engine", engine,
+            "--shots", shots, "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--shots must be at least 1" in err
+
     def test_exact_engine_rejects_shots(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "mzi_phase", "--engine", "toy", "--shots", "10", "--seed", "1"
@@ -156,6 +167,32 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", "locality", "--shots", "2000")
         assert code == 0
         assert "negative control" in out
+
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [((), (100_000, 7)), (("--seed", "0"), (100_000, 0)),
+         (("--shots", "1", "--seed", "3"), (1, 3))],
+    )
+    def test_locality_shots_and_seed(self, capsys, monkeypatch, extra, expected):
+        from toyfield import cli
+
+        seen = []
+        monkeypatch.setattr(
+            cli, "_check_locality", lambda shots, seed: seen.append((shots, seed)) or []
+        )
+        code, _, _ = run_cli(capsys, "check", "locality", *extra)
+        assert code == 0
+        assert seen == [expected]
+
+    @pytest.mark.parametrize("suite", ["locality", "destructive"])
+    def test_shots_below_one_rejected(self, capsys, monkeypatch, suite):
+        from toyfield import cli
+
+        monkeypatch.setattr(cli, "_check_locality", lambda shots, seed: pytest.fail("ran"))
+        code, out, err = run_cli(capsys, "check", suite, "--shots", "0")
+        assert code == 2
+        assert out == ""
+        assert "--shots must be at least 1" in err
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -21,13 +21,16 @@ from toyfield.toy_dynamics import (
     apply_beamsplitter,
     apply_cnot,
     apply_gate,
+    apply_gate_index,
     apply_phase_shift,
     apply_swap,
     beamsplitter_formula,
     beamsplitter_swap_rule,
+    gate_image,
     gate_table,
     push_forward,
 )
+from toyfield import toy_dynamics
 from toyfield.phase_space import PhysicalState
 
 TWO = RegisterShape(2)
@@ -235,3 +238,71 @@ class TestPushForward:
         out = push_forward(straddling, Beamsplitter(0, 1))
         assert out.size == straddling.size
         assert not is_valid(out)
+
+
+def all_gates(shape):
+    pairs = [(a, b) for a in range(shape.modes) for b in range(shape.modes) if a != b]
+    yield from (Beamsplitter(a, b) for a, b in pairs)
+    yield from (SwapModes(a, b) for a, b in pairs)
+    for mode in range(shape.modes):
+        yield from (PhaseShift(mode, s) for s in (0, 1))
+        yield from (Cnot(mode, ancilla) for ancilla in range(shape.ancillas))
+    yield Identity()
+
+
+SMALL_SHAPES = [
+    RegisterShape(modes, ancillas)
+    for modes in range(4)
+    for ancillas in range(4 - modes)
+    if modes + ancillas
+]
+
+
+class TestKernel:
+    """Gates applied through their subsystems' kernels equal the scalar loop."""
+
+    @pytest.mark.parametrize("shape", SMALL_SHAPES + [RegisterShape(5)], ids=repr)
+    def test_table_and_image_equal_scalar_loop(self, shape):
+        for gate in all_gates(shape):
+            expected = tuple(
+                apply_gate_index(gate, index, shape) for index in range(shape.point_count)
+            )
+            assert gate_table(gate, shape) == expected, gate
+            image = gate_image(gate, shape)
+            assert [image[index] for index in range(shape.point_count)] == list(expected)
+
+    @pytest.mark.parametrize("shape", [TWO, RegisterShape(2, 1)], ids=repr)
+    def test_lazy_push_forward_equals_table_image(self, shape, monkeypatch):
+        monkeypatch.setattr(toy_dynamics, "_FULL_TABLE_POINTS", 0)
+        for gate in all_gates(shape):
+            table = gate_table(gate, shape)
+            for state in enumerate_valid_states(shape):
+                moved = push_forward(state, gate)
+                assert moved.support == frozenset(table[x] for x in state.support)
+
+    @pytest.mark.parametrize(
+        "scalar",
+        [lambda gate, index, shape: index ^ (1 << 7),  # writes into mode 3
+         lambda gate, index, shape: index & ~1],  # not a permutation
+        ids=["leaks", "collides"],
+    )
+    def test_kernel_rejects_a_bad_local_map(self, scalar, monkeypatch):
+        monkeypatch.setattr(toy_dynamics, "apply_gate_index", scalar)
+        with pytest.raises(ValueError, match="not a bijection"):
+            toy_dynamics._gate_kernel(PhaseShift(0, 1), RegisterShape(4))
+
+    def test_exact_run_on_ten_modes_builds_no_gate_table(self):
+        from toyfield.circuits import compile_toy, parse, run_toy_exact
+
+        lines = ["mode " + " ".join(f"m{k}" for k in range(10)) + ";"]
+        for pair in range(5):
+            a, b = f"m{2 * pair}", f"m{2 * pair + 1}"
+            phase = "pi" if pair % 2 else "0"
+            lines += [f"source {a};", f"vacuum {b};", f"bs {a} {b};",
+                      f"phase {b} {phase};", f"bs {a} {b};"]
+        lines += [f"detect m{k} as d{k};" for k in range(10)]
+        misses = gate_table.cache_info().misses
+        joint = run_toy_exact(compile_toy(parse("\n".join(lines))))
+        assert gate_table.cache_info().misses == misses
+        clicks = {2 * pair + pair % 2 for pair in range(5)}
+        assert joint == {tuple(sorted((f"d{k}", int(k in clicks)) for k in range(10))): 1}
