@@ -16,9 +16,10 @@ semicolons)::
 
 Phase literals are restricted to 0 and pi in the grammar itself: the program
 text is the contract shared by every engine, and the classical engine has no
-counterpart for other angles.  Programs compile to engine-specific plans;
-the exact executors here branch over measurement outcomes and return joint
-distributions over the declared labels.
+counterpart for other angles.  Programs lower to one sequence of gate and
+measurement steps, which each engine's plan pairs with its own initial
+state; one branching executor runs the steps on either exact engine and
+returns joint distributions over the declared labels.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Union
 
 from toyfield import quantum
@@ -44,6 +46,8 @@ from toyfield.toy_measurement import (
     DisturbanceKind,
     measure_ancilla,
     measure_occupation,
+    sample_ancilla_measurement_index,
+    sample_measurement_index,
 )
 
 __all__ = [
@@ -53,6 +57,7 @@ __all__ = [
     "Program",
     "QuantumPlan",
     "ToyPlan",
+    "branches",
     "compile_quantum",
     "compile_toy",
     "default_labeler",
@@ -483,7 +488,7 @@ class MeasureStep:
     is_detect: bool = False
 
 
-ToyStep = Union[GateStep, MeasureStep]
+Step = Union[GateStep, MeasureStep]
 
 
 @dataclass(frozen=True)
@@ -491,52 +496,63 @@ class ToyPlan:
     program: Program
     shape: RegisterShape
     initial: EpistemicState
-    steps: tuple[ToyStep, ...]
+    steps: tuple[Step, ...]
 
     def labels(self) -> tuple[str, ...]:
         return tuple(s.label for s in self.steps if isinstance(s, MeasureStep))
 
 
 @dataclass(frozen=True)
-class QGateStep:
-    gate: quantum.QuantumGate
-    targets: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class QMeasureStep:
-    label: str
-    subsystem: int
-    basis: quantum.MeasurementBasis
-    destructive: bool = False
-
-
-QuantumStep = Union[QGateStep, QMeasureStep]
-
-
-@dataclass(frozen=True)
 class QuantumPlan:
     program: Program
     initial: quantum.StateVector
-    steps: tuple[QuantumStep, ...]
+    steps: tuple[Step, ...]
 
 
-def _subsystem_maps(program: Program) -> tuple[dict[str, int], dict[str, int]]:
-    mode_index = {name: i for i, name in enumerate(program.modes)}
-    ancilla_index = {name: j for j, name in enumerate(program.ancillas)}
-    return mode_index, ancilla_index
+def _lower(program: Program) -> tuple[Step, ...]:
+    """The program's gates and measurements as steps shared by both engines;
+    preparations are folded into each engine's initial state instead."""
+    if not program.modes:
+        raise CompileError("program declares no modes")
+    mode = {name: i for i, name in enumerate(program.modes)}
+    ancilla = {name: j for j, name in enumerate(program.ancillas)}
+    nondestructive = DisturbanceKind.NONDESTRUCTIVE
+    steps: list[Step] = []
+    for stmt in program.statements:
+        if isinstance(stmt, (Source, Vacuum)):
+            continue
+        if isinstance(stmt, Bs):
+            step = GateStep(Beamsplitter(mode[stmt.a], mode[stmt.b]))
+        elif isinstance(stmt, Phase):
+            step = GateStep(PhaseShift(mode[stmt.mode], stmt.s))
+        elif isinstance(stmt, CnotStmt):
+            step = GateStep(Cnot(mode[stmt.control], ancilla[stmt.ancilla]))
+        elif isinstance(stmt, Swap):
+            step = GateStep(SwapModes(mode[stmt.a], mode[stmt.b]))
+        elif isinstance(stmt, MeasureN):
+            step = MeasureStep(stmt.label, "mode", mode[stmt.mode], "N", stmt.kind)
+        elif isinstance(stmt, (MeasureQ, MeasureP)):
+            variable = "Q" if isinstance(stmt, MeasureQ) else "P"
+            step = MeasureStep(
+                stmt.label, "ancilla", ancilla[stmt.ancilla], variable, nondestructive
+            )
+        elif isinstance(stmt, Detect):
+            step = MeasureStep(
+                stmt.label, "mode", mode[stmt.mode], "N", nondestructive, is_detect=True
+            )
+        else:
+            raise CompileError(f"cannot compile statement {stmt!r}")
+        steps.append(step)
+    return tuple(steps)
 
 
 def compile_toy(program: Program) -> ToyPlan:
     """Lower a program to the classical engine: an initial flat state and a
     sequence of permutation gates and measurement steps."""
-    if not program.modes:
-        raise CompileError("program declares no modes")
-    mode_index, ancilla_index = _subsystem_maps(program)
+    steps = _lower(program)
     shape = RegisterShape(len(program.modes), len(program.ancillas))
-
     sourced = {
-        mode_index[s.mode] for s in program.statements if isinstance(s, Source)
+        program.modes.index(s.mode) for s in program.statements if isinstance(s, Source)
     }
     # Unprepared modes default to the vacuum; ancillas start with q known 0.
     support = {0}
@@ -549,144 +565,23 @@ def compile_toy(program: Program) -> ToyPlan:
     for j in range(shape.ancillas):
         p = 1 << shape.momentum_slot(j)
         support |= {x ^ p for x in support}
-    initial = EpistemicState(shape, frozenset(support))
-
-    steps: list[ToyStep] = []
-    for stmt in program.statements:
-        if isinstance(stmt, (Source, Vacuum)):
-            continue
-        if isinstance(stmt, Bs):
-            steps.append(GateStep(Beamsplitter(mode_index[stmt.a], mode_index[stmt.b])))
-        elif isinstance(stmt, Phase):
-            steps.append(GateStep(PhaseShift(mode_index[stmt.mode], stmt.s)))
-        elif isinstance(stmt, CnotStmt):
-            steps.append(
-                GateStep(Cnot(mode_index[stmt.control], ancilla_index[stmt.ancilla]))
-            )
-        elif isinstance(stmt, Swap):
-            steps.append(GateStep(SwapModes(mode_index[stmt.a], mode_index[stmt.b])))
-        elif isinstance(stmt, MeasureN):
-            steps.append(
-                MeasureStep(stmt.label, "mode", mode_index[stmt.mode], "N", stmt.kind)
-            )
-        elif isinstance(stmt, MeasureQ):
-            steps.append(
-                MeasureStep(
-                    stmt.label,
-                    "ancilla",
-                    ancilla_index[stmt.ancilla],
-                    "Q",
-                    DisturbanceKind.NONDESTRUCTIVE,
-                )
-            )
-        elif isinstance(stmt, MeasureP):
-            steps.append(
-                MeasureStep(
-                    stmt.label,
-                    "ancilla",
-                    ancilla_index[stmt.ancilla],
-                    "P",
-                    DisturbanceKind.NONDESTRUCTIVE,
-                )
-            )
-        elif isinstance(stmt, Detect):
-            steps.append(
-                MeasureStep(
-                    stmt.label,
-                    "mode",
-                    mode_index[stmt.mode],
-                    "N",
-                    DisturbanceKind.NONDESTRUCTIVE,
-                    is_detect=True,
-                )
-            )
-        else:
-            raise CompileError(f"cannot compile statement {stmt!r}")
-    plan = ToyPlan(program, shape, initial, tuple(steps))
-    for step in plan.steps:
+    for step in steps:
         if isinstance(step, GateStep):
             gate_image(step.gate, shape)  # verifies the permutation up front
-    return plan
+    return ToyPlan(program, shape, EpistemicState(shape, frozenset(support)), steps)
 
 
 def compile_quantum(program: Program) -> QuantumPlan:
     """Lower a program to the state-vector engine (modes then ancillas)."""
-    if not program.modes:
-        raise CompileError("program declares no modes")
-    mode_index, ancilla_index = _subsystem_maps(program)
+    steps = _lower(program)
     qubits = len(program.modes) + len(program.ancillas)
     if qubits > 3:
         raise CapabilityError("state-vector engine supports at most 3 subsystems")
-
     start_index = 0
     for stmt in program.statements:
         if isinstance(stmt, Source):
-            start_index |= 1 << mode_index[stmt.mode]
-    initial = quantum.basis_state(start_index, qubits)
-
-    def ancilla_bit(name: str) -> int:
-        return len(program.modes) + ancilla_index[name]
-
-    steps: list[QuantumStep] = []
-    for stmt in program.statements:
-        if isinstance(stmt, (Source, Vacuum)):
-            continue
-        if isinstance(stmt, Bs):
-            steps.append(
-                QGateStep(
-                    quantum.bs_unitary("second"),
-                    (mode_index[stmt.a], mode_index[stmt.b]),
-                )
-            )
-        elif isinstance(stmt, Phase):
-            steps.append(
-                QGateStep(
-                    quantum.phase_unitary(math.pi * stmt.s, "second"),
-                    (mode_index[stmt.mode],),
-                )
-            )
-        elif isinstance(stmt, CnotStmt):
-            steps.append(
-                QGateStep(
-                    quantum.cnot_unitary("second"),
-                    (mode_index[stmt.control], ancilla_bit(stmt.ancilla)),
-                )
-            )
-        elif isinstance(stmt, Swap):
-            steps.append(
-                QGateStep(
-                    quantum.swap_unitary(),
-                    (mode_index[stmt.a], mode_index[stmt.b]),
-                )
-            )
-        elif isinstance(stmt, MeasureN):
-            steps.append(
-                QMeasureStep(
-                    stmt.label,
-                    mode_index[stmt.mode],
-                    quantum.OCCUPATION_BASIS,
-                    destructive=stmt.kind is DisturbanceKind.DESTRUCTIVE,
-                )
-            )
-        elif isinstance(stmt, MeasureQ):
-            steps.append(
-                QMeasureStep(
-                    stmt.label, ancilla_bit(stmt.ancilla), quantum.ANCILLA_Q_BASIS
-                )
-            )
-        elif isinstance(stmt, MeasureP):
-            steps.append(
-                QMeasureStep(
-                    stmt.label, ancilla_bit(stmt.ancilla), quantum.ANCILLA_P_BASIS
-                )
-            )
-        elif isinstance(stmt, Detect):
-            steps.append(
-                QMeasureStep(stmt.label, mode_index[stmt.mode], quantum.OCCUPATION_BASIS)
-            )
-        else:
-            raise CompileError(f"cannot compile statement {stmt!r}")
-    return QuantumPlan(program, initial, tuple(steps))
+            start_index |= 1 << program.modes.index(stmt.mode)
+    return QuantumPlan(program, quantum.basis_state(start_index, qubits), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -696,41 +591,56 @@ Assignment = tuple[tuple[str, int], ...]
 JointDistribution = dict[Assignment, Fraction]
 
 
-def _toy_measure(state: EpistemicState, step: MeasureStep):
+def branches(start, steps, apply, measure):
+    """Branch ``start`` over the steps; yield ``(step, branches)`` after each.
+
+    A branch is ``(weight, state, events)``.  A gate maps every branch's state
+    through ``apply(state, gate)``; a measurement splits every branch over
+    ``measure(state, step)``'s ``(value, probability, posterior)`` outcomes,
+    multiplying its weight and recording ``events[step.label] = value``.
+    ``start`` is the list of branches before the first step; its weights set
+    the arithmetic (``Fraction`` stays exact, ``float`` stays float).
+    """
+    current = start
+    for step in steps:
+        if isinstance(step, GateStep):
+            gate = step.gate
+            current = [(w, apply(state, gate), events) for w, state, events in current]
+        else:
+            label = step.label
+            current = [
+                (w * prob, posterior, {**events, label: value})
+                for w, state, events in current
+                for value, prob, posterior in measure(state, step)
+            ]
+        yield step, current
+
+
+def _joint(start, steps, apply, measure) -> dict:
+    """Total weight per label assignment over the final branches."""
+    final = start
+    for _, final in branches(start, steps, apply, measure):
+        pass
+    joint: dict = {}
+    for w, _, events in final:
+        key = tuple(sorted(events.items()))
+        joint[key] = joint.get(key, 0) + w
+    return joint
+
+
+def toy_measure(state: EpistemicState, step: MeasureStep):
+    """The classical engine's outcomes of a measurement step, as
+    ``(value, probability, posterior)`` triples."""
     if step.variable == "N":
-        return [
-            (o.value, o.probability, o.posterior)
-            for o in measure_occupation(state, step.index, step.kind)
-        ]
-    return [
-        (o.value, o.probability, o.posterior)
-        for o in measure_ancilla(state, step.index, step.variable)
-    ]
+        outcomes = measure_occupation(state, step.index, step.kind)
+    else:
+        outcomes = measure_ancilla(state, step.index, step.variable)
+    return [(o.value, o.probability, o.posterior) for o in outcomes]
 
 
 def run_toy_exact(plan: ToyPlan) -> JointDistribution:
     """Exact joint distribution over measurement labels, by branching."""
-    branches: list[tuple[Fraction, EpistemicState, dict[str, int]]] = [
-        (Fraction(1), plan.initial, {})
-    ]
-    for step in plan.steps:
-        if isinstance(step, GateStep):
-            branches = [
-                (w, push_forward(state, step.gate), ev) for w, state, ev in branches
-            ]
-        else:
-            new_branches = []
-            for w, state, ev in branches:
-                for value, prob, posterior in _toy_measure(state, step):
-                    new_events = dict(ev)
-                    new_events[step.label] = value
-                    new_branches.append((w * prob, posterior, new_events))
-            branches = new_branches
-    joint: JointDistribution = {}
-    for w, _, ev in branches:
-        key = tuple(sorted(ev.items()))
-        joint[key] = joint.get(key, Fraction(0)) + w
-    return joint
+    return _joint([(Fraction(1), plan.initial, {})], plan.steps, push_forward, toy_measure)
 
 
 def snap_dyadic(p: float, tol: float = 1e-9, denominator: int = 64) -> Fraction:
@@ -745,6 +655,28 @@ def snap_dyadic(p: float, tol: float = 1e-9, denominator: int = 64) -> Fraction:
     return candidate
 
 
+_BASES = {
+    "N": quantum.OCCUPATION_BASIS,
+    "Q": quantum.ANCILLA_Q_BASIS,
+    "P": quantum.ANCILLA_P_BASIS,
+}
+
+
+@lru_cache(maxsize=None)  # the 3-subsystem cap leaves a few dozen keys
+def _unitary(gate: ToyGate, modes: int) -> tuple[quantum.QuantumGate, tuple[int, ...]]:
+    """The state-vector gate and target bits of a toy gate on a register
+    of ``modes`` modes followed by its ancillas."""
+    if isinstance(gate, Beamsplitter):
+        return quantum.bs_unitary("second"), (gate.a, gate.b)
+    if isinstance(gate, PhaseShift):
+        return quantum.phase_unitary(math.pi * gate.s, "second"), (gate.mode,)
+    if isinstance(gate, Cnot):
+        return quantum.cnot_unitary("second"), (gate.control, modes + gate.ancilla)
+    if isinstance(gate, SwapModes):
+        return quantum.swap_unitary(), (gate.a, gate.b)
+    raise CompileError(f"no state-vector counterpart for {gate!r}")
+
+
 def run_quantum_exact(plan: QuantumPlan, tol: float = 1e-9) -> JointDistribution:
     """Joint distribution from the state-vector engine, exactified.
 
@@ -752,37 +684,33 @@ def run_quantum_exact(plan: QuantumPlan, tol: float = 1e-9) -> JointDistribution
     snapped to dyadic rationals (failing loudly if any is farther than
     ``tol`` from one).
     """
-    branches: list[tuple[float, quantum.StateVector, dict[str, int]]] = [
-        (1.0, plan.initial, {})
-    ]
-    for step in plan.steps:
-        if isinstance(step, QGateStep):
-            branches = [
-                (w, quantum.apply_gate(state, step.gate, step.targets), ev)
-                for w, state, ev in branches
-            ]
-        else:
-            new_branches = []
-            for w, state, ev in branches:
-                for value, prob, collapsed in quantum.measure_subsystem(
-                    state, step.subsystem, step.basis
-                ):
-                    if step.destructive:
-                        collapsed = quantum.reset_to_zero(collapsed, step.subsystem)
-                    new_events = dict(ev)
-                    new_events[step.label] = value
-                    new_branches.append((w * prob, collapsed, new_events))
-            branches = new_branches
-    raw: dict[Assignment, float] = {}
-    for w, _, ev in branches:
-        key = tuple(sorted(ev.items()))
-        raw[key] = raw.get(key, 0.0) + w
+    modes = len(plan.program.modes)
+
+    def apply(state: quantum.StateVector, gate: ToyGate) -> quantum.StateVector:
+        unitary, targets = _unitary(gate, modes)
+        return quantum.apply_gate(state, unitary, targets)
+
+    def measure(state: quantum.StateVector, step: MeasureStep):
+        subsystem = step.index if step.target_kind == "mode" else modes + step.index
+        outcomes = quantum.measure_subsystem(state, subsystem, _BASES[step.variable])
+        if step.kind is DisturbanceKind.DESTRUCTIVE:
+            return [(k, p, quantum.reset_to_zero(s, subsystem)) for k, p, s in outcomes]
+        return outcomes
+
+    raw = _joint([(1.0, plan.initial, {})], plan.steps, apply, measure)
     joint: JointDistribution = {}
     for key, w in raw.items():
         p = snap_dyadic(w, tol)
         if p:
             joint[key] = p
     return joint
+
+
+def step_run_index(state: int, shape: RegisterShape, step: MeasureStep, coin: int):
+    """Apply one measurement step to a packed state with an explicit coin."""
+    if step.variable == "N":
+        return sample_measurement_index(state, shape, step.index, step.kind, coin)
+    return sample_ancilla_measurement_index(state, shape, step.index, step.variable, coin)
 
 
 def enumerate_toy_runs(plan: ToyPlan) -> JointDistribution:
@@ -793,33 +721,19 @@ def enumerate_toy_runs(plan: ToyPlan) -> JointDistribution:
     measurement.  The result must equal :func:`run_toy_exact` exactly; the
     identity is an enumeration fact, not a statistical one.
     """
-    from toyfield.montecarlo import step_run_index  # local import; no cycle at module load
-
     shape = plan.shape
-    joint: JointDistribution = {}
-    initial_states = sorted(plan.initial.support)
-    base_weight = Fraction(1, len(initial_states))
+    half = Fraction(1, 2)
 
-    measure_steps = [s for s in plan.steps if isinstance(s, MeasureStep)]
-    coin_count = len(measure_steps)
+    def apply(state: int, gate: ToyGate) -> int:
+        return gate_table(gate, shape)[state]
 
-    for start in initial_states:
-        for coins in range(1 << coin_count):
-            weight = base_weight * Fraction(1, 1 << coin_count)
-            state = start
-            events: dict[str, int] = {}
-            coin_cursor = 0
-            for step in plan.steps:
-                if isinstance(step, GateStep):
-                    state = gate_table(step.gate, shape)[state]
-                else:
-                    coin = (coins >> coin_cursor) & 1
-                    coin_cursor += 1
-                    value, state = step_run_index(state, shape, step, coin)
-                    events[step.label] = value
-            key = tuple(sorted(events.items()))
-            joint[key] = joint.get(key, Fraction(0)) + weight
-    return joint
+    def measure(state: int, step: MeasureStep):
+        outcomes = (step_run_index(state, shape, step, coin) for coin in (0, 1))
+        return [(value, half, after) for value, after in outcomes]
+
+    weight = Fraction(1, len(plan.initial.support))
+    start = [(weight, x, {}) for x in sorted(plan.initial.support)]
+    return _joint(start, plan.steps, apply, measure)
 
 
 def default_labeler(outcome: dict[str, int]) -> str:

@@ -1,8 +1,9 @@
 """Command-line frontend: run scenarios or programs, check claims, draw grids.
 
 Exit codes: 0 success, 1 check failure, 2 usage error, 3 parse/compile
-error.  Sampled engines require explicit --shots and --seed; there is no
-environment fallback for seeds by design.
+error or a quantum result that is not dyadic.  Sampled engines require
+explicit --shots and --seed; there is no environment fallback for seeds by
+design.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from toyfield.circuits import (
 )
 from toyfield.phase_space import EpistemicState, marginal
 from toyfield.scenarios import OutcomeDistribution, Scenario, run_scenario
+from toyfield.toy_dynamics import push_forward
 
 CHECK_SUITES = ("equivalence", "coarse-grain", "destructive", "locality", "all")
 
@@ -112,7 +114,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     if engine == "toy":
         joint = circuits.run_toy_exact(compile_toy(program))
     elif engine == "quantum":
-        joint = circuits.run_quantum_exact(circuits.compile_quantum(program))
+        plan = circuits.compile_quantum(program)
+        try:
+            joint = circuits.run_quantum_exact(plan)
+        except ValueError as error:  # a label weight that is not dyadic
+            print(f"error: {error}", file=sys.stderr)
+            return 3
     elif engine == "montecarlo":
         from toyfield.montecarlo import estimate
 
@@ -182,29 +189,17 @@ def _print_grids(plan, steps_filter: str | None) -> int:
     if steps_filter:
         selected = {int(s) for s in steps_filter.split(",")}
     print("Support diagrams; rows (N_L,Phi_L), columns (N_R,Phi_R), order 00,01,10,11.")
-    branches = [(Fraction(1), plan.initial, "")]
-    step_number = 0
-    if selected is None or step_number in selected:
-        print(f"\nstep 0: preparation   p=1")
+    if selected is None or 0 in selected:
+        print("\nstep 0: preparation   p=1")
         for line in render_grid(plan.initial):
             print(line)
-    for step in plan.steps:
-        step_number += 1
-        new_branches = []
-        if isinstance(step, circuits.GateStep):
-            from toyfield.toy_dynamics import push_forward
-
-            for w, state, tags in branches:
-                new_branches.append((w, push_forward(state, step.gate), tags))
-        else:
-            for w, state, tags in branches:
-                for value, prob, posterior in circuits._toy_measure(state, step):
-                    tag = f"{tags} {step.label}={value}".strip()
-                    new_branches.append((w * prob, posterior, tag))
-        branches = new_branches
+    start = [(Fraction(1), plan.initial, {})]
+    stepped = circuits.branches(start, plan.steps, push_forward, circuits.toy_measure)
+    for step_number, (step, current) in enumerate(stepped, 1):
         if selected is not None and step_number not in selected:
             continue
-        for w, state, tags in branches:
+        for w, state, events in current:
+            tags = " ".join(f"{label}={value}" for label, value in events.items())
             suffix = f"   [{tags}]" if tags else ""
             print(f"\nstep {step_number}: {_describe_step(step)}   p={_fraction_str(w)}{suffix}")
             for line in render_grid(state):
@@ -345,7 +340,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         rows.extend(_check_destructive())
     if suite in ("locality", "all"):
         rows.extend(_check_locality(shots, seed))
-    failed = 0
     for name, ok, detail in rows:
         status = "PASS" if ok else "FAIL"
         suffix = f"  {detail}" if detail and not ok else ""

@@ -30,6 +30,7 @@ from toyfield.toy_dynamics import (
     SwapModes,
     ToyGate,
     apply_gate_index,
+    push_forward,
 )
 from toyfield.toy_measurement import DisturbanceKind, measure_occupation
 
@@ -273,12 +274,7 @@ def check_commutation(circuit) -> CommutationReport:
             else:
                 fq = coarse_grain_gate(step)
                 for fine, coarse in branches:
-                    fine_next = EpistemicState(
-                        _TWO_MODES,
-                        frozenset(
-                            apply_gate_index(step, x, _TWO_MODES) for x in fine.support
-                        ),
-                    )
+                    fine_next = push_forward(fine, step)
                     coarse_next = _fq_apply(coarse, fq)
                     if coarse_grain_epistemic(fine_next).support != coarse_next.support:
                         return CommutationReport(

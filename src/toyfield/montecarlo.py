@@ -22,13 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from toyfield.circuits import GateStep, MeasureStep, ToyPlan, default_labeler
+from toyfield.circuits import GateStep, ToyPlan, default_labeler, step_run_index
 from toyfield.phase_space import RegisterShape
 from toyfield.toy_dynamics import gate_table
-from toyfield.toy_measurement import (
-    sample_ancilla_measurement_index,
-    sample_measurement_index,
-)
 
 __all__ = [
     "FrequencyReport",
@@ -69,13 +65,6 @@ class RunRecord:
     initial_state: int
     events: tuple[MeasurementEvent, ...]
     outcome: dict[str, int]
-
-
-def step_run_index(state: int, shape: RegisterShape, step: MeasureStep, coin: int):
-    """Apply one measurement step to a packed state with an explicit coin."""
-    if step.variable == "N":
-        return sample_measurement_index(state, shape, step.index, step.kind, coin)
-    return sample_ancilla_measurement_index(state, shape, step.index, step.variable, coin)
 
 
 def sample_run(plan: ToyPlan, seed: int) -> RunRecord:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "AncillaState",
@@ -368,26 +368,6 @@ def _annihilator_basis(basis: list[int], dim: int) -> list[int]:
     return out
 
 
-def known_functionals(state: EpistemicState) -> list[int]:
-    """Masks of all functionals constant on the support (the known set)."""
-    basis = _difference_basis(state.support)
-    if basis is None:
-        # Fall back to a direct scan; used only for invalid supports.
-        masks = []
-        support = list(state.support)
-        for mask in range(state.shape.point_count):
-            first = (support[0] & mask).bit_count() & 1
-            if all(((x & mask).bit_count() & 1) == first for x in support[1:]):
-                masks.append(mask)
-        return masks
-    # Annihilator of the difference space.
-    return [
-        mask
-        for mask in range(state.shape.point_count)
-        if all(((mask & b).bit_count() & 1) == 0 for b in basis)
-    ]
-
-
 def is_valid(state: EpistemicState) -> ValidityReport:
     """Check the four epistemic-state invariants; report the first violated.
 
@@ -572,12 +552,3 @@ def enumerate_valid_states(shape: RegisterShape) -> list[EpistemicState]:
         EpistemicState(shape, support)
         for support in _valid_supports(shape.bit_count, shape.subsystems)
     ]
-
-
-def states_equal(a: EpistemicState, b: EpistemicState) -> bool:
-    return a.shape == b.shape and a.support == b.support
-
-
-def iter_all_states(shape: RegisterShape) -> Iterable[PhysicalState]:
-    for index in range(shape.point_count):
-        yield PhysicalState.from_index(index, shape)

@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, error reporting."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +125,19 @@ class TestRun:
         assert code == 0
         assert json.loads(out) == {"dl=1 dr=0": "1"}
 
+    def test_non_dyadic_quantum_result_is_an_error(self, capsys, tmp_path):
+        # Two photons over three modes: the Born weights are not dyadic.
+        path = tmp_path / "two_photons.mzi"
+        path.write_text(
+            "mode L R E; source L; source R; bs R E; bs R L; bs E R;"
+            "measure N E destructive as x1;"
+        )
+        code, out, err = run_cli(capsys, "run", str(path), "--engine", "quantum")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: probability ")
+        assert err.rstrip().endswith("is not dyadic within 1e-09")
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["run"])
@@ -154,6 +168,24 @@ class TestGrid:
         grid_rows = [line for line in out.splitlines() if line.startswith("  ")][2:]
         assert grid_rows[0].endswith(" .  .  .  #")
         assert grid_rows[3].endswith(" #  .  .  .")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+class TestGridGolden:
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (("quantum_eraser", "--basis", "Q"), "grid_quantum_eraser_Q.txt"),
+            (("mirror_removed",), "grid_mirror_removed.txt"),
+        ],
+        ids=["quantum_eraser_Q", "mirror_removed"],
+    )
+    def test_full_output(self, capsys, argv, golden):
+        code, out, _ = run_cli(capsys, "grid", *argv)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 class TestCheck:

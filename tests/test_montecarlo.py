@@ -14,7 +14,12 @@ from toyfield.montecarlo import (
     locality_audit,
     sample_run,
 )
-from toyfield.scenarios import bomb_tester, mzi_phase, mzi_whichway, quantum_eraser
+from toyfield.scenarios import (
+    all_variants,
+    mzi_phase,
+    mzi_whichway,
+    quantum_eraser,
+)
 from toyfield.toy_measurement import DisturbanceKind
 
 WW = compile_toy(mzi_whichway(DisturbanceKind.NONDESTRUCTIVE).program)
@@ -56,14 +61,7 @@ class TestSampleRun:
 class TestEnumerationIdentity:
     @pytest.mark.parametrize(
         "scenario",
-        [
-            mzi_phase(0),
-            mzi_whichway(DisturbanceKind.NONDESTRUCTIVE),
-            mzi_whichway(DisturbanceKind.DESTRUCTIVE),
-            bomb_tester(True),
-            quantum_eraser("Q"),
-            quantum_eraser("P"),
-        ],
+        list(all_variants()),
         ids=lambda s: s.key,
     )
     def test_exhaustive_average_equals_exact(self, scenario):
