@@ -24,15 +24,17 @@ Devices replace the free rule of their cell group at even steps only:
 
 Every group's next state depends only on the group's own current state, so
 the dynamics is local by construction, and each deterministic map is its
-own time reverse.  The module offers a readable cell-by-cell stepper (used
-for traces and property tests) and a NumPy batch runner that evolves every
-shot of a frequency estimate at once.
+own time reverse.  The layout lives in one table, :func:`layout_bindings`,
+and one transition function applies it rule by rule, either to single cells
+(the stepper behind traces and property tests) or to whole shot columns (the
+NumPy batch runner that evolves every shot of a frequency estimate at once).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -68,6 +70,7 @@ __all__ = [
 ]
 
 WIRE_LENGTH = 16
+_CELL_LABELS = tuple(f"{wire}{i}" for wire in ("L", "R") for i in range(1, WIRE_LENGTH + 1))
 _BS_POSITIONS = (4, 12)  # labels of the splitter input cells
 _DEVICE_POSITION = 8  # label of the R-arm device input cell
 
@@ -96,13 +99,18 @@ class RuleBinding:
 
 
 def layout_bindings(plan: CaPlan) -> tuple[RuleBinding, ...]:
-    """The full rule table: every cell sits in exactly one group per parity."""
-    bindings: list[RuleBinding] = [
-        RuleBinding("source", ("L1",), "even", plan.inject_step),
-        RuleBinding("vacuum_source", ("R1",), "even"),
-        RuleBinding("sink", ("L16",), "even"),
-        RuleBinding("sink", ("R16",), "even"),
-    ]
+    """The full rule table: every cell sits in exactly one group per parity.
+
+    The boundary groups come last: their phase draws follow the device's.
+    """
+    return _layout(plan.device, plan.inject_step, plan.port_labels["L"], plan.port_labels["R"])
+
+
+@lru_cache(maxsize=64)  # the scalar stepper asks for the table on every step
+def _layout(
+    device: tuple | None, inject_step: int, port_l: str, port_r: str
+) -> tuple[RuleBinding, ...]:
+    bindings: list[RuleBinding] = []
     for position in _BS_POSITIONS:
         cells = (
             f"L{position}",
@@ -115,13 +123,17 @@ def layout_bindings(plan: CaPlan) -> tuple[RuleBinding, ...]:
         for wire in ("L", "R"):
             if i in _BS_POSITIONS:
                 continue
-            if wire == "R" and i == _DEVICE_POSITION and plan.device is not None:
-                kind = "phase" if plan.device[0] == "phase" else "detector"
-                bindings.append(
-                    RuleBinding(kind, (f"R{i}", f"R{i + 1}"), "even", plan.device)
-                )
+            if wire == "R" and i == _DEVICE_POSITION and device is not None:
+                kind = "phase" if device[0] == "phase" else "detector"
+                bindings.append(RuleBinding(kind, (f"R{i}", f"R{i + 1}"), "even", device))
                 continue
             bindings.append(RuleBinding("free_swap", (f"{wire}{i}", f"{wire}{i + 1}"), "even"))
+    bindings += [
+        RuleBinding("source", ("L1",), "even", inject_step),
+        RuleBinding("vacuum_source", ("R1",), "even"),
+        RuleBinding("sink", (f"L{WIRE_LENGTH}",), "even", port_l),
+        RuleBinding("sink", (f"R{WIRE_LENGTH}",), "even", port_r),
+    ]
     for i in range(1, WIRE_LENGTH, 2):
         for wire in ("L", "R"):
             bindings.append(RuleBinding("free_swap", (f"{wire}{i}", f"{wire}{i + 1}"), "odd"))
@@ -204,9 +216,104 @@ def plan_from_program(program: Program) -> CaPlan:
 
 
 # ---------------------------------------------------------------------------
-# Scalar grid and stepper
+# The block rule
 
 Pair = tuple[int, int]  # (n, phi)
+
+
+def _select(flag, a, b):
+    """``a`` where ``flag`` is 1, ``b`` where it is 0, for bits or bit columns."""
+    return b ^ (flag & (a ^ b))
+
+
+def _split(left: Pair, right: Pair) -> tuple[Pair, Pair]:
+    """Splitter transfer across the wires; passive without an excitation."""
+    flag = left[0] ^ right[0]
+    moved = beamsplitter_formula(*left, *right)
+    n_l, phi_l, n_r, phi_r = (_select(flag, a, b) for a, b in zip(moved, (*left, *right)))
+    return (n_l, phi_l), (n_r, phi_r)
+
+
+# One rule per binding kind: the group's cell states in, in the order of
+# ``binding.cells``, and its new states out in the same order.
+
+
+def _free_swap(states, binding, t, coin):
+    return states[::-1]
+
+
+def _beamsplitter(states, binding, t, coin):
+    l_in, r_in, l_out, r_out = states
+    return (*_split(l_out, r_out), *_split(l_in, r_in))
+
+
+def _phase(states, binding, t, coin):
+    (n_a, phi_a), (n_b, phi_b) = states
+    s = binding.parameter[1]
+    return (n_b, phi_b ^ s), (n_a, phi_a ^ s)
+
+
+def _detector(states, binding, t, coin):
+    (n_a, _), (n_b, _) = states
+    keep = binding.parameter[1] is DisturbanceKind.NONDESTRUCTIVE
+    out_b = (n_a if keep else 0, coin())
+    out_a = (n_b if keep else 0, coin())
+    return out_a, out_b
+
+
+def _source(states, binding, t, coin):
+    return ((1 if t == binding.parameter else 0, coin()),)
+
+
+def _vacuum(states, binding, t, coin):
+    return ((0, coin()),)
+
+
+_RULES = {
+    "free_swap": _free_swap,
+    "beamsplitter": _beamsplitter,
+    "phase": _phase,
+    "detector": _detector,
+    "source": _source,
+    "vacuum_source": _vacuum,
+    "sink": _vacuum,
+}
+
+
+def _advance(cells: dict, t: int, plan: CaPlan, coin: Callable[[], object]) -> tuple[dict, object]:
+    """One transition from step t: every group of t's parity maps its own cells.
+
+    A cell is an ``(n, phi)`` pair of bits, either ints or per-shot columns,
+    and ``coin()`` draws a fresh phase of the same kind.  Returns the new
+    cells and the detector's click, the occupation of its input cell (0 when
+    no detector acts at t).
+    """
+    parity = "odd" if t % 2 else "even"
+    new: dict = {}
+    click = 0
+    for binding in layout_bindings(plan):
+        if binding.parity != parity:
+            continue
+        states = [cells[label] for label in binding.cells]
+        if binding.kind == "detector":
+            click = states[0][0]
+        new.update(zip(binding.cells, _RULES[binding.kind](states, binding, t, coin)))
+    return new, click
+
+
+def _read_out(plan: CaPlan, cells: dict, fired) -> dict:
+    """The event record: the detector's firing and each port's sink cell."""
+    events = {}
+    for binding in layout_bindings(plan):
+        if binding.kind == "detector":
+            events[binding.parameter[2]] = fired
+        elif binding.kind == "sink":
+            events[binding.parameter] = cells[binding.cells[0]][0]
+    return events
+
+
+# ---------------------------------------------------------------------------
+# Scalar grid and stepper
 
 
 @dataclass(frozen=True)
@@ -222,13 +329,12 @@ class CellGrid:
         n, phi = self.wires[wire][index - 1]
         return Cell(wire, index, ModeState(n, phi))
 
+    def cells(self) -> dict[str, Pair]:
+        """Cell states by label, e.g. ``{"L1": (0, 1), ...}``."""
+        return dict(zip(_CELL_LABELS, (*self.wires["L"], *self.wires["R"])))
+
     def occupied_cells(self) -> list[str]:
-        return [
-            f"{wire}{i + 1}"
-            for wire in ("L", "R")
-            for i, (n, _) in enumerate(self.wires[wire])
-            if n
-        ]
+        return [label for label, (n, _) in self.cells().items() if n]
 
 
 def new_grid(plan: CaPlan, rng: random.Random) -> CellGrid:
@@ -240,76 +346,13 @@ def new_grid(plan: CaPlan, rng: random.Random) -> CellGrid:
     return CellGrid(0, wires, plan)
 
 
-def _bs_pair(left: Pair, right: Pair) -> tuple[Pair, Pair]:
-    """Splitter transfer across the wires; passive without an excitation."""
-    n_l, phi_l = left
-    n_r, phi_r = right
-    if n_l ^ n_r == 0:
-        return left, right
-    n_l, phi_l, n_r, phi_r = beamsplitter_formula(n_l, phi_l, n_r, phi_r)
-    return (n_l, phi_l), (n_r, phi_r)
-
-
-def _phase_transfer(cell: Pair, s: int) -> Pair:
-    return (cell[0], cell[1] ^ s)
-
-
 def step(grid: CellGrid, rng: random.Random) -> CellGrid:
     """Advance one transition; the rule used depends on the parity of t."""
-    t = grid.t
-    old_l = grid.wires["L"]
-    old_r = grid.wires["R"]
-    fired = grid.device_fired
-
-    if t % 2 == 1:
-        # Pairs (1,2), (3,4), ..., (15,16): plain swaps on both wires.
-        def odd_swap(cells: tuple[Pair, ...]) -> tuple[Pair, ...]:
-            out = list(cells)
-            for i in range(0, WIRE_LENGTH, 2):
-                out[i], out[i + 1] = cells[i + 1], cells[i]
-            return tuple(out)
-
-        wires = {"L": odd_swap(old_l), "R": odd_swap(old_r)}
-        return CellGrid(t + 1, wires, grid.plan, fired)
-
-    new_l = list(old_l)
-    new_r = list(old_r)
-
-    # Interior pairs (2,3), (4,5), ..., (14,15); 0-based (1,2), (3,4), ...
-    gate_positions = {p - 1 for p in _BS_POSITIONS}
-    device_position = _DEVICE_POSITION - 1
-    for i in range(1, WIRE_LENGTH - 1, 2):
-        if i in gate_positions:
-            (new_l[i + 1], new_r[i + 1]) = _bs_pair(old_l[i], old_r[i])
-            (new_l[i], new_r[i]) = _bs_pair(old_l[i + 1], old_r[i + 1])
-            continue
-        new_l[i], new_l[i + 1] = old_l[i + 1], old_l[i]
-        if i == device_position and grid.plan.device is not None:
-            device = grid.plan.device
-            if device[0] == "phase":
-                new_r[i + 1] = _phase_transfer(old_r[i], device[1])
-                new_r[i] = _phase_transfer(old_r[i + 1], device[1])
-            else:
-                if old_r[i][0]:
-                    fired = fired + (t,)
-                if device[1] is DisturbanceKind.NONDESTRUCTIVE:
-                    new_r[i + 1] = (old_r[i][0], rng.getrandbits(1))
-                    new_r[i] = (old_r[i + 1][0], rng.getrandbits(1))
-                else:
-                    new_r[i + 1] = (0, rng.getrandbits(1))
-                    new_r[i] = (0, rng.getrandbits(1))
-            continue
-        new_r[i], new_r[i + 1] = old_r[i + 1], old_r[i]
-
-    # Boundaries: sources at cell 1, sinks behind the port detectors at 16.
-    inject = 1 if t == grid.plan.inject_step else 0
-    new_l[0] = (inject, rng.getrandbits(1))
-    new_r[0] = (0, rng.getrandbits(1))
-    new_l[-1] = (0, rng.getrandbits(1))
-    new_r[-1] = (0, rng.getrandbits(1))
-
-    wires = {"L": tuple(new_l), "R": tuple(new_r)}
-    return CellGrid(t + 1, wires, grid.plan, fired)
+    cells, click = _advance(grid.cells(), grid.t, grid.plan, lambda: rng.getrandbits(1))
+    pairs = tuple(cells[label] for label in _CELL_LABELS)
+    wires = {"L": pairs[:WIRE_LENGTH], "R": pairs[WIRE_LENGTH:]}
+    fired = grid.device_fired + (grid.t,) if click else grid.device_fired
+    return CellGrid(grid.t + 1, wires, grid.plan, fired)
 
 
 def trace_line(grid: CellGrid) -> str:
@@ -331,12 +374,7 @@ def run_single(plan: CaPlan, rng: random.Random, trace: list[str] | None = None)
         grid = step(grid, rng)
         if trace is not None:
             trace.append(trace_line(grid))
-    events: dict[str, int] = {}
-    if plan.device is not None and plan.device[0] == "detector":
-        events[plan.device[2]] = 1 if grid.device_fired else 0
-    events[plan.port_labels["L"]] = grid.wires["L"][-1][0]
-    events[plan.port_labels["R"]] = grid.wires["R"][-1][0]
-    return events
+    return _read_out(plan, grid.cells(), 1 if grid.device_fired else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -344,81 +382,26 @@ def run_single(plan: CaPlan, rng: random.Random, trace: list[str] | None = None)
 
 
 def _batch_events(plan: CaPlan, shots: int, seed: int) -> dict[str, np.ndarray]:
-    """Evolve every shot at once; returns per-shot event bits."""
+    """Evolve every shot at once, one uint8 column per cell bit; returns
+    per-shot event bits."""
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    def coins(n: int) -> np.ndarray:
-        return rng.integers(0, 2, size=n, dtype=np.uint8)
+    def coin() -> np.ndarray:
+        return rng.integers(0, 2, size=shots, dtype=np.uint8)
 
-    n = {w: np.zeros((shots, WIRE_LENGTH), dtype=np.uint8) for w in ("L", "R")}
-    p = {
-        w: rng.integers(0, 2, size=(shots, WIRE_LENGTH), dtype=np.uint8)
-        for w in ("L", "R")
-    }
-    fired = np.zeros(shots, dtype=np.uint8)
-
-    gate_positions = {pos - 1 for pos in _BS_POSITIONS}
-    device_position = _DEVICE_POSITION - 1
-    read_step = plan.arrival_step(WIRE_LENGTH)
-
-    for t in range(read_step):
-        if t % 2 == 1:
-            for w in ("L", "R"):
-                n[w] = n[w].reshape(shots, -1, 2)[:, :, ::-1].reshape(shots, WIRE_LENGTH)
-                p[w] = p[w].reshape(shots, -1, 2)[:, :, ::-1].reshape(shots, WIRE_LENGTH)
-            continue
-        new_n = {w: n[w].copy() for w in ("L", "R")}
-        new_p = {w: p[w].copy() for w in ("L", "R")}
-        for i in range(1, WIRE_LENGTH - 1, 2):
-            if i in gate_positions:
-                for src, dst in ((i, i + 1), (i + 1, i)):
-                    occ = n["L"][:, src] ^ n["R"][:, src]
-                    dphi = p["L"][:, src] ^ p["R"][:, src]
-                    new_n["L"][:, dst] = np.where(occ, dphi, n["L"][:, src])
-                    new_p["L"][:, dst] = np.where(
-                        occ, n["L"][:, src] ^ p["R"][:, src], p["L"][:, src]
-                    )
-                    new_n["R"][:, dst] = np.where(
-                        occ, n["L"][:, src] ^ n["R"][:, src] ^ dphi, n["R"][:, src]
-                    )
-                    new_p["R"][:, dst] = p["R"][:, src]
-                continue
-            new_n["L"][:, i], new_n["L"][:, i + 1] = n["L"][:, i + 1], n["L"][:, i].copy()
-            new_p["L"][:, i], new_p["L"][:, i + 1] = p["L"][:, i + 1], p["L"][:, i].copy()
-            if i == device_position and plan.device is not None:
-                device = plan.device
-                if device[0] == "phase":
-                    new_n["R"][:, i + 1] = n["R"][:, i]
-                    new_p["R"][:, i + 1] = p["R"][:, i] ^ device[1]
-                    new_n["R"][:, i] = n["R"][:, i + 1]
-                    new_p["R"][:, i] = p["R"][:, i + 1] ^ device[1]
-                else:
-                    fired |= n["R"][:, i]
-                    keep = device[1] is DisturbanceKind.NONDESTRUCTIVE
-                    new_n["R"][:, i + 1] = n["R"][:, i] if keep else 0
-                    new_n["R"][:, i] = n["R"][:, i + 1] if keep else 0
-                    new_p["R"][:, i + 1] = coins(shots)
-                    new_p["R"][:, i] = coins(shots)
-                continue
-            new_n["R"][:, i], new_n["R"][:, i + 1] = n["R"][:, i + 1], n["R"][:, i].copy()
-            new_p["R"][:, i], new_p["R"][:, i + 1] = p["R"][:, i + 1], p["R"][:, i].copy()
-
-        new_n["L"][:, 0] = 1 if t == plan.inject_step else 0
-        new_p["L"][:, 0] = coins(shots)
-        new_n["R"][:, 0] = 0
-        new_p["R"][:, 0] = coins(shots)
-        for w in ("L", "R"):
-            new_n[w][:, -1] = 0
-            new_p[w][:, -1] = coins(shots)
-        n, p = new_n, new_p
-
-    events = {
-        plan.port_labels["L"]: n["L"][:, -1],
-        plan.port_labels["R"]: n["R"][:, -1],
-    }
-    if plan.device is not None and plan.device[0] == "detector":
-        events[plan.device[2]] = fired
-    return events
+    vacuum = np.zeros(shots, dtype=np.uint8)
+    cells = {}
+    for labels in (_CELL_LABELS[:WIRE_LENGTH], _CELL_LABELS[WIRE_LENGTH:]):
+        # one (shots, 16) block per wire, L first, keeps the seeded draws of
+        # earlier versions; its transpose holds one contiguous row per cell
+        phases = rng.integers(0, 2, size=(shots, WIRE_LENGTH), dtype=np.uint8).T.copy()
+        cells.update((label, (vacuum, phi)) for label, phi in zip(labels, phases))
+    fired = vacuum
+    for t in range(plan.arrival_step(WIRE_LENGTH)):
+        cells, click = _advance(cells, t, plan, coin)
+        fired = fired | click
+    events = _read_out(plan, cells, fired)
+    return {label: np.broadcast_to(bits, shots) for label, bits in events.items()}
 
 
 def run_experiment(
@@ -476,7 +459,7 @@ def _rules() -> dict[str, _TransferRule]:
         return (x[0], x[1] ^ 1)
 
     def bs(x: tuple[Pair, Pair]) -> tuple[Pair, Pair]:
-        return _bs_pair(*x)
+        return _split(*x)
 
     def broken_forward(x: Pair) -> Pair:
         return (x[0], x[1] ^ 1)

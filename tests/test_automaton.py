@@ -1,6 +1,8 @@
 """Wire-array engine: propagation, gate cells, locality, statistics."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +19,14 @@ from toyfield.automaton import (
     step,
     trace_line,
 )
-from toyfield.scenarios import bomb_tester, mzi_phase, mzi_whichway
+from toyfield.circuits import CapabilityError
+from toyfield.scenarios import (
+    all_variants,
+    bomb_tester,
+    mzi_phase,
+    mzi_whichway,
+    run_scenario,
+)
 from toyfield.toy_dynamics import beamsplitter_formula
 from toyfield.toy_measurement import DisturbanceKind
 
@@ -231,3 +240,68 @@ class TestBatchRunner:
     def test_shots_must_be_positive(self):
         with pytest.raises(ValueError):
             run_experiment(PLAIN, 0, 1, lambda ev: "x")
+
+
+# Seeded outputs of the wire automaton, captured before its block rule was
+# folded into one transition function; they pin every draw of both RNGs.
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "ca_counts.json").read_text(encoding="utf-8")
+)
+
+
+def _hostable():
+    hosted = []
+    for scenario in all_variants():
+        try:
+            hosted.append((scenario, plan_from_program(scenario.program)))
+        except CapabilityError:
+            pass
+    return hosted
+
+
+HOSTABLE = _hostable()
+HOSTABLE_IDS = [scenario.key for scenario, _ in HOSTABLE]
+
+
+class TestGolden:
+    def test_covers_every_hostable_variant(self):
+        keys = {scenario.key for scenario, _ in HOSTABLE}
+        assert keys == set(GOLDEN["run_experiment"]) == set(GOLDEN["run_single"])
+
+    @pytest.mark.parametrize("scenario, plan", HOSTABLE, ids=HOSTABLE_IDS)
+    def test_batch_counts(self, scenario, plan):
+        expected = GOLDEN["run_experiment"][scenario.key]
+        for seed, counts in enumerate(expected):
+            assert run_experiment(plan, GOLDEN["shots"], seed, scenario.labeler) == counts
+
+    @pytest.mark.parametrize("scenario, plan", HOSTABLE, ids=HOSTABLE_IDS)
+    def test_single_events(self, scenario, plan):
+        expected = GOLDEN["run_single"][scenario.key]
+        assert [run_single(plan, random.Random(s)) for s in range(len(expected))] == expected
+
+    def test_whichway_trace(self):
+        plan = plan_from_program(mzi_whichway(DisturbanceKind.NONDESTRUCTIVE).program)
+        trace: list[str] = []
+        run_single(plan, random.Random(0), trace)
+        assert trace == GOLDEN["trace_mzi_whichway_seed0"]
+
+
+class TestAgainstExactReference:
+    SHOTS = 20000
+    SEED = 7
+
+    def test_hostable_variant_count(self):
+        assert len(HOSTABLE) == 12
+
+    @pytest.mark.parametrize("scenario, plan", HOSTABLE, ids=HOSTABLE_IDS)
+    def test_frequencies_match_quantum(self, scenario, plan):
+        counts = run_scenario_ca(scenario, self.SHOTS, self.SEED)
+        exact = run_scenario(scenario, "quantum").probs
+        assert set(counts) <= {label for label, p in exact.items() if p}
+        for label, p in exact.items():
+            count = counts.get(label, 0)
+            if p in (0, 1):
+                assert count == p * self.SHOTS, label
+                continue
+            z = (count / self.SHOTS - p) / (p * (1 - p) / self.SHOTS) ** 0.5
+            assert abs(z) <= 4, (label, float(z))
