@@ -46,8 +46,7 @@ from toyfield.toy_measurement import (
     DisturbanceKind,
     measure_ancilla,
     measure_occupation,
-    sample_ancilla_measurement_index,
-    sample_measurement_index,
+    measurement_kernel,
 )
 
 __all__ = [
@@ -707,10 +706,16 @@ def run_quantum_exact(plan: QuantumPlan, tol: float = 1e-9) -> JointDistribution
 
 
 def step_run_index(state: int, shape: RegisterShape, step: MeasureStep, coin: int):
-    """Apply one measurement step to a packed state with an explicit coin."""
-    if step.variable == "N":
-        return sample_measurement_index(state, shape, step.index, step.kind, coin)
-    return sample_ancilla_measurement_index(state, shape, step.index, step.variable, coin)
+    """Apply one measurement step to a packed state with an explicit coin:
+    ``(value, state after)`` under the step's measurement kernel."""
+    read, keep, flip = measurement_kernel(
+        step.variable,
+        step.index,
+        shape.modes,
+        shape.ancillas,
+        step.kind is DisturbanceKind.DESTRUCTIVE,
+    )
+    return (state >> read) & 1, (state & keep) ^ (coin << flip)
 
 
 def enumerate_toy_runs(plan: ToyPlan) -> JointDistribution:

@@ -1,9 +1,9 @@
 """Command-line frontend: run scenarios or programs, check claims, draw grids.
 
-Exit codes: 0 success, 1 check failure, 2 usage error, 3 parse/compile
-error or a quantum result that is not dyadic.  Sampled engines require
-explicit --shots and --seed; there is no environment fallback for seeds by
-design.
+Exit codes: 0 success, 1 check failure, 2 usage error (a bad --steps list,
+--shots < 1 or --seed < 0 among them), 3 parse/compile error or a quantum
+result that is not dyadic.  Sampled engines require explicit --shots and
+--seed; there is no environment fallback for seeds by design.
 """
 
 from __future__ import annotations
@@ -91,6 +91,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     if needs_shots and args.shots < 1:
         print("--shots must be at least 1", file=sys.stderr)
+        return 2
+    if needs_shots and args.seed < 0:
+        print("--seed must be non-negative", file=sys.stderr)
         return 2
 
     is_scenario = args.target in scenarios.SCENARIO_NAMES
@@ -184,10 +187,15 @@ def _describe_step(step) -> str:
     return f"{tag} -> {step.label}"
 
 
-def _print_grids(plan, steps_filter: str | None) -> int:
-    selected = None
-    if steps_filter:
-        selected = {int(s) for s in steps_filter.split(",")}
+def _step_numbers(text: str) -> set[int] | None:
+    """The ``--steps`` list; an empty list selects every step."""
+    try:
+        return {int(s) for s in text.split(",")} if text else None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of step numbers: {text!r}")
+
+
+def _print_grids(plan, selected: set[int] | None) -> int:
     print("Support diagrams; rows (N_L,Phi_L), columns (N_R,Phi_R), order 00,01,10,11.")
     if selected is None or 0 in selected:
         print("\nstep 0: preparation   p=1")
@@ -331,6 +339,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     if shots < 1:
         print("--shots must be at least 1", file=sys.stderr)
         return 2
+    if seed < 0:
+        print("--seed must be non-negative", file=sys.stderr)
+        return 2
     rows: list[tuple[str, bool, str]] = []
     if suite in ("equivalence", "all"):
         rows.extend(_check_equivalence())
@@ -363,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--shots", type=int)
     run.add_argument("--seed", type=int)
     run.add_argument("--format", choices=("table", "json", "grids"), default="table")
-    run.add_argument("--steps", help="comma-separated step filter for --format grids")
+    run.add_argument("--steps", type=_step_numbers, help="comma-separated steps for --format grids")
     run.add_argument(
         "--show-program",
         action="store_true",
@@ -380,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     grid = sub.add_parser("grid", help="draw support diagrams step by step")
     grid.add_argument("target", help="scenario name or program path")
-    grid.add_argument("--steps", help="comma-separated step numbers to show")
+    grid.add_argument("--steps", type=_step_numbers, help="comma-separated step numbers to show")
     _add_scenario_params(grid)
     grid.set_defaults(func=cmd_grid)
     return parser

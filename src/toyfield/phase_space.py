@@ -168,20 +168,6 @@ class PhysicalState:
     def from_index(cls, index: int, shape: RegisterShape) -> "PhysicalState":
         return cls(unpack_bits(index, shape.bit_count), shape)
 
-    @classmethod
-    def from_modes(
-        cls,
-        modes: Sequence[ModeState],
-        ancillas: Sequence[AncillaState] = (),
-    ) -> "PhysicalState":
-        shape = RegisterShape(len(modes), len(ancillas))
-        bits: list[int] = []
-        for m in modes:
-            bits.extend((m.n, m.phi))
-        for a in ancillas:
-            bits.extend((a.q, a.p))
-        return cls(tuple(bits), shape)
-
 
 def pack_bits(bits: Sequence[int]) -> int:
     value = 0
@@ -200,16 +186,6 @@ class Functional:
 
     mask: int
     label: str = ""
-
-    def evaluate_index(self, index: int) -> int:
-        return (index & self.mask).bit_count() & 1
-
-    def evaluate(self, state: PhysicalState) -> int:
-        return self.evaluate_index(state.index())
-
-    def __xor__(self, other: "Functional") -> "Functional":
-        label = f"{self.label}^{other.label}" if self.label and other.label else ""
-        return Functional(self.mask ^ other.mask, label)
 
 
 def occupation(shape: RegisterShape, mode: int) -> Functional:
@@ -278,9 +254,6 @@ class EpistemicState:
         return tuple(
             sorted(unpack_bits(x, self.shape.bit_count) for x in self.support)
         )
-
-    def contains(self, state: PhysicalState) -> bool:
-        return state.index() in self.support
 
     def render(self) -> str:
         """Canonical textual form, e.g. ``{(1,0,0,0),(1,0,0,1)}``."""

@@ -1,58 +1,50 @@
 """Measurement semantics: outcome probabilities, update rules, sampling.
 
-A measurement of a register variable proceeds in two steps: condition the
-support on the observed value, then disturb the conjugate degree of freedom.
-The intermediate (conditioned-only) distribution can violate the knowledge
-restriction, so the two steps are exposed only as atomic operations here.
+Every measurement follows one rule, fixed by a ``(read, keep, flip)`` triple
+of bit slots and masks (:func:`measurement_kernel`).  A run reads the
+measured bit, ``(x >> read) & 1``, and a fairly tossed coin picks the
+disturbance: the state moves to ``(x & keep) ^ (coin << flip)``.  ``flip``
+is always the conjugate bit of the measured one: an occupation measurement
+disturbs the mode's phase, a Q (P) measurement the ancilla's momentum
+(coordinate).  ``keep`` is the identity except for a destructive detector (a
+brick, an absorbing photodetector), which first clears both of the mode's
+bits: the mode is left unoccupied with a uniformly sampled phase.
 
-Two disturbance repertoires are supported for occupation measurements.  A
-nondestructive detector applies, with equal probability, the identity or the
-flip to the measured mode's phase; its occupation is preserved.  A
-destructive detector (a brick, an absorbing photodetector) leaves its output
-mode unoccupied with a phase sampled uniformly, independent of the input
-phase: the disturbance is reset-to-0 or reset-to-1 with equal probability.
-Both repertoires average to the same stochastic map (complete phase
-randomization), so they are indistinguishable at the distribution level.
+An observer's exact update is that rule applied to every state they cannot
+rule out: the support splits by the read bit, and each part's image under
+both coins is the posterior of its outcome.  The intermediate
+(conditioned-only) distribution can violate the knowledge restriction, so no
+step of the rule is exposed on its own.  The nondestructive and destructive
+rules average to the same stochastic map on the rest of the register
+(complete phase randomization of the measured mode), so they are
+indistinguishable at the distribution level.
 """
 
 from __future__ import annotations
 
 import enum
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Protocol
+from functools import lru_cache
 
-from toyfield.phase_space import (
-    EpistemicState,
-    Functional,
-    PhysicalState,
-    condition,
-    occupation,
-    coordinate,
-    momentum,
-    randomize,
-)
+from toyfield.phase_space import EpistemicState, Functional, PhysicalState, RegisterShape
 
 __all__ = [
     "DisturbanceKind",
     "MeasurementOutcome",
     "measure_ancilla",
     "measure_occupation",
+    "measurement_kernel",
     "outcome_distribution",
-    "sample_ancilla_measurement",
     "sample_measurement",
+    "sample_measurement_index",
 ]
 
 
 class DisturbanceKind(enum.Enum):
     NONDESTRUCTIVE = "nondestructive"
     DESTRUCTIVE = "destructive"
-
-
-class BitSource(Protocol):
-    """Anything that yields fair bits; satisfied by random.Random.getrandbits."""
-
-    def getrandbits(self, k: int) -> int: ...
 
 
 @dataclass(frozen=True)
@@ -72,12 +64,50 @@ def outcome_distribution(
     return [(0, Fraction(total - ones, total)), (1, Fraction(ones, total))]
 
 
-def _reset_mode(state: EpistemicState, mode: int) -> EpistemicState:
-    """Replace the mode factor by the unoccupied, uniform-phase state."""
-    n_slot = state.shape.occupation_slot(mode)
-    phi_bit = 1 << state.shape.phase_slot(mode)
-    cleared = frozenset(x & ~((0b11) << n_slot) for x in state.support)
-    return EpistemicState(state.shape, cleared | frozenset(x ^ phi_bit for x in cleared))
+@lru_cache(maxsize=None)  # keyed by plain values: it sits on the per-shot path
+def measurement_kernel(
+    variable: str, index: int, modes: int, ancillas: int, destructive: bool = False
+) -> tuple[int, int, int]:
+    """The ``(read, keep, flip)`` triple of measuring ``variable`` ("N" on
+    mode ``index``, "Q" or "P" on ancilla ``index``) on a register of
+    ``modes`` modes and ``ancillas`` ancillas.
+
+    ``destructive`` makes ``keep`` clear both bits of the measured subsystem.
+    """
+    shape = RegisterShape(modes, ancillas)
+    if variable == "N":
+        read = shape.occupation_slot(index)
+    elif variable in ("Q", "P"):
+        read = shape.coordinate_slot(index) + (variable == "P")
+    else:
+        raise ValueError(f"variable must be 'N', 'Q' or 'P', got {variable!r}")
+    keep = ~(0b11 << (read & ~1)) if destructive else -1
+    return read, keep, read ^ 1
+
+
+def _measure(
+    state: EpistemicState,
+    label: str,
+    kernel: tuple[int, int, int],
+    include_zero_probability: bool,
+) -> list[MeasurementOutcome]:
+    """The kernel applied to the whole support: one outcome per read value."""
+    read, keep, flip = kernel
+    parts: tuple[list[int], list[int]] = ([], [])
+    for x in state.support:
+        parts[(x >> read) & 1].append(x & keep)
+    outcomes = []
+    for value, part in enumerate(parts):
+        probability = Fraction(len(part), len(state.support))
+        if part:
+            image = frozenset(x ^ (coin << flip) for x in part for coin in (0, 1))
+            posterior = EpistemicState(state.shape, image)
+        elif include_zero_probability:
+            posterior = state  # no update is defined for an impossible outcome
+        else:
+            continue
+        outcomes.append(MeasurementOutcome(label, value, probability, posterior))
+    return outcomes
 
 
 def measure_occupation(
@@ -86,7 +116,7 @@ def measure_occupation(
     kind: DisturbanceKind = DisturbanceKind.NONDESTRUCTIVE,
     include_zero_probability: bool = False,
 ) -> list[MeasurementOutcome]:
-    """Occupation measurement on one mode: condition, then disturb the phase.
+    """Occupation measurement on one mode, labelled ``N_<mode>``.
 
     Nondestructive: the posterior keeps the observed occupation and has the
     mode's phase randomized.  Destructive: the posterior has the mode reset
@@ -95,21 +125,10 @@ def measure_occupation(
     Zero-probability outcomes are listed only on request; no update is
     defined for them, so their posterior field carries the unchanged prior.
     """
-    variable = occupation(state.shape, mode)
-    outcomes = []
-    for value, prob in outcome_distribution(state, variable):
-        if prob == 0 and not include_zero_probability:
-            continue
-        if prob == 0:
-            outcomes.append(MeasurementOutcome(variable.label, value, prob, state))
-            continue
-        conditioned = condition(state, variable, value)
-        if kind is DisturbanceKind.NONDESTRUCTIVE:
-            posterior = randomize(conditioned, state.shape.phase_slot(mode))
-        else:
-            posterior = _reset_mode(conditioned, mode)
-        outcomes.append(MeasurementOutcome(variable.label, value, prob, posterior))
-    return outcomes
+    shape = state.shape
+    destructive = kind is DisturbanceKind.DESTRUCTIVE
+    kernel = measurement_kernel("N", mode, shape.modes, shape.ancillas, destructive)
+    return _measure(state, f"N_{mode}", kernel, include_zero_probability)
 
 
 def measure_ancilla(
@@ -120,53 +139,36 @@ def measure_ancilla(
 ) -> list[MeasurementOutcome]:
     """Measure an ancilla's coordinate (basis "Q") or momentum (basis "P").
 
-    Conditioning on the chosen bit is followed by randomization of its
-    conjugate.  Q outcomes 0/1 are the a0/a1 labels; P outcomes 0/1 are
-    a+/a-.
+    The posterior has the conjugate bit randomized.  Q outcomes 0/1 are the
+    a0/a1 labels; P outcomes 0/1 are a+/a-.  Outcomes are labelled
+    ``Q_<ancilla>`` or ``P_<ancilla>``.
     """
-    if basis == "Q":
-        variable = coordinate(state.shape, ancilla)
-        conjugate_slot = state.shape.momentum_slot(ancilla)
-    elif basis == "P":
-        variable = momentum(state.shape, ancilla)
-        conjugate_slot = state.shape.coordinate_slot(ancilla)
-    else:
+    if basis not in ("Q", "P"):
         raise ValueError(f"basis must be 'Q' or 'P', got {basis!r}")
-    outcomes = []
-    for value, prob in outcome_distribution(state, variable):
-        if prob == 0 and not include_zero_probability:
-            continue
-        if prob == 0:
-            outcomes.append(MeasurementOutcome(variable.label, value, prob, state))
-            continue
-        posterior = randomize(condition(state, variable, value), conjugate_slot)
-        outcomes.append(MeasurementOutcome(variable.label, value, prob, posterior))
-    return outcomes
+    kernel = measurement_kernel(basis, ancilla, state.shape.modes, state.shape.ancillas)
+    return _measure(state, f"{basis}_{ancilla}", kernel, include_zero_probability)
 
 
 def sample_measurement(
     state: PhysicalState,
     mode: int,
     kind: DisturbanceKind,
-    rng: BitSource,
+    rng: random.Random,
 ) -> tuple[int, PhysicalState]:
     """Single-run occupation measurement on a physical state.
 
-    The outcome is the mode's actual occupation bit.  The disturbance
-    function is sampled uniformly from {identity, flip} (nondestructive) or
-    {reset-to-0, reset-to-1} (destructive); destructive also clears the
-    occupation bit.  Only the measured mode's bits can change.
+    The outcome is the mode's actual occupation bit; one fair bit from
+    ``rng`` is the coin.  Only the measured mode's bits can change.
     """
-    index = state.index()
     value, new_index = sample_measurement_index(
-        index, state.shape, mode, kind, rng.getrandbits(1)
+        state.index(), state.shape, mode, kind, rng.getrandbits(1)
     )
     return value, PhysicalState.from_index(new_index, state.shape)
 
 
 def sample_measurement_index(
     index: int,
-    shape,
+    shape: RegisterShape,
     mode: int,
     kind: DisturbanceKind,
     coin: int,
@@ -176,48 +178,6 @@ def sample_measurement_index(
     ``coin`` selects the disturbance function: identity/flip for
     nondestructive, reset-to-0/reset-to-1 for destructive.
     """
-    n_slot = shape.occupation_slot(mode)
-    phi_slot = shape.phase_slot(mode)
-    value = (index >> n_slot) & 1
-    if kind is DisturbanceKind.NONDESTRUCTIVE:
-        index ^= coin << phi_slot
-    else:
-        index &= ~(1 << n_slot)
-        index &= ~(1 << phi_slot)
-        index |= coin << phi_slot
-    return value, index
-
-
-def sample_ancilla_measurement(
-    state: PhysicalState,
-    ancilla: int,
-    basis: str,
-    rng: BitSource,
-) -> tuple[int, PhysicalState]:
-    """Single-run ancilla measurement; flips the conjugate bit on a fair coin."""
-    index = state.index()
-    value, new_index = sample_ancilla_measurement_index(
-        index, state.shape, ancilla, basis, rng.getrandbits(1)
-    )
-    return value, PhysicalState.from_index(new_index, state.shape)
-
-
-def sample_ancilla_measurement_index(
-    index: int,
-    shape,
-    ancilla: int,
-    basis: str,
-    coin: int,
-) -> tuple[int, int]:
-    """Coin-explicit ancilla measurement; the coin decides the conjugate flip."""
-    if basis == "Q":
-        read_slot = shape.coordinate_slot(ancilla)
-        conjugate_slot = shape.momentum_slot(ancilla)
-    elif basis == "P":
-        read_slot = shape.momentum_slot(ancilla)
-        conjugate_slot = shape.coordinate_slot(ancilla)
-    else:
-        raise ValueError(f"basis must be 'Q' or 'P', got {basis!r}")
-    value = (index >> read_slot) & 1
-    index ^= coin << conjugate_slot
-    return value, index
+    destructive = kind is DisturbanceKind.DESTRUCTIVE
+    read, keep, flip = measurement_kernel("N", mode, shape.modes, shape.ancillas, destructive)
+    return (index >> read) & 1, (index & keep) ^ (coin << flip)

@@ -54,6 +54,15 @@ class TestRun:
         assert out == ""
         assert "--shots must be at least 1" in err
 
+    @pytest.mark.parametrize("engine", ["montecarlo", "ca"])
+    def test_sampled_engine_rejects_negative_seed(self, capsys, engine):
+        code, out, err = run_cli(
+            capsys, "run", "bomb_tester", "--engine", engine, "--shots", "10", "--seed", "-1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--seed must be non-negative" in err
+
     def test_exact_engine_rejects_shots(self, capsys):
         code, _, err = run_cli(
             capsys, "run", "mzi_phase", "--engine", "toy", "--shots", "10", "--seed", "1"
@@ -170,6 +179,25 @@ class TestGrid:
         assert grid_rows[3].endswith(" #  .  .  .")
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("grid", "mzi_phase", "--steps", "a"),
+         ("run", "mzi_phase", "--format", "grids", "--steps", "1,,2")],
+    )
+    def test_bad_step_list_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(list(argv))
+        assert err.value.code == 2
+        assert "argument --steps" in capsys.readouterr().err
+
+    def test_step_list(self, capsys):
+        _, selected, _ = run_cli(capsys, "grid", "mzi_whichway", "--steps", " 2,0")
+        _, everything, _ = run_cli(capsys, "grid", "mzi_whichway")
+        shown = [line for line in selected.splitlines() if line.startswith("step ")]
+        assert shown[0].startswith("step 0:") and len(shown) == 3
+        assert all(line in everything.splitlines() for line in shown)
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -225,6 +253,16 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert "--shots must be at least 1" in err
+
+    @pytest.mark.parametrize("suite", ["locality", "destructive"])
+    def test_negative_seed_rejected(self, capsys, monkeypatch, suite):
+        from toyfield import cli
+
+        monkeypatch.setattr(cli, "_check_locality", lambda shots, seed: pytest.fail("ran"))
+        code, out, err = run_cli(capsys, "check", suite, "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "--seed must be non-negative" in err
 
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -1,6 +1,8 @@
 """Sampled runs: reproducibility, frequency reports, locality audit."""
 
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from toyfield.montecarlo import (
 )
 from toyfield.scenarios import (
     all_variants,
+    bomb_tester,
     mzi_phase,
     mzi_whichway,
     quantum_eraser,
@@ -171,3 +174,40 @@ class TestLocalityAudit:
             outcome={"which_way": 0},
         )
         assert audit_records([fine], WW.shape).clean
+
+
+# Seeded Monte Carlo outputs captured before the measurement rule was folded
+# into one per-point kernel; they pin every draw and every state transition.
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "mc_runs.json").read_text(encoding="utf-8")
+)
+RECORDED = {
+    s.key: s
+    for s in (
+        mzi_whichway(DisturbanceKind.NONDESTRUCTIVE),
+        mzi_whichway(DisturbanceKind.DESTRUCTIVE),
+        quantum_eraser("Q"),
+        quantum_eraser("P"),
+        bomb_tester(functional=True),
+    )
+}
+
+
+class TestGolden:
+    def test_covers_every_variant(self):
+        assert set(GOLDEN["estimate"]) == {s.key for s in all_variants()}
+        assert set(GOLDEN["sample_run"]) == set(RECORDED)
+
+    @pytest.mark.parametrize("scenario", list(all_variants()), ids=lambda s: s.key)
+    def test_estimate_counts(self, scenario):
+        plan = compile_toy(scenario.program)
+        for seed, counts in enumerate(GOLDEN["estimate"][scenario.key]):
+            report = estimate(plan, GOLDEN["shots"], seed, labeler=scenario.labeler)
+            assert report.counts == counts
+
+    @pytest.mark.parametrize("key", sorted(RECORDED))
+    def test_run_records(self, key):
+        plan = compile_toy(RECORDED[key].program)
+        expected = GOLDEN["sample_run"][key]
+        records = [dataclasses.asdict(sample_run(plan, s)) for s in range(len(expected))]
+        assert json.loads(json.dumps(records)) == expected

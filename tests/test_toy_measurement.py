@@ -224,15 +224,74 @@ class TestSampling:
     def test_sampling_average_matches_exact_posterior(self):
         # Averaging the sampled update over the support and both coins
         # reproduces the exact two-step update, outcome by outcome.
+        from toyfield.circuits import MeasureStep, step_run_index
         from toyfield.toy_measurement import sample_measurement_index
 
-        for state in enumerate_valid_states(TWO):
-            for mode in (0, 1):
-                for kind in DisturbanceKind:
-                    accumulated: dict[int, set[int]] = {}
-                    for x in state.support:
-                        for coin in (0, 1):
-                            value, y = sample_measurement_index(x, TWO, mode, kind, coin)
-                            accumulated.setdefault(value, set()).add(y)
-                    exact = measure_occupation(state, mode, kind)
+        def accumulate(state, update):
+            accumulated: dict[int, set[int]] = {}
+            for x in state.support:
+                for coin in (0, 1):
+                    value, y = update(x, coin)
+                    accumulated.setdefault(value, set()).add(y)
+            return accumulated
+
+        for shape in (TWO, ERASER_SHAPE):
+            for state in enumerate_valid_states(shape):
+                for mode in range(shape.modes):
+                    for kind in DisturbanceKind:
+                        accumulated = accumulate(
+                            state,
+                            lambda x, coin: sample_measurement_index(x, shape, mode, kind, coin),
+                        )
+                        exact = measure_occupation(state, mode, kind)
+                        assert {o.value: set(o.posterior.support) for o in exact} == accumulated
+        for shape in (RegisterShape(1, 1), ERASER_SHAPE):
+            for state in enumerate_valid_states(shape):
+                for basis in ("Q", "P"):
+                    step = MeasureStep("a", "ancilla", 0, basis, DisturbanceKind.NONDESTRUCTIVE)
+                    accumulated = accumulate(
+                        state, lambda x, coin: step_run_index(x, shape, step, coin)
+                    )
+                    exact = measure_ancilla(state, 0, basis)
                     assert {o.value: set(o.posterior.support) for o in exact} == accumulated
+
+
+class TestKernel:
+    def test_triples_on_register_slots(self):
+        # Each variable reads its own bit and flips the conjugate one of the
+        # same subsystem; only a destructive detector clears anything.
+        from toyfield.toy_measurement import measurement_kernel
+
+        shape = ERASER_SHAPE
+        everything = (1 << shape.bit_count) - 1
+        for mode in range(shape.modes):
+            n, phi = shape.occupation_slot(mode), shape.phase_slot(mode)
+            read, keep, flip = measurement_kernel("N", mode, 2, 1)
+            assert (read, keep & everything, flip) == (n, everything, phi)
+            read, keep, flip = measurement_kernel("N", mode, 2, 1, True)
+            assert (read, keep & everything, flip) == (
+                n, everything & ~(1 << n) & ~(1 << phi), phi,
+            )
+        q, p = shape.coordinate_slot(0), shape.momentum_slot(0)
+        assert measurement_kernel("Q", 0, 2, 1)[::2] == (q, p)
+        assert measurement_kernel("P", 0, 2, 1)[::2] == (p, q)
+
+    def test_labels(self):
+        assert [o.variable for o in measure_occupation(MARKED, 1)] == ["N_1", "N_1"]
+        assert {o.variable for o in measure_ancilla(MARKED, 0, "Q")} == {"Q_0"}
+        assert {o.variable for o in measure_ancilla(MARKED, 0, "P")} == {"P_0"}
+
+    def test_zero_probability_outcome_carries_prior(self):
+        outcomes = measure_ancilla(MARKED, 0, "P", include_zero_probability=True)
+        assert len(outcomes) == 2
+        state = make_occupied(1, 0)
+        zero = measure_occupation(state, 0, DisturbanceKind.DESTRUCTIVE, True)[0]
+        assert (zero.value, zero.probability, zero.posterior) == (0, 0, state)
+
+    def test_out_of_range_targets_rejected(self):
+        with pytest.raises(IndexError):
+            measure_occupation(MARKED, 2)
+        with pytest.raises(IndexError):
+            measure_ancilla(MARKED, 1, "Q")
+        with pytest.raises(ValueError):
+            measure_ancilla(MARKED, 0, "N")
