@@ -1,15 +1,32 @@
-"""Per-run sampling, frequency aggregation and the locality audit.
+"""Sampled runs, frequency aggregation and the locality audit.
 
 A run draws one physical state uniformly from the preparation's support,
 applies the plan's gates deterministically, and at each measurement reads
-the actual bit value and applies a coin-sampled disturbance function.  Runs
-are replayable: the run seed fixes every draw.
+the actual bit value and applies a coin-sampled disturbance function.
 
-Seeding is two-level.  A master seed plus a shot index is hashed (BLAKE2b)
-into an independent child seed, so shards of a large estimate never share
-randomness regardless of how shots are split across workers; within a run,
-draws come sequentially from a generator seeded with the child seed, and
-each draw's value is recorded in the run record.
+Every draw is a pure function of ``(seed, shot, bit)``, read off the
+counter-based Philox4x64-10 generator (Salmon et al., SC'11):
+
+* the key is :func:`derive_seed` of the master seed, a BLAKE2b-128 digest,
+  so master seeds of any width key the generator;
+* shot ``s`` reads the 256-bit blocks at counters ``(s, 0, 0, 0)``,
+  ``(s, 1, 0, 0)``, ... (64-bit words, least significant first); a plan
+  needing at most 256 bits per shot reads block ``s`` of the stream alone;
+* bit ``b`` of a shot is bit ``b % 64`` of word ``(b % 256) // 64`` of its
+  block ``b // 256``.  Bits ``[0, k)`` index the plan's sorted support of
+  ``2^k`` points, and bit ``k + i`` is the coin of the i-th measurement.
+
+Shots are therefore independent lanes.  One batch kernel advances every
+shot of a call as a ``uint64`` column, :data:`_CHUNK_SHOTS` shots at a time
+so memory stays bounded; no result depends on the chunk size.  Gates act
+through their two-subsystem kernels and measurements through their
+``(read, keep, flip)`` triples, column-wise.  :func:`estimate` tallies the
+distinct outcomes and calls the labeler once per distinct outcome;
+:func:`locality_audit` audits every measurement's before/after columns;
+:func:`sample_run` is the batch of one shot, so ``(seed, shot)`` replays
+any run of a bulk call.
+
+numpy is imported by the kernel on first use, not with this module.
 """
 
 from __future__ import annotations
@@ -17,32 +34,45 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from toyfield.circuits import GateStep, ToyPlan, default_labeler, step_run_index
+from toyfield import __version__
+from toyfield.circuits import GateStep, ToyPlan, default_labeler, render
 from toyfield.phase_space import RegisterShape
-from toyfield.toy_dynamics import gate_table
+from toyfield.toy_dynamics import _gate_kernel
+from toyfield.toy_dynamics import gate_table  # noqa: F401  the tracer test reads it (ROADMAP item 1)
+from toyfield.toy_measurement import DisturbanceKind, measurement_kernel
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FrequencyReport",
     "LocalityReport",
+    "LocalityViolation",
     "MeasurementEvent",
+    "RNG_SCHEME",
     "RunRecord",
+    "ShotColumns",
     "derive_seed",
     "estimate",
     "locality_audit",
     "sample_run",
 ]
 
+RNG_SCHEME = "philox4x64-10; key=blake2b-128(seed); counter=(shot, block, 0, 0); v1"
 
-def derive_seed(master: int, index: int) -> int:
-    """A child seed statistically independent across (master, index) pairs."""
-    digest = hashlib.blake2b(
-        f"{master}:{index}".encode(), digest_size=8
-    ).digest()
+# Shots advanced together; bounds the columns' memory, never the results.
+_CHUNK_SHOTS = 1 << 16
+
+
+def derive_seed(master: int) -> int:
+    """The 128-bit Philox key of a non-negative master seed of any width."""
+    if master < 0:
+        raise ValueError("seed must be non-negative")
+    digest = hashlib.blake2b(str(master).encode(), digest_size=16).digest()
     return int.from_bytes(digest, "little")
 
 
@@ -61,35 +91,118 @@ class MeasurementEvent:
 
 @dataclass(frozen=True)
 class RunRecord:
+    """One run; ``sample_run(plan, seed, shot)`` replays it."""
+
     seed: int
     initial_state: int
     events: tuple[MeasurementEvent, ...]
     outcome: dict[str, int]
+    shot: int = 0
 
 
-def sample_run(plan: ToyPlan, seed: int) -> RunRecord:
-    """One stochastic run of a compiled plan; identical seeds replay exactly."""
-    rng = random.Random(seed)
+@dataclass(frozen=True)
+class ShotColumns:
+    """Shots ``first``, ``first + 1``, ... of one seed, one lane per shot.
+
+    The fields mirror :class:`RunRecord`: ``initial_state`` and every event's
+    ``value``, ``coin``, ``state_before`` and ``state_after`` are ``uint64``
+    columns.
+    """
+
+    seed: int
+    first: int
+    initial_state: np.ndarray
+    events: tuple[MeasurementEvent, ...]
+
+    @property
+    def runs(self) -> int:
+        return len(self.initial_state)
+
+    def record(self, lane: int) -> RunRecord:
+        events = tuple(
+            MeasurementEvent(
+                e.label, e.target_kind, e.target, int(e.value[lane]), int(e.coin[lane]),
+                int(e.state_before[lane]), int(e.state_after[lane]),
+            )
+            for e in self.events
+        )
+        outcome = {e.label: e.value for e in events}
+        return RunRecord(self.seed, int(self.initial_state[lane]), events, outcome,
+                         self.first + lane)
+
+    @classmethod
+    def of(cls, record: RunRecord) -> ShotColumns:
+        """One record as a batch of one lane."""
+        import numpy as np
+
+        def column(x: int) -> np.ndarray:
+            return np.array([x], dtype=np.uint64)
+
+        events = tuple(
+            MeasurementEvent(e.label, e.target_kind, e.target, column(e.value),
+                             column(e.coin), column(e.state_before), column(e.state_after))
+            for e in record.events
+        )
+        return cls(record.seed, record.shot, column(record.initial_state), events)
+
+
+def _shot_columns(plan: ToyPlan, seed: int, shots: int, first: int = 0) -> Iterator[ShotColumns]:
+    """Shots ``first .. first + shots - 1`` of ``plan`` under ``seed``, in
+    chunks of :data:`_CHUNK_SHOTS`."""
+    import numpy as np
+
     shape = plan.shape
-    initial_states = sorted(plan.initial.support)
-    state = initial_states[rng.randrange(len(initial_states))]
-    initial = state
-    events: list[MeasurementEvent] = []
-    outcome: dict[str, int] = {}
+    support = np.array(sorted(plan.initial.support), dtype=np.uint64)
+    k = len(support).bit_length() - 1
+    if len(support) != 1 << k:
+        raise ValueError(f"initial support of {len(support)} points is not a power of two")
+    ops = []
+    bit = k
     for step in plan.steps:
         if isinstance(step, GateStep):
-            state = gate_table(step.gate, shape)[state]
+            shift0, shift1, deltas = _gate_kernel(step.gate, shape)
+            ops.append((step, shift0, shift1, np.array(deltas, dtype=np.uint64)))
         else:
-            coin = rng.getrandbits(1)
-            before = state
-            value, state = step_run_index(state, shape, step, coin)
-            events.append(
-                MeasurementEvent(
-                    step.label, step.target_kind, step.index, value, coin, before, state
-                )
+            destructive = step.kind is DisturbanceKind.DESTRUCTIVE
+            read, keep, flip = measurement_kernel(
+                step.variable, step.index, shape.modes, shape.ancillas, destructive
             )
-            outcome[step.label] = value
-    return RunRecord(seed, initial, tuple(events), outcome)
+            ops.append((step, read, keep & 0xFFFF_FFFF_FFFF_FFFF, flip, bit))
+            bit += 1
+    blocks = max(1, -(-bit // 256))
+    key = derive_seed(seed)
+    stop = first + shots
+    for start in range(first, stop, _CHUNK_SHOTS):
+        n = min(_CHUNK_SHOTS, stop - start)
+        words = [
+            np.random.Philox(key=key, counter=start + (block << 64))
+            .random_raw(4 * n).reshape(n, 4).T
+            for block in range(blocks)
+        ]
+
+        def draw(b: int) -> np.ndarray:
+            return words[b >> 8][(b >> 6) & 3] >> (b & 63)
+
+        x = initial = support.take(draw(0) & ((1 << k) - 1))
+        events = []
+        for op in ops:
+            if isinstance(op[0], GateStep):
+                _, shift0, shift1, deltas = op
+                x = x ^ deltas.take(((x >> shift0) & 3) | (((x >> shift1) & 3) << 2))
+            else:
+                step, read, keep, flip, b = op
+                coin = draw(b) & 1
+                after = (x & keep) ^ (coin << flip)
+                events.append(MeasurementEvent(
+                    step.label, step.target_kind, step.index, (x >> read) & 1, coin, x, after
+                ))
+                x = after
+        yield ShotColumns(seed, start, initial, tuple(events))
+
+
+def sample_run(plan: ToyPlan, seed: int, shot: int = 0) -> RunRecord:
+    """Shot ``shot`` of ``seed``: the same run a bulk call makes there."""
+    return next(_shot_columns(plan, seed, 1, shot)).record(0)
 
 
 @dataclass(frozen=True)
@@ -103,6 +216,7 @@ class FrequencyReport:
     exact: dict[str, Fraction]
     z_scores: dict[str, float]
     tv_distance: float
+    program_sha256: str
 
     def frequencies(self) -> dict[str, float]:
         return {label: count / self.shots for label, count in self.counts.items()}
@@ -115,6 +229,9 @@ class FrequencyReport:
             "scenario": self.scenario,
             "shots": self.shots,
             "seed": self.seed,
+            "rng": RNG_SCHEME,
+            "program_sha256": self.program_sha256,
+            "toyfield_version": __version__,
             "counts": dict(sorted(self.counts.items())),
             "exact": {k: f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
                       for k, v in sorted(self.exact.items())},
@@ -132,6 +249,28 @@ def _z_score(count: int, shots: int, p: Fraction) -> float:
     return (count / shots - pf) / math.sqrt(pf * (1.0 - pf) / shots)
 
 
+def _tally(batch: ShotColumns) -> Iterator[tuple[dict[str, int], int]]:
+    """Each distinct outcome of the batch with the number of shots giving it."""
+    import numpy as np
+
+    outcome = {e.label: e.value for e in batch.events}
+    labels, columns = list(outcome), list(outcome.values())
+    words = [
+        sum((column << j for j, column in enumerate(columns[w:w + 64])), np.uint64(0))
+        for w in range(0, len(columns), 64)
+    ] or [np.zeros(batch.runs, dtype=np.uint64)]
+    order = np.lexsort(words)
+    starts = np.zeros(batch.runs, dtype=bool)
+    starts[0] = True
+    for word in words:
+        ranked = word[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    firsts = np.flatnonzero(starts)
+    sizes = np.diff(firsts, append=batch.runs)
+    for lane, size in zip(order[firsts].tolist(), sizes.tolist()):
+        yield {label: int(column[lane]) for label, column in zip(labels, columns)}, size
+
+
 def estimate(
     plan: ToyPlan,
     shots: int,
@@ -140,11 +279,14 @@ def estimate(
     exact: dict[str, Fraction] | None = None,
     scenario: str = "",
 ) -> FrequencyReport:
-    """Aggregate ``shots`` independent runs into a frequency report.
+    """Aggregate shots ``0 .. shots - 1`` of ``seed`` into a frequency report.
 
-    The z-score per label compares the empirical count with the exact
-    reference probability under the binomial null; the total-variation
-    distance summarizes the whole distribution.
+    Shots with equal outcomes are counted together, so ``labeler`` is called
+    once per distinct outcome, not once per shot.  The z-score per label
+    compares the empirical count with the exact reference probability under
+    the binomial null; the total-variation distance summarizes the whole
+    distribution.  The report names the program by the SHA-256 of its
+    canonical text.
     """
     if shots <= 0:
         raise ValueError("shots must be positive")
@@ -154,11 +296,15 @@ def estimate(
         from toyfield.circuits import joint_to_labeled, run_toy_exact
 
         exact = joint_to_labeled(run_toy_exact(plan), labeler)
+    tallies: dict[tuple[tuple[str, int], ...], int] = {}
+    for batch in _shot_columns(plan, seed, shots):
+        for outcome, size in _tally(batch):
+            key = tuple(outcome.items())
+            tallies[key] = tallies.get(key, 0) + size
     counts: dict[str, int] = {}
-    for shot in range(shots):
-        record = sample_run(plan, derive_seed(seed, shot))
-        label = labeler(record.outcome)
-        counts[label] = counts.get(label, 0) + 1
+    for key, size in tallies.items():
+        label = labeler(dict(key))
+        counts[label] = counts.get(label, 0) + size
     labels = set(counts) | set(exact)
     z_scores = {
         label: _z_score(counts.get(label, 0), shots, exact.get(label, Fraction(0)))
@@ -168,14 +314,19 @@ def estimate(
         abs(counts.get(label, 0) / shots - float(exact.get(label, Fraction(0))))
         for label in labels
     )
-    return FrequencyReport(scenario, shots, seed, counts, dict(exact), z_scores, tv)
+    digest = hashlib.sha256(render(plan.program).encode()).hexdigest()
+    return FrequencyReport(scenario, shots, seed, counts, dict(exact), z_scores, tv, digest)
 
 
 @dataclass(frozen=True)
 class LocalityViolation:
-    shot_seed: int
+    """A measurement that moved bits outside its subsystem, in shot ``shot``
+    of ``seed``."""
+
+    seed: int
     event: MeasurementEvent
     changed_bits: int
+    shot: int = 0
 
 
 @dataclass(frozen=True)
@@ -190,32 +341,39 @@ class LocalityReport:
 
 
 def audit_records(
-    records: Iterable[RunRecord], shape: RegisterShape
+    records: Iterable[RunRecord | ShotColumns], shape: RegisterShape
 ) -> LocalityReport:
-    """Check that each measurement changed only the measured subsystem's bits."""
+    """Check that each measurement changed only the measured subsystem's bits.
+
+    ``records`` may mix single runs and column batches of runs.
+    """
     runs = 0
     checked = 0
     violations: list[LocalityViolation] = []
     for record in records:
-        runs += 1
-        for event in record.events:
-            checked += 1
+        batch = ShotColumns.of(record) if isinstance(record, RunRecord) else record
+        runs += batch.runs
+        for i, event in enumerate(batch.events):
+            checked += batch.runs
             if event.target_kind == "mode":
                 lo = shape.occupation_slot(event.target)
             else:
                 lo = shape.coordinate_slot(event.target)
             own_mask = 0b11 << lo
-            changed = (event.state_before ^ event.state_after) & ~own_mask
-            if changed:
-                violations.append(LocalityViolation(record.seed, event, changed))
+            moved = event.state_before ^ event.state_after
+            changed = moved ^ (moved & own_mask)
+            for lane in changed.nonzero()[0].tolist():
+                violations.append(LocalityViolation(
+                    batch.seed, batch.record(lane).events[i], int(changed[lane]),
+                    batch.first + lane,
+                ))
     return LocalityReport(runs, checked, tuple(violations))
 
 
 def locality_audit(plan: ToyPlan, shots: int, seed: int) -> LocalityReport:
-    """Run the plan ``shots`` times and audit every measurement event.
+    """Run shots ``0 .. shots - 1`` of ``seed`` and audit every measurement.
 
     A violation means some bit outside the measured subsystem changed across
-    the event; the offending run record is reported.
+    the event; it names the event and the ``(seed, shot)`` that replays it.
     """
-    records = (sample_run(plan, derive_seed(seed, shot)) for shot in range(shots))
-    return audit_records(records, plan.shape)
+    return audit_records(_shot_columns(plan, seed, shots), plan.shape)

@@ -212,6 +212,7 @@ def _touched_subsystems(gate: ToyGate, shape: RegisterShape) -> tuple[int, ...]:
     raise TypeError(f"unknown gate {gate!r}")
 
 
+@lru_cache(maxsize=None)
 def _gate_kernel(gate: ToyGate, shape: RegisterShape) -> tuple[int, int, tuple[int, ...]]:
     """``(shift0, shift1, deltas)``: the gate maps ``x`` to
     ``x ^ deltas[(x >> shift0) & 3 | ((x >> shift1) & 3) << 2]``.
@@ -284,7 +285,8 @@ def gate_table(gate: ToyGate, shape: RegisterShape) -> tuple[int, ...]:
     everywhere.  The table is built from that kernel, whose local check
     already proves the map a permutation, and is checked once more in full.
     Push-forwards on more than three subsystems go through :func:`gate_image`
-    and never build it; the per-shot samplers index it once per gate and shot.
+    and never build it, and Monte Carlo applies the kernel itself to whole
+    columns of shots; the run enumeration still indexes it.
     """
     shift0, shift1, deltas = _gate_kernel(gate, shape)
     table = tuple([

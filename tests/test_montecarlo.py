@@ -1,12 +1,26 @@
 """Sampled runs: reproducibility, frequency reports, locality audit."""
 
+import collections
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from toyfield.circuits import compile_toy, enumerate_toy_runs, run_toy_exact
+import toyfield
+from toyfield import montecarlo
+from toyfield.circuits import (
+    GateStep,
+    compile_toy,
+    enumerate_toy_runs,
+    parse,
+    run_toy_exact,
+    step_run_index,
+)
 from toyfield.montecarlo import (
     MeasurementEvent,
     RunRecord,
@@ -23,7 +37,8 @@ from toyfield.scenarios import (
     mzi_whichway,
     quantum_eraser,
 )
-from toyfield.toy_measurement import DisturbanceKind
+from toyfield.toy_dynamics import gate_table
+from toyfield.toy_measurement import DisturbanceKind, measurement_kernel
 
 WW = compile_toy(mzi_whichway(DisturbanceKind.NONDESTRUCTIVE).program)
 PHASE0 = compile_toy(mzi_phase(0).program)
@@ -91,6 +106,7 @@ class TestEstimate:
         payload = json.loads(report.to_json())
         assert set(payload) == {
             "scenario", "shots", "seed", "counts", "exact", "z_scores", "tv_distance",
+            "rng", "program_sha256", "toyfield_version",
         }
         assert payload["exact"]["detector_L=1 detector_R=0"] == "1"
 
@@ -103,9 +119,11 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate(WW, shots=0, seed=1)
 
-    def test_child_seeds_differ(self):
-        seeds = {derive_seed(42, i) for i in range(1000)}
-        assert len(seeds) == 1000
+    def test_master_seeds_get_distinct_keys(self):
+        keys = {derive_seed(master) for master in range(1000)}
+        keys.add(derive_seed(2**200))  # wider than the key itself
+        assert len(keys) == 1001
+        assert all(0 <= key < 2**128 for key in keys)
 
     def test_tv_distance_bound_on_every_scenario(self):
         # Loose union bound: the empirical distribution sits within
@@ -176,8 +194,8 @@ class TestLocalityAudit:
         assert audit_records([fine], WW.shape).clean
 
 
-# Seeded Monte Carlo outputs captured before the measurement rule was folded
-# into one per-point kernel; they pin every draw and every state transition.
+# Seeded Monte Carlo outputs captured when runs moved to counter-based Philox
+# draws; they pin every draw and every state transition.
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "mc_runs.json").read_text(encoding="utf-8")
 )
@@ -211,3 +229,125 @@ class TestGolden:
         expected = GOLDEN["sample_run"][key]
         records = [dataclasses.asdict(sample_run(plan, s)) for s in range(len(expected))]
         assert json.loads(json.dumps(records)) == expected
+
+
+class TestBatchOracle:
+    """The column kernel against the scalar per-point rules, draw for draw."""
+
+    SHOTS = 200
+    SEED = 3
+
+    def batch(self, plan):
+        (batch,) = montecarlo._shot_columns(plan, self.SEED, self.SHOTS)
+        return batch
+
+    @pytest.mark.parametrize("key", sorted(RECORDED))
+    def test_scalar_replay_of_every_record(self, key):
+        plan = compile_toy(RECORDED[key].program)
+        batch = self.batch(plan)
+        for lane in range(self.SHOTS):
+            record = batch.record(lane)
+            assert record.initial_state in plan.initial.support
+            state, events, outcome = record.initial_state, iter(record.events), {}
+            for step in plan.steps:
+                if isinstance(step, GateStep):
+                    state = gate_table(step.gate, plan.shape)[state]
+                    continue
+                event = next(events)
+                assert event.state_before == state
+                value, state = step_run_index(state, plan.shape, step, event.coin)
+                assert (event.value, event.state_after) == (value, state)
+                outcome[step.label] = value
+            assert record.outcome == outcome
+
+    @pytest.mark.parametrize("key", sorted(RECORDED))
+    def test_sample_run_is_a_row_of_the_batch(self, key):
+        plan = compile_toy(RECORDED[key].program)
+        batch = self.batch(plan)
+        for shot in range(self.SHOTS):
+            assert sample_run(plan, self.SEED, shot) == batch.record(shot)
+
+    @pytest.mark.parametrize("key", sorted(RECORDED))
+    def test_tally_of_sample_runs_is_estimate(self, key):
+        scenario = RECORDED[key]
+        plan = compile_toy(scenario.program)
+        tally = collections.Counter(
+            scenario.labeler(sample_run(plan, 5, shot).outcome) for shot in range(300)
+        )
+        assert estimate(plan, 300, 5, labeler=scenario.labeler).counts == dict(tally)
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_chunk_size_changes_nothing(self, chunk, monkeypatch):
+        def results():
+            return [
+                (estimate(compile_toy(s.program), 50, 2, labeler=s.labeler).counts,
+                 locality_audit(compile_toy(s.program), 50, 2))
+                for s in RECORDED.values()
+            ]
+
+        expected = results()
+        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", chunk)
+        assert results() == expected
+
+    def test_draws_follow_the_documented_layout(self):
+        # 1 support bit plus 300 coins: two Philox blocks per shot.
+        text = "mode m;\nsource m;\n" + "".join(f"detect m as d{i};\n" for i in range(300))
+        plan = compile_toy(parse(text))
+        support = sorted(plan.initial.support)
+        k = len(support).bit_length() - 1
+        key = derive_seed(11)
+        for shot in (0, 5, 2**40):
+            bits = 0
+            for block in range(2):
+                words = np.random.Philox(key=key, counter=shot + (block << 64)).random_raw(4)
+                for w, word in enumerate(words.tolist()):
+                    bits |= word << (256 * block + 64 * w)
+            record = sample_run(plan, 11, shot)
+            assert record.initial_state == support[bits & ((1 << k) - 1)]
+            assert [e.coin for e in record.events] == [(bits >> (k + i)) & 1 for i in range(300)]
+
+    def test_violation_replays_from_seed_and_shot(self, monkeypatch):
+        def leaky(variable, index, modes, ancillas, destructive=False):
+            read, keep, flip = measurement_kernel(variable, index, modes, ancillas, destructive)
+            return read, keep, (flip + 2) % (2 * (modes + ancillas))  # a neighbour's bit
+
+        monkeypatch.setattr(montecarlo, "measurement_kernel", leaky)
+        report = locality_audit(WW, shots=50, seed=9)
+        assert {v.event.label for v in report.violations} == set(WW.labels())
+        for violation in report.violations:
+            read = 2 * violation.event.target  # WW measures occupations only
+            assert violation.changed_bits == 1 << (read + 3) % 4
+            replay = sample_run(WW, violation.seed, violation.shot)
+            assert violation.event in replay.events
+
+
+def test_estimate_on_ten_modes_builds_no_gate_table():
+    # Five interferometers; the first and fourth are open, so four outcomes.
+    lines = ["mode " + " ".join(f"m{k}" for k in range(10)) + ";"]
+    for pair in range(5):
+        a, b = f"m{2 * pair}", f"m{2 * pair + 1}"
+        lines += [f"source {a};", f"vacuum {b};", f"bs {a} {b};"]
+        if pair % 3:
+            lines += [f"phase {b} {'pi' if pair % 2 else '0'};", f"bs {a} {b};"]
+    lines += [f"detect m{k} as d{k};" for k in range(10)]
+    misses = gate_table.cache_info().misses
+    report = estimate(compile_toy(parse("\n".join(lines))), shots=4000, seed=7)
+    assert gate_table.cache_info().misses == misses
+    assert len(report.exact) == 4
+    assert report.max_abs_z() <= 3
+
+
+def test_importing_and_exact_runs_load_no_numpy():
+    # numpy costs over 100 ms to import; only sampling may pay for it.
+    code = (
+        "import sys, toyfield.montecarlo, toyfield.cli as cli\n"
+        "cli.main(['run', 'mzi_phase', '--engine', 'toy'])\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = str(Path(toyfield.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
