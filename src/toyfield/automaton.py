@@ -25,14 +25,22 @@ Devices replace the free rule of their cell group at even steps only:
 Every group's next state depends only on the group's own current state, so
 the dynamics is local by construction, and each deterministic map is its
 own time reverse.  The layout lives in one table, :func:`layout_bindings`,
-and one transition function applies it rule by rule, either to single cells
-(the stepper behind traces and property tests) or to whole shot columns (the
-NumPy batch runner that evolves every shot of a frequency estimate at once).
+and one transition function, :func:`_advance`, applies it rule by rule to
+whole shot columns: every shot of a call is a lane of uint8 cell columns.
+
+The coins are Monte Carlo's: shot ``s`` of seed ``m`` reads Philox4x64-10
+block ``s`` keyed by ``derive_seed(m)`` (:data:`toyfield.montecarlo.RNG_SCHEME`),
+and bit ``b`` of the shot is bit ``b % 64`` of word ``b // 64``.  Bits
+``[0, 32)`` are the initial phases of L1..L16 and then R1..R16; bit
+``32 + i`` is the i-th phase drawn during the run, in rule-table order.  A
+hostable plan reads 64 bits, or 80 with a detector, so one block suffices.
+A single run is the batch of one lane, so :func:`run_single` replays shot
+``s`` of any bulk call from ``(seed, s)``, and its trace follows that lane.
 """
 
 from __future__ import annotations
 
-import random
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -49,23 +57,20 @@ from toyfield.circuits import (
     Source,
     Vacuum,
 )
-from toyfield.phase_space import ModeState
+from toyfield.montecarlo import _shot_words, derive_seed
 from toyfield.toy_dynamics import beamsplitter_formula
 from toyfield.toy_measurement import DisturbanceKind
 
 __all__ = [
     "CaPlan",
-    "Cell",
-    "CellGrid",
     "RuleBinding",
     "WIRE_LENGTH",
     "check_time_reversal",
     "layout_bindings",
-    "new_grid",
     "plan_from_program",
     "run_experiment",
     "run_scenario_ca",
-    "step",
+    "run_single",
     "trace_line",
 ]
 
@@ -73,19 +78,6 @@ WIRE_LENGTH = 16
 _CELL_LABELS = tuple(f"{wire}{i}" for wire in ("L", "R") for i in range(1, WIRE_LENGTH + 1))
 _BS_POSITIONS = (4, 12)  # labels of the splitter input cells
 _DEVICE_POSITION = 8  # label of the R-arm device input cell
-
-
-@dataclass(frozen=True)
-class Cell:
-    """A named cell and its current mode state, e.g. L8."""
-
-    wire: str
-    index: int  # 1-based label
-    state: ModeState
-
-    @property
-    def label(self) -> str:
-        return f"{self.wire}{self.index}"
 
 
 @dataclass(frozen=True)
@@ -106,7 +98,7 @@ def layout_bindings(plan: CaPlan) -> tuple[RuleBinding, ...]:
     return _layout(plan.device, plan.inject_step, plan.port_labels["L"], plan.port_labels["R"])
 
 
-@lru_cache(maxsize=64)  # the scalar stepper asks for the table on every step
+@lru_cache(maxsize=64)  # _advance asks for the table on every step
 def _layout(
     device: tuple | None, inject_step: int, port_l: str, port_r: str
 ) -> tuple[RuleBinding, ...]:
@@ -313,95 +305,64 @@ def _read_out(plan: CaPlan, cells: dict, fired) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Scalar grid and stepper
+# Batch runner
 
 
-@dataclass(frozen=True)
-class CellGrid:
-    """State of both wires at one time step, plus the device firing log."""
-
-    t: int
-    wires: dict[str, tuple[Pair, ...]]
-    plan: CaPlan
-    device_fired: tuple[int, ...] = ()  # steps at which the R-arm detector fired
-
-    def cell(self, wire: str, index: int) -> Cell:
-        n, phi = self.wires[wire][index - 1]
-        return Cell(wire, index, ModeState(n, phi))
-
-    def cells(self) -> dict[str, Pair]:
-        """Cell states by label, e.g. ``{"L1": (0, 1), ...}``."""
-        return dict(zip(_CELL_LABELS, (*self.wires["L"], *self.wires["R"])))
-
-    def occupied_cells(self) -> list[str]:
-        return [label for label, (n, _) in self.cells().items() if n]
+def trace_line(t: int, cells: dict) -> str:
+    """One debug line of lane 0: step, occupied cells, phase rows."""
+    lane = {label: [int(np.ravel(x)[0]) for x in cells[label]] for label in _CELL_LABELS}
+    phases = "".join(str(phi) for _, phi in lane.values())
+    occupied = ",".join(label for label, (n, _) in lane.items() if n) or "-"
+    left, right = phases[:WIRE_LENGTH], phases[WIRE_LENGTH:]
+    return f"t={t:2d} occupied=[{occupied}] phases L={left} R={right}"
 
 
-def new_grid(plan: CaPlan, rng: random.Random) -> CellGrid:
-    """All cells unoccupied with independently sampled phases."""
-    wires = {
-        wire: tuple((0, rng.getrandbits(1)) for _ in range(WIRE_LENGTH))
-        for wire in ("L", "R")
-    }
-    return CellGrid(0, wires, plan)
+def _batch_events(
+    plan: CaPlan, shots: int, seed: int, first: int = 0, trace: list[str] | None = None
+) -> dict[str, np.ndarray]:
+    """Evolve shots ``first .. first + shots - 1`` at once, one uint8 column
+    per cell bit; returns per-shot event bits.
 
+    ``trace`` receives a :func:`trace_line` of lane 0 at every step.
+    """
+    # Row 8w + j holds byte j of the shot's word w, so bit b is bit b % 8 of
+    # row b // 8; shifting uint8 rows is cheaper than shifting uint64 words.
+    planes = (
+        _shot_words(derive_seed(seed), first, shots, 1).astype("<u8", copy=False)
+        .view(np.uint8).reshape(4, shots, 8).transpose(0, 2, 1).reshape(32, shots)
+    )
 
-def step(grid: CellGrid, rng: random.Random) -> CellGrid:
-    """Advance one transition; the rule used depends on the parity of t."""
-    cells, click = _advance(grid.cells(), grid.t, grid.plan, lambda: rng.getrandbits(1))
-    pairs = tuple(cells[label] for label in _CELL_LABELS)
-    wires = {"L": pairs[:WIRE_LENGTH], "R": pairs[WIRE_LENGTH:]}
-    fired = grid.device_fired + (grid.t,) if click else grid.device_fired
-    return CellGrid(grid.t + 1, wires, grid.plan, fired)
+    def bit(b: int) -> np.ndarray:
+        return (planes[b >> 3] >> (b & 7)) & 1
 
-
-def trace_line(grid: CellGrid) -> str:
-    """One debug line: step, occupied cells, phase rows."""
-    phases = {
-        wire: "".join(str(phi) for _, phi in grid.wires[wire]) for wire in ("L", "R")
-    }
-    occupied = ",".join(grid.occupied_cells()) or "-"
-    return f"t={grid.t:2d} occupied=[{occupied}] phases L={phases['L']} R={phases['R']}"
-
-
-def run_single(plan: CaPlan, rng: random.Random, trace: list[str] | None = None) -> dict[str, int]:
-    """One shot on the scalar stepper; returns the labeled event record."""
-    grid = new_grid(plan, rng)
-    read_step = plan.arrival_step(WIRE_LENGTH)
-    if trace is not None:
-        trace.append(trace_line(grid))
-    while grid.t < read_step:
-        grid = step(grid, rng)
-        if trace is not None:
-            trace.append(trace_line(grid))
-    return _read_out(plan, grid.cells(), 1 if grid.device_fired else 0)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized batch runner
-
-
-def _batch_events(plan: CaPlan, shots: int, seed: int) -> dict[str, np.ndarray]:
-    """Evolve every shot at once, one uint8 column per cell bit; returns
-    per-shot event bits."""
-    rng = np.random.Generator(np.random.PCG64(seed))
+    drawn = itertools.count(len(_CELL_LABELS))
 
     def coin() -> np.ndarray:
-        return rng.integers(0, 2, size=shots, dtype=np.uint8)
+        b = next(drawn)
+        if b >= 256:
+            raise ValueError("the plan draws more than one Philox block per shot")
+        return bit(b)
 
     vacuum = np.zeros(shots, dtype=np.uint8)
-    cells = {}
-    for labels in (_CELL_LABELS[:WIRE_LENGTH], _CELL_LABELS[WIRE_LENGTH:]):
-        # one (shots, 16) block per wire, L first, keeps the seeded draws of
-        # earlier versions; its transpose holds one contiguous row per cell
-        phases = rng.integers(0, 2, size=(shots, WIRE_LENGTH), dtype=np.uint8).T.copy()
-        cells.update((label, (vacuum, phi)) for label, phi in zip(labels, phases))
+    cells = {label: (vacuum, bit(b)) for b, label in enumerate(_CELL_LABELS)}
     fired = vacuum
+    if trace is not None:
+        trace.append(trace_line(0, cells))
     for t in range(plan.arrival_step(WIRE_LENGTH)):
         cells, click = _advance(cells, t, plan, coin)
         fired = fired | click
+        if trace is not None:
+            trace.append(trace_line(t + 1, cells))
     events = _read_out(plan, cells, fired)
     return {label: np.broadcast_to(bits, shots) for label, bits in events.items()}
+
+
+def run_single(
+    plan: CaPlan, seed: int, shot: int = 0, trace: list[str] | None = None
+) -> dict[str, int]:
+    """Shot ``shot`` of ``seed``: the same run a bulk call makes there."""
+    events = _batch_events(plan, 1, seed, shot, trace)
+    return {label: int(bits[0]) for label, bits in events.items()}
 
 
 def run_experiment(

@@ -39,7 +39,7 @@ from toyfield.toy_dynamics import (
     SwapModes,
     ToyGate,
     gate_image,
-    gate_table,
+    gate_table,  # noqa: F401  the tracer test reads it (ROADMAP item 1)
     push_forward,
 )
 from toyfield.toy_measurement import (
@@ -730,7 +730,7 @@ def enumerate_toy_runs(plan: ToyPlan) -> JointDistribution:
     half = Fraction(1, 2)
 
     def apply(state: int, gate: ToyGate) -> int:
-        return gate_table(gate, shape)[state]
+        return gate_image(gate, shape)[state]
 
     def measure(state: int, step: MeasureStep):
         outcomes = (step_run_index(state, shape, step, coin) for coin in (0, 1))

@@ -31,13 +31,20 @@ def _fraction_str(p: Fraction) -> str:
     return str(p.numerator) if p.denominator == 1 else f"{p.numerator}/{p.denominator}"
 
 
-def _print_distribution(dist: OutcomeDistribution, fmt: str) -> None:
+def _print_distribution(
+    dist: OutcomeDistribution, fmt: str, program: Program, seed: int | None
+) -> None:
+    """Print a distribution; sampled JSON also names the seed, draw scheme,
+    program and version that reproduce it."""
     if fmt == "json":
         import json
 
         if dist.counts is not None:
+            from toyfield.montecarlo import program_sha256, provenance
+
             payload = {
                 "shots": dist.shots,
+                **provenance(seed, program_sha256(program)),
                 "counts": dict(sorted(dist.counts.items())),
                 "frequencies": {
                     k: float(v) for k, v in sorted(dist.probs.items())
@@ -99,55 +106,30 @@ def cmd_run(args: argparse.Namespace) -> int:
     is_scenario = args.target in scenarios.SCENARIO_NAMES
     if is_scenario:
         scenario = _scenario_from_args(args)
-        if args.show_program:
-            print(scenario.program_text(), end="")
-            return 0
-        if args.format == "grids":
-            return _print_grids(compile_toy(scenario.program), args.steps)
-        dist = run_scenario(scenario, engine, args.shots, args.seed)
-        _print_distribution(dist, args.format)
-        return 0
-
-    program = _load_program(args.target)
+    else:
+        program = _load_program(args.target)
+        scenario = Scenario(args.target, (), program, circuits.default_labeler)
     if args.show_program:
-        print(circuits.render(program), end="")
+        print(scenario.program_text(), end="")
         return 0
     if args.format == "grids":
-        return _print_grids(compile_toy(program), args.steps)
-    if engine == "toy":
-        joint = circuits.run_toy_exact(compile_toy(program))
-    elif engine == "quantum":
-        plan = circuits.compile_quantum(program)
-        try:
-            joint = circuits.run_quantum_exact(plan)
-        except ValueError as error:  # a label weight that is not dyadic
-            print(f"error: {error}", file=sys.stderr)
-            return 3
-    elif engine == "montecarlo":
+        return _print_grids(compile_toy(scenario.program), args.steps)
+    if engine == "montecarlo" and not is_scenario:
         from toyfield.montecarlo import estimate
 
-        report = estimate(compile_toy(program), args.shots, args.seed, scenario=args.target)
+        report = estimate(compile_toy(scenario.program), args.shots, args.seed, scenario=args.target)
         if args.format == "json":
             print(report.to_json())
         else:
             for label in sorted(report.counts):
                 print(f"{label}  {report.counts[label]}/{report.shots}")
         return 0
-    else:
-        from toyfield.automaton import plan_from_program, run_experiment
-
-        counts = run_experiment(
-            plan_from_program(program), args.shots, args.seed, circuits.default_labeler
-        )
-        dist = OutcomeDistribution(
-            {k: Fraction(v, args.shots) for k, v in counts.items()},
-            shots=args.shots,
-            counts=counts,
-        )
-        _print_distribution(dist, args.format)
-        return 0
-    labeled = circuits.joint_to_labeled(joint, circuits.default_labeler)
-    _print_distribution(OutcomeDistribution(labeled), args.format)
+    try:
+        dist = run_scenario(scenario, engine, args.shots, args.seed)
+    except ValueError as error:  # a compile error, or a quantum weight that is not dyadic
+        print(f"error: {error}", file=sys.stderr)
+        return 3
+    _print_distribution(dist, args.format, scenario.program, args.seed)
     return 0
 
 

@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from toyfield import __version__
-from toyfield.circuits import GateStep, ToyPlan, default_labeler, render
+from toyfield.circuits import GateStep, Program, ToyPlan, default_labeler, render
 from toyfield.phase_space import RegisterShape
 from toyfield.toy_dynamics import _gate_kernel
 from toyfield.toy_dynamics import gate_table  # noqa: F401  the tracer test reads it (ROADMAP item 1)
@@ -59,9 +59,13 @@ __all__ = [
     "derive_seed",
     "estimate",
     "locality_audit",
+    "program_sha256",
+    "provenance",
     "sample_run",
 ]
 
+# Both sampled engines draw from this scheme; each lays its bits out in its
+# own module docstring.
 RNG_SCHEME = "philox4x64-10; key=blake2b-128(seed); counter=(shot, block, 0, 0); v1"
 
 # Shots advanced together; bounds the columns' memory, never the results.
@@ -74,6 +78,18 @@ def derive_seed(master: int) -> int:
         raise ValueError("seed must be non-negative")
     digest = hashlib.blake2b(str(master).encode(), digest_size=16).digest()
     return int.from_bytes(digest, "little")
+
+
+def program_sha256(program: Program) -> str:
+    """The SHA-256 of the program's canonical text, which names it in reports."""
+    return hashlib.sha256(render(program).encode()).hexdigest()
+
+
+def provenance(seed: int, digest: str) -> dict[str, object]:
+    """The keys every sampled JSON report carries: the seed, the draw scheme,
+    the program's :func:`program_sha256` and the toyfield version."""
+    return {"seed": seed, "rng": RNG_SCHEME, "program_sha256": digest,
+            "toyfield_version": __version__}
 
 
 @dataclass(frozen=True)
@@ -146,6 +162,22 @@ class ShotColumns:
         return cls(record.seed, record.shot, column(record.initial_state), events)
 
 
+def _shot_words(key: int, first: int, shots: int, blocks: int) -> np.ndarray:
+    """The Philox words of shots ``first .. first + shots - 1`` under ``key``.
+
+    A contiguous ``(4 * blocks, shots)`` array: row ``w`` is word ``w`` of
+    every shot's blocks, so bit ``b`` of a shot is bit ``b % 64`` of row
+    ``b // 64``.  Both sampled engines draw through it.
+    """
+    import numpy as np
+
+    words = np.empty((4 * blocks, shots), dtype=np.uint64)
+    for block in range(blocks):
+        philox = np.random.Philox(key=key, counter=first + (block << 64))
+        words[4 * block:4 * block + 4] = philox.random_raw(4 * shots).reshape(shots, 4).T
+    return words
+
+
 def _shot_columns(plan: ToyPlan, seed: int, shots: int, first: int = 0) -> Iterator[ShotColumns]:
     """Shots ``first .. first + shots - 1`` of ``plan`` under ``seed``, in
     chunks of :data:`_CHUNK_SHOTS`."""
@@ -173,15 +205,10 @@ def _shot_columns(plan: ToyPlan, seed: int, shots: int, first: int = 0) -> Itera
     key = derive_seed(seed)
     stop = first + shots
     for start in range(first, stop, _CHUNK_SHOTS):
-        n = min(_CHUNK_SHOTS, stop - start)
-        words = [
-            np.random.Philox(key=key, counter=start + (block << 64))
-            .random_raw(4 * n).reshape(n, 4).T
-            for block in range(blocks)
-        ]
+        words = _shot_words(key, start, min(_CHUNK_SHOTS, stop - start), blocks)
 
         def draw(b: int) -> np.ndarray:
-            return words[b >> 8][(b >> 6) & 3] >> (b & 63)
+            return words[b >> 6] >> (b & 63)
 
         x = initial = support.take(draw(0) & ((1 << k) - 1))
         events = []
@@ -228,10 +255,7 @@ class FrequencyReport:
         payload = {
             "scenario": self.scenario,
             "shots": self.shots,
-            "seed": self.seed,
-            "rng": RNG_SCHEME,
-            "program_sha256": self.program_sha256,
-            "toyfield_version": __version__,
+            **provenance(self.seed, self.program_sha256),
             "counts": dict(sorted(self.counts.items())),
             "exact": {k: f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
                       for k, v in sorted(self.exact.items())},
@@ -314,8 +338,8 @@ def estimate(
         abs(counts.get(label, 0) / shots - float(exact.get(label, Fraction(0))))
         for label in labels
     )
-    digest = hashlib.sha256(render(plan.program).encode()).hexdigest()
-    return FrequencyReport(scenario, shots, seed, counts, dict(exact), z_scores, tv, digest)
+    return FrequencyReport(scenario, shots, seed, counts, dict(exact), z_scores, tv,
+                           program_sha256(plan.program))
 
 
 @dataclass(frozen=True)

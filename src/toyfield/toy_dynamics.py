@@ -284,9 +284,9 @@ def gate_table(gate: ToyGate, shape: RegisterShape) -> tuple[int, ...]:
     marker its mode and ancilla), so at most 16 local patterns fix its action
     everywhere.  The table is built from that kernel, whose local check
     already proves the map a permutation, and is checked once more in full.
-    Push-forwards on more than three subsystems go through :func:`gate_image`
-    and never build it, and Monte Carlo applies the kernel itself to whole
-    columns of shots; the run enumeration still indexes it.
+    Push-forwards and the run enumeration on more than three subsystems go
+    through :func:`gate_image` and never build it, and Monte Carlo applies
+    the kernel itself to whole columns of shots.
     """
     shift0, shift1, deltas = _gate_kernel(gate, shape)
     table = tuple([

@@ -23,12 +23,11 @@ indistinguishable at the distribution level.
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from toyfield.phase_space import EpistemicState, Functional, PhysicalState, RegisterShape
+from toyfield.phase_space import EpistemicState, Functional, RegisterShape
 
 __all__ = [
     "DisturbanceKind",
@@ -37,7 +36,6 @@ __all__ = [
     "measure_occupation",
     "measurement_kernel",
     "outcome_distribution",
-    "sample_measurement",
     "sample_measurement_index",
 ]
 
@@ -147,23 +145,6 @@ def measure_ancilla(
         raise ValueError(f"basis must be 'Q' or 'P', got {basis!r}")
     kernel = measurement_kernel(basis, ancilla, state.shape.modes, state.shape.ancillas)
     return _measure(state, f"{basis}_{ancilla}", kernel, include_zero_probability)
-
-
-def sample_measurement(
-    state: PhysicalState,
-    mode: int,
-    kind: DisturbanceKind,
-    rng: random.Random,
-) -> tuple[int, PhysicalState]:
-    """Single-run occupation measurement on a physical state.
-
-    The outcome is the mode's actual occupation bit; one fair bit from
-    ``rng`` is the coin.  Only the measured mode's bits can change.
-    """
-    value, new_index = sample_measurement_index(
-        state.index(), state.shape, mode, kind, rng.getrandbits(1)
-    )
-    return value, PhysicalState.from_index(new_index, state.shape)
 
 
 def sample_measurement_index(

@@ -1,25 +1,27 @@
 """Wire-array engine: propagation, gate cells, locality, statistics."""
 
+import collections
+import itertools
 import json
-import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from toyfield.automaton import (
     CaPlan,
-    CellGrid,
     WIRE_LENGTH,
+    _advance,
+    _batch_events,
     check_time_reversal,
-    new_grid,
     plan_from_program,
     run_experiment,
     run_scenario_ca,
     run_single,
-    step,
     trace_line,
 )
 from toyfield.circuits import CapabilityError
+from toyfield.montecarlo import derive_seed
 from toyfield.scenarios import (
     all_variants,
     bomb_tester,
@@ -31,65 +33,73 @@ from toyfield.toy_dynamics import beamsplitter_formula
 from toyfield.toy_measurement import DisturbanceKind
 
 PLAIN = plan_from_program(mzi_phase(0).program)
+WHICHWAY = plan_from_program(mzi_whichway(DisturbanceKind.NONDESTRUCTIVE).program)
+LABELS = [f"{w}{i}" for w in ("L", "R") for i in range(1, WIRE_LENGTH + 1)]
 
 
-def empty_grid(plan: CaPlan, t: int = 0) -> CellGrid:
-    wires = {w: tuple((0, 0) for _ in range(WIRE_LENGTH)) for w in ("L", "R")}
-    return CellGrid(t, wires, plan)
+def cells_of(assignments=(), phases=itertools.repeat(0)) -> dict:
+    """Every cell empty with the given phases, except the assigned ones."""
+    cells = {label: (0, phi) for label, phi in zip(LABELS, phases)}
+    cells.update(assignments)
+    return cells
 
 
-def with_cells(grid: CellGrid, assignments: dict[tuple[str, int], tuple[int, int]]) -> CellGrid:
-    wires = {w: list(grid.wires[w]) for w in ("L", "R")}
-    for (wire, label), state in assignments.items():
-        wires[wire][label - 1] = state
-    return CellGrid(grid.t, {w: tuple(c) for w, c in wires.items()}, grid.plan, grid.device_fired)
+def coins(seed: int):
+    """An explicit coin sequence: the bits of ``seed``'s digest, repeated."""
+    digest = derive_seed(seed)
+    return itertools.cycle([(digest >> i) & 1 for i in range(128)])
+
+
+def advance(cells: dict, t: int, plan: CaPlan, draws) -> dict:
+    """One transition from step t, taking each coin from ``draws``."""
+    return _advance(cells, t, plan, lambda: next(draws))[0]
+
+
+def occupied(cells: dict) -> list[str]:
+    return [label for label in LABELS if cells[label][0]]
 
 
 class TestPropagation:
     def test_excitation_walks_rightward(self):
         # Offset so the excitation sits at cell 1 right after injection;
         # successive transitions carry it one cell per step.
-        rng = random.Random(0)
-        grid = empty_grid(PLAIN)
-        grid = step(grid, rng)  # source fires on the first transition
-        assert grid.cell("L", 1).state.n == 1
+        draws = coins(0)
+        cells = advance(cells_of(), 0, PLAIN, draws)  # source fires on the first transition
+        assert cells["L1"][0] == 1
         for expected in (2, 3, 4):
-            grid = step(grid, rng)
-            assert grid.occupied_cells() == [f"L{expected}"]
+            cells = advance(cells, expected - 1, PLAIN, draws)
+            assert occupied(cells) == [f"L{expected}"]
 
     def test_vacuum_stays_vacuum(self):
         plan = CaPlan(None, {"L": "dl", "R": "dr"}, inject_step=-2)  # never fires
-        rng = random.Random(1)
-        grid = new_grid(plan, rng)
+        draws = coins(1)
+        cells = cells_of(phases=draws)
         phases = set()
-        for _ in range(12):
-            grid = step(grid, rng)
-            assert grid.occupied_cells() == []
-            phases.add(grid.wires["L"][4])
+        for t in range(12):
+            cells = advance(cells, t, plan, draws)
+            assert occupied(cells) == []
+            phases.add(cells["L5"])
         assert {n for n, _ in phases} == {0}
 
     def test_splitter_cells_apply_the_update(self):
-        rng = random.Random(2)
-        grid = empty_grid(PLAIN, t=4)
-        grid = with_cells(grid, {("L", 4): (1, 1), ("R", 4): (0, 1)})
-        out = step(grid, rng)
+        cells = cells_of({"L4": (1, 1), "R4": (0, 1)})
+        out = advance(cells, 4, PLAIN, coins(2))
         n_l, phi_l, n_r, phi_r = beamsplitter_formula(1, 1, 0, 1)
-        assert out.wires["L"][4] == (n_l, phi_l)
-        assert out.wires["R"][4] == (n_r, phi_r)
+        assert out["L5"] == (n_l, phi_l)
+        assert out["R5"] == (n_r, phi_r)
 
     def test_splitter_cells_pass_vacuum_through(self):
-        rng = random.Random(3)
-        grid = empty_grid(PLAIN, t=4)
-        grid = with_cells(grid, {("L", 4): (0, 1), ("R", 4): (0, 0)})
-        out = step(grid, rng)
-        assert out.wires["L"][4] == (0, 1)
-        assert out.wires["R"][4] == (0, 0)
+        cells = cells_of({"L4": (0, 1), "R4": (0, 0)})
+        out = advance(cells, 4, PLAIN, coins(3))
+        assert out["L5"] == (0, 1)
+        assert out["R5"] == (0, 0)
 
     def test_trace_format(self):
-        rng = random.Random(4)
-        grid = new_grid(PLAIN, rng)
-        line = trace_line(grid)
+        trace: list[str] = []
+        run_single(PLAIN, 4, trace=trace)
+        line = trace[0]
         assert line.startswith("t= 0 occupied=[") and "phases L=" in line
+        assert trace_line(0, cells_of()) == f"t= 0 occupied=[-] phases L={'0' * 16} R={'0' * 16}"
 
 
 class TestSchedule:
@@ -110,13 +120,13 @@ class TestSchedule:
 class TestSingleRuns:
     def test_phase_zero_always_left(self):
         for seed in range(40):
-            events = run_single(PLAIN, random.Random(seed))
+            events = run_single(PLAIN, seed)
             assert events == {"detector_L": 1, "detector_R": 0}
 
     def test_phase_pi_always_right(self):
         plan = plan_from_program(mzi_phase(1).program)
         for seed in range(40):
-            events = run_single(plan, random.Random(seed))
+            events = run_single(plan, seed)
             assert events == {"detector_L": 0, "detector_R": 1}
 
     def test_whichway_all_joint_outcomes_occur(self):
@@ -125,7 +135,7 @@ class TestSingleRuns:
         )
         seen = set()
         for seed in range(200):
-            events = run_single(plan, random.Random(seed))
+            events = run_single(plan, seed)
             assert events["detector_L"] ^ events["detector_R"] == 1
             seen.add((events["which_way"], events["detector_L"]))
         assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
@@ -133,18 +143,18 @@ class TestSingleRuns:
     def test_bomb_explosion_absorbs_excitation(self):
         plan = plan_from_program(bomb_tester(True).program)
         for seed in range(200):
-            events = run_single(plan, random.Random(seed))
+            events = run_single(plan, seed)
             if events["trigger"]:
                 assert events["detector_L"] == 0 and events["detector_R"] == 0
 
     def test_occupation_conserved_between_devices(self):
         # Between the source event and the port sink, exactly one excitation
         # lives on the wires (the bomb's absorption removes it).
-        rng = random.Random(11)
-        grid = new_grid(PLAIN, rng)
-        for _ in range(16):
-            grid = step(grid, rng)
-            total = sum(n for w in ("L", "R") for n, _ in grid.wires[w])
+        draws = coins(11)
+        cells = cells_of(phases=draws)
+        for t in range(16):
+            cells = advance(cells, t, PLAIN, draws)
+            total = sum(n for n, _ in cells.values())
             assert total == 1
 
 
@@ -152,14 +162,13 @@ class TestLocalityByConstruction:
     def test_outside_flip_never_changes_group(self):
         # Flip a cell far from the splitter group; the group's next state
         # is bit-identical because maps see only their own group.
-        base = empty_grid(PLAIN, t=4)
-        base = with_cells(base, {("L", 4): (1, 0), ("R", 4): (0, 1)})
-        poked = with_cells(base, {("L", 10): (0, 1), ("R", 15): (0, 1)})
-        out_a = step(base, random.Random(5))
-        out_b = step(poked, random.Random(5))
+        base = cells_of({"L4": (1, 0), "R4": (0, 1)})
+        poked = {**base, "L10": (0, 1), "R15": (0, 1)}
+        out_a = advance(base, 4, PLAIN, coins(5))
+        out_b = advance(poked, 4, PLAIN, coins(5))
         for wire in ("L", "R"):
             for label in (4, 5):
-                assert out_a.wires[wire][label - 1] == out_b.wires[wire][label - 1]
+                assert out_a[f"{wire}{label}"] == out_b[f"{wire}{label}"]
 
 
 class TestTimeReversal:
@@ -230,7 +239,7 @@ class TestBatchRunner:
 
     def test_scalar_and_batch_agree_on_deterministic_runs(self):
         plan = plan_from_program(mzi_phase(1).program)
-        scalar = [run_single(plan, random.Random(s)) for s in range(20)]
+        scalar = [run_single(plan, s) for s in range(20)]
         assert all(ev == {"detector_L": 0, "detector_R": 1} for ev in scalar)
         batch = run_experiment(
             plan, 20, 3, lambda ev: "R" if ev["detector_R"] else "L"
@@ -242,8 +251,8 @@ class TestBatchRunner:
             run_experiment(PLAIN, 0, 1, lambda ev: "x")
 
 
-# Seeded outputs of the wire automaton, captured before its block rule was
-# folded into one transition function; they pin every draw of both RNGs.
+# Seeded outputs of the wire automaton, captured when its draws moved to
+# Monte Carlo's Philox blocks; they pin every bit a shot reads.
 GOLDEN = json.loads(
     (Path(__file__).parent / "golden" / "ca_counts.json").read_text(encoding="utf-8")
 )
@@ -277,13 +286,76 @@ class TestGolden:
     @pytest.mark.parametrize("scenario, plan", HOSTABLE, ids=HOSTABLE_IDS)
     def test_single_events(self, scenario, plan):
         expected = GOLDEN["run_single"][scenario.key]
-        assert [run_single(plan, random.Random(s)) for s in range(len(expected))] == expected
+        assert [run_single(plan, s) for s in range(len(expected))] == expected
 
     def test_whichway_trace(self):
-        plan = plan_from_program(mzi_whichway(DisturbanceKind.NONDESTRUCTIVE).program)
         trace: list[str] = []
-        run_single(plan, random.Random(0), trace)
+        run_single(WHICHWAY, 0, trace=trace)
         assert trace == GOLDEN["trace_mzi_whichway_seed0"]
+
+
+def lane(events: dict, s: int) -> dict[str, int]:
+    return {label: int(bits[s]) for label, bits in events.items()}
+
+
+class TestReplay:
+    SEED = 13
+    SHOTS = 24
+
+    @pytest.mark.parametrize("scenario, plan", HOSTABLE, ids=HOSTABLE_IDS)
+    def test_single_run_is_a_lane_of_the_batch(self, scenario, plan):
+        batch = _batch_events(plan, self.SHOTS, self.SEED)
+        for s in range(self.SHOTS):
+            assert run_single(plan, self.SEED, s) == lane(batch, s)
+
+    @pytest.mark.parametrize("first", [1, 7])
+    def test_batch_from_first_is_a_slice(self, first):
+        whole = _batch_events(WHICHWAY, self.SHOTS, self.SEED)
+        tail = _batch_events(WHICHWAY, self.SHOTS - first, self.SEED, first)
+        for label, bits in tail.items():
+            assert np.array_equal(bits, whole[label][first:]), label
+
+    @pytest.mark.parametrize("scenario, plan", HOSTABLE, ids=HOSTABLE_IDS)
+    def test_tally_of_single_runs_is_run_experiment(self, scenario, plan):
+        tally = collections.Counter(
+            scenario.labeler(run_single(plan, self.SEED, s)) for s in range(self.SHOTS)
+        )
+        assert run_experiment(plan, self.SHOTS, self.SEED, scenario.labeler) == dict(tally)
+
+    def test_draws_follow_the_documented_layout(self):
+        # Bits 0-31: initial phases of L1..L16, R1..R16.  At t = 0 the plain
+        # interferometer draws, in rule-table order, the phases of L1, R1
+        # (source, vacuum source), then of L16, R16 (sinks): bits 32-35.
+        for shot in (0, 5, 2**40):
+            words = np.random.Philox(key=derive_seed(self.SEED), counter=shot).random_raw(4)
+            bits = int(words[0])
+            trace: list[str] = []
+            run_single(PLAIN, self.SEED, shot, trace)
+            rows = [line.split("phases L=")[1].split(" R=") for line in trace[:2]]
+            start, after = ([int(c) for c in left + right] for left, right in rows)
+            assert start == [(bits >> i) & 1 for i in range(32)]
+            assert [after[0], after[16], after[15], after[31]] == [
+                (bits >> i) & 1 for i in range(32, 36)
+            ]
+
+    @pytest.mark.parametrize("scenario, plan", HOSTABLE, ids=HOSTABLE_IDS)
+    def test_bit_budget(self, scenario, plan):
+        drawn: list[int] = []
+
+        def coin() -> int:
+            drawn.append(0)
+            return 0
+
+        cells = cells_of()
+        for t in range(plan.arrival_step(WIRE_LENGTH)):
+            cells, _ = _advance(cells, t, plan, coin)
+        has_detector = plan.device is not None and plan.device[0] == "detector"
+        assert len(LABELS) + len(drawn) == (80 if has_detector else 64)
+
+    def test_more_than_one_block_is_refused(self):
+        long_run = CaPlan(None, {"L": "dl", "R": "dr"}, inject_step=100)
+        with pytest.raises(ValueError, match="more than one Philox block"):
+            run_single(long_run, 0)
 
 
 class TestAgainstExactReference:

@@ -220,6 +220,19 @@ class TestExecution:
         plan = compile_toy(program)
         assert enumerate_toy_runs(plan) == run_toy_exact(plan)
 
+    def test_enumeration_on_four_modes_builds_no_gate_table(self):
+        from toyfield.toy_dynamics import gate_table
+
+        program = parse(
+            "mode a b c d; source a; vacuum b; source c; vacuum d; "
+            "bs a b; bs c d; phase b pi; measure N d nondestructive as w; bs a b; bs c d; "
+            "detect a as da; detect b as db; detect c as dc; detect d as dd;"
+        )
+        plan = compile_toy(program)
+        before = gate_table.cache_info()
+        assert enumerate_toy_runs(plan) == run_toy_exact(plan)
+        assert gate_table.cache_info() == before
+
     def test_snap_dyadic(self):
         assert snap_dyadic(0.25) == Fraction(1, 4)
         assert snap_dyadic(0.5000000001) == Fraction(1, 2)

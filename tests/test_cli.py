@@ -87,6 +87,26 @@ class TestRun:
         assert code == 0
         assert json.loads(out)["counts"] == {"detector_L": 500}
 
+    def test_sampled_json_names_its_provenance(self, capsys, tmp_path):
+        from toyfield.montecarlo import RNG_SCHEME
+
+        _, text, _ = run_cli(capsys, "run", "mzi_whichway", "--show-program")
+        path = tmp_path / "whichway.mzi"
+        path.write_text(text)
+        digests = set()
+        for engine in ("ca", "montecarlo"):
+            for target in ("mzi_whichway", str(path)):
+                code, out, _ = run_cli(
+                    capsys, "run", target, "--engine", engine,
+                    "--shots", "200", "--seed", "5", "--format", "json",
+                )
+                assert code == 0
+                payload = json.loads(out)
+                assert payload["seed"] == 5 and payload["rng"] == RNG_SCHEME
+                assert payload["toyfield_version"]
+                digests.add(payload["program_sha256"])
+        assert len(digests) == 1
+
     def test_program_file(self, capsys, tmp_path):
         path = tmp_path / "circuit.mzi"
         path.write_text(
