@@ -26,7 +26,10 @@ Every group's next state depends only on the group's own current state, so
 the dynamics is local by construction, and each deterministic map is its
 own time reverse.  The layout lives in one table, :func:`layout_bindings`,
 and one transition function, :func:`_advance`, applies it rule by rule to
-whole shot columns: every shot of a call is a lane of uint8 cell columns.
+whole shot columns: every shot of a chunk is a lane of uint8 cell columns.
+:func:`run_experiment` runs :data:`toyfield.montecarlo._CHUNK_SHOTS` shots
+at a time, so memory stays bounded, and counts them through Monte Carlo's
+tally.
 
 The coins are Monte Carlo's: shot ``s`` of seed ``m`` reads Philox4x64-10
 block ``s`` keyed by ``derive_seed(m)`` (:data:`toyfield.montecarlo.RNG_SCHEME`),
@@ -57,7 +60,7 @@ from toyfield.circuits import (
     Source,
     Vacuum,
 )
-from toyfield.montecarlo import _shot_words, derive_seed
+from toyfield.montecarlo import _shot_words, _tally, derive_seed
 from toyfield.toy_dynamics import beamsplitter_formula
 from toyfield.toy_measurement import DisturbanceKind
 
@@ -371,25 +374,9 @@ def run_experiment(
     seed: int,
     labeler: Callable[[dict[str, int]], str],
 ) -> dict[str, int]:
-    """Empirical outcome counts over seeded shots of the batch runner."""
-    if shots <= 0:
-        raise ValueError("shots must be positive")
-    events = _batch_events(plan, shots, seed)
-    labels = sorted(events)
-    columns = [events[k].astype(np.int64) for k in labels]
-    code = np.zeros(shots, dtype=np.int64)
-    for column in columns:
-        code = code * 2 + column
-    tallies = np.bincount(code, minlength=1 << len(labels))
-    counts: dict[str, int] = {}
-    for value, tally in enumerate(tallies):
-        if not tally:
-            continue
-        bits = [(value >> k) & 1 for k in range(len(labels) - 1, -1, -1)]
-        record = dict(zip(labels, bits))
-        label = labeler(record)
-        counts[label] = counts.get(label, 0) + int(tally)
-    return counts
+    """Outcome counts over shots ``0 .. shots - 1`` of ``seed``, batched
+    :data:`toyfield.montecarlo._CHUNK_SHOTS` shots at a time."""
+    return _tally(shots, lambda first, n: _batch_events(plan, n, seed, first), labeler)
 
 
 def run_scenario_ca(scenario, shots: int, seed: int) -> dict[str, int]:

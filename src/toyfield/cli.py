@@ -1,8 +1,9 @@
 """Command-line frontend: run scenarios or programs, check claims, draw grids.
 
 Exit codes: 0 success, 1 check failure, 2 usage error (a bad --steps list,
---shots < 1 or --seed < 0 among them), 3 parse/compile error or a quantum
-result that is not dyadic.  Sampled engines require explicit --shots and
+--shots < 1, --seed < 0 or grids off the toy engine among them), 3
+parse/compile error, a register the grids cannot draw, or a quantum result
+that is not dyadic.  Sampled engines require explicit --shots and
 --seed; there is no environment fallback for seeds by design.
 """
 
@@ -62,6 +63,9 @@ def _print_distribution(
 
 
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
+    """The named scenario, or a program file (``-`` for stdin) under the default labeler."""
+    if args.target not in scenarios.SCENARIO_NAMES:
+        return Scenario(args.target, (), _load_program(args.target), circuits.default_labeler)
     params: dict = {}
     if args.phase is not None:
         params["phase"] = args.phase
@@ -89,6 +93,9 @@ def _load_program(target: str) -> Program:
 
 def cmd_run(args: argparse.Namespace) -> int:
     engine = args.engine
+    if args.format == "grids" and engine != "toy":
+        print("--format grids draws the toy engine's supports only", file=sys.stderr)
+        return 2
     needs_shots = engine in ("ca", "montecarlo")
     if needs_shots and (args.shots is None or args.seed is None):
         print(f"engine {engine!r} requires --shots and --seed", file=sys.stderr)
@@ -103,27 +110,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         print("--seed must be non-negative", file=sys.stderr)
         return 2
 
-    is_scenario = args.target in scenarios.SCENARIO_NAMES
-    if is_scenario:
-        scenario = _scenario_from_args(args)
-    else:
-        program = _load_program(args.target)
-        scenario = Scenario(args.target, (), program, circuits.default_labeler)
+    scenario = _scenario_from_args(args)
     if args.show_program:
         print(scenario.program_text(), end="")
         return 0
     if args.format == "grids":
         return _print_grids(compile_toy(scenario.program), args.steps)
-    if engine == "montecarlo" and not is_scenario:
-        from toyfield.montecarlo import estimate
-
-        report = estimate(compile_toy(scenario.program), args.shots, args.seed, scenario=args.target)
-        if args.format == "json":
-            print(report.to_json())
-        else:
-            for label in sorted(report.counts):
-                print(f"{label}  {report.counts[label]}/{report.shots}")
-        return 0
     try:
         dist = run_scenario(scenario, engine, args.shots, args.seed)
     except ValueError as error:  # a compile error, or a quantum weight that is not dyadic
@@ -147,7 +139,7 @@ def render_grid(state: EpistemicState) -> list[str]:
     marginal on the first two modes.
     """
     if state.shape.modes < 2:
-        raise ValueError("grid diagrams need at least two modes")
+        raise CapabilityError("grid diagrams need at least two modes")
     if state.shape.subsystems > 2:
         state = marginal(state, modes=(0, 1))
     filled = {
@@ -178,10 +170,11 @@ def _step_numbers(text: str) -> set[int] | None:
 
 
 def _print_grids(plan, selected: set[int] | None) -> int:
+    initial = render_grid(plan.initial)  # refuses a register it cannot draw, before any output
     print("Support diagrams; rows (N_L,Phi_L), columns (N_R,Phi_R), order 00,01,10,11.")
     if selected is None or 0 in selected:
         print("\nstep 0: preparation   p=1")
-        for line in render_grid(plan.initial):
+        for line in initial:
             print(line)
     start = [(Fraction(1), plan.initial, {})]
     stepped = circuits.branches(start, plan.steps, push_forward, circuits.toy_measure)
@@ -198,12 +191,7 @@ def _print_grids(plan, selected: set[int] | None) -> int:
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    if args.target in scenarios.SCENARIO_NAMES:
-        scenario = _scenario_from_args(args)
-        plan = compile_toy(scenario.program)
-    else:
-        plan = compile_toy(_load_program(args.target))
-    return _print_grids(plan, args.steps)
+    return _print_grids(compile_toy(_scenario_from_args(args).program), args.steps)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,13 @@ Shots are therefore independent lanes.  One batch kernel advances every
 shot of a call as a ``uint64`` column, :data:`_CHUNK_SHOTS` shots at a time
 so memory stays bounded; no result depends on the chunk size.  Gates act
 through their two-subsystem kernels and measurements through their
-``(read, keep, flip)`` triples, column-wise.  :func:`estimate` tallies the
-distinct outcomes and calls the labeler once per distinct outcome;
-:func:`locality_audit` audits every measurement's before/after columns;
-:func:`sample_run` is the batch of one shot, so ``(seed, shot)`` replays
-any run of a bulk call.
+``(read, keep, flip)`` triples, column-wise.  :func:`run_experiment` counts
+outcomes through :func:`_tally`, which counts each chunk's distinct outcomes
+and calls the labeler once per distinct outcome; the wire automaton counts
+its chunks of the same size through it too.  :func:`estimate` compares the
+counts with an exact reference; :func:`locality_audit` audits every
+measurement's before/after columns; :func:`sample_run` is the batch of one
+shot, so ``(seed, shot)`` replays any run of a bulk call.
 
 numpy is imported by the kernel on first use, not with this module.
 """
@@ -61,6 +63,7 @@ __all__ = [
     "locality_audit",
     "program_sha256",
     "provenance",
+    "run_experiment",
     "sample_run",
 ]
 
@@ -273,26 +276,65 @@ def _z_score(count: int, shots: int, p: Fraction) -> float:
     return (count / shots - pf) / math.sqrt(pf * (1.0 - pf) / shots)
 
 
-def _tally(batch: ShotColumns) -> Iterator[tuple[dict[str, int], int]]:
-    """Each distinct outcome of the batch with the number of shots giving it."""
+def _tally(
+    shots: int,
+    events: Callable[[int, int], dict[str, np.ndarray]],
+    labeler: Callable[[dict[str, int]], str],
+) -> dict[str, int]:
+    """Outcome counts of shots ``0 .. shots - 1``, :data:`_CHUNK_SHOTS` at a time.
+
+    ``events(first, n)`` gives the ``{label: bit column}`` record of shots
+    ``first .. first + n - 1``.  Each group of 32 labels packs into an int64
+    key under the rank of the shot's earlier groups, so one sort per group
+    counts a chunk's distinct rows; ``labeler`` sees each distinct outcome once.
+    """
     import numpy as np
 
-    outcome = {e.label: e.value for e in batch.events}
-    labels, columns = list(outcome), list(outcome.values())
-    words = [
-        sum((column << j for j, column in enumerate(columns[w:w + 64])), np.uint64(0))
-        for w in range(0, len(columns), 64)
-    ] or [np.zeros(batch.runs, dtype=np.uint64)]
-    order = np.lexsort(words)
-    starts = np.zeros(batch.runs, dtype=bool)
-    starts[0] = True
-    for word in words:
-        ranked = word[order]
-        starts[1:] |= ranked[1:] != ranked[:-1]
-    firsts = np.flatnonzero(starts)
-    sizes = np.diff(firsts, append=batch.runs)
-    for lane, size in zip(order[firsts].tolist(), sizes.tolist()):
-        yield {label: int(column[lane]) for label, column in zip(labels, columns)}, size
+    if shots <= 0:
+        raise ValueError("shots must be positive")
+    tallies: dict[int, int] = {}  # bit j of an outcome's code is label j
+    for first in range(0, shots, _CHUNK_SHOTS):
+        n = min(_CHUNK_SHOTS, shots - first)
+        record = events(first, n)
+        labels, columns = list(record), list(record.values())
+        key = np.zeros(n, dtype=np.int64)
+        tables = []  # the distinct keys of each group of 32 labels but the last
+        # np.unique sorts, faster here than its hash path, only when asked for counts
+        for j in range(0, len(columns), 32):
+            if j:
+                tables.append(np.unique(key, return_counts=True)[0])
+                key = np.searchsorted(tables[-1], key) << 32
+            for i, column in enumerate(columns[j:j + 32]):
+                key |= column.astype(np.int64) << i
+        rows, sizes = np.unique(key, return_counts=True)
+        for row, size in zip(rows.tolist(), sizes.tolist()):
+            code = row & 0xFFFF_FFFF
+            for table in reversed(tables):
+                row = int(table[row >> 32])
+                code = code << 32 | row & 0xFFFF_FFFF
+            tallies[code] = tallies.get(code, 0) + size
+    counts: dict[str, int] = {}
+    for code, size in tallies.items():
+        label = labeler({label: (code >> j) & 1 for j, label in enumerate(labels)})
+        counts[label] = counts.get(label, 0) + size
+    return counts
+
+
+def run_experiment(
+    plan: ToyPlan,
+    shots: int,
+    seed: int,
+    labeler: Callable[[dict[str, int]], str] | None = None,
+) -> dict[str, int]:
+    """Outcome counts over shots ``0 .. shots - 1`` of ``seed``, with the
+    contract of :func:`toyfield.automaton.run_experiment`; no exact
+    reference is computed."""
+
+    def events(first: int, n: int) -> dict[str, np.ndarray]:
+        (batch,) = _shot_columns(plan, seed, n, first)
+        return {e.label: e.value for e in batch.events}
+
+    return _tally(shots, events, labeler or default_labeler)
 
 
 def estimate(
@@ -303,32 +345,20 @@ def estimate(
     exact: dict[str, Fraction] | None = None,
     scenario: str = "",
 ) -> FrequencyReport:
-    """Aggregate shots ``0 .. shots - 1`` of ``seed`` into a frequency report.
+    """:func:`run_experiment`'s counts compared with an exact reference.
 
-    Shots with equal outcomes are counted together, so ``labeler`` is called
-    once per distinct outcome, not once per shot.  The z-score per label
-    compares the empirical count with the exact reference probability under
-    the binomial null; the total-variation distance summarizes the whole
-    distribution.  The report names the program by the SHA-256 of its
-    canonical text.
+    The z-score per label compares the empirical count with the exact
+    reference probability under the binomial null; the total-variation
+    distance summarizes the whole distribution.  ``exact`` defaults to the
+    exact toy run's distribution.  The report names the program by the
+    SHA-256 of its canonical text.
     """
-    if shots <= 0:
-        raise ValueError("shots must be positive")
-    if labeler is None:
-        labeler = default_labeler
+    labeler = labeler or default_labeler
+    counts = run_experiment(plan, shots, seed, labeler)
     if exact is None:
         from toyfield.circuits import joint_to_labeled, run_toy_exact
 
         exact = joint_to_labeled(run_toy_exact(plan), labeler)
-    tallies: dict[tuple[tuple[str, int], ...], int] = {}
-    for batch in _shot_columns(plan, seed, shots):
-        for outcome, size in _tally(batch):
-            key = tuple(outcome.items())
-            tallies[key] = tallies.get(key, 0) + size
-    counts: dict[str, int] = {}
-    for key, size in tallies.items():
-        label = labeler(dict(key))
-        counts[label] = counts.get(label, 0) + size
     labels = set(counts) | set(exact)
     z_scores = {
         label: _z_score(counts.get(label, 0), shots, exact.get(label, Fraction(0)))

@@ -322,20 +322,14 @@ def run_scenario(
         if shots is None or seed is None:
             raise ValueError(f"engine {engine!r} requires shots and seed")
         if engine == "montecarlo":
-            from toyfield.montecarlo import estimate
+            from toyfield.montecarlo import run_experiment
 
-            report = estimate(
-                compile_toy(scenario.program),
-                shots,
-                seed,
-                labeler=scenario.labeler,
-                scenario=scenario.key,
-            )
-            counts = report.counts
+            plan = compile_toy(scenario.program)
         else:
-            from toyfield.automaton import run_scenario_ca
+            from toyfield.automaton import plan_from_program, run_experiment
 
-            counts = run_scenario_ca(scenario, shots, seed)
+            plan = plan_from_program(scenario.program)
+        counts = run_experiment(plan, shots, seed, scenario.labeler)
         probs = {label: Fraction(c, shots) for label, c in counts.items()}
         return OutcomeDistribution(probs, shots=shots, counts=dict(counts))
     raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")

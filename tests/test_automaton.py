@@ -322,6 +322,22 @@ class TestReplay:
         )
         assert run_experiment(plan, self.SHOTS, self.SEED, scenario.labeler) == dict(tally)
 
+    def test_batches_never_exceed_the_chunk(self, monkeypatch):
+        from toyfield import automaton, montecarlo
+
+        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 7)
+        lanes: list[int] = []
+        batch_events = automaton._batch_events
+
+        def spy(plan, shots, *args):
+            lanes.append(shots)
+            return batch_events(plan, shots, *args)
+
+        monkeypatch.setattr(automaton, "_batch_events", spy)
+        counts = run_experiment(WHICHWAY, 2 * 7 + 1, self.SEED, lambda ev: "x")
+        assert counts == {"x": 15}
+        assert lanes == [7, 7, 1]
+
     def test_draws_follow_the_documented_layout(self):
         # Bits 0-31: initial phases of L1..L16, R1..R16.  At t = 0 the plain
         # interferometer draws, in rule-table order, the phases of L1, R1

@@ -93,7 +93,7 @@ class TestRun:
         _, text, _ = run_cli(capsys, "run", "mzi_whichway", "--show-program")
         path = tmp_path / "whichway.mzi"
         path.write_text(text)
-        digests = set()
+        digests, shapes = set(), set()
         for engine in ("ca", "montecarlo"):
             for target in ("mzi_whichway", str(path)):
                 code, out, _ = run_cli(
@@ -105,7 +105,9 @@ class TestRun:
                 assert payload["seed"] == 5 and payload["rng"] == RNG_SCHEME
                 assert payload["toyfield_version"]
                 digests.add(payload["program_sha256"])
+                shapes.add(tuple(sorted(payload)))
         assert len(digests) == 1
+        assert len(shapes) == 1
 
     def test_program_file(self, capsys, tmp_path):
         path = tmp_path / "circuit.mzi"
@@ -209,6 +211,27 @@ class TestGrid:
             main(list(argv))
         assert err.value.code == 2
         assert "argument --steps" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [("grid",), ("run", "--format", "grids")])
+    def test_one_mode_register_is_refused_before_any_output(self, capsys, tmp_path, command):
+        path = tmp_path / "one_mode.mzi"
+        path.write_text("mode m; source m; detect m as d;")
+        code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+        assert code == 3
+        assert out == ""
+        assert err == "error: grid diagrams need at least two modes\n"
+
+    @pytest.mark.parametrize(
+        "engine", [("quantum",), ("ca", "--shots", "10", "--seed", "1"),
+                   ("montecarlo", "--shots", "10", "--seed", "1")],
+        ids=lambda engine: engine[0],
+    )
+    def test_grids_of_another_engine_are_a_usage_error(self, capsys, engine):
+        code, out, err = run_cli(capsys, "run", "mzi_phase", "--format", "grids",
+                                 "--engine", *engine)
+        assert code == 2
+        assert out == ""
+        assert "--format grids" in err
 
     def test_step_list(self, capsys):
         _, selected, _ = run_cli(capsys, "grid", "mzi_whichway", "--steps", " 2,0")

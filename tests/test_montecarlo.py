@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 import toyfield
-from toyfield import montecarlo
+from toyfield import automaton, circuits, montecarlo
 from toyfield.circuits import (
+    CapabilityError,
     GateStep,
     compile_toy,
+    default_labeler,
     enumerate_toy_runs,
     parse,
     run_toy_exact,
@@ -31,11 +33,13 @@ from toyfield.montecarlo import (
     sample_run,
 )
 from toyfield.scenarios import (
+    Scenario,
     all_variants,
     bomb_tester,
     mzi_phase,
     mzi_whichway,
     quantum_eraser,
+    run_scenario,
 )
 from toyfield.toy_dynamics import gate_table
 from toyfield.toy_measurement import DisturbanceKind, measurement_kernel
@@ -231,6 +235,14 @@ class TestGolden:
         assert json.loads(json.dumps(records)) == expected
 
 
+# Seventy labels, past the 64 of one word and over three groups of 32: d00
+# and its 68 repeats agree, and d69 is drawn afresh after a second splitter.
+SEVENTY = Scenario("seventy_detects", (), parse(
+    "mode L R; source L; vacuum R; bs L R;"
+    + "".join(f"detect L as d{i:02d};" for i in range(69)) + "bs L R; detect L as d69;"
+), default_labeler)
+
+
 class TestBatchOracle:
     """The column kernel against the scalar per-point rules, draw for draw."""
 
@@ -267,9 +279,9 @@ class TestBatchOracle:
         for shot in range(self.SHOTS):
             assert sample_run(plan, self.SEED, shot) == batch.record(shot)
 
-    @pytest.mark.parametrize("key", sorted(RECORDED))
+    @pytest.mark.parametrize("key", [*sorted(RECORDED), SEVENTY.key])
     def test_tally_of_sample_runs_is_estimate(self, key):
-        scenario = RECORDED[key]
+        scenario = {**RECORDED, SEVENTY.key: SEVENTY}[key]
         plan = compile_toy(scenario.program)
         tally = collections.Counter(
             scenario.labeler(sample_run(plan, 5, shot).outcome) for shot in range(300)
@@ -278,12 +290,19 @@ class TestBatchOracle:
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_chunk_size_changes_nothing(self, chunk, monkeypatch):
+        hostable = []  # the wire automaton's plans, which chunk by the same constant
+        for s in all_variants():
+            try:
+                hostable.append((s, automaton.plan_from_program(s.program)))
+            except CapabilityError:
+                pass
+
         def results():
             return [
                 (estimate(compile_toy(s.program), 50, 2, labeler=s.labeler).counts,
                  locality_audit(compile_toy(s.program), 50, 2))
                 for s in RECORDED.values()
-            ]
+            ] + [automaton.run_experiment(plan, 50, 2, s.labeler) for s, plan in hostable]
 
         expected = results()
         monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", chunk)
@@ -335,6 +354,20 @@ def test_estimate_on_ten_modes_builds_no_gate_table():
     assert gate_table.cache_info().misses == misses
     assert len(report.exact) == 4
     assert report.max_abs_z() <= 3
+
+
+def test_sampled_runs_compute_no_exact_reference(monkeypatch, capsys, tmp_path):
+    from toyfield.cli import main
+
+    def refuse(plan):
+        raise AssertionError("an exact reference was computed")
+
+    monkeypatch.setattr(circuits, "run_toy_exact", refuse)
+    scenario = mzi_whichway(DisturbanceKind.NONDESTRUCTIVE)
+    assert sum(run_scenario(scenario, "montecarlo", 200, 5).counts.values()) == 200
+    path = tmp_path / "whichway.mzi"
+    path.write_text(scenario.program_text())
+    assert main(["run", str(path), "--engine", "montecarlo", "--shots", "200", "--seed", "5"]) == 0
 
 
 def test_importing_and_exact_runs_load_no_numpy():
