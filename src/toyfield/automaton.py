@@ -46,7 +46,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -389,55 +389,36 @@ def run_scenario_ca(scenario, shots: int, seed: int) -> dict[str, int]:
 # Time-reversal checks
 
 
-@dataclass(frozen=True)
-class _TransferRule:
-    """A gate's transfer functions in both travel directions."""
-
-    name: str
-    states: int  # input-state count for exhaustive checking
-    forward: Callable
-    backward: Callable
-
-
-def _rules() -> dict[str, _TransferRule]:
-    def free(x):
-        return x
-
-    def phase_flip(x: Pair) -> Pair:
-        return (x[0], x[1] ^ 1)
-
-    def bs(x: tuple[Pair, Pair]) -> tuple[Pair, Pair]:
-        return _split(*x)
-
-    def broken_forward(x: Pair) -> Pair:
-        return (x[0], x[1] ^ 1)
-
-    return {
-        "free_swap": _TransferRule("free_swap", 4, free, free),
-        "phase": _TransferRule("phase", 4, phase_flip, phase_flip),
-        "beamsplitter": _TransferRule("beamsplitter", 16, bs, bs),
-        "broken_oneway": _TransferRule("broken_oneway", 4, broken_forward, free),
-    }
-
-
-def _enumerate_states(rule: _TransferRule) -> Iterator:
-    if rule.states == 4:
-        for value in range(4):
-            yield (value & 1, (value >> 1) & 1)
-    else:
-        for value in range(16):
-            yield (
-                (value & 1, (value >> 1) & 1),
-                ((value >> 2) & 1, (value >> 3) & 1),
-            )
-
-
 def check_time_reversal(kind: str) -> bool:
-    """True iff the map's j -> j+1 transfer equals its j+1 -> j transfer.
+    """True iff the deterministic rule ``kind`` of the table that runs
+    (``free_swap``, ``phase`` with s = 1, ``beamsplitter``) is its own time
+    reverse: reversing its group's cells along the wire commutes with it.
 
-    Checked exhaustively over the group's state space; the full splitter
-    quadruple has 256 joint states, which reduce to the 16 per-direction
-    pair states since the two directions never mix.
+    Checked exhaustively over the group's 4^k joint cell states (k = 2, or
+    4 for the splitter).  ``broken_oneway``, a phase flip on one travel
+    direction only, is the negative control.
     """
-    rule = _rules()[kind]
-    return all(rule.forward(x) == rule.backward(x) for x in _enumerate_states(rule))
+
+    def broken_oneway(states, binding, t, coin):
+        (n_a, phi_a), (n_b, phi_b) = states
+        return (n_b, phi_b ^ 1), (n_a, phi_a)
+
+    if kind not in ("free_swap", "phase", "beamsplitter", "broken_oneway"):
+        raise ValueError(f"{kind!r} is not a deterministic rule")
+    group, rule = ("phase", broken_oneway) if kind == "broken_oneway" else (kind, _RULES[kind])
+    plan = CaPlan(("phase", 1), {"L": "L", "R": "R"})
+    binding = next(b for b in layout_bindings(plan) if b.kind == group)
+    position = [int(label[1:]) for label in binding.cells]
+    ends = min(position) + max(position)
+    # mirror[k] is the index of cell k's mirror image along the wire
+    mirror = [
+        binding.cells.index(f"{label[0]}{ends - j}")
+        for label, j in zip(binding.cells, position)
+    ]
+    for bits in itertools.product((0, 1), repeat=2 * len(binding.cells)):
+        states = list(zip(bits[::2], bits[1::2]))
+        out = rule(states, binding, 0, None)
+        reversed_out = rule([states[k] for k in mirror], binding, 0, None)
+        if list(reversed_out) != [out[k] for k in mirror]:
+            return False
+    return True

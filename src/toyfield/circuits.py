@@ -5,14 +5,19 @@ semicolons)::
 
     program := decl* stmt*
     decl    := "mode" ident+ ";" | "ancilla" ident ";"
-    stmt    := "source" ident ";"
-             | "vacuum" ident ";"
-             | "bs" ident ident ";"
-             | "phase" ident ("0" | "pi") ";"
-             | "cnot" ident ident ";"
-             | "swap" ident ident ";"
-             | "measure" ("N"|"Q"|"P") ident ("nondestructive"|"destructive")? "as" ident ";"
-             | "detect" ident "as" ident ";"
+    stmt    := "source" mode ";"
+             | "vacuum" mode ";"
+             | "bs" mode mode ";"
+             | "phase" mode ("0" | "pi") ";"
+             | "cnot" mode ancilla ";"
+             | "swap" mode mode ";"
+             | "measure" "N" mode ("nondestructive"|"destructive")? "as" label ";"
+             | "measure" ("Q"|"P") ancilla "as" label ";"
+             | "detect" mode "as" label ";"
+
+The statement rules are written once, in the table ``_STATEMENTS`` (each
+keyword's statement class and argument kinds in field order), which the
+parser reads statements through and the renderer writes them back from.
 
 Phase literals are restricted to 0 and pi in the grammar itself: the program
 text is the contract shared by every engine, and the classical engine has no
@@ -25,6 +30,7 @@ returns joint distributions over the declared labels.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -167,267 +173,178 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
-# Lexer and parser
+# Statement table, lexer and parser
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident", "semi", "eof"
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, column = 1, 1
-    last_end = (1, 1)
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            column += 1
-            i += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch == ";":
-            tokens.append(_Token("semi", ";", line, column))
-            column += 1
-            i += 1
-            last_end = (line, column)
-            continue
-        if ch.isalnum() or ch == "_":
-            start, start_col = i, column
-            while i < len(text) and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                column += 1
-            tokens.append(_Token("ident", text[start:i], line, start_col))
-            last_end = (line, column)
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, column)
-    # The end-of-input marker sits right after the last token so that
-    # "expected ';'" style errors point at a useful position.
-    tokens.append(_Token("eof", "", *last_end))
-    return tokens
-
+# Each statement's keyword and argument kinds, in its dataclass's field order
+# (``as`` is syntax only): parse reads every statement through its entry and
+# render writes it back from the same entry.
+_STATEMENTS: dict[str, tuple[type, tuple[str, ...]]] = {
+    "source": (Source, ("mode",)),
+    "vacuum": (Vacuum, ("mode",)),
+    "bs": (Bs, ("mode", "mode")),
+    "phase": (Phase, ("mode", "angle")),
+    "cnot": (CnotStmt, ("mode", "ancilla")),
+    "swap": (Swap, ("mode", "mode")),
+    "measure N": (MeasureN, ("mode", "kind", "as", "label")),
+    "measure Q": (MeasureQ, ("ancilla", "as", "label")),
+    "measure P": (MeasureP, ("ancilla", "as", "label")),
+    "detect": (Detect, ("mode", "as", "label")),
+}
+_SYNTAX = {cls: (keyword, kinds) for keyword, (cls, kinds) in _STATEMENTS.items()}
+_ANGLES = ("0", "pi")  # indexed by Phase.s
+_DISTURBANCES = ("nondestructive", "destructive")
+_ARTICLE = {"mode": "a mode", "ancilla": "an ancilla"}
 
 _KEYWORDS = {
     "mode", "ancilla", "source", "vacuum", "bs", "phase", "cnot", "swap",
     "measure", "detect", "as", "nondestructive", "destructive",
 }
+_NOT_NAMES = _KEYWORDS | {"", ";"}
+
+# A comment, a token (";" or a word), or any other character but spacing,
+# which is an error.  Tokens are (offset, text); "" marks the end of input.
+_LEXEME = re.compile(r"(#[^\n]*)|(;|\w+)|([^ \t\r\n])")
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens: list[tuple[int, str]] = []
+        end = 0
+        for match in _LEXEME.finditer(text):
+            if match.lastindex == 2:
+                self.tokens.append((match.start(), match.group()))
+                end = match.end()
+            elif match.lastindex == 3:
+                raise self.fail(f"unexpected character {match.group()!r}", match.start())
+        # The end-of-input marker sits right after the last token so that
+        # "expected ';'" style errors point at a useful position.
+        self.tokens.append((end, ""))
         self.pos = 0
-        self.modes: list[str] = []
-        self.ancillas: list[str] = []
-        self.statements: list[Statement] = []
+        self.names: dict[str, list[str]] = {"mode": [], "ancilla": []}
         self.prepared: set[str] = set()
         self.touched: set[str] = set()
         self.labels: set[str] = set()
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def fail(self, message: str, offset: int) -> ParseError:
+        line_start = self.text.rfind("\n", 0, offset) + 1
+        line = self.text.count("\n", 0, offset) + 1
+        return ParseError(message, line, offset - line_start + 1)
 
-    def take(self) -> _Token:
+    def peek(self) -> str:
+        return self.tokens[self.pos][1]
+
+    def take(self) -> tuple[int, str]:
         token = self.tokens[self.pos]
         self.pos += 1
         return token
 
-    def fail(self, message: str, token: _Token | None = None) -> "ParseError":
-        token = token or self.peek()
-        return ParseError(message, token.line, token.column)
+    def expect(self, text: str) -> None:
+        offset, got = self.take()
+        if got != text:
+            raise self.fail(f"expected {text!r}", offset)
 
-    def expect_semi(self) -> None:
-        token = self.take()
-        if token.kind != "semi":
-            raise ParseError("expected ';'", token.line, token.column)
-
-    def identifier(self, what: str = "identifier") -> _Token:
-        token = self.take()
-        if token.kind != "ident" or token.text in _KEYWORDS or token.text[0].isdigit():
-            raise ParseError(f"expected {what}", token.line, token.column)
+    def name(self, what: str) -> tuple[int, str]:
+        """A new name: a word that is no keyword and starts with no digit."""
+        offset, text = token = self.take()
+        if text in _NOT_NAMES or text[0].isdigit():
+            raise self.fail(f"expected {what}", offset)
         return token
 
-    def declared_mode(self) -> str:
-        token = self.take()
-        if token.kind != "ident":
-            raise ParseError("expected mode name", token.line, token.column)
-        if token.text not in self.modes:
-            if token.text in self.ancillas:
-                raise ParseError(
-                    f"{token.text} is an ancilla, not a mode", token.line, token.column
-                )
-            raise ParseError(f"unknown identifier {token.text}", token.line, token.column)
-        return token.text
-
-    def declared_ancilla(self) -> str:
-        token = self.take()
-        if token.kind != "ident":
-            raise ParseError("expected ancilla name", token.line, token.column)
-        if token.text not in self.ancillas:
-            if token.text in self.modes:
-                raise ParseError(
-                    f"{token.text} is a mode, not an ancilla", token.line, token.column
-                )
-            raise ParseError(f"unknown identifier {token.text}", token.line, token.column)
-        return token.text
-
-    def label(self) -> str:
-        token = self.identifier("label")
-        if token.text in self.labels:
-            raise ParseError(f"duplicate label {token.text}", token.line, token.column)
-        self.labels.add(token.text)
-        return token.text
+    def declared(self, kind: str) -> tuple[int, str]:
+        """A name declared as ``kind``, "mode" or "ancilla"."""
+        offset, text = token = self.take()
+        if text in ("", ";"):
+            raise self.fail(f"expected {kind} name", offset)
+        if text not in self.names[kind]:
+            other = "ancilla" if kind == "mode" else "mode"
+            if text in self.names[other]:
+                raise self.fail(f"{text} is {_ARTICLE[other]}, not {_ARTICLE[kind]}", offset)
+            raise self.fail(f"unknown identifier {text}", offset)
+        return token
 
     def parse(self) -> Program:
-        while self.peek().kind == "ident" and self.peek().text in ("mode", "ancilla"):
+        while self.peek() in ("mode", "ancilla"):
             self.declaration()
-        while self.peek().kind != "eof":
-            self.statement()
-        return Program(tuple(self.modes), tuple(self.ancillas), tuple(self.statements))
+        statements = []
+        while self.peek():
+            statements.append(self.statement())
+        return Program(tuple(self.names["mode"]), tuple(self.names["ancilla"]), tuple(statements))
 
     def declaration(self) -> None:
-        keyword = self.take()
-        if keyword.text == "mode":
+        kind = self.take()[1]
+        if kind == "mode":
             names = []
-            while self.peek().kind == "ident" and self.peek().text not in _KEYWORDS:
-                names.append(self.identifier("mode name"))
+            while self.peek() not in _NOT_NAMES:
+                names.append(self.name("mode name"))
             if not names:
-                raise self.fail("expected at least one mode name")
-            self.expect_semi()
-            for token in names:
-                if token.text in self.modes or token.text in self.ancillas:
-                    raise ParseError(
-                        f"duplicate declaration of {token.text}",
-                        token.line,
-                        token.column,
-                    )
-                self.modes.append(token.text)
+                raise self.fail("expected at least one mode name", self.tokens[self.pos][0])
         else:
-            token = self.identifier("ancilla name")
-            self.expect_semi()
-            if token.text in self.modes or token.text in self.ancillas:
-                raise ParseError(
-                    f"duplicate declaration of {token.text}", token.line, token.column
-                )
-            self.ancillas.append(token.text)
+            names = [self.name("ancilla name")]
+        self.expect(";")
+        for offset, text in names:
+            if text in self.names["mode"] or text in self.names["ancilla"]:
+                raise self.fail(f"duplicate declaration of {text}", offset)
+            self.names[kind].append(text)
 
-    def statement(self) -> None:
-        token = self.take()
-        if token.kind != "ident":
-            raise ParseError("expected a statement", token.line, token.column)
-        word = token.text
+    def statement(self) -> Statement:
+        offset, word = self.take()
+        if word == ";":
+            raise self.fail("expected a statement", offset)
         if word in ("mode", "ancilla"):
-            raise ParseError(
-                "declarations must precede statements", token.line, token.column
-            )
-        if word in ("source", "vacuum"):
-            mode_token = self.peek()
-            mode = self.declared_mode()
-            self.expect_semi()
-            if mode in self.prepared:
-                raise ParseError(
-                    f"duplicate preparation of {mode}",
-                    mode_token.line,
-                    mode_token.column,
-                )
-            if mode in self.touched:
-                raise ParseError(
-                    f"preparation of {mode} after it was used",
-                    mode_token.line,
-                    mode_token.column,
-                )
-            self.prepared.add(mode)
-            self.statements.append(Source(mode) if word == "source" else Vacuum(mode))
-            return
-        if word == "bs" or word == "swap":
-            first = self.peek()
-            a = self.declared_mode()
-            second = self.peek()
-            b = self.declared_mode()
-            self.expect_semi()
-            if a == b:
-                raise ParseError(
-                    f"{word} needs two distinct modes", second.line, second.column
-                )
-            self.touched.update((a, b))
-            self.statements.append(Bs(a, b) if word == "bs" else Swap(a, b))
-            return
-        if word == "phase":
-            mode = self.declared_mode()
-            angle = self.take()
-            if angle.kind != "ident" or angle.text not in ("0", "pi"):
-                raise ParseError("expected phase literal 0 or pi", angle.line, angle.column)
-            self.expect_semi()
-            self.touched.add(mode)
-            self.statements.append(Phase(mode, 0 if angle.text == "0" else 1))
-            return
-        if word == "cnot":
-            control = self.declared_mode()
-            target = self.declared_ancilla()
-            self.expect_semi()
-            self.touched.update((control, target))
-            self.statements.append(CnotStmt(control, target))
-            return
+            raise self.fail("declarations must precede statements", offset)
+        key = word
         if word == "measure":
-            variable = self.take()
-            if variable.kind != "ident" or variable.text not in ("N", "Q", "P"):
-                raise ParseError(
-                    "expected measured variable N, Q or P", variable.line, variable.column
-                )
-            if variable.text == "N":
-                target = self.declared_mode()
-            else:
-                target = self.declared_ancilla()
-            kind = DisturbanceKind.NONDESTRUCTIVE
-            kind_token = self.peek()
-            if kind_token.kind == "ident" and kind_token.text in (
-                "nondestructive",
-                "destructive",
-            ):
-                self.take()
-                if variable.text != "N":
-                    raise ParseError(
-                        "disturbance kind applies only to occupation measurements",
-                        kind_token.line,
-                        kind_token.column,
+            at, variable = self.take()
+            if variable not in ("N", "Q", "P"):
+                raise self.fail("expected measured variable N, Q or P", at)
+            key = f"measure {variable}"
+        if key not in _STATEMENTS:
+            raise self.fail(f"unknown statement {word!r}", offset)
+        cls, kinds = _STATEMENTS[key]
+        values: list = []
+        targets = []
+        for kind in kinds:
+            if kind in ("mode", "ancilla"):
+                targets.append(self.declared(kind))
+                values.append(targets[-1][1])
+            elif kind == "angle":
+                at, angle = self.take()
+                if angle not in _ANGLES:
+                    raise self.fail("expected phase literal 0 or pi", at)
+                values.append(_ANGLES.index(angle))
+            elif kind == "kind":
+                disturbance = DisturbanceKind.NONDESTRUCTIVE
+                if self.peek() in _DISTURBANCES:
+                    disturbance = DisturbanceKind(self.take()[1])
+                values.append(disturbance)
+            elif kind == "as":
+                at, text = self.tokens[self.pos]
+                if text in _DISTURBANCES and cls in (MeasureQ, MeasureP):
+                    raise self.fail(
+                        "disturbance kind applies only to occupation measurements", at
                     )
-                kind = DisturbanceKind(kind_token.text)
-            as_token = self.take()
-            if as_token.kind != "ident" or as_token.text != "as":
-                raise ParseError("expected 'as'", as_token.line, as_token.column)
-            label = self.label()
-            self.expect_semi()
-            self.touched.add(target)
-            if variable.text == "N":
-                self.statements.append(MeasureN(target, kind, label))
-            elif variable.text == "Q":
-                self.statements.append(MeasureQ(target, label))
+                self.expect("as")
             else:
-                self.statements.append(MeasureP(target, label))
-            return
-        if word == "detect":
-            mode = self.declared_mode()
-            as_token = self.take()
-            if as_token.kind != "ident" or as_token.text != "as":
-                raise ParseError("expected 'as'", as_token.line, as_token.column)
-            label = self.label()
-            self.expect_semi()
-            self.touched.add(mode)
-            self.statements.append(Detect(mode, label))
-            return
-        raise ParseError(f"unknown statement {word!r}", token.line, token.column)
+                at, label = self.name("label")
+                if label in self.labels:
+                    raise self.fail(f"duplicate label {label}", at)
+                self.labels.add(label)
+                values.append(label)
+        self.expect(";")
+        names = [text for _, text in targets]
+        if cls is Source or cls is Vacuum:
+            at, mode = targets[0]
+            if mode in self.prepared:
+                raise self.fail(f"duplicate preparation of {mode}", at)
+            if mode in self.touched:
+                raise self.fail(f"preparation of {mode} after it was used", at)
+            self.prepared.add(mode)
+        else:
+            if len(set(names)) < len(names):
+                raise self.fail(f"{word} needs two distinct modes", targets[1][0])
+            self.touched.update(names)
+        return cls(*values)
 
 
 def parse(text: str) -> Program:
@@ -440,31 +357,19 @@ def render(program: Program) -> str:
     lines = []
     if program.modes:
         lines.append("mode " + " ".join(program.modes) + ";")
-    for ancilla in program.ancillas:
-        lines.append(f"ancilla {ancilla};")
+    lines += [f"ancilla {ancilla};" for ancilla in program.ancillas]
     for stmt in program.statements:
-        if isinstance(stmt, Source):
-            lines.append(f"source {stmt.mode};")
-        elif isinstance(stmt, Vacuum):
-            lines.append(f"vacuum {stmt.mode};")
-        elif isinstance(stmt, Bs):
-            lines.append(f"bs {stmt.a} {stmt.b};")
-        elif isinstance(stmt, Phase):
-            lines.append(f"phase {stmt.mode} {'pi' if stmt.s else '0'};")
-        elif isinstance(stmt, CnotStmt):
-            lines.append(f"cnot {stmt.control} {stmt.ancilla};")
-        elif isinstance(stmt, Swap):
-            lines.append(f"swap {stmt.a} {stmt.b};")
-        elif isinstance(stmt, MeasureN):
-            lines.append(f"measure N {stmt.mode} {stmt.kind.value} as {stmt.label};")
-        elif isinstance(stmt, MeasureQ):
-            lines.append(f"measure Q {stmt.ancilla} as {stmt.label};")
-        elif isinstance(stmt, MeasureP):
-            lines.append(f"measure P {stmt.ancilla} as {stmt.label};")
-        elif isinstance(stmt, Detect):
-            lines.append(f"detect {stmt.mode} as {stmt.label};")
-        else:
-            raise TypeError(f"unknown statement {stmt!r}")
+        keyword, kinds = _SYNTAX[type(stmt)]
+        values = iter(vars(stmt).values())
+        words = [keyword]
+        for kind in kinds:
+            value = "as" if kind == "as" else next(values)
+            if kind == "angle":
+                value = _ANGLES[value]
+            elif kind == "kind":
+                value = value.value
+            words.append(value)
+        lines.append(" ".join(words) + ";")
     return "\n".join(lines) + "\n"
 
 

@@ -58,8 +58,12 @@ def _print_distribution(
     width = max((len(k) for k in dist.probs), default=8)
     for label in sorted(dist.probs):
         p = dist.probs[label]
-        extra = f"  ({dist.counts[label]} shots)" if dist.counts else ""
-        print(f"{label.ljust(width)}  {_fraction_str(p).rjust(8)}  = {float(p):.6f}{extra}")
+        if dist.counts is None:
+            fraction, extra = _fraction_str(p), ""
+        else:  # unreduced, so every row of a run shares the shot count
+            count = dist.counts[label]
+            fraction, extra = f"{count}/{dist.shots}", f"  ({count} shots)"
+        print(f"{label.ljust(width)}  {fraction.rjust(8)}  = {float(p):.6f}{extra}")
 
 
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:

@@ -41,7 +41,15 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from toyfield import __version__
-from toyfield.circuits import GateStep, Program, ToyPlan, default_labeler, render
+from toyfield.circuits import (
+    GateStep,
+    Program,
+    ToyPlan,
+    default_labeler,
+    joint_to_labeled,
+    render,
+    run_toy_exact,
+)
 from toyfield.phase_space import RegisterShape
 from toyfield.toy_dynamics import _gate_kernel
 from toyfield.toy_dynamics import gate_table  # noqa: F401  the tracer test reads it (ROADMAP item 1)
@@ -342,23 +350,18 @@ def estimate(
     shots: int,
     seed: int,
     labeler: Callable[[dict[str, int]], str] | None = None,
-    exact: dict[str, Fraction] | None = None,
     scenario: str = "",
 ) -> FrequencyReport:
-    """:func:`run_experiment`'s counts compared with an exact reference.
+    """:func:`run_experiment`'s counts compared with the exact toy run.
 
     The z-score per label compares the empirical count with the exact
-    reference probability under the binomial null; the total-variation
-    distance summarizes the whole distribution.  ``exact`` defaults to the
-    exact toy run's distribution.  The report names the program by the
-    SHA-256 of its canonical text.
+    probability under the binomial null; the total-variation distance
+    summarizes the whole distribution.  The report names the program by
+    the SHA-256 of its canonical text.
     """
     labeler = labeler or default_labeler
     counts = run_experiment(plan, shots, seed, labeler)
-    if exact is None:
-        from toyfield.circuits import joint_to_labeled, run_toy_exact
-
-        exact = joint_to_labeled(run_toy_exact(plan), labeler)
+    exact = joint_to_labeled(run_toy_exact(plan), labeler)
     labels = set(counts) | set(exact)
     z_scores = {
         label: _z_score(counts.get(label, 0), shots, exact.get(label, Fraction(0)))
@@ -368,7 +371,7 @@ def estimate(
         abs(counts.get(label, 0) / shots - float(exact.get(label, Fraction(0))))
         for label in labels
     )
-    return FrequencyReport(scenario, shots, seed, counts, dict(exact), z_scores, tv,
+    return FrequencyReport(scenario, shots, seed, counts, exact, z_scores, tv,
                            program_sha256(plan.program))
 
 

@@ -89,14 +89,11 @@ class StateVector:
     """Amplitudes over the computational basis of a qubit register."""
 
     amps: tuple[complex, ...]
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         dim = len(self.amps)
         if dim not in (2, 4, 8):
             raise ValueError("supported dimensions are 2, 4 and 8")
-        if self.labels and len(self.labels) != dim:
-            raise ValueError("labels must match the dimension")
         if abs(self.norm() - 1.0) > 1e-9:
             raise ValueError("state vector must be normalized")
 
@@ -119,14 +116,14 @@ class StateVector:
         for a in self.amps:
             if abs(a) > _TOL:
                 factor = a.conjugate() / abs(a)
-                return StateVector(tuple(x * factor for x in self.amps), self.labels)
+                return StateVector(tuple(x * factor for x in self.amps))
         return self
 
 
-def basis_state(index: int, qubits: int, labels: tuple[str, ...] = ()) -> StateVector:
+def basis_state(index: int, qubits: int) -> StateVector:
     amps = [0j] * (1 << qubits)
     amps[index] = 1.0 + 0j
-    return StateVector(tuple(amps), labels)
+    return StateVector(tuple(amps))
 
 
 def states_close(a: StateVector, b: StateVector, tol: float = 1e-12) -> bool:
@@ -244,7 +241,7 @@ def apply_gate(state: StateVector, gate: QuantumGate, targets: Sequence[int]) ->
     norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
     if abs(norm - 1.0) > _TOL:
         raise AssertionError(f"norm drifted to {norm} after {gate.name}")
-    return StateVector(tuple(amps), state.labels)
+    return StateVector(tuple(amps))
 
 
 @dataclass(frozen=True)
@@ -303,7 +300,7 @@ def measure_subsystem(
         if prob <= tol:
             continue
         scale = 1.0 / math.sqrt(prob)
-        collapsed = StateVector(tuple(a * scale for a in projected), state.labels)
+        collapsed = StateVector(tuple(a * scale for a in projected))
         outcomes.append((k, prob, collapsed.canonicalized()))
     return outcomes
 
@@ -326,7 +323,7 @@ def reset_to_zero(state: StateVector, subsystem: int) -> StateVector:
     for index, a in enumerate(state.amps):
         if index & bit:
             amps[index & ~bit] = a
-    return StateVector(tuple(amps), state.labels)
+    return StateVector(tuple(amps))
 
 
 def translate_1q_to_2q(state: StateVector) -> StateVector:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from toyfield import automaton
 from toyfield.automaton import (
     CaPlan,
     WIRE_LENGTH,
@@ -178,6 +179,28 @@ class TestTimeReversal:
 
     def test_negative_control(self):
         assert not check_time_reversal("broken_oneway")
+
+
+class TestTimeReversalChecksTheRunningRules:
+    def test_one_way_phase_rule_is_caught(self, monkeypatch):
+        def one_way(states, binding, t, coin):
+            (n_a, phi_a), (n_b, phi_b) = states
+            return (n_b, phi_b ^ binding.parameter[1]), (n_a, phi_a)
+
+        monkeypatch.setitem(automaton._RULES, "phase", one_way)
+        assert not check_time_reversal("phase")
+
+    def test_splitter_acting_one_way_is_caught(self, monkeypatch):
+        def one_way(states, binding, t, coin):
+            l_in, r_in, l_out, r_out = states
+            return (l_out, r_out, *automaton._split(l_in, r_in))
+
+        monkeypatch.setitem(automaton._RULES, "beamsplitter", one_way)
+        assert not check_time_reversal("beamsplitter")
+
+    def test_random_rules_are_not_checked(self):
+        with pytest.raises(ValueError):
+            check_time_reversal("detector")
 
 
 class TestRuleTable:

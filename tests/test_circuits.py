@@ -1,5 +1,9 @@
 """Parser, renderer, compilation targets and plan execution."""
 
+import json
+import re
+from pathlib import Path
+
 import pytest
 from fractions import Fraction
 from hypothesis import given
@@ -116,6 +120,50 @@ class TestRender:
         )
         program = parse(text)
         assert parse(render(program)) == program
+
+
+_PARSE_CASES = json.loads(
+    (Path(__file__).parent / "golden" / "parse_cases.json").read_text(encoding="utf-8")
+)
+
+
+_PARSE_MESSAGES = [
+    r"unexpected character '.*'", r"expected ';'", r"expected mode name",
+    r"expected ancilla name", r"expected label", r"expected at least one mode name",
+    r"duplicate declaration of \S+", r"expected a statement",
+    r"declarations must precede statements", r"\S+ is an ancilla, not a mode",
+    r"\S+ is a mode, not an ancilla", r"unknown identifier \S+",
+    r"duplicate preparation of \S+", r"preparation of \S+ after it was used",
+    r"bs needs two distinct modes", r"swap needs two distinct modes",
+    r"expected phase literal 0 or pi", r"expected measured variable N, Q or P",
+    r"disturbance kind applies only to occupation measurements", r"expected 'as'",
+    r"duplicate label \S+", r"unknown statement '\S+'",
+]
+
+
+class TestGoldenParse:
+    """The recorded texts parse to the same programs, rendered byte for
+    byte, or fail with the same message at the same line and column."""
+
+    def test_every_case_replays(self):
+        wrong = []
+        for case in _PARSE_CASES:
+            try:
+                got = render(parse(case["text"]))
+                if got == case.get("render") and parse(got) == parse(case["text"]):
+                    continue
+            except ParseError as err:
+                got = [str(err).split(": ", 1)[1], err.line, err.column]
+                if got == case.get("error"):
+                    continue
+            wrong.append((case, got))
+        assert not wrong, f"{len(wrong)} cases differ, first: {wrong[:3]}"
+
+    def test_corpus_reaches_every_message(self):
+        messages = [c["error"][0] for c in _PARSE_CASES if "error" in c]
+        for pattern in _PARSE_MESSAGES:
+            assert any(re.fullmatch(pattern, m) for m in messages), pattern
+        assert sum("render" in c for c in _PARSE_CASES) > 300
 
 
 _NAMES = st.sampled_from(["L", "R", "E", "m1", "m2"])

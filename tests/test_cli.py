@@ -87,6 +87,20 @@ class TestRun:
         assert code == 0
         assert json.loads(out)["counts"] == {"detector_L": 500}
 
+    @pytest.mark.parametrize("engine", ["montecarlo", "ca"])
+    def test_sampled_table_rows_share_the_shot_count(self, capsys, engine):
+        code, out, _ = run_cli(
+            capsys, "run", "mzi_whichway", "--engine", engine,
+            "--shots", "1000", "--seed", "3",
+        )
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()]
+        fractions = [next(w for w in row if "/" in w) for row in rows]
+        assert len(fractions) == 4
+        for row, fraction in zip(rows, fractions):
+            count, shots = fraction.split("/")
+            assert shots == "1000" and f"({count}" in row
+
     def test_sampled_json_names_its_provenance(self, capsys, tmp_path):
         from toyfield.montecarlo import RNG_SCHEME
 
