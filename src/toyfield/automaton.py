@@ -11,9 +11,10 @@ every device group on an even step.
 
 Devices replace the free rule of their cell group at even steps only:
 
-* splitter across the wires at cells (4,5) and (12,13): the interferometric
-  update on the two input cells when exactly one is occupied, plain
-  transfer otherwise, identically in both travel directions;
+* splitter across the wires at cells (4,5) and (12,13): the register's
+  splitter gate, :func:`toyfield.toy_dynamics.beamsplitter_rule`, on the two
+  input cells (the interferometric update when exactly one is occupied,
+  plain transfer otherwise), identically in both travel directions;
 * phase shifter or detector on the R wire at cells (8,9); a nondestructive
   detector passes the occupation and draws both boundary phases fresh, a
   destructive one (a trigger, a brick) leaves both cells as vacuum with
@@ -61,7 +62,7 @@ from toyfield.circuits import (
     Vacuum,
 )
 from toyfield.montecarlo import _shot_words, _tally, derive_seed
-from toyfield.toy_dynamics import beamsplitter_formula
+from toyfield.toy_dynamics import beamsplitter_rule
 from toyfield.toy_measurement import DisturbanceKind
 
 __all__ = [
@@ -216,16 +217,9 @@ def plan_from_program(program: Program) -> CaPlan:
 Pair = tuple[int, int]  # (n, phi)
 
 
-def _select(flag, a, b):
-    """``a`` where ``flag`` is 1, ``b`` where it is 0, for bits or bit columns."""
-    return b ^ (flag & (a ^ b))
-
-
 def _split(left: Pair, right: Pair) -> tuple[Pair, Pair]:
-    """Splitter transfer across the wires; passive without an excitation."""
-    flag = left[0] ^ right[0]
-    moved = beamsplitter_formula(*left, *right)
-    n_l, phi_l, n_r, phi_r = (_select(flag, a, b) for a, b in zip(moved, (*left, *right)))
+    """Splitter transfer across the wires: the register's splitter gate."""
+    n_l, phi_l, n_r, phi_r = beamsplitter_rule(*left, *right)
     return (n_l, phi_l), (n_r, phi_r)
 
 

@@ -37,7 +37,7 @@ from functools import lru_cache
 from typing import Callable, Union
 
 from toyfield import quantum
-from toyfield.phase_space import EpistemicState, RegisterShape
+from toyfield.phase_space import EpistemicState, RegisterShape, prepared
 from toyfield.toy_dynamics import (
     Beamsplitter,
     Cnot,
@@ -455,24 +455,12 @@ def compile_toy(program: Program) -> ToyPlan:
     sequence of permutation gates and measurement steps."""
     steps = _lower(program)
     shape = RegisterShape(len(program.modes), len(program.ancillas))
-    sourced = {
-        program.modes.index(s.mode) for s in program.statements if isinstance(s, Source)
-    }
-    # Unprepared modes default to the vacuum; ancillas start with q known 0.
-    support = {0}
-    for m in sourced:
-        bit = 1 << shape.occupation_slot(m)
-        support = {x | bit for x in support}
-    for m in range(shape.modes):
-        phi = 1 << shape.phase_slot(m)
-        support |= {x ^ phi for x in support}
-    for j in range(shape.ancillas):
-        p = 1 << shape.momentum_slot(j)
-        support |= {x ^ p for x in support}
+    sourced = [program.modes.index(s.mode) for s in program.statements if isinstance(s, Source)]
     for step in steps:
         if isinstance(step, GateStep):
             gate_image(step.gate, shape)  # verifies the permutation up front
-    return ToyPlan(program, shape, EpistemicState(shape, frozenset(support)), steps)
+    # Unprepared modes default to the vacuum; ancillas start with q known 0.
+    return ToyPlan(program, shape, prepared(shape, sourced), steps)
 
 
 def compile_quantum(program: Program) -> QuantumPlan:

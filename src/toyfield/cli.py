@@ -1,10 +1,12 @@
 """Command-line frontend: run scenarios or programs, check claims, draw grids.
 
 Exit codes: 0 success, 1 check failure, 2 usage error (a bad --steps list,
---shots < 1, --seed < 0 or grids off the toy engine among them), 3
-parse/compile error, a register the grids cannot draw, or a quantum result
-that is not dyadic.  Sampled engines require explicit --shots and
---seed; there is no environment fallback for seeds by design.
+--shots < 1, --seed < 0, grids off the toy engine, a target path that cannot
+be read or a scenario flag the target does not take among them), 3
+parse/compile error (text that is not UTF-8 among them), a register the
+grids cannot draw, or a quantum result that is not dyadic.  Sampled engines
+require explicit --shots and --seed; there is no environment fallback for
+seeds by design.
 """
 
 from __future__ import annotations
@@ -66,33 +68,46 @@ def _print_distribution(
         print(f"{label.ljust(width)}  {fraction.rjust(8)}  = {float(p):.6f}{extra}")
 
 
+class _UsageError(Exception):
+    """A target or flag the command cannot take; exit code 2."""
+
+
 def _scenario_from_args(args: argparse.Namespace) -> Scenario:
-    """The named scenario, or a program file (``-`` for stdin) under the default labeler."""
-    if args.target not in scenarios.SCENARIO_NAMES:
+    """The named scenario, or a program file (``-`` for stdin) under the default labeler.
+
+    Raises :class:`_UsageError` for a scenario flag the target does not take;
+    program files take none.
+    """
+    takes = scenarios.SCENARIO_PARAMS.get(args.target, ())
+    params = {
+        name: getattr(args, name)
+        for names in scenarios.SCENARIO_PARAMS.values()
+        for name in names
+        if getattr(args, name) is not None
+    }
+    for name, value in params.items():
+        if name not in takes:
+            flag = "--faulty" if value is False else "--" + name.replace("_", "-")
+            raise _UsageError(f"{flag} does not apply to {args.target}")
+    if args.target not in scenarios.SCENARIO_PARAMS:
         return Scenario(args.target, (), _load_program(args.target), circuits.default_labeler)
-    params: dict = {}
-    if args.phase is not None:
-        params["phase"] = args.phase
-    if args.kind is not None:
-        params["kind"] = args.kind
-    if args.functional is not None:
-        params["functional"] = args.functional
-    if args.choice is not None:
-        params["choice"] = args.choice
-    if args.timing is not None:
-        params["timing"] = args.timing
-    if args.basis is not None:
-        params["basis"] = args.basis
-    if args.ancilla_timing is not None:
-        params["ancilla_timing"] = args.ancilla_timing
     return scenarios.scenario_by_name(args.target, **params)
 
 
 def _load_program(target: str) -> Program:
-    if target == "-":
-        return circuits.parse(sys.stdin.read())
-    with open(target, "r", encoding="utf-8") as handle:
-        return circuits.parse(handle.read())
+    """Parse the file at ``target``, or stdin for ``-``.  A path that cannot be
+    read raises :class:`_UsageError`; text that is not UTF-8, ``CompileError``."""
+    try:
+        if target == "-":
+            text = sys.stdin.read()
+        else:
+            with open(target, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except OSError as error:
+        raise _UsageError(str(error)) from error
+    except UnicodeDecodeError as error:
+        raise CompileError(f"{target} is not UTF-8 text: {error}") from error
+    return circuits.parse(text)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -391,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, CompileError, CapabilityError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 3
-    except FileNotFoundError as error:
+    except _UsageError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

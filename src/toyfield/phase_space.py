@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Sequence
 
 __all__ = [
     "AncillaState",
@@ -41,6 +41,7 @@ __all__ = [
     "make_occupied",
     "make_vacuum",
     "marginal",
+    "prepared",
     "product",
     "randomize",
 ]
@@ -90,11 +91,6 @@ class RegisterShape:
     def momentum_slot(self, ancilla: int) -> int:
         self._check_ancilla(ancilla)
         return 2 * (self.modes + ancilla) + 1
-
-    def subsystem_slots(self, subsystem: int) -> tuple[int, int]:
-        if not 0 <= subsystem < self.subsystems:
-            raise IndexError(f"subsystem index {subsystem} out of range")
-        return 2 * subsystem, 2 * subsystem + 1
 
     def _check_mode(self, mode: int) -> None:
         if not 0 <= mode < self.modes:
@@ -246,10 +242,6 @@ class EpistemicState:
         """Weight of each supported physical state."""
         return Fraction(1, len(self.support))
 
-    def states(self) -> Iterator[PhysicalState]:
-        for index in sorted(self.support):
-            yield PhysicalState.from_index(index, self.shape)
-
     def support_bits(self) -> tuple[tuple[int, ...], ...]:
         return tuple(
             sorted(unpack_bits(x, self.shape.bit_count) for x in self.support)
@@ -362,32 +354,30 @@ def is_valid(state: EpistemicState) -> ValidityReport:
     return ValidityReport(True)
 
 
+def prepared(shape: RegisterShape, occupied: Sequence[int] = ()) -> EpistemicState:
+    """Knowledge state: N fixed to 1 on the listed modes and to 0 on the
+    others, every ancilla's q fixed to 0, every phase and momentum uniform."""
+    support = {0}
+    for m in occupied:
+        support = {x | (1 << shape.occupation_slot(m)) for x in support}
+    for slot in range(1, shape.bit_count, 2):  # the phase and momentum bits
+        support |= {x ^ (1 << slot) for x in support}
+    return EpistemicState(shape, frozenset(support))
+
+
 def make_occupied(mode_count: int, occupied_index: int) -> EpistemicState:
     """Knowledge state: N fixed to 1 on one mode, 0 elsewhere, phases uniform."""
     shape = RegisterShape(mode_count)
     if not 0 <= occupied_index < mode_count:
         raise IndexError(f"occupied mode {occupied_index} out of range")
-    support = set()
-    for phases in range(1 << mode_count):
-        index = 1 << shape.occupation_slot(occupied_index)
-        for m in range(mode_count):
-            index |= ((phases >> m) & 1) << shape.phase_slot(m)
-        support.add(index)
-    return EpistemicState(shape, frozenset(support))
+    return prepared(shape, (occupied_index,))
 
 
 def make_vacuum(mode_count: int) -> EpistemicState:
     """Knowledge state: every mode unoccupied surely, all phases uniform."""
     if mode_count < 1:
         raise ValueError("mode_count must be at least 1")
-    shape = RegisterShape(mode_count)
-    support = set()
-    for phases in range(1 << mode_count):
-        index = 0
-        for m in range(mode_count):
-            index |= ((phases >> m) & 1) << shape.phase_slot(m)
-        support.add(index)
-    return EpistemicState(shape, frozenset(support))
+    return prepared(RegisterShape(mode_count))
 
 
 def make_ancilla(q: int = 0) -> EpistemicState:

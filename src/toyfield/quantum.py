@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 __all__ = [
@@ -202,31 +203,20 @@ def swap_unitary() -> QuantumGate:
     return QuantumGate("swap", matrix)
 
 
-def _apply_one(amps: Sequence[complex], matrix: Matrix, target: int, qubits: int) -> list[complex]:
+def _apply(amps: Sequence[complex], matrix: Matrix, targets: Sequence[int]) -> list[complex]:
+    """``matrix`` on the target qubits; the first target is the matrix's lowest bit."""
+    # offsets[row]: the basis-index bits of the targets in matrix row ``row``
+    offsets = [0]
+    for target in targets:
+        offsets += [offset | (1 << target) for offset in offsets]
     out = list(amps)
-    bit = 1 << target
-    for index in range(1 << qubits):
-        if index & bit:
+    for index in range(len(amps)):
+        if index & offsets[-1]:
             continue
-        a0 = amps[index]
-        a1 = amps[index | bit]
-        out[index] = matrix[0][0] * a0 + matrix[0][1] * a1
-        out[index | bit] = matrix[1][0] * a0 + matrix[1][1] * a1
-    return out
-
-
-def _apply_two(
-    amps: Sequence[complex], matrix: Matrix, t0: int, t1: int, qubits: int
-) -> list[complex]:
-    out = list(amps)
-    b0, b1 = 1 << t0, 1 << t1
-    for index in range(1 << qubits):
-        if index & (b0 | b1):
-            continue
-        block = (index, index | b0, index | b1, index | b0 | b1)
-        old = tuple(amps[i] for i in block)
-        for row in range(4):
-            out[block[row]] = sum(matrix[row][col] * old[col] for col in range(4))
+        block = [index | offset for offset in offsets]
+        old = [amps[i] for i in block]
+        for i, row in zip(block, matrix):
+            out[i] = sum(map(mul, row, old))
     return out
 
 
@@ -234,10 +224,7 @@ def apply_gate(state: StateVector, gate: QuantumGate, targets: Sequence[int]) ->
     """Apply the gate to the listed subsystems (bit positions)."""
     if len(targets) != gate.arity:
         raise ValueError(f"gate {gate.name!r} expects {gate.arity} targets")
-    if gate.arity == 1:
-        amps = _apply_one(state.amps, gate.matrix, targets[0], state.qubits)
-    else:
-        amps = _apply_two(state.amps, gate.matrix, targets[0], targets[1], state.qubits)
+    amps = _apply(state.amps, gate.matrix, targets)
     norm = math.sqrt(sum(abs(a) ** 2 for a in amps))
     if abs(norm - 1.0) > _TOL:
         raise AssertionError(f"norm drifted to {norm} after {gate.name}")

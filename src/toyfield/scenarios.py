@@ -274,14 +274,15 @@ def scenario_by_name(name: str, **params) -> Scenario:
     raise KeyError(f"unknown scenario {name!r}")
 
 
-SCENARIO_NAMES = (
-    "mzi_phase",
-    "mzi_whichway",
-    "bomb_tester",
-    "delayed_choice",
-    "quantum_eraser",
-    "mirror_removed",
-)
+# Each scenario's name -> the parameter names :func:`scenario_by_name` reads for it.
+SCENARIO_PARAMS = {
+    "mzi_phase": ("phase",),
+    "mzi_whichway": ("kind",),
+    "bomb_tester": ("functional",),
+    "delayed_choice": ("choice", "timing"),
+    "quantum_eraser": ("basis", "ancilla_timing"),
+    "mirror_removed": (),
+}
 
 
 def all_variants() -> Iterator[Scenario]:

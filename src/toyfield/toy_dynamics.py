@@ -20,15 +20,17 @@ the formula only when exactly one input is occupied (N_a + N_b = 1) and acts
 as the identity otherwise.  Without this, a pair of unoccupied inputs with
 odd relative phase would be mapped to a doubly occupied pair, producing
 detector clicks out of vacuum in the bomb-tester and removed-mirror
-arrangements.  The raw formula is kept as :func:`beamsplitter_formula` for
-the algebraic identities it satisfies on all sixteen two-mode states.
+arrangements.  :func:`beamsplitter_rule` is the one copy of this condition;
+the wire automaton's splitter calls it too.  The raw formula is kept as
+:func:`beamsplitter_formula` for the algebraic identities it satisfies on
+all sixteen two-mode states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import Callable, Union
 
 from toyfield.phase_space import (
     EpistemicState,
@@ -49,6 +51,7 @@ __all__ = [
     "apply_phase_shift",
     "apply_swap",
     "beamsplitter_formula",
+    "beamsplitter_rule",
     "beamsplitter_swap_rule",
     "gate_image",
     "gate_table",
@@ -121,59 +124,48 @@ def beamsplitter_swap_rule(n_a: int, phi_a: int, n_b: int, phi_b: int) -> tuple[
     return (n_a_out, phi_a_out, n_b_out, phi_b)
 
 
-def _mode_bits(index: int, shape: RegisterShape, mode: int) -> tuple[int, int]:
-    n_slot = shape.occupation_slot(mode)
-    return (index >> n_slot) & 1, (index >> (n_slot + 1)) & 1
+def beamsplitter_rule(n_a, phi_a, n_b, phi_b):
+    """The splitter gate: :func:`beamsplitter_formula` where exactly one
+    input is occupied, the identity elsewhere.
+
+    The formula flips N_a, Phi_a and N_b together, by N_a + Phi_a + Phi_b,
+    so the gate is that flip gated by N_a + N_b.  Branch-free: the bits are
+    ints or equal-length uint8 columns.
+    """
+    flip = (n_a ^ n_b) & (n_a ^ phi_a ^ phi_b)
+    return n_a ^ flip, phi_a ^ flip, n_b ^ flip, phi_b
 
 
-def _set_mode_bits(index: int, shape: RegisterShape, mode: int, n: int, phi: int) -> int:
-    n_slot = shape.occupation_slot(mode)
-    index &= ~(0b11 << n_slot)
-    return index | (n << n_slot) | (phi << (n_slot + 1))
+def _local_rule(gate: ToyGate, shape: RegisterShape) -> tuple[tuple[int, ...], Callable]:
+    """``(slots, rule)``: the bit slots the gate reads and writes, and its map
+    from their bits to their new bits, in slot order.
 
+    Raises ``IndexError`` for a mode or ancilla outside the register.
+    """
+    def mode_slots(*modes: int) -> tuple[int, ...]:
+        return tuple(s for m in modes for s in (shape.occupation_slot(m), shape.phase_slot(m)))
 
-def _apply_beamsplitter_index(index: int, shape: RegisterShape, a: int, b: int) -> int:
-    n_a, phi_a = _mode_bits(index, shape, a)
-    n_b, phi_b = _mode_bits(index, shape, b)
-    if n_a ^ n_b == 0:
-        return index
-    n_a, phi_a, n_b, phi_b = beamsplitter_formula(n_a, phi_a, n_b, phi_b)
-    index = _set_mode_bits(index, shape, a, n_a, phi_a)
-    return _set_mode_bits(index, shape, b, n_b, phi_b)
-
-
-def _apply_phase_shift_index(index: int, shape: RegisterShape, mode: int, s: int) -> int:
-    return index ^ (s << shape.phase_slot(mode))
-
-
-def _apply_cnot_index(index: int, shape: RegisterShape, control: int, ancilla: int) -> int:
-    n, _ = _mode_bits(index, shape, control)
-    p = (index >> shape.momentum_slot(ancilla)) & 1
-    index ^= p << shape.phase_slot(control)
-    index ^= n << shape.coordinate_slot(ancilla)
-    return index
-
-
-def _apply_swap_index(index: int, shape: RegisterShape, a: int, b: int) -> int:
-    n_a, phi_a = _mode_bits(index, shape, a)
-    n_b, phi_b = _mode_bits(index, shape, b)
-    index = _set_mode_bits(index, shape, a, n_b, phi_b)
-    return _set_mode_bits(index, shape, b, n_a, phi_a)
+    if isinstance(gate, Beamsplitter):
+        return mode_slots(gate.a, gate.b), beamsplitter_rule
+    if isinstance(gate, SwapModes):
+        return mode_slots(gate.a, gate.b), lambda n_a, phi_a, n_b, phi_b: (n_b, phi_b, n_a, phi_a)
+    if isinstance(gate, PhaseShift):
+        return (shape.phase_slot(gate.mode),), lambda phi: (phi ^ gate.s,)
+    if isinstance(gate, Cnot):
+        ancilla = (shape.coordinate_slot(gate.ancilla), shape.momentum_slot(gate.ancilla))
+        # the marker copies N into q; its back-action shifts Phi by p
+        return mode_slots(gate.control) + ancilla, lambda n, phi, q, p: (n, phi ^ p, q ^ n, p)
+    if isinstance(gate, Identity):
+        return (), lambda: ()
+    raise TypeError(f"unknown gate {gate!r}")
 
 
 def apply_gate_index(gate: ToyGate, index: int, shape: RegisterShape) -> int:
     """Apply a gate to a packed physical-state index."""
-    if isinstance(gate, Beamsplitter):
-        return _apply_beamsplitter_index(index, shape, gate.a, gate.b)
-    if isinstance(gate, PhaseShift):
-        return _apply_phase_shift_index(index, shape, gate.mode, gate.s)
-    if isinstance(gate, Cnot):
-        return _apply_cnot_index(index, shape, gate.control, gate.ancilla)
-    if isinstance(gate, SwapModes):
-        return _apply_swap_index(index, shape, gate.a, gate.b)
-    if isinstance(gate, Identity):
-        return index
-    raise TypeError(f"unknown gate {gate!r}")
+    slots, rule = _local_rule(gate, shape)
+    for slot, bit in zip(slots, rule(*((index >> slot) & 1 for slot in slots))):
+        index = (index & ~(1 << slot)) | (bit << slot)
+    return index
 
 
 def apply_gate(gate: ToyGate, state: PhysicalState) -> PhysicalState:
@@ -200,18 +192,6 @@ def apply_swap(state: PhysicalState, a: int, b: int) -> PhysicalState:
     return apply_gate(SwapModes(a, b), state)
 
 
-def _touched_subsystems(gate: ToyGate, shape: RegisterShape) -> tuple[int, ...]:
-    if isinstance(gate, (Beamsplitter, SwapModes)):
-        return (gate.a, gate.b)
-    if isinstance(gate, PhaseShift):
-        return (gate.mode,)
-    if isinstance(gate, Cnot):
-        return (gate.control, shape.modes + gate.ancilla)
-    if isinstance(gate, Identity):
-        return ()
-    raise TypeError(f"unknown gate {gate!r}")
-
-
 @lru_cache(maxsize=None)
 def _gate_kernel(gate: ToyGate, shape: RegisterShape) -> tuple[int, int, tuple[int, ...]]:
     """``(shift0, shift1, deltas)``: the gate maps ``x`` to
@@ -223,7 +203,8 @@ def _gate_kernel(gate: ToyGate, shape: RegisterShape) -> tuple[int, int, tuple[i
     ``ValueError`` unless they permute the patterns and write only the
     touched bits, which makes the gate a permutation of the whole register.
     """
-    shifts = [shape.subsystem_slots(s)[0] for s in _touched_subsystems(gate, shape)]
+    slots, _ = _local_rule(gate, shape)
+    shifts = list(dict.fromkeys(slot & ~1 for slot in slots))  # touched subsystems' first bits
     points = [0]  # local pattern i at index i: first subsystem in the low bits
     for shift in shifts:
         points = [x | (bits << shift) for bits in range(4) for x in points]

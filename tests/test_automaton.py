@@ -23,6 +23,7 @@ from toyfield.automaton import (
 )
 from toyfield.circuits import CapabilityError
 from toyfield.montecarlo import derive_seed
+from toyfield.phase_space import RegisterShape
 from toyfield.scenarios import (
     all_variants,
     bomb_tester,
@@ -30,7 +31,7 @@ from toyfield.scenarios import (
     mzi_whichway,
     run_scenario,
 )
-from toyfield.toy_dynamics import beamsplitter_formula
+from toyfield.toy_dynamics import Beamsplitter, apply_gate_index, beamsplitter_formula
 from toyfield.toy_measurement import DisturbanceKind
 
 PLAIN = plan_from_program(mzi_phase(0).program)
@@ -94,6 +95,15 @@ class TestPropagation:
         out = advance(cells, 4, PLAIN, coins(3))
         assert out["L5"] == (0, 1)
         assert out["R5"] == (0, 0)
+
+    def test_splitter_is_the_registers_splitter_gate(self):
+        # cells (n, phi) of L then R are modes 0 and 1 of a two-mode register
+        for x in range(16):
+            left, right = (x & 1, (x >> 1) & 1), ((x >> 2) & 1, (x >> 3) & 1)
+            (n_l, phi_l), (n_r, phi_r) = automaton._split(left, right)
+            assert n_l | (phi_l << 1) | (n_r << 2) | (phi_r << 3) == apply_gate_index(
+                Beamsplitter(0, 1), x, RegisterShape(2)
+            )
 
     def test_trace_format(self):
         trace: list[str] = []

@@ -189,6 +189,86 @@ class TestRun:
         assert err.value.code == 2
 
 
+class TestUnreadableTarget:
+    """A path that cannot be read is a usage error; text that is not UTF-8
+    is a program that does not parse."""
+
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    def test_directory_exits_two(self, capsys, tmp_path, command):
+        code, out, err = run_cli(capsys, command, str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    def test_non_utf8_file_exits_three(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.mzi"
+        path.write_bytes(b"mode L R;\xff\n")
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "UTF-8" in err
+
+    def test_non_utf8_stdin_exits_three(self, capsys, monkeypatch):
+        import io
+
+        stdin = io.TextIOWrapper(io.BytesIO(b"mode L R;\xff\n"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run_cli(capsys, "run", "-")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "UTF-8" in err
+
+
+SCENARIO_FLAGS = {
+    "mzi_phase": ["--phase", "pi"],
+    "mzi_whichway": ["--kind", "destructive"],
+    "bomb_tester": ["--faulty"],
+    "delayed_choice": ["--choice", "phasepi", "--timing", "before"],
+    "quantum_eraser": ["--basis", "Q", "--ancilla-timing", "before"],
+    "mirror_removed": [],
+}
+
+
+class TestScenarioFlags:
+    """A scenario flag the target does not take is refused, naming the flag;
+    program files take none."""
+
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    @pytest.mark.parametrize("target", sorted(SCENARIO_FLAGS))
+    def test_each_scenario_takes_its_own_flags(self, capsys, command, target):
+        code, out, _ = run_cli(capsys, command, target, *SCENARIO_FLAGS[target])
+        assert code == 0
+        assert out
+
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    @pytest.mark.parametrize(
+        "target, flags, named",
+        [
+            ("bomb_tester", ["--phase", "pi", "--basis", "Q", "--timing", "before"], "--phase"),
+            ("mzi_phase", ["--faulty"], "--faulty"),
+            ("mzi_whichway", ["--kind", "destructive", "--functional"], "--functional"),
+            ("mirror_removed", ["--ancilla-timing", "before"], "--ancilla-timing"),
+        ],
+    )
+    def test_a_flag_the_scenario_does_not_take_exits_two(
+        self, capsys, command, target, flags, named
+    ):
+        code, out, err = run_cli(capsys, command, target, *flags)
+        assert code == 2
+        assert out == ""
+        assert named in err
+
+    @pytest.mark.parametrize("command", ["run", "grid"])
+    def test_program_file_takes_no_flags(self, capsys, tmp_path, command):
+        path = tmp_path / "prog.mzi"
+        path.write_text("mode L R; source L; vacuum R; bs L R; detect L as dl; detect R as dr;")
+        code, out, err = run_cli(capsys, command, str(path), "--kind", "destructive")
+        assert code == 2
+        assert out == ""
+        assert "--kind" in err
+
+
 class TestGrid:
     def test_initial_pattern(self, capsys):
         code, out, _ = run_cli(capsys, "grid", "mzi_phase", "--phase", "0",

@@ -25,6 +25,7 @@ from toyfield.toy_dynamics import (
     apply_phase_shift,
     apply_swap,
     beamsplitter_formula,
+    beamsplitter_rule,
     beamsplitter_swap_rule,
     gate_image,
     gate_table,
@@ -79,6 +80,22 @@ class TestBeamsplitter:
         # doubly occupied pair.
         assert apply_beamsplitter(ps(0, 1, 0, 0), 0, 1) == ps(0, 1, 0, 0)
         assert apply_beamsplitter(ps(0, 0, 0, 1), 0, 1) == ps(0, 0, 0, 1)
+
+    def test_rule_is_the_formula_where_one_input_is_occupied(self):
+        for index in range(16):
+            bits = tuple((index >> k) & 1 for k in range(4))
+            single = bits[0] ^ bits[2]
+            assert beamsplitter_rule(*bits) == (beamsplitter_formula(*bits) if single else bits)
+
+    def test_rule_on_columns_equals_the_scalar_rule_per_lane(self):
+        import numpy as np
+
+        lanes = np.arange(16, dtype=np.uint8)
+        columns = beamsplitter_rule(*((lanes >> k) & 1 for k in range(4)))
+        assert all(column.dtype == np.uint8 and column.shape == (16,) for column in columns)
+        for lane in range(16):
+            bits = tuple((lane >> k) & 1 for k in range(4))
+            assert tuple(int(column[lane]) for column in columns) == beamsplitter_rule(*bits)
 
     def test_raw_formula_creates_pairs_off_sector(self):
         # The raw algebraic map, by contrast, swaps occupation with the
