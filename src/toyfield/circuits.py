@@ -29,14 +29,11 @@ returns joint distributions over the declared labels.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Union
 
-from toyfield import quantum
 from toyfield.phase_space import EpistemicState, RegisterShape, prepared
 from toyfield.toy_dynamics import (
     Beamsplitter,
@@ -409,7 +406,7 @@ class ToyPlan:
 @dataclass(frozen=True)
 class QuantumPlan:
     program: Program
-    initial: quantum.StateVector
+    initial: tuple[list[int], list[int], int]  # a branch of the exact kernel, quantum.ExactState
     steps: tuple[Step, ...]
 
 
@@ -464,7 +461,10 @@ def compile_toy(program: Program) -> ToyPlan:
 
 
 def compile_quantum(program: Program) -> QuantumPlan:
-    """Lower a program to the state-vector engine (modes then ancillas)."""
+    """Lower a program to the state-vector engine (modes then ancillas),
+    starting from the exact kernel's basis state."""
+    from toyfield import quantum
+
     steps = _lower(program)
     qubits = len(program.modes) + len(program.ancillas)
     if qubits > 3:
@@ -473,7 +473,7 @@ def compile_quantum(program: Program) -> QuantumPlan:
     for stmt in program.statements:
         if isinstance(stmt, Source):
             start_index |= 1 << program.modes.index(stmt.mode)
-    return QuantumPlan(program, quantum.basis_state(start_index, qubits), steps)
+    return QuantumPlan(program, quantum.exact_start(start_index, qubits), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -508,15 +508,17 @@ def branches(start, steps, apply, measure):
         yield step, current
 
 
-def _joint(start, steps, apply, measure) -> dict:
-    """Total weight per label assignment over the final branches."""
+def _joint(start, steps, apply, measure, weight=lambda w, state: w) -> dict:
+    """Total weight per label assignment over the final branches, reading
+    each final branch's weight as ``weight(w, state)``."""
     final = start
     for _, final in branches(start, steps, apply, measure):
         pass
     joint: dict = {}
-    for w, _, events in final:
+    for w, state, events in final:
         key = tuple(sorted(events.items()))
-        joint[key] = joint.get(key, 0) + w
+        w = weight(w, state)
+        joint[key] = joint[key] + w if key in joint else w
     return joint
 
 
@@ -536,10 +538,13 @@ def run_toy_exact(plan: ToyPlan) -> JointDistribution:
 
 
 def snap_dyadic(p: float, tol: float = 1e-9, denominator: int = 64) -> Fraction:
-    """Snap a float probability to the nearest dyadic rational.
+    """Snap a float probability to the nearest multiple of ``1/denominator``.
 
-    All exact outcome probabilities in this package are multiples of 1/64 or
-    coarser; a float farther than ``tol`` from such a rational is an error.
+    For float results, such as ``quantum.measure_subsystem``'s Born
+    probabilities, checked against dyadic ones; a float farther than ``tol``
+    from such a multiple is an error.  Program runs need no snapping:
+    :func:`run_quantum_exact` computes every weight exactly, at any
+    denominator.
     """
     candidate = Fraction(round(p * denominator), denominator)
     if abs(p - float(candidate)) > tol:
@@ -547,55 +552,46 @@ def snap_dyadic(p: float, tol: float = 1e-9, denominator: int = 64) -> Fraction:
     return candidate
 
 
-_BASES = {
-    "N": quantum.OCCUPATION_BASIS,
-    "Q": quantum.ANCILLA_Q_BASIS,
-    "P": quantum.ANCILLA_P_BASIS,
-}
-
-
-@lru_cache(maxsize=None)  # the 3-subsystem cap leaves a few dozen keys
-def _unitary(gate: ToyGate, modes: int) -> tuple[quantum.QuantumGate, tuple[int, ...]]:
-    """The state-vector gate and target bits of a toy gate on a register
+def _kernel_gate(gate: ToyGate, modes: int) -> tuple[str, tuple[int, ...]]:
+    """The exact kernel's name and target bits of a toy gate on a register
     of ``modes`` modes followed by its ancillas."""
     if isinstance(gate, Beamsplitter):
-        return quantum.bs_unitary("second"), (gate.a, gate.b)
+        return "bs", (gate.a, gate.b)
     if isinstance(gate, PhaseShift):
-        return quantum.phase_unitary(math.pi * gate.s, "second"), (gate.mode,)
+        return ("pi" if gate.s else "id"), (gate.mode,)
     if isinstance(gate, Cnot):
-        return quantum.cnot_unitary("second"), (gate.control, modes + gate.ancilla)
+        return "cnot", (gate.control, modes + gate.ancilla)
     if isinstance(gate, SwapModes):
-        return quantum.swap_unitary(), (gate.a, gate.b)
+        return "swap", (gate.a, gate.b)
     raise CompileError(f"no state-vector counterpart for {gate!r}")
 
 
-def run_quantum_exact(plan: QuantumPlan, tol: float = 1e-9) -> JointDistribution:
-    """Joint distribution from the state-vector engine, exactified.
+def run_quantum_exact(plan: QuantumPlan) -> JointDistribution:
+    """Joint distribution from the state-vector engine, computed exactly.
 
-    Branch weights are Born probabilities; the aggregated label weights are
-    snapped to dyadic rationals (failing loudly if any is farther than
-    ``tol`` from one).
+    Each branch is an unnormalized amplitude vector over Z[sqrt(2)] with one
+    scale exponent (``quantum.exact_gate``, ``quantum.exact_measure``); a
+    final branch's squared norm is the Born probability of its record.  A
+    weight with an irrational part raises ``ValueError``; every other weight
+    is a dyadic ``Fraction`` of whatever denominator it has.
     """
+    from toyfield import quantum
+
     modes = len(plan.program.modes)
+    qubits = modes + len(plan.program.ancillas)
 
-    def apply(state: quantum.StateVector, gate: ToyGate) -> quantum.StateVector:
-        unitary, targets = _unitary(gate, modes)
-        return quantum.apply_gate(state, unitary, targets)
+    def apply(state, gate: ToyGate):
+        name, targets = _kernel_gate(gate, modes)
+        return quantum.exact_gate(name, targets, qubits)(state)
 
-    def measure(state: quantum.StateVector, step: MeasureStep):
+    def measure(state, step: MeasureStep):
         subsystem = step.index if step.target_kind == "mode" else modes + step.index
-        outcomes = quantum.measure_subsystem(state, subsystem, _BASES[step.variable])
-        if step.kind is DisturbanceKind.DESTRUCTIVE:
-            return [(k, p, quantum.reset_to_zero(s, subsystem)) for k, p, s in outcomes]
-        return outcomes
+        destructive = step.kind is DisturbanceKind.DESTRUCTIVE
+        outcomes = quantum.exact_measure(state, subsystem, step.variable, destructive)
+        return [(value, 1, after) for value, after in outcomes]
 
-    raw = _joint([(1.0, plan.initial, {})], plan.steps, apply, measure)
-    joint: JointDistribution = {}
-    for key, w in raw.items():
-        p = snap_dyadic(w, tol)
-        if p:
-            joint[key] = p
-    return joint
+    return _joint([(1, plan.initial, {})], plan.steps, apply, measure,
+                  lambda _, state: quantum.exact_weight(state))
 
 
 def step_run_index(state: int, shape: RegisterShape, step: MeasureStep, coin: int):

@@ -1,4 +1,13 @@
-"""Exact complex state-vector engine for the quantum reference predictions.
+"""State-vector engine for the quantum reference predictions.
+
+Program runs go through the exact kernel at the end of this module
+(``exact_start``, ``exact_gate``, ``exact_measure``, ``exact_weight``): the
+program text reaches only the splitter's 1/sqrt(2), 0/pi phases and the P
+basis, so every amplitude is (a + b sqrt(2)) / sqrt(2)^e with integers a, b
+and one exponent e per branch, and every weight is computed exactly.  The
+float API above it (``StateVector``, the unitaries, ``apply_gate``,
+``measure_subsystem``) takes arbitrary angles and bases, and serves as the
+reference the kernel is tested against.
 
 Two descriptions are supported.  In the first-quantized description the
 system is a single photon with a two-dimensional which-way degree of freedom
@@ -8,8 +17,8 @@ field modes, each with a two-dimensional occupation space spanned by |0> and
 ancillas; basis index bit i is subsystem i's bit (little-endian).
 
 Dimensions never exceed 8, so matrices are dense tuples and the arithmetic
-is plain Python complex.  No numerical library is involved: results are
-bit-for-bit deterministic across platforms.
+is plain Python complex (the exact kernel: Python integers).  No numerical
+library is involved: results are bit-for-bit deterministic across platforms.
 
 The 50-50 splitter acts on the single-excitation block as
 
@@ -26,8 +35,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache, partial
 from operator import mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 __all__ = [
     "MeasurementBasis",
@@ -40,6 +51,10 @@ __all__ = [
     "apply_gate",
     "bs_unitary",
     "cnot_unitary",
+    "exact_gate",
+    "exact_measure",
+    "exact_start",
+    "exact_weight",
     "measure_subsystem",
     "phase_unitary",
     "reset_to_zero",
@@ -335,3 +350,142 @@ def total_occupation_weights(state: StateVector, mode_bits: Sequence[int]) -> di
         total = sum((index >> b) & 1 for b in mode_bits)
         weights[total] = weights.get(total, 0.0) + abs(amp) ** 2
     return weights
+
+
+# ---------------------------------------------------------------------------
+# Exact kernel over Z[sqrt(2)]
+#
+# A branch is ``(a, b, e)``: integer lists a and b and an exponent e, holding
+# the unnormalized amplitudes (a[k] + b[k] sqrt(2)) / sqrt(2)^e.  Branches
+# stay unnormalized, so a branch's squared norm is the Born probability of
+# its whole measurement record: no per-step probability, square root or
+# global phase is needed.  Gates and bases are real, so amplitudes are too.
+
+ExactState = tuple[list[int], list[int], int]
+
+
+def exact_start(index: int, qubits: int) -> ExactState:
+    """The basis state ``index`` of a register of ``qubits`` qubits."""
+    a = [0] * (1 << qubits)
+    a[index] = 1
+    return a, [0] * (1 << qubits), 0
+
+
+def _permute(source: tuple[int, ...], negate: tuple[int, ...], state: ExactState) -> ExactState:
+    """Entry k takes entry ``source[k]``, negated where k is in ``negate``."""
+    a, b, e = state
+    a = [a[k] for k in source]
+    b = [b[k] for k in source]
+    for k in negate:
+        a[k] = -a[k]
+        b[k] = -b[k]
+    return a, b, e
+
+
+def _splitter(pairs: tuple[tuple[int, int], ...], state: ExactState) -> ExactState:
+    """``bs_unitary("second")`` times sqrt(2): each pair (x10, x01) becomes
+    (x01 - x10, x10 + x01), every other entry is multiplied by sqrt(2), which
+    maps (a, b) to (2b, a), and e grows by 1."""
+    a, b, e = state
+    a2 = [2 * y for y in b]
+    b2 = list(a)
+    for u, v in pairs:
+        a2[u] = a[v] - a[u]
+        a2[v] = a[u] + a[v]
+        b2[u] = b[v] - b[u]
+        b2[v] = b[u] + b[v]
+    return a2, b2, e + 1
+
+
+@lru_cache(maxsize=None)  # the 3-subsystem cap leaves a few dozen keys
+def exact_gate(name: str, targets: tuple[int, ...], qubits: int) -> Callable[[ExactState], ExactState]:
+    """The exact map of a gate on a register of ``qubits`` qubits.
+
+    ``name`` is "bs" (``bs_unitary("second")``; first target is mode a),
+    "pi" (``phase_unitary(pi)``), "id" (``phase_unitary(0)``), "cnot"
+    (control, target) or "swap"; the index maps are built once per gate,
+    targets and register size.
+    """
+    indices = range(1 << qubits)
+    if name == "bs":
+        a, b = (1 << t for t in targets)
+        return partial(_splitter, tuple((k, k ^ a ^ b) for k in indices if k & (a | b) == a))
+    negate: tuple[int, ...] = ()
+    source = tuple(indices)
+    if name == "pi":
+        negate = tuple(k for k in indices if k >> targets[0] & 1)
+    elif name == "cnot":
+        control, target = targets
+        source = tuple(k ^ 1 << target if k >> control & 1 else k for k in indices)
+    elif name == "swap":
+        i, j = targets
+        flip = 1 << i | 1 << j
+        source = tuple(k ^ flip if (k >> i ^ k >> j) & 1 else k for k in indices)
+    elif name != "id":
+        raise ValueError(f"no exact kernel for gate {name!r}")
+    return partial(_permute, source, negate)
+
+
+@lru_cache(maxsize=None)
+def _halves(subsystem: int, qubits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The basis indices with the subsystem's bit 0, and each with it set."""
+    bit = 1 << subsystem
+    low = tuple(k for k in range(1 << qubits) if not k & bit)
+    return low, tuple(k | bit for k in low)
+
+
+def exact_measure(
+    state: ExactState, subsystem: int, variable: str, destructive: bool = False
+) -> list[tuple[int, ExactState]]:
+    """Split a branch over a projective measurement of one subsystem.
+
+    ``variable`` "N" or "Q" measures the bit (``OCCUPATION_BASIS``,
+    ``ANCILLA_Q_BASIS``); a destructive N then moves the bit-1 part to bit
+    0, as ``reset_to_zero`` does.  "P" projects on (|0> +- |1>)/sqrt(2)
+    (``ANCILLA_P_BASIS``): both entries of a pair become +-(x0 +- x1) and e
+    grows by 2.  Returns ``(outcome, branch)`` for the nonzero branches; a
+    zero branch is dropped exactly.
+    """
+    a, b, e = state
+    size = len(a)
+    low, high = _halves(subsystem, size.bit_length() - 1)
+    out = []
+    if variable == "P":
+        for value, sign in ((0, 1), (1, -1)):
+            a2 = [0] * size
+            b2 = [0] * size
+            for k0, k1 in zip(low, high):
+                x = a[k0] + sign * a[k1]
+                y = b[k0] + sign * b[k1]
+                a2[k0], a2[k1], b2[k0], b2[k1] = x, sign * x, y, sign * y
+            if any(a2) or any(b2):
+                out.append((value, (a2, b2, e + 2)))
+        return out
+    for value, kept in enumerate((low, high)):
+        a2 = [0] * size
+        b2 = [0] * size
+        for k, to in zip(kept, low if destructive else kept):
+            a2[to] = a[k]
+            b2[to] = b[k]
+        if any(a2) or any(b2):
+            out.append((value, (a2, b2, e)))
+    return out
+
+
+def exact_weight(state: ExactState) -> Fraction:
+    """A branch's squared norm (X + Y sqrt(2)) / 2^e, which must be dyadic.
+
+    Y != 0 raises ``ValueError``; the message keeps the float path's
+    wording, "... is not dyadic within 1e-09".
+    """
+    a, b, e = state
+    rational = sum(x * x for x in a) + 2 * sum(y * y for y in b)
+    irrational = 2 * sum(map(mul, a, b))
+    if irrational:
+        value = (rational + irrational * math.sqrt(2.0)) / 2**e
+        sign = "+" if irrational > 0 else "-"
+        raise ValueError(
+            f"probability {value} = ({rational} {sign} {abs(irrational)}*sqrt(2))/2**{e} "
+            "is not dyadic within 1e-09"
+        )
+    return Fraction(rational, 1 << e)

@@ -259,6 +259,15 @@ class TestExecution:
         joint = run_quantum_exact(compile_quantum(parse(MZI_PI)))
         assert joint == {(("dl", 0), ("dr", 1)): Fraction(1)}
 
+    def test_seven_ancilla_measurements_give_128_equal_outcomes_on_both_engines(self):
+        # Each P or Q measurement of the ancilla randomizes the other
+        # variable, so every record has weight 1/128: finer than 1/64.
+        program = parse("mode L; ancilla A;" + "".join(
+            f" measure {'PQ'[i % 2]} A as m{i};" for i in range(7)))
+        toy = run_toy_exact(compile_toy(program))
+        assert len(toy) == 128 and set(toy.values()) == {Fraction(1, 128)}
+        assert run_quantum_exact(compile_quantum(program)) == toy
+
     def test_enumeration_identity(self):
         program = parse(
             "mode L R; source L; vacuum R; bs L R; "

@@ -183,6 +183,16 @@ class TestRun:
         assert err.startswith("error: probability ")
         assert err.rstrip().endswith("is not dyadic within 1e-09")
 
+    def test_quantum_weights_finer_than_one_64th(self, capsys, tmp_path):
+        # Seven fair ancilla measurements: 128 outcomes of 1/128 each.
+        path = tmp_path / "alternating.mzi"
+        path.write_text("mode L;\nancilla A;\n" + "".join(
+            f"measure {'PQ'[i % 2]} A as m{i};\n" for i in range(7)))
+        toy = run_cli(capsys, "run", str(path), "--engine", "toy", "--format", "json")
+        quantum = run_cli(capsys, "run", str(path), "--engine", "quantum", "--format", "json")
+        assert quantum == toy
+        assert toy[0] == 0 and len(json.loads(toy[1])) == 128
+
     def test_usage_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["run"])
