@@ -37,7 +37,8 @@ block ``s`` keyed by ``derive_seed(m)`` (:data:`toyfield.montecarlo.RNG_SCHEME`)
 and bit ``b`` of the shot is bit ``b % 64`` of word ``b // 64``.  Bits
 ``[0, 32)`` are the initial phases of L1..L16 and then R1..R16; bit
 ``32 + i`` is the i-th phase drawn during the run, in rule-table order.  A
-hostable plan reads 64 bits, or 80 with a detector, so one block suffices.
+hostable plan reads 64 bits, or 80 with a detector, so one block suffices,
+and a call copies only the words its plan reads.
 A single run is the batch of one lane, so :func:`run_single` replays shot
 ``s`` of any bulk call from ``(seed, s)``, and its trace follows that lane.
 """
@@ -290,6 +291,23 @@ def _advance(cells: dict, t: int, plan: CaPlan, coin: Callable[[], object]) -> t
     return new, click
 
 
+@lru_cache(maxsize=64)
+def _bits_read(device: tuple | None, inject_step: int) -> int:
+    """Bits a shot of this layout reads: its initial phases, then one per
+    ``coin()`` of a run, counted on int cells (port labels draw nothing)."""
+    plan = CaPlan(device, {"L": "", "R": ""}, inject_step)
+    drawn = itertools.count(len(_CELL_LABELS))
+
+    def coin() -> int:
+        next(drawn)
+        return 0
+
+    cells = dict.fromkeys(_CELL_LABELS, (0, 0))
+    for t in range(plan.arrival_step(WIRE_LENGTH)):
+        cells, _ = _advance(cells, t, plan, coin)
+    return next(drawn)
+
+
 def _read_out(plan: CaPlan, cells: dict, fired) -> dict:
     """The event record: the detector's firing and each port's sink cell."""
     events = {}
@@ -322,11 +340,16 @@ def _batch_events(
 
     ``trace`` receives a :func:`trace_line` of lane 0 at every step.
     """
-    # Row 8w + j holds byte j of the shot's word w, so bit b is bit b % 8 of
-    # row b // 8; shifting uint8 rows is cheaper than shifting uint64 words.
+    bits = _bits_read(plan.device, plan.inject_step)
+    if bits > 256:
+        raise ValueError("the plan draws more than one Philox block per shot")
+    # Only the words read are copied.  Row 8w + j holds byte j of the shot's
+    # word w, so bit b is bit b % 8 of row b // 8; shifting uint8 rows is
+    # cheaper than shifting uint64 words.
+    words = -(-bits // 64)
     planes = (
-        _shot_words(derive_seed(seed), first, shots, 1).astype("<u8", copy=False)
-        .view(np.uint8).reshape(4, shots, 8).transpose(0, 2, 1).reshape(32, shots)
+        _shot_words(derive_seed(seed), first, shots, words).astype("<u8", copy=False)
+        .view(np.uint8).reshape(words, shots, 8).transpose(0, 2, 1).reshape(8 * words, shots)
     )
 
     def bit(b: int) -> np.ndarray:
@@ -335,10 +358,7 @@ def _batch_events(
     drawn = itertools.count(len(_CELL_LABELS))
 
     def coin() -> np.ndarray:
-        b = next(drawn)
-        if b >= 256:
-            raise ValueError("the plan draws more than one Philox block per shot")
-        return bit(b)
+        return bit(next(drawn))
 
     vacuum = np.zeros(shots, dtype=np.uint8)
     cells = {label: (vacuum, bit(b)) for b, label in enumerate(_CELL_LABELS)}

@@ -32,6 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Union
 
 from toyfield.phase_space import EpistemicState, RegisterShape, prepared
@@ -168,6 +169,12 @@ class Program:
                 out.append(stmt.label)
         return tuple(out)
 
+    @cached_property
+    def steps(self) -> tuple[Step, ...]:
+        """The steps both compilers read (:func:`_lower`), lowered once per
+        program object."""
+        return _lower(self)
+
 
 # ---------------------------------------------------------------------------
 # Statement table, lexer and parser
@@ -198,67 +205,71 @@ _KEYWORDS = {
 }
 _NOT_NAMES = _KEYWORDS | {"", ";"}
 
-# A comment, a token (";" or a word), or any other character but spacing,
-# which is an error.  Tokens are (offset, text); "" marks the end of input.
-_LEXEME = re.compile(r"(#[^\n]*)|(;|\w+)|([^ \t\r\n])")
+# A token (";" or a word), a comment, or any other character but spacing,
+# which is an error.  Token texts are read in one ``findall``; the text is
+# scanned again only for a ParseError, to find where it sits.  "" marks the
+# end of input.
+_LEXEME = re.compile(r";|\w+|#[^\n]*|[^ \t\r\n]")
+_TOKEN_CHARS = re.compile(r"[;\w]*")
 
 
 class _Parser:
     def __init__(self, text: str):
         self.text = text
-        self.tokens: list[tuple[int, str]] = []
-        end = 0
-        for match in _LEXEME.finditer(text):
-            if match.lastindex == 2:
-                self.tokens.append((match.start(), match.group()))
-                end = match.end()
-            elif match.lastindex == 3:
-                raise self.fail(f"unexpected character {match.group()!r}", match.start())
-        # The end-of-input marker sits right after the last token so that
-        # "expected ';'" style errors point at a useful position.
-        self.tokens.append((end, ""))
+        self.tokens = _LEXEME.findall(text)
+        if "#" in text:  # every "#" starts or sits in a comment
+            self.tokens = [t for t in self.tokens if t[0] != "#"]
+        if not _TOKEN_CHARS.fullmatch("".join(self.tokens)):
+            stray = next(t for t in self.tokens if not _TOKEN_CHARS.fullmatch(t))
+            raise self.fail(f"unexpected character {stray!r}", self.tokens.index(stray))
+        self.tokens.append("")
         self.pos = 0
         self.names: dict[str, list[str]] = {"mode": [], "ancilla": []}
         self.prepared: set[str] = set()
         self.touched: set[str] = set()
         self.labels: set[str] = set()
 
-    def fail(self, message: str, offset: int) -> ParseError:
+    def fail(self, message: str, index: int) -> ParseError:
+        """The error at token ``index``.  The end-of-input marker sits right
+        after the last token so that "expected ';'" style errors point at a
+        useful position."""
+        found = [m for m in _LEXEME.finditer(self.text) if m.group()[0] != "#"]
+        offset = found[index].start() if index < len(found) else found[-1].end() if found else 0
         line_start = self.text.rfind("\n", 0, offset) + 1
-        line = self.text.count("\n", 0, offset) + 1
-        return ParseError(message, line, offset - line_start + 1)
+        return ParseError(message, self.text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
     def peek(self) -> str:
-        return self.tokens[self.pos][1]
+        return self.tokens[self.pos]
 
-    def take(self) -> tuple[int, str]:
-        token = self.tokens[self.pos]
+    def take(self) -> str:
         self.pos += 1
-        return token
+        return self.tokens[self.pos - 1]
 
     def expect(self, text: str) -> None:
-        offset, got = self.take()
-        if got != text:
-            raise self.fail(f"expected {text!r}", offset)
+        if self.take() != text:
+            raise self.fail(f"expected {text!r}", self.pos - 1)
 
     def name(self, what: str) -> tuple[int, str]:
-        """A new name: a word that is no keyword and starts with no digit."""
-        offset, text = token = self.take()
+        """A new name and its token index: a word that is no keyword and
+        starts with no digit."""
+        text = self.take()
+        at = self.pos - 1
         if text in _NOT_NAMES or text[0].isdigit():
-            raise self.fail(f"expected {what}", offset)
-        return token
+            raise self.fail(f"expected {what}", at)
+        return at, text
 
     def declared(self, kind: str) -> tuple[int, str]:
-        """A name declared as ``kind``, "mode" or "ancilla"."""
-        offset, text = token = self.take()
+        """A name declared as ``kind``, "mode" or "ancilla", and its token index."""
+        text = self.take()
+        at = self.pos - 1
         if text in ("", ";"):
-            raise self.fail(f"expected {kind} name", offset)
+            raise self.fail(f"expected {kind} name", at)
         if text not in self.names[kind]:
             other = "ancilla" if kind == "mode" else "mode"
             if text in self.names[other]:
-                raise self.fail(f"{text} is {_ARTICLE[other]}, not {_ARTICLE[kind]}", offset)
-            raise self.fail(f"unknown identifier {text}", offset)
-        return token
+                raise self.fail(f"{text} is {_ARTICLE[other]}, not {_ARTICLE[kind]}", at)
+            raise self.fail(f"unknown identifier {text}", at)
+        return at, text
 
     def parse(self) -> Program:
         while self.peek() in ("mode", "ancilla"):
@@ -269,35 +280,36 @@ class _Parser:
         return Program(tuple(self.names["mode"]), tuple(self.names["ancilla"]), tuple(statements))
 
     def declaration(self) -> None:
-        kind = self.take()[1]
+        kind = self.take()
         if kind == "mode":
             names = []
             while self.peek() not in _NOT_NAMES:
                 names.append(self.name("mode name"))
             if not names:
-                raise self.fail("expected at least one mode name", self.tokens[self.pos][0])
+                raise self.fail("expected at least one mode name", self.pos)
         else:
             names = [self.name("ancilla name")]
         self.expect(";")
-        for offset, text in names:
+        for at, text in names:
             if text in self.names["mode"] or text in self.names["ancilla"]:
-                raise self.fail(f"duplicate declaration of {text}", offset)
+                raise self.fail(f"duplicate declaration of {text}", at)
             self.names[kind].append(text)
 
     def statement(self) -> Statement:
-        offset, word = self.take()
+        start = self.pos
+        word = self.take()
         if word == ";":
-            raise self.fail("expected a statement", offset)
+            raise self.fail("expected a statement", start)
         if word in ("mode", "ancilla"):
-            raise self.fail("declarations must precede statements", offset)
+            raise self.fail("declarations must precede statements", start)
         key = word
         if word == "measure":
-            at, variable = self.take()
+            variable = self.take()
             if variable not in ("N", "Q", "P"):
-                raise self.fail("expected measured variable N, Q or P", at)
+                raise self.fail("expected measured variable N, Q or P", start + 1)
             key = f"measure {variable}"
         if key not in _STATEMENTS:
-            raise self.fail(f"unknown statement {word!r}", offset)
+            raise self.fail(f"unknown statement {word!r}", start)
         cls, kinds = _STATEMENTS[key]
         values: list = []
         targets = []
@@ -306,20 +318,19 @@ class _Parser:
                 targets.append(self.declared(kind))
                 values.append(targets[-1][1])
             elif kind == "angle":
-                at, angle = self.take()
+                angle = self.take()
                 if angle not in _ANGLES:
-                    raise self.fail("expected phase literal 0 or pi", at)
+                    raise self.fail("expected phase literal 0 or pi", self.pos - 1)
                 values.append(_ANGLES.index(angle))
             elif kind == "kind":
                 disturbance = DisturbanceKind.NONDESTRUCTIVE
                 if self.peek() in _DISTURBANCES:
-                    disturbance = DisturbanceKind(self.take()[1])
+                    disturbance = DisturbanceKind(self.take())
                 values.append(disturbance)
             elif kind == "as":
-                at, text = self.tokens[self.pos]
-                if text in _DISTURBANCES and cls in (MeasureQ, MeasureP):
+                if self.peek() in _DISTURBANCES and cls in (MeasureQ, MeasureP):
                     raise self.fail(
-                        "disturbance kind applies only to occupation measurements", at
+                        "disturbance kind applies only to occupation measurements", self.pos
                     )
                 self.expect("as")
             else:
@@ -450,7 +461,7 @@ def _lower(program: Program) -> tuple[Step, ...]:
 def compile_toy(program: Program) -> ToyPlan:
     """Lower a program to the classical engine: an initial flat state and a
     sequence of permutation gates and measurement steps."""
-    steps = _lower(program)
+    steps = program.steps
     shape = RegisterShape(len(program.modes), len(program.ancillas))
     sourced = [program.modes.index(s.mode) for s in program.statements if isinstance(s, Source)]
     for step in steps:
@@ -465,7 +476,7 @@ def compile_quantum(program: Program) -> QuantumPlan:
     starting from the exact kernel's basis state."""
     from toyfield import quantum
 
-    steps = _lower(program)
+    steps = program.steps
     qubits = len(program.modes) + len(program.ancillas)
     if qubits > 3:
         raise CapabilityError("state-vector engine supports at most 3 subsystems")
@@ -642,5 +653,5 @@ def joint_to_labeled(
     out: dict[str, Fraction] = {}
     for key, weight in joint.items():
         label = labeler(dict(key))
-        out[label] = out.get(label, Fraction(0)) + weight
+        out[label] = out[label] + weight if label in out else weight
     return {label: w for label, w in out.items() if w}

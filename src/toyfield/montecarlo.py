@@ -173,20 +173,23 @@ class ShotColumns:
         return cls(record.seed, record.shot, column(record.initial_state), events)
 
 
-def _shot_words(key: int, first: int, shots: int, blocks: int) -> np.ndarray:
-    """The Philox words of shots ``first .. first + shots - 1`` under ``key``.
+def _shot_words(key: int, first: int, shots: int, words: int) -> np.ndarray:
+    """The first ``words`` Philox words of shots ``first .. first + shots - 1``
+    under ``key``.
 
-    A contiguous ``(4 * blocks, shots)`` array: row ``w`` is word ``w`` of
-    every shot's blocks, so bit ``b`` of a shot is bit ``b % 64`` of row
-    ``b // 64``.  Both sampled engines draw through it.
+    A contiguous ``(words, shots)`` array: row ``w`` is word ``w % 4`` of
+    every shot's block ``w // 4``, so bit ``b`` of a shot is bit ``b % 64``
+    of row ``b // 64``.  Both sampled engines draw through it and copy only
+    the words they read.
     """
     import numpy as np
 
-    words = np.empty((4 * blocks, shots), dtype=np.uint64)
-    for block in range(blocks):
+    out = np.empty((words, shots), dtype=np.uint64)
+    for block in range(-(-words // 4)):
         philox = np.random.Philox(key=key, counter=first + (block << 64))
-        words[4 * block:4 * block + 4] = philox.random_raw(4 * shots).reshape(shots, 4).T
-    return words
+        raw = philox.random_raw(4 * shots).reshape(shots, 4).T
+        out[4 * block:4 * block + 4] = raw[:words - 4 * block]
+    return out
 
 
 def _shot_columns(plan: ToyPlan, seed: int, shots: int, first: int = 0) -> Iterator[ShotColumns]:
@@ -212,11 +215,11 @@ def _shot_columns(plan: ToyPlan, seed: int, shots: int, first: int = 0) -> Itera
             )
             ops.append((step, read, keep & 0xFFFF_FFFF_FFFF_FFFF, flip, bit))
             bit += 1
-    blocks = max(1, -(-bit // 256))
+    word_count = max(1, -(-bit // 64))
     key = derive_seed(seed)
     stop = first + shots
     for start in range(first, stop, _CHUNK_SHOTS):
-        words = _shot_words(key, start, min(_CHUNK_SHOTS, stop - start), blocks)
+        words = _shot_words(key, start, min(_CHUNK_SHOTS, stop - start), word_count)
 
         def draw(b: int) -> np.ndarray:
             return words[b >> 6] >> (b & 63)

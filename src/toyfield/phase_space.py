@@ -230,7 +230,7 @@ class EpistemicState:
         if not self.support:
             raise ValueError("support must be non-empty")
         limit = self.shape.point_count
-        if any(not 0 <= x < limit for x in self.support):
+        if min(self.support) < 0 or max(self.support) >= limit:
             raise ValueError("support index out of range for register shape")
 
     @property

@@ -282,4 +282,4 @@ def gate_table(gate: ToyGate, shape: RegisterShape) -> tuple[int, ...]:
 def push_forward(state: EpistemicState, gate: ToyGate) -> EpistemicState:
     """Image of the support under the gate permutation; stays flat."""
     image = gate_image(gate, state.shape)
-    return EpistemicState(state.shape, frozenset(image[x] for x in state.support))
+    return EpistemicState(state.shape, frozenset(map(image.__getitem__, state.support)))

@@ -94,12 +94,12 @@ def _measure(
     parts: tuple[list[int], list[int]] = ([], [])
     for x in state.support:
         parts[(x >> read) & 1].append(x & keep)
+    bit = 1 << flip
     outcomes = []
     for value, part in enumerate(parts):
         probability = Fraction(len(part), len(state.support))
         if part:
-            image = frozenset(x ^ (coin << flip) for x in part for coin in (0, 1))
-            posterior = EpistemicState(state.shape, image)
+            posterior = EpistemicState(state.shape, frozenset(part + [x ^ bit for x in part]))
         elif include_zero_probability:
             posterior = state  # no update is defined for an impossible outcome
         else:

@@ -401,6 +401,22 @@ class TestReplay:
         has_detector = plan.device is not None and plan.device[0] == "detector"
         assert len(LABELS) + len(drawn) == (80 if has_detector else 64)
 
+    @pytest.mark.parametrize("scenario, plan", HOSTABLE, ids=HOSTABLE_IDS)
+    def test_copies_only_the_words_read(self, scenario, plan, monkeypatch):
+        from toyfield import automaton
+
+        asked: list[int] = []
+        shot_words = automaton._shot_words
+
+        def spy(key, first, shots, words):
+            asked.append(words)
+            return shot_words(key, first, shots, words)
+
+        monkeypatch.setattr(automaton, "_shot_words", spy)
+        run_single(plan, self.SEED)
+        has_detector = plan.device is not None and plan.device[0] == "detector"
+        assert asked == [2 if has_detector else 1]
+
     def test_more_than_one_block_is_refused(self):
         long_run = CaPlan(None, {"L": "dl", "R": "dr"}, inject_step=100)
         with pytest.raises(ValueError, match="more than one Philox block"):

@@ -13,6 +13,7 @@ from toyfield.circuits import (
     Bs,
     CapabilityError,
     CnotStmt,
+    CompileError,
     Detect,
     MeasureN,
     ParseError,
@@ -220,6 +221,35 @@ class TestCompile:
         text = "mode a b c d; source a; detect a as x;"
         with pytest.raises(CapabilityError):
             compile_quantum(parse(text))
+
+    def test_both_compilers_lower_a_program_once(self, monkeypatch):
+        from toyfield import circuits
+
+        lowered = []
+        lower = circuits._lower
+
+        def counting(program):
+            lowered.append(program)
+            return lower(program)
+
+        monkeypatch.setattr(circuits, "_lower", counting)
+        program = parse(
+            "mode L R; ancilla A; source L; bs L R; cnot R A; measure P A as p; "
+            "bs L R; detect L as dl; detect R as dr;"
+        )
+        toy, quantum = compile_toy(program), compile_quantum(program)
+        assert len(lowered) == 1
+        assert toy.steps == quantum.steps == lower(program)
+        fresh = parse(render(program))
+        assert program == fresh and fresh == program
+        assert hash(program) == hash(fresh)
+        assert render(program) == render(fresh)
+
+    def test_a_program_without_modes_is_refused_by_each_compiler(self):
+        program = Program((), (), ())
+        for compile_ in (compile_toy, compile_quantum, compile_toy):
+            with pytest.raises(CompileError, match="declares no modes"):
+                compile_(program)
 
     def test_ca_rejects_ancillas(self):
         from toyfield.automaton import plan_from_program

@@ -325,6 +325,27 @@ class TestBatchOracle:
             assert record.initial_state == support[bits & ((1 << k) - 1)]
             assert [e.coin for e in record.events] == [(bits >> (k + i)) & 1 for i in range(300)]
 
+    @pytest.mark.parametrize("detections, words", [(0, 1), (63, 1), (64, 2), (300, 5)])
+    def test_copies_only_the_words_read(self, monkeypatch, detections, words):
+        # 1 support bit plus one coin per detection.
+        text = "mode m;\nsource m;\n" + "".join(f"detect m as d{i};\n" for i in range(detections))
+        asked = []
+        shot_words = montecarlo._shot_words
+
+        def spy(key, first, shots, count):
+            asked.append(count)
+            return shot_words(key, first, shots, count)
+
+        monkeypatch.setattr(montecarlo, "_shot_words", spy)
+        sample_run(compile_toy(parse(text)), 11, 3)
+        assert asked == [words]
+
+    def test_fewer_words_are_a_prefix_of_more(self):
+        key = derive_seed(11)
+        whole = montecarlo._shot_words(key, 3, 10, 8)
+        for count in range(1, 8):
+            assert np.array_equal(montecarlo._shot_words(key, 3, 10, count), whole[:count])
+
     def test_violation_replays_from_seed_and_shot(self, monkeypatch):
         def leaky(variable, index, modes, ancillas, destructive=False):
             read, keep, flip = measurement_kernel(variable, index, modes, ancillas, destructive)

@@ -92,6 +92,14 @@ class TestValidity:
         with pytest.raises(ValueError):
             EpistemicState(RegisterShape(1), frozenset())
 
+    @pytest.mark.parametrize("point", [16, 1 << 20, -1])
+    def test_support_outside_the_register_rejected_at_construction(self, point):
+        with pytest.raises(ValueError, match="out of range"):
+            EpistemicState(TWO, frozenset({0, 5, point}))
+
+    def test_support_may_reach_the_last_point(self):
+        assert EpistemicState(TWO, frozenset({0, TWO.point_count - 1})).size == 2
+
     def test_single_mode_catalog(self):
         # Exactly 7 valid single-mode states: N, Phi or the parity known
         # (each value), plus full ignorance.
