@@ -390,7 +390,7 @@ def run_experiment(
 ) -> dict[str, int]:
     """Outcome counts over shots ``0 .. shots - 1`` of ``seed``, batched
     :data:`toyfield.montecarlo._CHUNK_SHOTS` shots at a time."""
-    return _tally(shots, lambda first, n: _batch_events(plan, n, seed, first), labeler)
+    return _tally(shots, lambda first, n: (_batch_events(plan, n, seed, first), None), labeler)
 
 
 def run_scenario_ca(scenario, shots: int, seed: int) -> dict[str, int]:

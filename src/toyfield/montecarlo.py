@@ -16,17 +16,24 @@ counter-based Philox4x64-10 generator (Salmon et al., SC'11):
   block ``b // 256``.  Bits ``[0, k)`` index the plan's sorted support of
   ``2^k`` points, and bit ``k + i`` is the coin of the i-th measurement.
 
-Shots are therefore independent lanes.  One batch kernel advances every
-shot of a call as a ``uint64`` column, :data:`_CHUNK_SHOTS` shots at a time
-so memory stays bounded; no result depends on the chunk size.  Gates act
-through their two-subsystem kernels and measurements through their
-``(read, keep, flip)`` triples, column-wise.  :func:`run_experiment` counts
-outcomes through :func:`_tally`, which counts each chunk's distinct outcomes
-and calls the labeler once per distinct outcome; the wire automaton counts
-its chunks of the same size through it too.  :func:`estimate` compares the
-counts with an exact reference; :func:`locality_audit` audits every
-measurement's before/after columns; :func:`sample_run` is the batch of one
-shot, so ``(seed, shot)`` replays any run of a bulk call.
+Shots are therefore independent runs, and a shot's outcome is a function
+of the ``B = k + m`` bits it reads (``m`` measurements).  Shot numbers lie
+in ``[0, 2**64)``, the counter's first word; :func:`_shot_words` refuses
+any other.  :func:`_kernel` turns a plan into column ops once per call, and
+one lane kernel, :func:`_lanes`, advances ``uint64`` lanes through them:
+gates through their two-subsystem kernels and measurements through their
+``(read, keep, flip)`` triples.  Calls run :data:`_CHUNK_SHOTS` shots at a
+time so memory stays bounded; no result depends on the chunk size.
+:func:`sample_run` and :func:`locality_audit` give every shot its own lane,
+so ``(seed, shot)`` replays any run of a bulk call and the audit sees every
+run's states.  :func:`run_experiment` needs only counts: a chunk of at least
+``2^B`` shots runs the lanes of the ``2^B`` bit patterns once and weighs
+each pattern by how many of the chunk's shots drew it (the low ``B`` bits of
+word 0); a smaller chunk gets one lane per shot.  :func:`_tally` counts each
+chunk's distinct outcomes, under those weights or one per lane, and calls
+the labeler once per distinct outcome; the wire automaton counts its chunks
+of the same size through it too, one lane per shot.  :func:`estimate`
+compares the counts with an exact reference.
 
 numpy is imported by the kernel on first use, not with this module.
 """
@@ -180,10 +187,15 @@ def _shot_words(key: int, first: int, shots: int, words: int) -> np.ndarray:
     A contiguous ``(words, shots)`` array: row ``w`` is word ``w % 4`` of
     every shot's block ``w // 4``, so bit ``b`` of a shot is bit ``b % 64``
     of row ``b // 64``.  Both sampled engines draw through it and copy only
-    the words they read.
+    the words they read.  Shot numbers are the counter's first 64-bit word,
+    so a shot outside ``[0, 2**64)`` is refused: it would read another
+    shot's block.
     """
     import numpy as np
 
+    if first < 0 or first + shots > 1 << 64:
+        shot = first if first < 0 else first + shots - 1
+        raise ValueError(f"shot {shot} is outside the shot range [0, 2**64)")
     out = np.empty((words, shots), dtype=np.uint64)
     for block in range(-(-words // 4)):
         philox = np.random.Philox(key=key, counter=first + (block << 64))
@@ -192,9 +204,9 @@ def _shot_words(key: int, first: int, shots: int, words: int) -> np.ndarray:
     return out
 
 
-def _shot_columns(plan: ToyPlan, seed: int, shots: int, first: int = 0) -> Iterator[ShotColumns]:
-    """Shots ``first .. first + shots - 1`` of ``plan`` under ``seed``, in
-    chunks of :data:`_CHUNK_SHOTS`."""
+def _kernel(plan: ToyPlan) -> tuple[np.ndarray, list[tuple], int]:
+    """``plan`` as column ops: its sorted support, one op per step and the
+    number of bits a shot reads."""
     import numpy as np
 
     shape = plan.shape
@@ -215,30 +227,45 @@ def _shot_columns(plan: ToyPlan, seed: int, shots: int, first: int = 0) -> Itera
             )
             ops.append((step, read, keep & 0xFFFF_FFFF_FFFF_FFFF, flip, bit))
             bit += 1
-    word_count = max(1, -(-bit // 64))
+    return support, ops, bit
+
+
+def _lanes(
+    support: np.ndarray, ops: list[tuple], words: np.ndarray
+) -> tuple[np.ndarray, tuple[MeasurementEvent, ...]]:
+    """Run one lane per column of ``words``, laid out as :func:`_shot_words`
+    gives them, through :func:`_kernel`'s ``ops``: the lanes' initial states
+    and their measurement events."""
+
+    def draw(b: int) -> np.ndarray:
+        return words[b >> 6] >> (b & 63)
+
+    x = initial = support.take(draw(0) & (len(support) - 1))
+    events = []
+    for op in ops:
+        if isinstance(op[0], GateStep):
+            _, shift0, shift1, deltas = op
+            x = x ^ deltas.take(((x >> shift0) & 3) | (((x >> shift1) & 3) << 2))
+        else:
+            step, read, keep, flip, b = op
+            coin = draw(b) & 1
+            after = (x & keep) ^ (coin << flip)
+            events.append(MeasurementEvent(
+                step.label, step.target_kind, step.index, (x >> read) & 1, coin, x, after
+            ))
+            x = after
+    return initial, tuple(events)
+
+
+def _shot_columns(plan: ToyPlan, seed: int, shots: int, first: int = 0) -> Iterator[ShotColumns]:
+    """Shots ``first .. first + shots - 1`` of ``plan`` under ``seed``, one
+    lane per shot, in chunks of :data:`_CHUNK_SHOTS`."""
+    support, ops, bits = _kernel(plan)
     key = derive_seed(seed)
     stop = first + shots
     for start in range(first, stop, _CHUNK_SHOTS):
-        words = _shot_words(key, start, min(_CHUNK_SHOTS, stop - start), word_count)
-
-        def draw(b: int) -> np.ndarray:
-            return words[b >> 6] >> (b & 63)
-
-        x = initial = support.take(draw(0) & ((1 << k) - 1))
-        events = []
-        for op in ops:
-            if isinstance(op[0], GateStep):
-                _, shift0, shift1, deltas = op
-                x = x ^ deltas.take(((x >> shift0) & 3) | (((x >> shift1) & 3) << 2))
-            else:
-                step, read, keep, flip, b = op
-                coin = draw(b) & 1
-                after = (x & keep) ^ (coin << flip)
-                events.append(MeasurementEvent(
-                    step.label, step.target_kind, step.index, (x >> read) & 1, coin, x, after
-                ))
-                x = after
-        yield ShotColumns(seed, start, initial, tuple(events))
+        words = _shot_words(key, start, min(_CHUNK_SHOTS, stop - start), max(1, -(-bits // 64)))
+        yield ShotColumns(seed, start, *_lanes(support, ops, words))
 
 
 def sample_run(plan: ToyPlan, seed: int, shot: int = 0) -> RunRecord:
@@ -289,15 +316,20 @@ def _z_score(count: int, shots: int, p: Fraction) -> float:
 
 def _tally(
     shots: int,
-    events: Callable[[int, int], dict[str, np.ndarray]],
+    events: Callable[[int, int], tuple[dict[str, np.ndarray], np.ndarray | None]],
     labeler: Callable[[dict[str, int]], str],
 ) -> dict[str, int]:
     """Outcome counts of shots ``0 .. shots - 1``, :data:`_CHUNK_SHOTS` at a time.
 
-    ``events(first, n)`` gives the ``{label: bit column}`` record of shots
-    ``first .. first + n - 1``.  Each group of 32 labels packs into an int64
-    key under the rank of the shot's earlier groups, so one sort per group
-    counts a chunk's distinct rows; ``labeler`` sees each distinct outcome once.
+    ``events(first, n)`` gives the ``{label: bit column}`` record of lanes
+    that stand for shots ``first .. first + n - 1``, and the lanes' weights:
+    ``None`` for one lane per shot, otherwise how many of the shots each
+    lane stands for.  Weighted lanes are the ``2^B`` bit patterns of at
+    least as many bits as labels, so their outcome codes lie below the lane
+    count and one bincount sums them.  Unweighted lanes pack each group of
+    32 labels into an int64 key under the rank of the lane's earlier groups,
+    so one sort per group finds a chunk's distinct rows.  ``labeler`` sees
+    each distinct outcome once.
     """
     import numpy as np
 
@@ -306,9 +338,9 @@ def _tally(
     tallies: dict[int, int] = {}  # bit j of an outcome's code is label j
     for first in range(0, shots, _CHUNK_SHOTS):
         n = min(_CHUNK_SHOTS, shots - first)
-        record = events(first, n)
+        record, weights = events(first, n)
         labels, columns = list(record), list(record.values())
-        key = np.zeros(n, dtype=np.int64)
+        key = np.zeros(n if weights is None else len(weights), dtype=np.int64)
         tables = []  # the distinct keys of each group of 32 labels but the last
         # np.unique sorts, faster here than its hash path, only when asked for counts
         for j in range(0, len(columns), 32):
@@ -317,7 +349,12 @@ def _tally(
                 key = np.searchsorted(tables[-1], key) << 32
             for i, column in enumerate(columns[j:j + 32]):
                 key |= column.astype(np.int64) << i
-        rows, sizes = np.unique(key, return_counts=True)
+        if weights is None:
+            rows, sizes = np.unique(key, return_counts=True)
+        else:
+            sizes = np.bincount(key, weights)
+            rows = sizes.nonzero()[0]
+            sizes = sizes[rows].astype(np.int64)
         for row, size in zip(rows.tolist(), sizes.tolist()):
             code = row & 0xFFFF_FFFF
             for table in reversed(tables):
@@ -339,11 +376,29 @@ def run_experiment(
 ) -> dict[str, int]:
     """Outcome counts over shots ``0 .. shots - 1`` of ``seed``, with the
     contract of :func:`toyfield.automaton.run_experiment`; no exact
-    reference is computed."""
+    reference is computed.
 
-    def events(first: int, n: int) -> dict[str, np.ndarray]:
-        (batch,) = _shot_columns(plan, seed, n, first)
-        return {e.label: e.value for e in batch.events}
+    A shot's outcome is a function of the ``B`` bits it reads, the low
+    ``B`` bits of its word 0 whenever ``2^B`` is at most the chunk's shot
+    count.  Such a chunk runs the kernel once over the ``2^B`` bit patterns
+    and weighs each pattern by how many of the chunk's shots drew it; a
+    smaller chunk gets one lane per shot.  The counts are the same.
+    """
+    import numpy as np
+
+    support, ops, bits = _kernel(plan)
+    key = derive_seed(seed)
+    patterns = None  # the record of every bit pattern, when some chunk uses it
+    if 1 << bits <= min(shots, _CHUNK_SHOTS):  # the first chunk is the largest
+        every = np.arange(1 << bits, dtype=np.uint64)[None]
+        patterns = {e.label: e.value for e in _lanes(support, ops, every)[1]}
+
+    def events(first: int, n: int) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+        if patterns is not None and 1 << bits <= n:
+            drawn = _shot_words(key, first, n, 1)[0].view(np.int64) & ((1 << bits) - 1)
+            return patterns, np.bincount(drawn, minlength=1 << bits)
+        words = _shot_words(key, first, n, max(1, -(-bits // 64)))
+        return {e.label: e.value for e in _lanes(support, ops, words)[1]}, None
 
     return _tally(shots, events, labeler or default_labeler)
 
@@ -436,4 +491,6 @@ def locality_audit(plan: ToyPlan, shots: int, seed: int) -> LocalityReport:
     A violation means some bit outside the measured subsystem changed across
     the event; it names the event and the ``(seed, shot)`` that replays it.
     """
+    if shots <= 0:
+        raise ValueError("shots must be positive")
     return audit_records(_shot_columns(plan, seed, shots), plan.shape)

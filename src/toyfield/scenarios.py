@@ -27,6 +27,7 @@ Scenario catalog:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -101,6 +102,13 @@ class Scenario:
         return circuits.render(self.program)
 
 
+@functools.cache
+def _program(text: str) -> Program:
+    """The parse of one of this module's fixed texts, made on first use and
+    shared by every scenario built from that text."""
+    return parse(text)
+
+
 def _port_label(events: dict[str, int]) -> str:
     left = events.get("detector_L", 0)
     right = events.get("detector_R", 0)
@@ -130,7 +138,7 @@ def mzi_phase(s: int) -> Scenario:
     """Interferometer with a phase shifter; s = 1 means a pi shift."""
     if s not in (0, 1):
         raise ValueError("phase bit must be 0 or 1")
-    program = parse(_mzi_text(f"phase R {'pi' if s else '0'};\n"))
+    program = _program(_mzi_text(f"phase R {'pi' if s else '0'};\n"))
     return Scenario(
         "mzi_phase", (("phase", "pi" if s else "0"),), program, _port_label
     )
@@ -150,7 +158,7 @@ def _whichway_labeler(kind: DisturbanceKind) -> Labeler:
 
 def mzi_whichway(kind: DisturbanceKind = DisturbanceKind.NONDESTRUCTIVE) -> Scenario:
     """Interferometer with an occupation detector in the R arm."""
-    program = parse(_mzi_text(f"measure N R {kind.value} as which_way;\n"))
+    program = _program(_mzi_text(f"measure N R {kind.value} as which_way;\n"))
     return Scenario(
         "mzi_whichway", (("kind", kind.value),), program, _whichway_labeler(kind)
     )
@@ -164,7 +172,7 @@ def bomb_tester(functional: bool) -> Scenario:
     always exits at the L port.
     """
     if functional:
-        program = parse(_mzi_text("measure N R destructive as trigger;\n"))
+        program = _program(_mzi_text("measure N R destructive as trigger;\n"))
 
         def labeler(events: dict[str, int]) -> str:
             if events["trigger"]:
@@ -172,7 +180,7 @@ def bomb_tester(functional: bool) -> Scenario:
             return f"safe & {_port_label(events)}"
 
         return Scenario("bomb_tester", (("bomb", "functional"),), program, labeler)
-    program = parse(_mzi_text(""))
+    program = _program(_mzi_text(""))
     return Scenario("bomb_tester", (("bomb", "faulty"),), program, _port_label)
 
 
@@ -224,7 +232,7 @@ def quantum_eraser(basis: str, ancilla_timing: str = "after") -> Scenario:
         text = body + measure + "detect L as detector_L;\ndetect R as detector_R;\n"
     else:
         text = body + "detect L as detector_L;\ndetect R as detector_R;\n" + measure
-    program = parse(text)
+    program = _program(text)
     names = ("a0", "a1") if basis == "Q" else ("a+", "a-")
 
     def labeler(events: dict[str, int]) -> str:
@@ -252,36 +260,51 @@ def mirror_removed() -> Scenario:
         "detect L as detector_L;\n"
         "detect R as detector_R;\n"
     )
-    return Scenario("mirror_removed", (), parse(text), _port_label)
+    return Scenario("mirror_removed", (), _program(text), _port_label)
 
 
 def scenario_by_name(name: str, **params) -> Scenario:
+    """The scenario ``name`` with the parameters of :data:`SCENARIO_PARAMS`.
+
+    Raises ``KeyError`` for an unknown name, and ``ValueError`` for a
+    parameter the scenario does not take or a value outside its accepted
+    forms.
+    """
+    if name not in SCENARIO_PARAMS:
+        raise KeyError(f"unknown scenario {name!r}")
+    accepted = SCENARIO_PARAMS[name]
+    for param, value in params.items():
+        if param not in accepted:
+            raise ValueError(f"{name} takes no parameter {param!r}")
+        # forms match by type too, since True == 1, 0 == False and 1.0 == 1
+        if not any(type(value) is type(form) and value == form for form in accepted[param]):
+            raise ValueError(f"{name} parameter {param}={value!r} is not one of {accepted[param]}")
     if name == "mzi_phase":
-        phase = params.get("phase", "0")
-        return mzi_phase(1 if phase in (1, "1", "pi") else 0)
+        return mzi_phase(1 if params.get("phase", "0") in (1, "1", "pi") else 0)
     if name == "mzi_whichway":
         return mzi_whichway(DisturbanceKind(params.get("kind", "nondestructive")))
     if name == "bomb_tester":
-        return bomb_tester(bool(params.get("functional", True)))
+        return bomb_tester(params.get("functional", True))
     if name == "delayed_choice":
         return delayed_choice(params.get("choice", "detector"), params.get("timing", "after"))
     if name == "quantum_eraser":
         return quantum_eraser(
             params.get("basis", "P"), params.get("ancilla_timing", "after")
         )
-    if name == "mirror_removed":
-        return mirror_removed()
-    raise KeyError(f"unknown scenario {name!r}")
+    return mirror_removed()
 
 
-# Each scenario's name -> the parameter names :func:`scenario_by_name` reads for it.
-SCENARIO_PARAMS = {
-    "mzi_phase": ("phase",),
-    "mzi_whichway": ("kind",),
-    "bomb_tester": ("functional",),
-    "delayed_choice": ("choice", "timing"),
-    "quantum_eraser": ("basis", "ancilla_timing"),
-    "mirror_removed": (),
+_TIMINGS = ("before", "after")
+
+# Each scenario's name -> the parameters :func:`scenario_by_name` reads for it,
+# each with the values it accepts.
+SCENARIO_PARAMS: dict[str, dict[str, tuple]] = {
+    "mzi_phase": {"phase": (0, 1, "0", "1", "pi")},
+    "mzi_whichway": {"kind": (*(k.value for k in DisturbanceKind), *DisturbanceKind)},
+    "bomb_tester": {"functional": (True, False)},
+    "delayed_choice": {"choice": ("phase0", "phasepi", "detector"), "timing": _TIMINGS},
+    "quantum_eraser": {"basis": ("Q", "P"), "ancilla_timing": _TIMINGS},
+    "mirror_removed": {},
 }
 
 

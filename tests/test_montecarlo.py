@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,8 @@ from toyfield.scenarios import (
 )
 from toyfield.toy_dynamics import gate_table
 from toyfield.toy_measurement import DisturbanceKind, measurement_kernel
+
+from test_quantum_exact import random_program
 
 WW = compile_toy(mzi_whichway(DisturbanceKind.NONDESTRUCTIVE).program)
 PHASE0 = compile_toy(mzi_phase(0).program)
@@ -155,6 +158,11 @@ class TestLocalityAudit:
     def test_eraser_plan_clean(self):
         report = locality_audit(ERASER, shots=5000, seed=7)
         assert report.clean
+
+    @pytest.mark.parametrize("shots", [0, -5])
+    def test_no_shots_rejected(self, shots):
+        with pytest.raises(ValueError, match="shots must be positive"):
+            locality_audit(WW, shots=shots, seed=7)
 
     def test_injected_fault_detected(self):
         # A fabricated record whose measurement flipped a distant bit.
@@ -359,6 +367,92 @@ class TestBatchOracle:
             assert violation.changed_bits == 1 << (read + 3) % 4
             replay = sample_run(WW, violation.seed, violation.shot)
             assert violation.event in replay.events
+
+
+def lane_per_shot_counts(plan, shots, seed):
+    """Default-labelled counts read row by row off one lane per shot."""
+    counts = collections.Counter()
+    for batch in montecarlo._shot_columns(plan, seed, shots):
+        rows = zip(*(e.value.tolist() for e in batch.events)) if batch.events else [()] * batch.runs
+        for row in rows:
+            counts[default_labeler(dict(zip(plan.labels(), row)))] += 1
+    return dict(counts)
+
+
+class TestPatternLanes:
+    """Counts from one lane per bit pattern, weighted by the shots that drew
+    it, against one lane per shot."""
+
+    @staticmethod
+    def spy_lanes(monkeypatch):
+        lanes = []
+        real = montecarlo._lanes
+
+        def spy(support, ops, words):
+            lanes.append(words.shape[1])
+            return real(support, ops, words)
+
+        monkeypatch.setattr(montecarlo, "_lanes", spy)
+        return lanes
+
+    def test_random_programs(self, monkeypatch):
+        lanes = self.spy_lanes(monkeypatch)
+        rng = random.Random(13)
+        kinds = collections.Counter()
+        for seed in range(200):
+            plan = compile_toy(parse(random_program(rng)))
+            bits = montecarlo._kernel(plan)[2]
+            del lanes[:]
+            counts = montecarlo.run_experiment(plan, 500, seed)
+            patterns = 1 << bits <= 500
+            assert lanes == [1 << bits if patterns else 500]
+            assert counts == lane_per_shot_counts(plan, 500, seed)
+            kinds[patterns] += 1
+        assert kinds[True] > 100 and kinds[False] > 10, kinds
+
+    def test_one_call_uses_both_lane_kinds(self, monkeypatch):
+        plan = compile_toy(bomb_tester(functional=True).program)
+        assert montecarlo._kernel(plan)[2] == 5  # 32 patterns
+        expected = lane_per_shot_counts(plan, 100, 4)
+        assert montecarlo.run_experiment(plan, 100, 4) == expected  # one chunk of patterns
+        lanes = self.spy_lanes(monkeypatch)
+        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 32)
+        assert montecarlo.run_experiment(plan, 100, 4) == expected
+        assert lanes == [32, 4]  # the patterns once for three chunks, then the last 4 shots
+
+    def test_bulk_call_advances_only_the_patterns(self, monkeypatch):
+        scenario = bomb_tester(functional=True)
+        plan = compile_toy(scenario.program)
+        lanes = self.spy_lanes(monkeypatch)
+        counts = montecarlo.run_experiment(plan, 20_000, 9, scenario.labeler)
+        assert sum(counts.values()) == 20_000
+        assert sum(lanes) <= 1 << montecarlo._kernel(plan)[2]
+
+
+class TestShotRange:
+    """Shot numbers are the counter's first 64-bit word."""
+
+    LONG = compile_toy(parse(
+        "mode m;\nsource m;\n" + "".join(f"detect m as d{i};\n" for i in range(300))
+    ))
+
+    @pytest.mark.parametrize("shot", [-1, 2**64, 2**70])
+    def test_outside_refused(self, shot):
+        with pytest.raises(ValueError, match=f"shot {shot} is outside the shot range"):
+            sample_run(self.LONG, 11, shot)
+
+    def test_last_shot_reads_its_own_second_block(self):
+        # 1 support bit, then coins: coin 255 on is block 1, at counter (2^64 - 1, 1, 0, 0).
+        shot = 2**64 - 1
+        words = np.random.Philox(key=derive_seed(11), counter=shot + (1 << 64)).random_raw(4)
+        block = sum(word << (64 * w) for w, word in enumerate(words.tolist()))
+        coins = [e.coin for e in sample_run(self.LONG, 11, shot).events]
+        assert coins[255:] == [(block >> i) & 1 for i in range(45)]
+
+    def test_the_wire_automaton_draws_through_the_check(self):
+        plan = automaton.plan_from_program(mzi_phase(0).program)
+        with pytest.raises(ValueError, match="shot -1 is outside the shot range"):
+            automaton.run_single(plan, 3, -1)
 
 
 def test_estimate_on_ten_modes_builds_no_gate_table():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from toyfield import scenarios
 from toyfield.circuits import compile_toy, run_toy_exact, parse
 from toyfield.scenarios import (
     all_variants,
@@ -180,3 +181,59 @@ class TestRegistry:
         got = run_scenario(mzi_phase(0), "montecarlo", shots=200, seed=3)
         assert got.probs == {"detector_L": 1}
         assert got.shots == 200
+
+    def test_building_a_scenario_twice_parses_once(self, monkeypatch):
+        texts = []
+        real = scenarios.parse
+
+        def spy(text):
+            texts.append(text)
+            return real(text)
+
+        monkeypatch.setattr(scenarios, "parse", spy)
+        scenarios._program.cache_clear()
+        first, second = mzi_phase(1), scenario_by_name("mzi_phase", phase="pi")
+        assert len(texts) == 1
+        assert second.program is first.program
+
+    @pytest.mark.parametrize("name, params", [
+        ("mzi_phase", {"phase": 0}), ("mzi_phase", {"phase": 1}), ("mzi_phase", {"phase": "0"}),
+        ("mzi_phase", {"phase": "1"}), ("mzi_phase", {"phase": "pi"}),
+        ("mzi_whichway", {"kind": "destructive"}),
+        ("mzi_whichway", {"kind": DisturbanceKind.DESTRUCTIVE}),
+        ("bomb_tester", {"functional": False}),
+        ("delayed_choice", {"choice": "phasepi", "timing": "before"}),
+        ("quantum_eraser", {"basis": "Q", "ancilla_timing": "before"}),
+        ("mirror_removed", {}),
+    ])
+    def test_accepted_parameters(self, name, params):
+        assert scenario_by_name(name, **params).name == name
+
+    def test_phase_and_bomb_values_read_as_documented(self):
+        assert scenario_by_name("mzi_phase", phase=1).program == mzi_phase(1).program
+        assert scenario_by_name("mzi_phase", phase="0").program == mzi_phase(0).program
+        assert scenario_by_name("bomb_tester", functional=False).params == (("bomb", "faulty"),)
+
+    @pytest.mark.parametrize("name, param, value", [
+        ("mzi_phase", "phase", "banana"),
+        ("mzi_phase", "phase", 2),
+        ("mzi_phase", "phase", True),
+        ("mzi_phase", "phase", 1.0),
+        ("bomb_tester", "functional", "false"),
+        ("bomb_tester", "functional", 0),
+        ("mzi_whichway", "kind", "gentle"),
+        ("delayed_choice", "choice", "mirror"),
+        ("quantum_eraser", "basis", "X"),
+        ("quantum_eraser", "ancilla_timing", "during"),
+    ])
+    def test_value_outside_the_accepted_forms_refused(self, name, param, value):
+        with pytest.raises(ValueError, match=f"parameter {param}={value!r} is not one of"):
+            scenario_by_name(name, **{param: value})
+
+    @pytest.mark.parametrize("name, param, value", [
+        ("mzi_phase", "kind", "destructive"), ("bomb_tester", "phase", "pi"),
+        ("mirror_removed", "timing", "before"), ("quantum_eraser", "timing", "before"),
+    ])
+    def test_parameter_the_scenario_does_not_take_refused(self, name, param, value):
+        with pytest.raises(ValueError, match=f"{name} takes no parameter {param!r}"):
+            scenario_by_name(name, **{param: value})
