@@ -175,6 +175,12 @@ class Program:
         program object."""
         return _lower(self)
 
+    @cached_property
+    def toy_plan(self) -> ToyPlan:
+        """The program's classical plan (:func:`compile_toy`), compiled once
+        per program object; a program that does not compile raises each time."""
+        return _compile_toy(self)
+
 
 # ---------------------------------------------------------------------------
 # Statement table, lexer and parser
@@ -413,6 +419,23 @@ class ToyPlan:
     def labels(self) -> tuple[str, ...]:
         return tuple(s.label for s in self.steps if isinstance(s, MeasureStep))
 
+    # Monte Carlo's seed-independent work, done once per plan object; the
+    # locality audit and single-run replay build their kernel on every call.
+    @cached_property
+    def column_kernel(self):
+        """The plan as Monte Carlo column ops (:func:`toyfield.montecarlo._kernel`)."""
+        from toyfield.montecarlo import _kernel
+
+        return _kernel(self)
+
+    @cached_property
+    def pattern_record(self):
+        """The outcome record of every pattern of the bits a shot's outcome
+        reads (:func:`toyfield.montecarlo._patterns`)."""
+        from toyfield.montecarlo import _patterns
+
+        return _patterns(self)
+
 
 @dataclass(frozen=True)
 class QuantumPlan:
@@ -460,7 +483,12 @@ def _lower(program: Program) -> tuple[Step, ...]:
 
 def compile_toy(program: Program) -> ToyPlan:
     """Lower a program to the classical engine: an initial flat state and a
-    sequence of permutation gates and measurement steps."""
+    sequence of permutation gates and measurement steps.  The plan is made
+    once per program object and shared (:attr:`Program.toy_plan`)."""
+    return program.toy_plan
+
+
+def _compile_toy(program: Program) -> ToyPlan:
     steps = program.steps
     shape = RegisterShape(len(program.modes), len(program.ancillas))
     sourced = [program.modes.index(s.mode) for s in program.statements if isinstance(s, Source)]

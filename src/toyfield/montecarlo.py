@@ -17,23 +17,29 @@ counter-based Philox4x64-10 generator (Salmon et al., SC'11):
   ``2^k`` points, and bit ``k + i`` is the coin of the i-th measurement.
 
 Shots are therefore independent runs, and a shot's outcome is a function
-of the ``B = k + m`` bits it reads (``m`` measurements).  Shot numbers lie
-in ``[0, 2**64)``, the counter's first word; :func:`_shot_words` refuses
-any other.  :func:`_kernel` turns a plan into column ops once per call, and
-one lane kernel, :func:`_lanes`, advances ``uint64`` lanes through them:
-gates through their two-subsystem kernels and measurements through their
-``(read, keep, flip)`` triples.  Calls run :data:`_CHUNK_SHOTS` shots at a
-time so memory stays bounded; no result depends on the chunk size.
-:func:`sample_run` and :func:`locality_audit` give every shot its own lane,
-so ``(seed, shot)`` replays any run of a bulk call and the audit sees every
-run's states.  :func:`run_experiment` needs only counts: a chunk of at least
-``2^B`` shots runs the lanes of the ``2^B`` bit patterns once and weighs
-each pattern by how many of the chunk's shots drew it (the low ``B`` bits of
-word 0); a smaller chunk gets one lane per shot.  :func:`_tally` counts each
-chunk's distinct outcomes, under those weights or one per lane, and calls
-the labeler once per distinct outcome; the wire automaton counts its chunks
-of the same size through it too, one lane per shot.  :func:`estimate`
-compares the counts with an exact reference.
+of the ``B = k + m`` bits it reads (``m`` measurements); the last coin, bit
+``B - 1``, only moves the state after the last value is read, so no outcome
+depends on it.  Shot numbers lie in ``[0, 2**64)``, the counter's first
+word; :func:`_shot_words` refuses any other.  :func:`_kernel` turns a plan
+into column ops, and one lane kernel, :func:`_lanes`, advances ``uint64``
+lanes through them: gates through their two-subsystem kernels and
+measurements through their ``(read, keep, flip)`` triples.  Calls run
+:data:`_CHUNK_SHOTS` shots at a time so memory stays bounded; no result
+depends on the chunk size.  :func:`sample_run` and :func:`locality_audit`
+build the kernel on every call and give every shot its own lane, so
+``(seed, shot)`` replays any run of a bulk call and the audit sees every
+run's states.  :func:`run_experiment` needs only counts, and reads what
+depends only on the plan from the plan object, made once per plan: the
+kernel (:attr:`~toyfield.circuits.ToyPlan.column_kernel`) and the outcome
+record of the ``2^(B - 1)`` patterns of the bits an outcome reads
+(:attr:`~toyfield.circuits.ToyPlan.pattern_record`); their arrays are
+read-only.  A chunk of at least that many shots weighs each pattern by how
+many of its shots drew it (the low ``B - 1`` bits of word 0); a smaller
+chunk gets one lane per shot.  :func:`_tally` counts each chunk's distinct outcomes, under
+those weights or one per lane, and calls the labeler once per distinct
+outcome; the wire automaton counts its chunks of the same size through it
+too, one lane per shot.  :func:`estimate` compares the counts with an
+exact reference.
 
 numpy is imported by the kernel on first use, not with this module.
 """
@@ -204,13 +210,20 @@ def _shot_words(key: int, first: int, shots: int, words: int) -> np.ndarray:
     return out
 
 
-def _kernel(plan: ToyPlan) -> tuple[np.ndarray, list[tuple], int]:
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _kernel(plan: ToyPlan) -> tuple[np.ndarray, tuple[tuple, ...], int]:
     """``plan`` as column ops: its sorted support, one op per step and the
-    number of bits a shot reads."""
+    number of bits a shot reads.  The arrays are read-only, so the copy a
+    plan caches (:attr:`~toyfield.circuits.ToyPlan.column_kernel`) cannot
+    be changed through a caller."""
     import numpy as np
 
     shape = plan.shape
-    support = np.array(sorted(plan.initial.support), dtype=np.uint64)
+    support = _read_only(np.array(sorted(plan.initial.support), dtype=np.uint64))
     k = len(support).bit_length() - 1
     if len(support) != 1 << k:
         raise ValueError(f"initial support of {len(support)} points is not a power of two")
@@ -219,7 +232,7 @@ def _kernel(plan: ToyPlan) -> tuple[np.ndarray, list[tuple], int]:
     for step in plan.steps:
         if isinstance(step, GateStep):
             shift0, shift1, deltas = _gate_kernel(step.gate, shape)
-            ops.append((step, shift0, shift1, np.array(deltas, dtype=np.uint64)))
+            ops.append((step, shift0, shift1, _read_only(np.array(deltas, dtype=np.uint64))))
         else:
             destructive = step.kind is DisturbanceKind.DESTRUCTIVE
             read, keep, flip = measurement_kernel(
@@ -227,11 +240,18 @@ def _kernel(plan: ToyPlan) -> tuple[np.ndarray, list[tuple], int]:
             )
             ops.append((step, read, keep & 0xFFFF_FFFF_FFFF_FFFF, flip, bit))
             bit += 1
-    return support, ops, bit
+    return support, tuple(ops), bit
+
+
+def _outcome_bits(support: np.ndarray, bits: int) -> int:
+    """How many of a shot's ``bits`` its outcome reads: all but the last
+    measurement's coin, the top bit, which only moves the state after the
+    last value is read."""
+    return bits - (bits > len(support).bit_length() - 1)
 
 
 def _lanes(
-    support: np.ndarray, ops: list[tuple], words: np.ndarray
+    support: np.ndarray, ops: tuple[tuple, ...], words: np.ndarray
 ) -> tuple[np.ndarray, tuple[MeasurementEvent, ...]]:
     """Run one lane per column of ``words``, laid out as :func:`_shot_words`
     gives them, through :func:`_kernel`'s ``ops``: the lanes' initial states
@@ -266,6 +286,17 @@ def _shot_columns(plan: ToyPlan, seed: int, shots: int, first: int = 0) -> Itera
     for start in range(first, stop, _CHUNK_SHOTS):
         words = _shot_words(key, start, min(_CHUNK_SHOTS, stop - start), max(1, -(-bits // 64)))
         yield ShotColumns(seed, start, *_lanes(support, ops, words))
+
+
+def _patterns(plan: ToyPlan) -> dict[str, np.ndarray]:
+    """The ``{label: read-only value column}`` record of one lane per pattern
+    of the plan's :func:`_outcome_bits`, pattern ``j`` in lane ``j``, run
+    through the plan's cached kernel."""
+    import numpy as np
+
+    support, ops, bits = plan.column_kernel
+    every = np.arange(1 << _outcome_bits(support, bits), dtype=np.uint64)[None]
+    return {e.label: _read_only(e.value) for e in _lanes(support, ops, every)[1]}
 
 
 def sample_run(plan: ToyPlan, seed: int, shot: int = 0) -> RunRecord:
@@ -324,11 +355,12 @@ def _tally(
     ``events(first, n)`` gives the ``{label: bit column}`` record of lanes
     that stand for shots ``first .. first + n - 1``, and the lanes' weights:
     ``None`` for one lane per shot, otherwise how many of the shots each
-    lane stands for.  Weighted lanes are the ``2^B`` bit patterns of at
-    least as many bits as labels, so their outcome codes lie below the lane
-    count and one bincount sums them.  Unweighted lanes pack each group of
-    32 labels into an int64 key under the rank of the lane's earlier groups,
-    so one sort per group finds a chunk's distinct rows.  ``labeler`` sees
+    lane stands for.  Weighted lanes are the ``2^(B - 1)`` patterns of a
+    plan's outcome bits, and its labels number at most ``B``, so their
+    outcome codes lie below twice the lane count and one bincount sums them.
+    Unweighted lanes pack each group of 32 labels into an int64 key under
+    the rank of the lane's earlier groups, so one sort per group finds a
+    chunk's distinct rows.  ``labeler`` sees
     each distinct outcome once.
     """
     import numpy as np
@@ -378,25 +410,26 @@ def run_experiment(
     contract of :func:`toyfield.automaton.run_experiment`; no exact
     reference is computed.
 
-    A shot's outcome is a function of the ``B`` bits it reads, the low
-    ``B`` bits of its word 0 whenever ``2^B`` is at most the chunk's shot
-    count.  Such a chunk runs the kernel once over the ``2^B`` bit patterns
-    and weighs each pattern by how many of the chunk's shots drew it; a
-    smaller chunk gets one lane per shot.  The counts are the same.
+    A shot's outcome is a function of the low ``B - 1`` bits of its word 0,
+    all its ``B`` bits but the last measurement's coin (``B`` with no
+    measurement).  A chunk of at least ``2^(B - 1)`` shots weighs the
+    plan's record of those bit patterns (:attr:`ToyPlan.pattern_record`,
+    made the first time a chunk uses it) by how many of the chunk's shots
+    drew each; a smaller chunk gets one lane per shot, drawn from every word
+    the kernel reads.  The plan's kernel is made once per plan object
+    (:attr:`ToyPlan.column_kernel`); the counts are those of one lane per
+    shot.
     """
     import numpy as np
 
-    support, ops, bits = _kernel(plan)
+    support, ops, bits = plan.column_kernel
+    width = _outcome_bits(support, bits)
     key = derive_seed(seed)
-    patterns = None  # the record of every bit pattern, when some chunk uses it
-    if 1 << bits <= min(shots, _CHUNK_SHOTS):  # the first chunk is the largest
-        every = np.arange(1 << bits, dtype=np.uint64)[None]
-        patterns = {e.label: e.value for e in _lanes(support, ops, every)[1]}
 
     def events(first: int, n: int) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
-        if patterns is not None and 1 << bits <= n:
-            drawn = _shot_words(key, first, n, 1)[0].view(np.int64) & ((1 << bits) - 1)
-            return patterns, np.bincount(drawn, minlength=1 << bits)
+        if 1 << width <= n:
+            drawn = _shot_words(key, first, n, 1)[0].view(np.int64) & ((1 << width) - 1)
+            return plan.pattern_record, np.bincount(drawn, minlength=1 << width)
         words = _shot_words(key, first, n, max(1, -(-bits // 64)))
         return {e.label: e.value for e in _lanes(support, ops, words)[1]}, None
 

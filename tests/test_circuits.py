@@ -245,6 +245,23 @@ class TestCompile:
         assert hash(program) == hash(fresh)
         assert render(program) == render(fresh)
 
+    def test_a_program_compiles_to_one_toy_plan(self, monkeypatch):
+        from toyfield import circuits
+
+        compiled = []
+        compile_ = circuits._compile_toy
+
+        def counting(program):
+            compiled.append(program)
+            return compile_(program)
+
+        monkeypatch.setattr(circuits, "_compile_toy", counting)
+        program = parse("mode L R; source L; bs L R; detect L as dl;")
+        assert compile_toy(program) is compile_toy(program)
+        fresh = parse(render(program))
+        assert compile_toy(fresh) == compile_toy(program)
+        assert len(compiled) == 2 and compiled[0] is program and compiled[1] is fresh
+
     def test_a_program_without_modes_is_refused_by_each_compiler(self):
         program = Program((), (), ())
         for compile_ in (compile_toy, compile_quantum, compile_toy):

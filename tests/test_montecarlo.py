@@ -21,6 +21,7 @@ from toyfield.circuits import (
     default_labeler,
     enumerate_toy_runs,
     parse,
+    render,
     run_toy_exact,
     step_run_index,
 )
@@ -401,32 +402,115 @@ class TestPatternLanes:
         kinds = collections.Counter()
         for seed in range(200):
             plan = compile_toy(parse(random_program(rng)))
-            bits = montecarlo._kernel(plan)[2]
+            support, _, bits = montecarlo._kernel(plan)
+            width = montecarlo._outcome_bits(support, bits)
+            assert width == bits - bool(plan.labels())  # all but the last coin
             del lanes[:]
             counts = montecarlo.run_experiment(plan, 500, seed)
-            patterns = 1 << bits <= 500
-            assert lanes == [1 << bits if patterns else 500]
+            patterns = 1 << width <= 500
+            assert lanes == [1 << width if patterns else 500]
             assert counts == lane_per_shot_counts(plan, 500, seed)
             kinds[patterns] += 1
         assert kinds[True] > 100 and kinds[False] > 10, kinds
 
     def test_one_call_uses_both_lane_kinds(self, monkeypatch):
-        plan = compile_toy(bomb_tester(functional=True).program)
-        assert montecarlo._kernel(plan)[2] == 5  # 32 patterns
+        plan = fresh_plan(bomb_tester(functional=True))
+        assert montecarlo._kernel(plan)[2] == 5  # 16 patterns of the 4 bits an outcome reads
         expected = lane_per_shot_counts(plan, 100, 4)
-        assert montecarlo.run_experiment(plan, 100, 4) == expected  # one chunk of patterns
         lanes = self.spy_lanes(monkeypatch)
         monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 32)
         assert montecarlo.run_experiment(plan, 100, 4) == expected
-        assert lanes == [32, 4]  # the patterns once for three chunks, then the last 4 shots
+        assert lanes == [16, 4]  # the patterns once for three chunks, then the last 4 shots
+        del lanes[:]
+        assert montecarlo.run_experiment(plan, 100, 4) == expected
+        assert lanes == [4]  # the plan holds the patterns now
 
     def test_bulk_call_advances_only_the_patterns(self, monkeypatch):
         scenario = bomb_tester(functional=True)
-        plan = compile_toy(scenario.program)
+        plan = fresh_plan(scenario)
         lanes = self.spy_lanes(monkeypatch)
         counts = montecarlo.run_experiment(plan, 20_000, 9, scenario.labeler)
         assert sum(counts.values()) == 20_000
-        assert sum(lanes) <= 1 << montecarlo._kernel(plan)[2]
+        assert lanes == [1 << montecarlo._kernel(plan)[2] - 1]
+
+    @pytest.mark.parametrize("detections", [63, 64])
+    def test_last_coin_on_a_word_boundary(self, detections):
+        # 1 support bit plus one coin per detection: with 64 the last coin,
+        # which no outcome reads, is bit 0 of word 1, still drawn per shot.
+        text = "mode m;\nsource m;\n" + "".join(f"detect m as d{i};\n" for i in range(detections))
+        plan = compile_toy(parse(text))
+        assert montecarlo.run_experiment(plan, 300, 2) == lane_per_shot_counts(plan, 300, 2)
+
+
+def fresh_plan(scenario):
+    """A plan of the scenario's text that no earlier call has cached into."""
+    return compile_toy(parse(scenario.program_text()))
+
+
+class TestPlanCache:
+    """What depends only on the plan is made once per plan object."""
+
+    SHOTS = (1, 7, 10**3, 2 * 10**4, 70_001)
+    SEEDS = (0, 5, 2**70)
+
+    @staticmethod
+    def items(plan, shots, seed, labeler):
+        return list(montecarlo.run_experiment(plan, shots, seed, labeler).items())
+
+    def test_compile_toy_is_cached_on_the_program(self):
+        program = bomb_tester(functional=True).program
+        assert compile_toy(program) is compile_toy(program)
+        fresh = parse(render(program))
+        assert compile_toy(fresh) is not compile_toy(program)
+        assert compile_toy(fresh) == compile_toy(program)
+
+    @pytest.mark.parametrize("scenario", list(all_variants()), ids=lambda s: s.key)
+    def test_cached_and_fresh_plans_count_alike(self, scenario):
+        cached = compile_toy(scenario.program)
+        for shots in self.SHOTS:
+            for seed in self.SEEDS:
+                expected = self.items(fresh_plan(scenario), shots, seed, scenario.labeler)
+                assert self.items(cached, shots, seed, scenario.labeler) == expected
+                assert self.items(cached, shots, seed, scenario.labeler) == expected
+        assert "column_kernel" in vars(cached) and "pattern_record" in vars(cached)
+
+    @pytest.mark.parametrize("chunk", [6, 20])
+    def test_chunk_size_after_caching_changes_nothing(self, chunk, monkeypatch):
+        variants = list(all_variants())
+        shots = (1, 7, 10**3)
+
+        def results(plan_of):
+            return [self.items(plan_of(s), n, seed, s.labeler)
+                    for s in variants for n in shots for seed in self.SEEDS]
+
+        expected = results(lambda s: compile_toy(s.program))  # caches every table
+        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", chunk)
+        cached = results(lambda s: compile_toy(s.program))
+        assert cached == results(fresh_plan)
+        # the chunks order a dict's labels by first appearance, so only its
+        # items are the same as at the default chunk size
+        assert [dict(items) for items in cached] == [dict(items) for items in expected]
+
+    def test_cached_arrays_are_read_only(self):
+        plan = fresh_plan(bomb_tester(functional=True))
+        montecarlo.run_experiment(plan, 100, 1)
+        support, ops, _ = plan.column_kernel
+        record = plan.pattern_record
+        deltas = [op[3] for op in ops if isinstance(op[0], GateStep)]
+        assert deltas and record
+        for array in (support, *deltas, *record.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_audit_builds_its_own_kernel(self, monkeypatch):
+        def leaky(variable, index, modes, ancillas, destructive=False):
+            read, keep, flip = measurement_kernel(variable, index, modes, ancillas, destructive)
+            return read, keep, (flip + 2) % (2 * (modes + ancillas))  # a neighbour's bit
+
+        plan = fresh_plan(mzi_whichway(DisturbanceKind.NONDESTRUCTIVE))
+        montecarlo.run_experiment(plan, 100, 9)  # the plan caches its kernel
+        monkeypatch.setattr(montecarlo, "measurement_kernel", leaky)
+        assert {v.event.label for v in locality_audit(plan, 50, 9).violations} == set(plan.labels())
 
 
 class TestShotRange:
