@@ -429,12 +429,12 @@ class ToyPlan:
         return _kernel(self)
 
     @cached_property
-    def pattern_record(self):
-        """The outcome record of every pattern of the bits a shot's outcome
-        reads (:func:`toyfield.montecarlo._patterns`)."""
-        from toyfield.montecarlo import _patterns
+    def outcome_codes(self):
+        """The outcome code of every pattern of the bits a shot's outcome
+        reads (:func:`toyfield.montecarlo._outcome_codes`)."""
+        from toyfield.montecarlo import _outcome_codes
 
-        return _patterns(self)
+        return _outcome_codes(self)
 
 
 @dataclass(frozen=True)

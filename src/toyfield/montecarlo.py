@@ -20,28 +20,34 @@ Shots are therefore independent runs, and a shot's outcome is a function
 of the ``B = k + m`` bits it reads (``m`` measurements); the last coin, bit
 ``B - 1``, only moves the state after the last value is read, so no outcome
 depends on it.  Shot numbers lie in ``[0, 2**64)``, the counter's first
-word; :func:`_shot_words` refuses any other.  :func:`_kernel` turns a plan
-into column ops, and one lane kernel, :func:`_lanes`, advances ``uint64``
-lanes through them: gates through their two-subsystem kernels and
-measurements through their ``(read, keep, flip)`` triples.  Calls run
-:data:`_CHUNK_SHOTS` shots at a time so memory stays bounded; no result
-depends on the chunk size.  :func:`sample_run` and :func:`locality_audit`
-build the kernel on every call and give every shot its own lane, so
-``(seed, shot)`` replays any run of a bulk call and the audit sees every
-run's states.  :func:`run_experiment` needs only counts, and reads what
-depends only on the plan from the plan object, made once per plan: the
-kernel (:attr:`~toyfield.circuits.ToyPlan.column_kernel`) and the outcome
-record of the ``2^(B - 1)`` patterns of the bits an outcome reads
-(:attr:`~toyfield.circuits.ToyPlan.pattern_record`); their arrays are
-read-only.  A chunk of at least that many shots weighs each pattern by how
-many of its shots drew it (the low ``B - 1`` bits of word 0); a smaller
-chunk gets one lane per shot.  :func:`_tally` counts each chunk's distinct outcomes, under
-those weights or one per lane, and calls the labeler once per distinct
-outcome; the wire automaton counts its chunks of the same size through it
-too, one lane per shot.  :func:`estimate` compares the counts with an
-exact reference.
+word; :func:`_block` refuses any other.  Each thread draws from one Philox
+generator, made on first use and moved to each draw's ``(key, counter)``
+with its buffer emptied, so no word carries over between calls.
 
-numpy is imported by the kernel on first use, not with this module.
+:func:`_kernel` turns a plan into column ops, and one lane kernel,
+:func:`_lanes`, advances ``uint64`` lanes through them: gates through their
+two-subsystem kernels and measurements through their ``(read, keep,
+flip)`` triples.  Calls run :data:`_CHUNK_SHOTS` shots at a time so memory
+stays bounded; no result, nor its order, depends on the chunk size.
+:func:`sample_run` and :func:`locality_audit` build the kernel on every
+call and give every shot its own lane, so ``(seed, shot)`` replays any run
+of a bulk call and the audit sees every run's states.
+:func:`run_experiment` needs only counts, and reads what depends only on
+the plan from the plan object, made once per plan: the kernel
+(:attr:`~toyfield.circuits.ToyPlan.column_kernel`) and the outcome code of
+each of the ``2^(B - 1)`` patterns of the bits an outcome reads
+(:attr:`~toyfield.circuits.ToyPlan.outcome_codes`); their arrays are
+read-only.  A chunk of at least that many shots is counted by two
+bincounts: how many of its shots drew each pattern (the low ``B - 1`` bits
+of word 0, read as a strided view), summed under each pattern's code.  A
+smaller chunk gets one lane per shot, counted by :func:`_distinct`.
+:func:`_tally` adds up the chunks' codes and calls the labeler once per
+distinct outcome, in ascending code order; the wire automaton counts its
+chunks of the same size through it too, one lane per shot.
+:func:`estimate` compares the counts with an exact reference.
+
+numpy is imported, and a thread's generator made, on first use, not with
+this module.
 """
 
 from __future__ import annotations
@@ -49,9 +55,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from toyfield import __version__
 from toyfield.circuits import (
@@ -186,27 +193,54 @@ class ShotColumns:
         return cls(record.seed, record.shot, column(record.initial_state), events)
 
 
+_PHILOX = threading.local()  # .generator: this thread's Philox, made on first use
+
+
+def _block(key: int, first: int, shots: int, block: int = 0) -> np.ndarray:
+    """Philox block ``block`` of shots ``first .. first + shots - 1`` under
+    ``key``: a ``(shots, 4)`` array, row ``s`` the four words of shot
+    ``first + s``.
+
+    Shot numbers are the counter's first 64-bit word, so a shot outside
+    ``[0, 2**64)`` is refused: it would read another shot's block.  Each
+    thread draws from one generator, moved to counter ``first + (block <<
+    64)`` with its buffer emptied, so a draw equals that of a new
+    ``np.random.Philox(key=key, counter=first + (block << 64))``.
+    """
+    if first < 0 or first + shots > 1 << 64:
+        shot = first if first < 0 else first + shots - 1
+        raise ValueError(f"shot {shot} is outside the shot range [0, 2**64)")
+    try:
+        philox = _PHILOX.generator
+    except AttributeError:
+        import numpy as np
+
+        philox = _PHILOX.generator = np.random.Philox(key=0)
+    mask = 0xFFFF_FFFF_FFFF_FFFF
+    counter = first + (block << 64)
+    philox.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [counter >> s & mask for s in (0, 64, 128, 192)],
+                  "key": [key & mask, key >> 64]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return philox.random_raw(4 * shots).reshape(shots, 4)
+
+
 def _shot_words(key: int, first: int, shots: int, words: int) -> np.ndarray:
     """The first ``words`` Philox words of shots ``first .. first + shots - 1``
     under ``key``.
 
     A contiguous ``(words, shots)`` array: row ``w`` is word ``w % 4`` of
-    every shot's block ``w // 4``, so bit ``b`` of a shot is bit ``b % 64``
-    of row ``b // 64``.  Both sampled engines draw through it and copy only
-    the words they read.  Shot numbers are the counter's first 64-bit word,
-    so a shot outside ``[0, 2**64)`` is refused: it would read another
-    shot's block.
+    every shot's :func:`_block` ``w // 4``, so bit ``b`` of a shot is bit
+    ``b % 64`` of row ``b // 64``.  Both sampled engines draw through it and
+    copy only the words they read.
     """
     import numpy as np
 
-    if first < 0 or first + shots > 1 << 64:
-        shot = first if first < 0 else first + shots - 1
-        raise ValueError(f"shot {shot} is outside the shot range [0, 2**64)")
     out = np.empty((words, shots), dtype=np.uint64)
     for block in range(-(-words // 4)):
-        philox = np.random.Philox(key=key, counter=first + (block << 64))
-        raw = philox.random_raw(4 * shots).reshape(shots, 4).T
-        out[4 * block:4 * block + 4] = raw[:words - 4 * block]
+        out[4 * block:4 * block + 4] = _block(key, first, shots, block).T[:words - 4 * block]
     return out
 
 
@@ -288,15 +322,19 @@ def _shot_columns(plan: ToyPlan, seed: int, shots: int, first: int = 0) -> Itera
         yield ShotColumns(seed, start, *_lanes(support, ops, words))
 
 
-def _patterns(plan: ToyPlan) -> dict[str, np.ndarray]:
-    """The ``{label: read-only value column}`` record of one lane per pattern
-    of the plan's :func:`_outcome_bits`, pattern ``j`` in lane ``j``, run
-    through the plan's cached kernel."""
+def _outcome_codes(plan: ToyPlan) -> np.ndarray:
+    """The read-only ``int64`` outcome code of one lane per pattern of the
+    plan's :func:`_outcome_bits`, pattern ``j`` in lane ``j``, run through
+    the plan's cached kernel: bit ``i`` of a code is the value the plan's
+    ``i``-th measurement reads."""
     import numpy as np
 
     support, ops, bits = plan.column_kernel
     every = np.arange(1 << _outcome_bits(support, bits), dtype=np.uint64)[None]
-    return {e.label: _read_only(e.value) for e in _lanes(support, ops, every)[1]}
+    codes = np.zeros(every.shape[1], dtype=np.int64)
+    for i, event in enumerate(_lanes(support, ops, every)[1]):
+        codes |= event.value.astype(np.int64) << i
+    return _read_only(codes)
 
 
 def sample_run(plan: ToyPlan, seed: int, shot: int = 0) -> RunRecord:
@@ -345,58 +383,64 @@ def _z_score(count: int, shots: int, p: Fraction) -> float:
     return (count / shots - pf) / math.sqrt(pf * (1.0 - pf) / shots)
 
 
+def _distinct(
+    record: dict[str, np.ndarray], lanes: int
+) -> tuple[list[str], list[int], list[int]]:
+    """The labels of a ``{label: bit column}`` record of ``lanes`` lanes,
+    one per shot, its distinct outcome codes (bit ``j`` is label ``j``) and
+    how many lanes read each.
+
+    Each group of 32 labels is packed into an int64 key under the rank of
+    the lane's earlier groups, so one sort per group finds the distinct rows.
+    """
+    import numpy as np
+
+    labels, columns = list(record), list(record.values())
+    key = np.zeros(lanes, dtype=np.int64)
+    tables = []  # the distinct keys of each group of 32 labels but the last
+    # np.unique sorts, faster here than its hash path, only when asked for counts
+    for j in range(0, len(columns), 32):
+        if j:
+            tables.append(np.unique(key, return_counts=True)[0])
+            key = np.searchsorted(tables[-1], key) << 32
+        for i, column in enumerate(columns[j:j + 32]):
+            key |= column.astype(np.int64) << i
+    rows, sizes = np.unique(key, return_counts=True)
+    codes = []
+    for row in rows.tolist():
+        code = row & 0xFFFF_FFFF
+        for table in reversed(tables):
+            row = int(table[row >> 32])
+            code = code << 32 | row & 0xFFFF_FFFF
+        codes.append(code)
+    return labels, codes, sizes.tolist()
+
+
 def _tally(
     shots: int,
-    events: Callable[[int, int], tuple[dict[str, np.ndarray], np.ndarray | None]],
+    counted: Callable[[int, int], tuple[Sequence[str], list[int], list[int]]],
     labeler: Callable[[dict[str, int]], str],
 ) -> dict[str, int]:
     """Outcome counts of shots ``0 .. shots - 1``, :data:`_CHUNK_SHOTS` at a time.
 
-    ``events(first, n)`` gives the ``{label: bit column}`` record of lanes
-    that stand for shots ``first .. first + n - 1``, and the lanes' weights:
-    ``None`` for one lane per shot, otherwise how many of the shots each
-    lane stands for.  Weighted lanes are the ``2^(B - 1)`` patterns of a
-    plan's outcome bits, and its labels number at most ``B``, so their
-    outcome codes lie below twice the lane count and one bincount sums them.
-    Unweighted lanes pack each group of 32 labels into an int64 key under
-    the rank of the lane's earlier groups, so one sort per group finds a
-    chunk's distinct rows.  ``labeler`` sees
-    each distinct outcome once.
+    ``counted(first, n)`` counts the outcomes of shots ``first .. first + n
+    - 1``: it gives their labels, their distinct outcome codes (bit ``j`` of
+    a code is label ``j``) and how many of the shots drew each.  The counts
+    of every chunk are added up by code, then labelled in ascending code
+    order, so the result, its order too, does not depend on the chunk size;
+    ``labeler`` sees each distinct outcome once.
     """
-    import numpy as np
-
     if shots <= 0:
         raise ValueError("shots must be positive")
-    tallies: dict[int, int] = {}  # bit j of an outcome's code is label j
+    tallies: dict[int, int] = {}
     for first in range(0, shots, _CHUNK_SHOTS):
-        n = min(_CHUNK_SHOTS, shots - first)
-        record, weights = events(first, n)
-        labels, columns = list(record), list(record.values())
-        key = np.zeros(n if weights is None else len(weights), dtype=np.int64)
-        tables = []  # the distinct keys of each group of 32 labels but the last
-        # np.unique sorts, faster here than its hash path, only when asked for counts
-        for j in range(0, len(columns), 32):
-            if j:
-                tables.append(np.unique(key, return_counts=True)[0])
-                key = np.searchsorted(tables[-1], key) << 32
-            for i, column in enumerate(columns[j:j + 32]):
-                key |= column.astype(np.int64) << i
-        if weights is None:
-            rows, sizes = np.unique(key, return_counts=True)
-        else:
-            sizes = np.bincount(key, weights)
-            rows = sizes.nonzero()[0]
-            sizes = sizes[rows].astype(np.int64)
-        for row, size in zip(rows.tolist(), sizes.tolist()):
-            code = row & 0xFFFF_FFFF
-            for table in reversed(tables):
-                row = int(table[row >> 32])
-                code = code << 32 | row & 0xFFFF_FFFF
+        labels, codes, sizes = counted(first, min(_CHUNK_SHOTS, shots - first))
+        for code, size in zip(codes, sizes):
             tallies[code] = tallies.get(code, 0) + size
     counts: dict[str, int] = {}
-    for code, size in tallies.items():
+    for code in sorted(tallies):
         label = labeler({label: (code >> j) & 1 for j, label in enumerate(labels)})
-        counts[label] = counts.get(label, 0) + size
+        counts[label] = counts.get(label, 0) + tallies[code]
     return counts
 
 
@@ -412,11 +456,13 @@ def run_experiment(
 
     A shot's outcome is a function of the low ``B - 1`` bits of its word 0,
     all its ``B`` bits but the last measurement's coin (``B`` with no
-    measurement).  A chunk of at least ``2^(B - 1)`` shots weighs the
-    plan's record of those bit patterns (:attr:`ToyPlan.pattern_record`,
-    made the first time a chunk uses it) by how many of the chunk's shots
-    drew each; a smaller chunk gets one lane per shot, drawn from every word
-    the kernel reads.  The plan's kernel is made once per plan object
+    measurement).  A chunk of at least ``2^(B - 1)`` shots is two
+    bincounts: how many of its shots drew each of those bit patterns, read
+    off a strided view of word 0, summed under the outcome code of each
+    pattern (:attr:`ToyPlan.outcome_codes`, made the first time a chunk
+    uses it).  A smaller chunk gets one lane per shot, drawn from every word
+    the kernel reads, and :func:`_distinct` counts its outcomes.  The
+    plan's kernel is made once per plan object
     (:attr:`ToyPlan.column_kernel`); the counts are those of one lane per
     shot.
     """
@@ -424,16 +470,19 @@ def run_experiment(
 
     support, ops, bits = plan.column_kernel
     width = _outcome_bits(support, bits)
+    labels = plan.labels()
     key = derive_seed(seed)
 
-    def events(first: int, n: int) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
+    def counted(first: int, n: int) -> tuple[Sequence[str], list[int], list[int]]:
         if 1 << width <= n:
-            drawn = _shot_words(key, first, n, 1)[0].view(np.int64) & ((1 << width) - 1)
-            return plan.pattern_record, np.bincount(drawn, minlength=1 << width)
+            drawn = _block(key, first, n).view(np.int64)[:, 0] & ((1 << width) - 1)
+            sizes = np.bincount(plan.outcome_codes, np.bincount(drawn, minlength=1 << width))
+            codes = sizes.nonzero()[0]
+            return labels, codes.tolist(), sizes[codes].astype(np.int64).tolist()
         words = _shot_words(key, first, n, max(1, -(-bits // 64)))
-        return {e.label: e.value for e in _lanes(support, ops, words)[1]}, None
+        return _distinct({e.label: e.value for e in _lanes(support, ops, words)[1]}, n)
 
-    return _tally(shots, events, labeler or default_labeler)
+    return _tally(shots, counted, labeler or default_labeler)
 
 
 def estimate(

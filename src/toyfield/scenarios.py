@@ -64,7 +64,9 @@ class OutcomeDistribution:
     """Labeled outcome probabilities; exact engines carry rationals.
 
     Sampled engines also carry shot counts; ``probs`` then holds empirical
-    frequencies as Fractions of the shot count.
+    frequencies as Fractions of the shot count.  An exact distribution must
+    sum to 1; a sampled one's counts must sum to the shot count, which makes
+    its frequencies sum to 1.
     """
 
     probs: dict[str, Fraction]
@@ -72,11 +74,13 @@ class OutcomeDistribution:
     counts: dict[str, int] | None = None
 
     def __post_init__(self) -> None:
+        if self.counts is not None:
+            if sum(self.counts.values()) != self.shots:
+                raise ValueError("counts must sum to the shot count")
+            return
         total = sum(self.probs.values())
         if total != 1:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        if self.counts is not None and sum(self.counts.values()) != self.shots:
-            raise ValueError("counts must sum to the shot count")
 
     def as_floats(self) -> dict[str, float]:
         return {k: float(v) for k, v in sorted(self.probs.items())}

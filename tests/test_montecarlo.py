@@ -472,7 +472,7 @@ class TestPlanCache:
                 expected = self.items(fresh_plan(scenario), shots, seed, scenario.labeler)
                 assert self.items(cached, shots, seed, scenario.labeler) == expected
                 assert self.items(cached, shots, seed, scenario.labeler) == expected
-        assert "column_kernel" in vars(cached) and "pattern_record" in vars(cached)
+        assert "column_kernel" in vars(cached) and "outcome_codes" in vars(cached)
 
     @pytest.mark.parametrize("chunk", [6, 20])
     def test_chunk_size_after_caching_changes_nothing(self, chunk, monkeypatch):
@@ -487,18 +487,16 @@ class TestPlanCache:
         monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", chunk)
         cached = results(lambda s: compile_toy(s.program))
         assert cached == results(fresh_plan)
-        # the chunks order a dict's labels by first appearance, so only its
-        # items are the same as at the default chunk size
-        assert [dict(items) for items in cached] == [dict(items) for items in expected]
+        assert cached == expected  # items, in order, at every chunk size
 
     def test_cached_arrays_are_read_only(self):
         plan = fresh_plan(bomb_tester(functional=True))
         montecarlo.run_experiment(plan, 100, 1)
         support, ops, _ = plan.column_kernel
-        record = plan.pattern_record
+        codes = plan.outcome_codes
         deltas = [op[3] for op in ops if isinstance(op[0], GateStep)]
-        assert deltas and record
-        for array in (support, *deltas, *record.values()):
+        assert deltas and codes.dtype == np.int64
+        for array in (support, *deltas, codes):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
 
@@ -511,6 +509,47 @@ class TestPlanCache:
         montecarlo.run_experiment(plan, 100, 9)  # the plan caches its kernel
         monkeypatch.setattr(montecarlo, "measurement_kernel", leaky)
         assert {v.event.label for v in locality_audit(plan, 50, 9).violations} == set(plan.labels())
+
+
+class TestGenerator:
+    """Each thread reuses one Philox generator, moved to each call's counter."""
+
+    @staticmethod
+    def fresh_words(key, first, shots, words):
+        rows = []
+        for block in range(-(-words // 4)):
+            raw = np.random.Philox(key=key, counter=first + (block << 64)).random_raw(4 * shots)
+            rows.extend(raw.reshape(shots, 4).T)
+        return np.array(rows[:words], dtype=np.uint64).reshape(words, shots)
+
+    def test_interleaved_calls_match_fresh_generators(self):
+        keys = (derive_seed(0), derive_seed(2**70), 0, 2**128 - 1)
+        rng = random.Random(3)
+        for _ in range(60):
+            key, first = rng.choice(keys), rng.choice((0, 1, 7, 2**40, 2**64 - 9))
+            words, shots = rng.choice((1, 4, 5, 8)), rng.choice((1, 3, 9))
+            drawn = montecarlo._shot_words(key, first, shots, words)
+            assert np.array_equal(drawn, self.fresh_words(key, first, shots, words))
+
+    def test_a_partly_read_generator_leaves_no_buffered_words(self):
+        key = derive_seed(4)
+        first = montecarlo._block(key, 0, 1)
+        montecarlo._PHILOX.generator.random_raw(1)  # three words of the block stay buffered
+        assert np.array_equal(montecarlo._block(key, 0, 1), first)
+
+    def test_threads_count_as_a_serial_loop(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        calls = [(s, shots, seed) for s in list(all_variants())[:8]
+                 for shots, seed in ((7, 1), (1000, 2), (20_000, 2**70))]
+
+        def run(call):
+            s, shots, seed = call
+            return list(montecarlo.run_experiment(fresh_plan(s), shots, seed, s.labeler).items())
+
+        serial = [run(call) for call in calls]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert list(pool.map(run, calls * 3)) == serial * 3
 
 
 class TestShotRange:

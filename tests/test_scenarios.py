@@ -91,6 +91,22 @@ class TestEngineEquivalence:
                 assert p in allowed
 
 
+class TestOutcomeDistribution:
+    def test_exact_probabilities_must_sum_to_one(self):
+        with pytest.raises(ValueError, match="sum to 3/4, not 1"):
+            scenarios.OutcomeDistribution({"a": H, "b": Q})
+
+    def test_sampled_counts_must_sum_to_the_shot_count(self):
+        probs = {"a": Fraction(3, 4), "b": Fraction(1, 4)}
+        with pytest.raises(ValueError, match="counts must sum to the shot count"):
+            scenarios.OutcomeDistribution(probs, shots=4, counts={"a": 3, "b": 2})
+
+    def test_sampled_run_carries_its_counts(self):
+        dist = run_scenario(bomb_tester(functional=True), "montecarlo", 1000, 7)
+        assert sum(dist.counts.values()) == dist.shots == 1000
+        assert dist.probs == {k: Fraction(c, 1000) for k, c in dist.counts.items()}
+
+
 class TestEraserProperties:
     def test_timing_invariance(self):
         for basis in ("Q", "P"):
