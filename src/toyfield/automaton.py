@@ -27,10 +27,8 @@ Every group's next state depends only on the group's own current state, so
 the dynamics is local by construction, and each deterministic map is its
 own time reverse.  The layout lives in one table, :func:`layout_bindings`,
 and one transition function, :func:`_advance`, applies it rule by rule to
-whole shot columns: every shot of a chunk is a lane of uint8 cell columns.
-:func:`run_experiment` runs :data:`toyfield.montecarlo._CHUNK_SHOTS` shots
-at a time, so memory stays bounded, and counts them through Monte Carlo's
-tally.
+whole lane columns: :func:`_lanes` evolves every lane of a batch as uint8
+cell columns, from byte planes of the bits each lane draws.
 
 The coins are Monte Carlo's: shot ``s`` of seed ``m`` reads Philox4x64-10
 block ``s`` keyed by ``derive_seed(m)`` (:data:`toyfield.montecarlo.RNG_SCHEME`),
@@ -41,14 +39,26 @@ hostable plan reads 64 bits, or 80 with a detector, so one block suffices,
 and a call copies only the words its plan reads.
 A single run is the batch of one lane, so :func:`run_single` replays shot
 ``s`` of any bulk call from ``(seed, s)``, and its trace follows that lane.
+
+A shot's events are a fixed function of a few of its bits.  The rules are
+branch-free on their operands, so one run of :func:`_advance` on
+:class:`_Unknown` bits, each carrying the set of draws it may depend on,
+finds the bits ``D`` the events read: ``(32, 33)`` on a two-path layout,
+``(34, 35, 56)`` with a detector.  Each layout, cached with its rule table,
+evolves the ``2^|D|`` patterns of ``D`` once, one lane each.
+:func:`run_experiment` runs :data:`toyfield.montecarlo._CHUNK_SHOTS` shots
+at a time, so memory stays bounded: a chunk of at least ``2^|D|`` shots is
+one Philox draw, its shots' patterns counted and summed under each
+pattern's outcome by two bincounts; a smaller chunk gets one lane per shot.
+Chunks are counted through Monte Carlo's tally.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from functools import cached_property, lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -62,7 +72,7 @@ from toyfield.circuits import (
     Source,
     Vacuum,
 )
-from toyfield.montecarlo import _distinct, _shot_words, _tally, derive_seed
+from toyfield.montecarlo import _block, _distinct, _shot_words, _tally, derive_seed
 from toyfield.toy_dynamics import beamsplitter_rule
 from toyfield.toy_measurement import DisturbanceKind
 
@@ -100,13 +110,16 @@ def layout_bindings(plan: CaPlan) -> tuple[RuleBinding, ...]:
 
     The boundary groups come last: their phase draws follow the device's.
     """
+    return _layout_of(plan).bindings
+
+
+def _layout_of(plan: CaPlan) -> _Layout:
     return _layout(plan.device, plan.inject_step, plan.port_labels["L"], plan.port_labels["R"])
 
 
-@lru_cache(maxsize=64)  # _advance asks for the table on every step
-def _layout(
-    device: tuple | None, inject_step: int, port_l: str, port_r: str
-) -> tuple[RuleBinding, ...]:
+# _advance asks for the table on every step, and a layout's runs are read once
+@lru_cache(maxsize=64)
+def _layout(device: tuple | None, inject_step: int, port_l: str, port_r: str) -> _Layout:
     bindings: list[RuleBinding] = []
     for position in _BS_POSITIONS:
         cells = (
@@ -134,7 +147,8 @@ def _layout(
     for i in range(1, WIRE_LENGTH, 2):
         for wire in ("L", "R"):
             bindings.append(RuleBinding("free_swap", (f"{wire}{i}", f"{wire}{i + 1}"), "odd"))
-    return tuple(bindings)
+    plan = CaPlan(device, {"L": port_l, "R": port_r}, inject_step)
+    return _Layout(plan, tuple(bindings))
 
 
 @dataclass(frozen=True)
@@ -291,21 +305,32 @@ def _advance(cells: dict, t: int, plan: CaPlan, coin: Callable[[], object]) -> t
     return new, click
 
 
-@lru_cache(maxsize=64)
-def _bits_read(device: tuple | None, inject_step: int) -> int:
-    """Bits a shot of this layout reads: its initial phases, then one per
-    ``coin()`` of a run, counted on int cells (port labels draw nothing)."""
-    plan = CaPlan(device, {"L": "", "R": ""}, inject_step)
-    drawn = itertools.count(len(_CELL_LABELS))
+@dataclass(frozen=True)
+class _Unknown:
+    """A bit the dependency pass does not know: the set of a shot's bit
+    indices it may depend on.  ``x & 0`` and ``x | 1`` fold to constants;
+    any other operation with a constant keeps ``x``'s set, and one with
+    another unknown bit joins the sets.  The rules and
+    :func:`~toyfield.toy_dynamics.beamsplitter_rule` are branch-free on
+    their operands, so they run on these bits unchanged."""
 
-    def coin() -> int:
-        next(drawn)
-        return 0
+    bits: frozenset[int]
 
-    cells = dict.fromkeys(_CELL_LABELS, (0, 0))
-    for t in range(plan.arrival_step(WIRE_LENGTH)):
-        cells, _ = _advance(cells, t, plan, coin)
-    return next(drawn)
+    def _join(self, other, absorbing: int | None = None):
+        if isinstance(other, _Unknown):
+            return _Unknown(self.bits | other.bits)
+        return other if other == absorbing else self
+
+    def __and__(self, other):
+        return self._join(other, 0)
+
+    def __or__(self, other):
+        return self._join(other, 1)
+
+    def __xor__(self, other):
+        return self._join(other)
+
+    __rand__, __ror__, __rxor__ = __and__, __or__, __xor__
 
 
 def _read_out(plan: CaPlan, cells: dict, fired) -> dict:
@@ -332,35 +357,19 @@ def trace_line(t: int, cells: dict) -> str:
     return f"t={t:2d} occupied=[{occupied}] phases L={left} R={right}"
 
 
-def _batch_events(
-    plan: CaPlan, shots: int, seed: int, first: int = 0, trace: list[str] | None = None
-) -> dict[str, np.ndarray]:
-    """Evolve shots ``first .. first + shots - 1`` at once, one uint8 column
-    per cell bit; returns per-shot event bits.
+def _run(
+    plan: CaPlan, bit: Callable[[int], object], vacuum, trace: list[str] | None = None
+) -> dict:
+    """Evolve one run of ``plan`` from its initial cells to its event record.
 
-    ``trace`` receives a :func:`trace_line` of lane 0 at every step.
+    ``bit(b)`` is bit ``b`` of the run's draws and ``vacuum`` the empty
+    occupation, both ints, :class:`_Unknown` bits or per-lane columns.
     """
-    bits = _bits_read(plan.device, plan.inject_step)
-    if bits > 256:
-        raise ValueError("the plan draws more than one Philox block per shot")
-    # Only the words read are copied.  Row 8w + j holds byte j of the shot's
-    # word w, so bit b is bit b % 8 of row b // 8; shifting uint8 rows is
-    # cheaper than shifting uint64 words.
-    words = -(-bits // 64)
-    planes = (
-        _shot_words(derive_seed(seed), first, shots, words).astype("<u8", copy=False)
-        .view(np.uint8).reshape(words, shots, 8).transpose(0, 2, 1).reshape(8 * words, shots)
-    )
-
-    def bit(b: int) -> np.ndarray:
-        return (planes[b >> 3] >> (b & 7)) & 1
-
     drawn = itertools.count(len(_CELL_LABELS))
 
-    def coin() -> np.ndarray:
+    def coin():
         return bit(next(drawn))
 
-    vacuum = np.zeros(shots, dtype=np.uint8)
     cells = {label: (vacuum, bit(b)) for b, label in enumerate(_CELL_LABELS)}
     fired = vacuum
     if trace is not None:
@@ -370,8 +379,86 @@ def _batch_events(
         fired = fired | click
         if trace is not None:
             trace.append(trace_line(t + 1, cells))
-    events = _read_out(plan, cells, fired)
-    return {label: np.broadcast_to(bits, shots) for label, bits in events.items()}
+    return _read_out(plan, cells, fired)
+
+
+def _lanes(
+    plan: CaPlan, planes: np.ndarray, trace: list[str] | None = None
+) -> dict[str, np.ndarray]:
+    """Evolve one lane per column of the uint8 byte ``planes``, row ``b //
+    8`` holding bit ``b`` of every lane in its bit ``b % 8``, at once; one
+    uint8 column per cell bit.  Returns per-lane event bits.
+
+    ``trace`` receives a :func:`trace_line` of lane 0 at every step.
+    """
+    lanes = planes.shape[1]
+
+    def bit(b: int) -> np.ndarray:
+        return (planes[b >> 3] >> (b & 7)) & 1
+
+    events = _run(plan, bit, np.zeros(lanes, dtype=np.uint8), trace)
+    return {label: np.broadcast_to(bits, lanes) for label, bits in events.items()}
+
+
+def _batch_events(
+    plan: CaPlan, shots: int, seed: int, first: int = 0, trace: list[str] | None = None
+) -> dict[str, np.ndarray]:
+    """Shots ``first .. first + shots - 1`` of ``seed``, one lane per shot:
+    their per-shot event bits (see :func:`_lanes`)."""
+    words = -(-_layout_of(plan).reads[0] // 64)
+    # Only the words read are copied.  Row 8w + j holds byte j of the shot's
+    # word w, so bit b is bit b % 8 of row b // 8; shifting uint8 rows is
+    # cheaper than shifting uint64 words.
+    planes = (
+        _shot_words(derive_seed(seed), first, shots, words).astype("<u8", copy=False)
+        .view(np.uint8).reshape(words, shots, 8).transpose(0, 2, 1).reshape(8 * words, shots)
+    )
+    return _lanes(plan, planes, trace)
+
+
+class _Layout:
+    """A layout's rule table and, worked out on its first use, what the
+    layout's runs read: their bit count, the bits their events depend on
+    and the outcome of every pattern of those bits."""
+
+    def __init__(self, plan: CaPlan, bindings: tuple[RuleBinding, ...]) -> None:
+        self.plan = plan
+        self.bindings = bindings
+
+    @cached_property
+    def reads(self) -> tuple[int, tuple[int, ...]]:
+        """How many bits a shot reads, and the sorted bits ``D`` its events
+        may depend on: one run of :class:`_Unknown` bits, every draw a bit
+        of its own."""
+        read: list[int] = []
+
+        def bit(b: int) -> _Unknown:
+            read.append(b)
+            return _Unknown(frozenset((b,)))
+
+        events = _run(self.plan, bit, 0).values()
+        if len(read) > 256:
+            raise ValueError("the plan draws more than one Philox block per shot")
+        dependencies = frozenset().union(*(e.bits for e in events if isinstance(e, _Unknown)))
+        return len(read), tuple(sorted(dependencies))
+
+    @cached_property
+    def patterns(self) -> tuple[list[str], np.ndarray]:
+        """The event labels, in :func:`_read_out`'s order, and the read-only
+        ``int64`` outcome code of each pattern of ``D``: lane ``j`` draws
+        bit ``i`` of ``j`` at ``D[i]`` and 0 at every other bit, and bit
+        ``k`` of its code is its ``k``-th event."""
+        bits, dependencies = self.reads
+        every = np.arange(1 << len(dependencies))
+        planes = np.zeros((8 * -(-bits // 64), len(every)), dtype=np.uint8)
+        for i, b in enumerate(dependencies):
+            planes[b >> 3] |= ((every >> i & 1) << (b & 7)).astype(np.uint8)
+        events = _lanes(self.plan, planes)
+        codes = np.zeros(len(every), dtype=np.int64)
+        for k, column in enumerate(events.values()):
+            codes |= column.astype(np.int64) << k
+        codes.flags.writeable = False
+        return list(events), codes
 
 
 def run_single(
@@ -382,24 +469,54 @@ def run_single(
     return {label: int(bits[0]) for label, bits in events.items()}
 
 
+def _index_runs(dependencies: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
+    """How to gather a shot's pattern index, bit ``i`` its bit
+    ``dependencies[i]``: one ``(word, shift, mask, position)`` per run of
+    consecutive bits within one word, read by one shift and one mask, then
+    moved to its place."""
+    runs: list[tuple[int, int, int, int]] = []
+    for i, b in enumerate(dependencies):
+        if runs and b == dependencies[i - 1] + 1 and b % 64:
+            word, shift, mask, position = runs[-1]
+            runs[-1] = (word, shift, mask << 1 | 1, position)
+        else:
+            runs.append((b >> 6, b & 63, 1, i))
+    return runs
+
+
 def run_experiment(
     plan: CaPlan,
     shots: int,
     seed: int,
     labeler: Callable[[dict[str, int]], str],
 ) -> dict[str, int]:
-    """Outcome counts over shots ``0 .. shots - 1`` of ``seed``, batched
-    :data:`toyfield.montecarlo._CHUNK_SHOTS` shots at a time."""
-    record: dict[str, np.ndarray] = {}
+    """Outcome counts over shots ``0 .. shots - 1`` of ``seed``, counted
+    :data:`toyfield.montecarlo._CHUNK_SHOTS` shots at a time.
 
-    def counted(first: int, n: int) -> tuple[list[str], list[int], list[int]]:
-        nonlocal record
-        # A chunk's record is released only once the next one is made.
-        # Released first, its columns, the last arrays a chunk allocates,
-        # let glibc return the top of the heap to the system, and the next
-        # chunk faulted it back in: 2*10^5 shots took about 15% longer.
-        record = _batch_events(plan, n, seed, first)
-        return _distinct(record, n)
+    A shot's events are a function of the bits ``D`` of its draws that the
+    layout's dependency pass finds (:attr:`_Layout.reads`).  A chunk of at
+    least ``2^|D|`` shots is one Philox draw and two bincounts: how many of
+    its shots drew each pattern of ``D``, summed under the outcome code of
+    each pattern, evolved once per layout (:attr:`_Layout.patterns`).  A
+    smaller chunk gets one lane per shot (:func:`_batch_events`).  The
+    counts are those of one lane per shot.
+    """
+    layout = _layout_of(plan)
+    dependencies = layout.reads[1]
+    runs = _index_runs(dependencies)
+    key = derive_seed(seed)
+
+    def counted(first: int, n: int) -> tuple[Sequence[str], list[int], list[int]]:
+        if 1 << len(dependencies) > n:
+            return _distinct(_batch_events(plan, n, seed, first), n)
+        drawn = _block(key, first, n).view(np.int64)
+        index = np.zeros(n, dtype=np.int64)
+        for word, shift, mask, position in runs:
+            index |= (drawn[:, word] >> shift & mask) << position
+        labels, codes = layout.patterns
+        sizes = np.bincount(codes, np.bincount(index, minlength=len(codes)))
+        seen = sizes.nonzero()[0]
+        return labels, seen.tolist(), sizes[seen].astype(np.int64).tolist()
 
     return _tally(shots, counted, labeler)
 

@@ -3,12 +3,13 @@
 import collections
 import itertools
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from toyfield import automaton
+from toyfield import automaton, montecarlo
 from toyfield.automaton import (
     CaPlan,
     WIRE_LENGTH,
@@ -22,7 +23,7 @@ from toyfield.automaton import (
     trace_line,
 )
 from toyfield.circuits import CapabilityError
-from toyfield.montecarlo import derive_seed
+from toyfield.montecarlo import _distinct, _tally, derive_seed
 from toyfield.phase_space import RegisterShape
 from toyfield.scenarios import (
     all_variants,
@@ -442,3 +443,135 @@ class TestAgainstExactReference:
                 continue
             z = (count / self.SHOTS - p) / (p * (1 - p) / self.SHOTS) ** 0.5
             assert abs(z) <= 4, (label, float(z))
+
+
+def shot_lane_counts(plan, shots, seed, labeler) -> dict[str, int]:
+    """``run_experiment``'s counts read off one lane per shot."""
+    def counted(first, n):
+        return _distinct(_batch_events(plan, n, seed, first), n)
+
+    return _tally(shots, counted, labeler)
+
+
+def record_label(events: dict[str, int]) -> str:
+    return ",".join(f"{label}={bit}" for label, bit in events.items())
+
+
+def leaky_swap(states, binding, t, coin):
+    """A mutant free rule: two L-wire groups XOR the right cell's phase into
+    the occupation they carry rightward."""
+    (n_a, phi_a), (n_b, phi_b) = states
+    leak = phi_b if binding.cells[0] in ("L13", "L15") else 0
+    return (n_b, phi_b), (n_a ^ leak, phi_a)
+
+
+class TestPatternLanes:
+    """Counts from one lane per pattern of the bits the events depend on,
+    against one lane per shot."""
+
+    SHOTS = (1, 7, 8, 9, 1000, 65_537, 140_001)
+    SEEDS = (0, 5, 2**70)
+
+    def test_dependencies_of_the_hosted_layouts(self):
+        for scenario, plan in HOSTABLE:
+            bits, dependencies = automaton._layout_of(plan).reads
+            has_detector = plan.device is not None and plan.device[0] == "detector"
+            # the phases the source and the vacuum source draw at step 0
+            # (after the detector's two draws, if there is one), and the
+            # phase the detector gives the cell it passes at step 8
+            assert dependencies == ((34, 35, 56) if has_detector else (32, 33)), scenario.key
+
+    @pytest.mark.parametrize("scenario, plan", HOSTABLE, ids=HOSTABLE_IDS)
+    def test_counts_equal_shot_lanes(self, scenario, plan):
+        for shots, seed in itertools.product(self.SHOTS, self.SEEDS):
+            expected = shot_lane_counts(plan, shots, seed, scenario.labeler)
+            counts = run_experiment(plan, shots, seed, scenario.labeler)
+            assert list(counts.items()) == list(expected.items()), (shots, seed)
+
+    @pytest.mark.parametrize("scenario, plan", HOSTABLE, ids=HOSTABLE_IDS)
+    def test_bits_outside_the_dependencies_change_no_event(self, scenario, plan):
+        bits, dependencies = automaton._layout_of(plan).reads
+        rng = np.random.default_rng(3)
+        planes = rng.integers(0, 256, size=(8 * -(-bits // 64), 64), dtype=np.uint8)
+        events = automaton._lanes(plan, planes)
+        for b in sorted(set(range(bits)) - set(dependencies)):
+            flipped = planes.copy()
+            flipped[b >> 3] ^= np.uint8(1 << (b & 7))
+            for label, column in automaton._lanes(plan, flipped).items():
+                assert np.array_equal(column, events[label]), (b, label)
+
+    def test_a_leaky_rule_grows_the_dependencies(self, monkeypatch):
+        plans = [plan for _, plan in HOSTABLE[:4]]
+        before = [automaton._layout_of(plan).reads[1] for plan in plans]
+        monkeypatch.setitem(automaton._RULES, "free_swap", leaky_swap)
+        automaton._layout.cache_clear()
+        try:
+            for plan, old in zip(plans, before):
+                dependencies = automaton._layout_of(plan).reads[1]
+                assert set(old) < set(dependencies) and 1 << len(dependencies) <= 1000
+                # bits of word 1 among them once a detector draws
+                assert (max(dependencies) >= 64) == (len(old) == 3)
+                for shots in (7, (1 << len(dependencies)) - 1, 1 << len(dependencies), 1000):
+                    expected = shot_lane_counts(plan, shots, 2, record_label)
+                    assert run_experiment(plan, shots, 2, record_label) == expected, shots
+        finally:
+            automaton._layout.cache_clear()
+
+    def test_bulk_call_evolves_only_the_patterns(self, monkeypatch):
+        automaton._layout.cache_clear()
+        evolved: list[int] = []
+        lanes = automaton._lanes
+
+        def spy(plan, planes, *args):
+            evolved.append(planes.shape[1])
+            return lanes(plan, planes, *args)
+
+        def no_shot_lanes(*args):
+            raise AssertionError("a bulk chunk took one lane per shot")
+
+        monkeypatch.setattr(automaton, "_lanes", spy)
+        monkeypatch.setattr(automaton, "_batch_events", no_shot_lanes)
+        for scenario in (mzi_whichway(DisturbanceKind.NONDESTRUCTIVE), mzi_phase(1)):
+            plan = plan_from_program(scenario.program)
+            del evolved[:]
+            for _ in range(2):
+                counts = run_experiment(plan, 200_000, 7, scenario.labeler)
+                assert sum(counts.values()) == 200_000
+            assert evolved == [1 << len(automaton._layout_of(plan).reads[1])]
+
+    def test_one_call_uses_both_lane_kinds(self, monkeypatch):
+        automaton._layout.cache_clear()
+        expected = shot_lane_counts(WHICHWAY, 17, 4, record_label)
+        evolved: list[int] = []
+        lanes = automaton._lanes
+
+        def spy(plan, planes, *args):
+            evolved.append(planes.shape[1])
+            return lanes(plan, planes, *args)
+
+        monkeypatch.setattr(automaton, "_lanes", spy)
+        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 8)
+        assert run_experiment(WHICHWAY, 17, 4, record_label) == expected
+        assert evolved == [8, 1]  # the 8 patterns once for two chunks, then the last shot
+
+    def test_index_runs_stop_at_word_ends(self):
+        assert automaton._index_runs((34, 35, 56)) == [(0, 34, 0b11, 0), (0, 56, 1, 2)]
+        assert automaton._index_runs((62, 63, 64, 65, 127, 128)) == [
+            (0, 62, 0b11, 0), (1, 0, 0b11, 2), (1, 63, 1, 4), (2, 0, 1, 5)
+        ]
+        assert automaton._index_runs(()) == []
+
+    def test_pattern_codes_are_read_only(self):
+        codes = automaton._layout_of(WHICHWAY).patterns[1]
+        with pytest.raises(ValueError):
+            codes[0] = 0
+
+    @pytest.mark.parametrize("scenario, plan", HOSTABLE, ids=HOSTABLE_IDS)
+    def test_pattern_law_is_the_exact_toy_law(self, scenario, plan):
+        # each pattern of D weighs 1/2^|D|: the CA's exact outcome law
+        labels, codes = automaton._layout_of(plan).patterns
+        law: dict[str, Fraction] = {}
+        for code in codes.tolist():
+            label = scenario.labeler({name: code >> k & 1 for k, name in enumerate(labels)})
+            law[label] = law.get(label, 0) + Fraction(1, len(codes))
+        assert law == run_scenario(scenario, "toy").probs
