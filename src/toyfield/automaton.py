@@ -47,10 +47,9 @@ finds the bits ``D`` the events read: ``(32, 33)`` on a two-path layout,
 ``(34, 35, 56)`` with a detector.  Each layout, cached with its rule table,
 evolves the ``2^|D|`` patterns of ``D`` once, one lane each.
 :func:`run_experiment` runs :data:`toyfield.montecarlo._CHUNK_SHOTS` shots
-at a time, so memory stays bounded: a chunk of at least ``2^|D|`` shots is
-one Philox draw, its shots' patterns counted and summed under each
-pattern's outcome by two bincounts; a smaller chunk gets one lane per shot.
-Chunks are counted through Monte Carlo's tally.
+at a time, so memory stays bounded: every chunk, however short, is one
+Philox draw, its shots' patterns counted and summed under each pattern's
+outcome by two bincounts.  Chunks are counted through Monte Carlo's tally.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ from toyfield.circuits import (
     Source,
     Vacuum,
 )
-from toyfield.montecarlo import _block, _distinct, _shot_words, _tally, derive_seed
+from toyfield.montecarlo import _block, _shot_words, _tally, derive_seed
 from toyfield.toy_dynamics import beamsplitter_rule
 from toyfield.toy_measurement import DisturbanceKind
 
@@ -494,21 +493,17 @@ def run_experiment(
     :data:`toyfield.montecarlo._CHUNK_SHOTS` shots at a time.
 
     A shot's events are a function of the bits ``D`` of its draws that the
-    layout's dependency pass finds (:attr:`_Layout.reads`).  A chunk of at
-    least ``2^|D|`` shots is one Philox draw and two bincounts: how many of
-    its shots drew each pattern of ``D``, summed under the outcome code of
-    each pattern, evolved once per layout (:attr:`_Layout.patterns`).  A
-    smaller chunk gets one lane per shot (:func:`_batch_events`).  The
-    counts are those of one lane per shot.
+    layout's dependency pass finds (:attr:`_Layout.reads`).  Each chunk is
+    one Philox draw and two bincounts: how many of its shots drew each
+    pattern of ``D``, summed under the outcome code of each pattern, evolved
+    once per layout (:attr:`_Layout.patterns`).  The counts are those of
+    one lane per shot (:func:`_batch_events`).
     """
     layout = _layout_of(plan)
-    dependencies = layout.reads[1]
-    runs = _index_runs(dependencies)
+    runs = _index_runs(layout.reads[1])
     key = derive_seed(seed)
 
     def counted(first: int, n: int) -> tuple[Sequence[str], list[int], list[int]]:
-        if 1 << len(dependencies) > n:
-            return _distinct(_batch_events(plan, n, seed, first), n)
         drawn = _block(key, first, n).view(np.int64)
         index = np.zeros(n, dtype=np.int64)
         for word, shift, mask, position in runs:

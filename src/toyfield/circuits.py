@@ -64,7 +64,6 @@ __all__ = [
     "compile_quantum",
     "compile_toy",
     "default_labeler",
-    "enumerate_toy_runs",
     "parse",
     "render",
     "run_quantum_exact",
@@ -644,29 +643,6 @@ def step_run_index(state: int, shape: RegisterShape, step: MeasureStep, coin: in
         step.kind is DisturbanceKind.DESTRUCTIVE,
     )
     return (state >> read) & 1, (state & keep) ^ (coin << flip)
-
-
-def enumerate_toy_runs(plan: ToyPlan) -> JointDistribution:
-    """Average single-run sampling over all initial states and coin choices.
-
-    This enumerates what the Monte Carlo path can ever produce: every
-    supported initial physical state, and both disturbance choices at every
-    measurement.  The result must equal :func:`run_toy_exact` exactly; the
-    identity is an enumeration fact, not a statistical one.
-    """
-    shape = plan.shape
-    half = Fraction(1, 2)
-
-    def apply(state: int, gate: ToyGate) -> int:
-        return gate_image(gate, shape)[state]
-
-    def measure(state: int, step: MeasureStep):
-        outcomes = (step_run_index(state, shape, step, coin) for coin in (0, 1))
-        return [(value, half, after) for value, after in outcomes]
-
-    weight = Fraction(1, len(plan.initial.support))
-    start = [(weight, x, {}) for x in sorted(plan.initial.support)]
-    return _joint(start, plan.steps, apply, measure)
 
 
 def default_labeler(outcome: dict[str, int]) -> str:

@@ -1,12 +1,12 @@
 """Command-line frontend: run scenarios or programs, check claims, draw grids.
 
 Exit codes: 0 success, 1 check failure, 2 usage error (a bad --steps list,
---shots < 1, --seed < 0, grids off the toy engine, a target path that cannot
-be read or a scenario flag the target does not take among them), 3
-parse/compile error (text that is not UTF-8 among them), a register the
-grids cannot draw, or a quantum result that is not dyadic.  Sampled engines
-require explicit --shots and --seed; there is no environment fallback for
-seeds by design.
+--shots < 1 or > 2**64, --seed < 0, grids off the toy engine, a target path
+that cannot be read or a scenario flag the target does not take among
+them), 3 parse/compile error (text that is not UTF-8 among them), a
+register the grids cannot draw, or a quantum result that is not dyadic.
+Sampled engines require explicit --shots and --seed; there is no
+environment fallback for seeds by design.
 """
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not needs_shots and (args.shots is not None or args.seed is not None):
         print(f"engine {engine!r} is exact; --shots/--seed do not apply", file=sys.stderr)
         return 2
-    if needs_shots and args.shots < 1:
-        print("--shots must be at least 1", file=sys.stderr)
+    if needs_shots and not 1 <= args.shots <= 1 << 64:
+        print("--shots must be at least 1 and at most 2**64", file=sys.stderr)
         return 2
     if needs_shots and args.seed < 0:
         print("--seed must be non-negative", file=sys.stderr)
@@ -325,8 +325,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     suite = args.suite
     shots = 100_000 if args.shots is None else args.shots
     seed = 7 if args.seed is None else args.seed
-    if shots < 1:
-        print("--shots must be at least 1", file=sys.stderr)
+    if not 1 <= shots <= 1 << 64:
+        print("--shots must be at least 1 and at most 2**64", file=sys.stderr)
         return 2
     if seed < 0:
         print("--seed must be non-negative", file=sys.stderr)

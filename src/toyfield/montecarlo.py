@@ -41,9 +41,12 @@ read-only.  A chunk of at least that many shots is counted by two
 bincounts: how many of its shots drew each pattern (the low ``B - 1`` bits
 of word 0, read as a strided view), summed under each pattern's code.  A
 smaller chunk gets one lane per shot, counted by :func:`_distinct`.
-:func:`_tally` adds up the chunks' codes and calls the labeler once per
-distinct outcome, in ascending code order; the wire automaton counts its
-chunks of the same size through it too, one lane per shot.
+Every shot draws each pattern with the same probability, so weighing the
+patterns alike gives the exact law of a shot's outcome, :func:`exact_law`.
+:func:`_tally` refuses a shot count outside ``[1, 2**64]`` before any
+draw, adds up the chunks' codes and calls the labeler once per distinct
+outcome, in ascending code order; the wire automaton counts its chunks of
+the same size through it too, from its own pattern table.
 :func:`estimate` compares the counts with an exact reference.
 
 numpy is imported, and a thread's generator made, on first use, not with
@@ -56,6 +59,7 @@ import hashlib
 import json
 import math
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
@@ -63,6 +67,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 from toyfield import __version__
 from toyfield.circuits import (
     GateStep,
+    JointDistribution,
     Program,
     ToyPlan,
     default_labeler,
@@ -88,6 +93,7 @@ __all__ = [
     "ShotColumns",
     "derive_seed",
     "estimate",
+    "exact_law",
     "locality_audit",
     "program_sha256",
     "provenance",
@@ -337,6 +343,21 @@ def _outcome_codes(plan: ToyPlan) -> np.ndarray:
     return _read_only(codes)
 
 
+def exact_law(plan: ToyPlan) -> JointDistribution:
+    """The exact law of a shot's outcome, keyed by label assignments as
+    :func:`~toyfield.circuits.run_toy_exact` keys them: a shot draws every
+    pattern of the bits its outcome reads alike, so each pattern's code
+    (:attr:`~toyfield.circuits.ToyPlan.outcome_codes`) weighs one over their
+    number.  It agrees with ``run_toy_exact`` while the states stay valid
+    and can differ once one leaves them."""
+    labels, codes = plan.labels(), plan.outcome_codes.tolist()
+    return {
+        tuple(sorted((label, code >> i & 1) for i, label in enumerate(labels))):
+            Fraction(count, len(codes))
+        for code, count in Counter(codes).items()
+    }
+
+
 def sample_run(plan: ToyPlan, seed: int, shot: int = 0) -> RunRecord:
     """Shot ``shot`` of ``seed``: the same run a bulk call makes there."""
     return next(_shot_columns(plan, seed, 1, shot)).record(0)
@@ -416,6 +437,13 @@ def _distinct(
     return labels, codes, sizes.tolist()
 
 
+def _check_shots(shots: int) -> None:
+    """Refuse, before any draw, a shot count outside ``[1, 2**64]``: shot
+    numbers lie in ``[0, 2**64)``."""
+    if not 0 < shots <= 1 << 64:
+        raise ValueError(f"shots must be positive and at most 2**64; got {shots}")
+
+
 def _tally(
     shots: int,
     counted: Callable[[int, int], tuple[Sequence[str], list[int], list[int]]],
@@ -430,8 +458,7 @@ def _tally(
     order, so the result, its order too, does not depend on the chunk size;
     ``labeler`` sees each distinct outcome once.
     """
-    if shots <= 0:
-        raise ValueError("shots must be positive")
+    _check_shots(shots)
     tallies: dict[int, int] = {}
     for first in range(0, shots, _CHUNK_SHOTS):
         labels, codes, sizes = counted(first, min(_CHUNK_SHOTS, shots - first))
@@ -573,6 +600,5 @@ def locality_audit(plan: ToyPlan, shots: int, seed: int) -> LocalityReport:
     A violation means some bit outside the measured subsystem changed across
     the event; it names the event and the ``(seed, shot)`` that replays it.
     """
-    if shots <= 0:
-        raise ValueError("shots must be positive")
+    _check_shots(shots)
     return audit_records(_shot_columns(plan, seed, shots), plan.shape)

@@ -217,43 +217,36 @@ def _gate_kernel(gate: ToyGate, shape: RegisterShape) -> tuple[int, int, tuple[i
     return shift0, shift1, tuple(deltas * (16 // len(deltas)))
 
 
-class _LazyImage(dict):
-    """A gate's permutation of one register, filled in as points are asked for."""
+@dataclass(frozen=True)
+class _KernelImage:
+    """A gate's permutation of one register, read off its kernel at each
+    point asked for; it stores no point."""
 
-    __slots__ = ("_shift0", "_shift1", "_deltas")
+    shift0: int
+    shift1: int
+    deltas: tuple[int, ...]
 
-    def __init__(self, shift0: int, shift1: int, deltas: tuple[int, ...]) -> None:
-        super().__init__()
-        self._shift0, self._shift1, self._deltas = shift0, shift1, deltas
-
-    def __missing__(self, x: int) -> int:
-        y = x ^ self._deltas[(x >> self._shift0) & 3 | ((x >> self._shift1) & 3) << 2]
-        self[x] = y
-        return y
-
-
-@lru_cache(maxsize=None)
-def _lazy_image(gate: ToyGate, shape: RegisterShape) -> _LazyImage:
-    return _LazyImage(*_gate_kernel(gate, shape))
+    def __getitem__(self, x: int) -> int:
+        return x ^ self.deltas[(x >> self.shift0) & 3 | ((x >> self.shift1) & 3) << 2]
 
 
 # Up to three subsystems (64 points, the quantum engine's cap) a full table
 # is about as cheap to build as one push-forward's visits, and indexing a
-# tuple beats the lazy image's dict lookup; beyond that the table grows 4x
-# per subsystem while a state's support need not.
+# tuple beats reading the kernel; beyond that the table grows 4x per
+# subsystem while a state's support need not.
 _FULL_TABLE_POINTS = 64
 
 
-def gate_image(gate: ToyGate, shape: RegisterShape) -> tuple[int, ...] | dict[int, int]:
+def gate_image(gate: ToyGate, shape: RegisterShape) -> tuple[int, ...] | _KernelImage:
     """Point -> image under the gate, checked to be a permutation.
 
     On registers of at most three subsystems this is :func:`gate_table`;
-    on larger ones it is filled from the gate's kernel only at the points
-    asked for, so no 4^n table is built.
+    on larger ones each point asked for is read off the gate's kernel, so
+    no 4^n table is built and no point is kept.
     """
     if shape.point_count <= _FULL_TABLE_POINTS:
         return gate_table(gate, shape)
-    return _lazy_image(gate, shape)
+    return _KernelImage(*_gate_kernel(gate, shape))
 
 
 @lru_cache(maxsize=None)
@@ -265,15 +258,12 @@ def gate_table(gate: ToyGate, shape: RegisterShape) -> tuple[int, ...]:
     marker its mode and ancilla), so at most 16 local patterns fix its action
     everywhere.  The table is built from that kernel, whose local check
     already proves the map a permutation, and is checked once more in full.
-    Push-forwards and the run enumeration on more than three subsystems go
-    through :func:`gate_image` and never build it, and Monte Carlo applies
-    the kernel itself to whole columns of shots.
+    Push-forwards on more than three subsystems go through
+    :func:`gate_image` and never build it, and Monte Carlo applies the
+    kernel itself to whole columns of shots.
     """
-    shift0, shift1, deltas = _gate_kernel(gate, shape)
-    table = tuple([
-        x ^ deltas[(x >> shift0) & 3 | ((x >> shift1) & 3) << 2]
-        for x in range(shape.point_count)
-    ])
+    table = tuple(map(_KernelImage(*_gate_kernel(gate, shape)).__getitem__,
+                      range(shape.point_count)))
     if len(set(table)) != shape.point_count:
         raise ValueError(f"gate {gate!r} is not a bijection on {shape}")
     return table

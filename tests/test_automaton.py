@@ -360,17 +360,17 @@ class TestReplay:
         from toyfield import automaton, montecarlo
 
         monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 7)
-        lanes: list[int] = []
-        batch_events = automaton._batch_events
+        drawn: list[int] = []
+        block = automaton._block
 
-        def spy(plan, shots, *args):
-            lanes.append(shots)
-            return batch_events(plan, shots, *args)
+        def spy(key, first, shots, *args):
+            drawn.append(shots)
+            return block(key, first, shots, *args)
 
-        monkeypatch.setattr(automaton, "_batch_events", spy)
+        monkeypatch.setattr(automaton, "_block", spy)
         counts = run_experiment(WHICHWAY, 2 * 7 + 1, self.SEED, lambda ev: "x")
         assert counts == {"x": 15}
-        assert lanes == [7, 7, 1]
+        assert drawn == [7, 7, 1]
 
     def test_draws_follow_the_documented_layout(self):
         # Bits 0-31: initial phases of L1..L16, R1..R16.  At t = 0 the plain
@@ -539,7 +539,7 @@ class TestPatternLanes:
                 assert sum(counts.values()) == 200_000
             assert evolved == [1 << len(automaton._layout_of(plan).reads[1])]
 
-    def test_one_call_uses_both_lane_kinds(self, monkeypatch):
+    def test_chunks_shorter_than_the_patterns_read_them_too(self, monkeypatch):
         automaton._layout.cache_clear()
         expected = shot_lane_counts(WHICHWAY, 17, 4, record_label)
         evolved: list[int] = []
@@ -552,7 +552,7 @@ class TestPatternLanes:
         monkeypatch.setattr(automaton, "_lanes", spy)
         monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 8)
         assert run_experiment(WHICHWAY, 17, 4, record_label) == expected
-        assert evolved == [8, 1]  # the 8 patterns once for two chunks, then the last shot
+        assert evolved == [8]  # the 8 patterns once, for two chunks of 8 and one of 1
 
     def test_index_runs_stop_at_word_ends(self):
         assert automaton._index_runs((34, 35, 56)) == [(0, 34, 0b11, 0), (0, 56, 1, 2)]

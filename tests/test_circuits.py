@@ -24,7 +24,6 @@ from toyfield.circuits import (
     Vacuum,
     compile_quantum,
     compile_toy,
-    enumerate_toy_runs,
     joint_to_labeled,
     parse,
     render,
@@ -32,6 +31,7 @@ from toyfield.circuits import (
     run_toy_exact,
     snap_dyadic,
 )
+from toyfield.montecarlo import exact_law
 from toyfield.toy_measurement import DisturbanceKind
 
 MZI_PI = (
@@ -322,7 +322,7 @@ class TestExecution:
             "detect L as dl; detect R as dr;"
         )
         plan = compile_toy(program)
-        assert enumerate_toy_runs(plan) == run_toy_exact(plan)
+        assert exact_law(plan) == run_toy_exact(plan)
 
     def test_enumeration_on_four_modes_builds_no_gate_table(self):
         from toyfield.toy_dynamics import gate_table
@@ -334,7 +334,7 @@ class TestExecution:
         )
         plan = compile_toy(program)
         before = gate_table.cache_info()
-        assert enumerate_toy_runs(plan) == run_toy_exact(plan)
+        assert exact_law(plan) == run_toy_exact(plan)
         assert gate_table.cache_info() == before
 
     def test_snap_dyadic(self):

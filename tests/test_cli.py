@@ -55,6 +55,20 @@ class TestRun:
         assert "--shots must be at least 1" in err
 
     @pytest.mark.parametrize("engine", ["montecarlo", "ca"])
+    def test_sampled_engine_rejects_more_shots_than_counters(self, capsys, monkeypatch, engine):
+        from toyfield import automaton, montecarlo
+
+        for module in (montecarlo, automaton):
+            monkeypatch.setattr(module, "_block", lambda *args: pytest.fail("drew a shot"))
+        code, out, err = run_cli(
+            capsys, "run", "bomb_tester", "--functional", "--engine", engine,
+            "--shots", str(2**64 + 1), "--seed", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--shots must be at least 1 and at most 2**64" in err
+
+    @pytest.mark.parametrize("engine", ["montecarlo", "ca"])
     def test_sampled_engine_rejects_negative_seed(self, capsys, engine):
         code, out, err = run_cli(
             capsys, "run", "bomb_tester", "--engine", engine, "--shots", "10", "--seed", "-1",
@@ -400,6 +414,16 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert "--shots must be at least 1" in err
+
+    @pytest.mark.parametrize("suite", ["locality", "destructive"])
+    def test_more_shots_than_counters_rejected(self, capsys, monkeypatch, suite):
+        from toyfield import cli
+
+        monkeypatch.setattr(cli, "_check_locality", lambda shots, seed: pytest.fail("ran"))
+        code, out, err = run_cli(capsys, "check", suite, "--shots", str(2**64 + 1))
+        assert code == 2
+        assert out == ""
+        assert "--shots must be at least 1 and at most 2**64" in err
 
     @pytest.mark.parametrize("suite", ["locality", "destructive"])
     def test_negative_seed_rejected(self, capsys, monkeypatch, suite):

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,6 @@ from toyfield.circuits import (
     GateStep,
     compile_toy,
     default_labeler,
-    enumerate_toy_runs,
     parse,
     render,
     run_toy_exact,
@@ -31,9 +31,11 @@ from toyfield.montecarlo import (
     audit_records,
     derive_seed,
     estimate,
+    exact_law,
     locality_audit,
     sample_run,
 )
+from toyfield.phase_space import is_valid
 from toyfield.scenarios import (
     Scenario,
     all_variants,
@@ -43,7 +45,7 @@ from toyfield.scenarios import (
     quantum_eraser,
     run_scenario,
 )
-from toyfield.toy_dynamics import gate_table
+from toyfield.toy_dynamics import gate_table, push_forward
 from toyfield.toy_measurement import DisturbanceKind, measurement_kernel
 
 from test_quantum_exact import random_program
@@ -92,7 +94,44 @@ class TestEnumerationIdentity:
     )
     def test_exhaustive_average_equals_exact(self, scenario):
         plan = compile_toy(scenario.program)
-        assert enumerate_toy_runs(plan) == run_toy_exact(plan)
+        assert exact_law(plan) == run_toy_exact(plan)
+
+
+def stays_valid(plan) -> bool:
+    """Whether every branch state of the plan's exact toy run is valid."""
+    stepped = circuits.branches([(1, plan.initial, {})], plan.steps,
+                                push_forward, circuits.toy_measure)
+    return is_valid(plan.initial) and all(
+        is_valid(state) for _, branches in stepped for _, state, _ in branches
+    )
+
+
+class TestExactLaw:
+    def test_equals_the_exact_run_while_states_stay_valid(self):
+        rng = random.Random(7)
+        plans = [compile_toy(parse(random_program(rng))) for _ in range(1000)]
+        valid = [plan for plan in plans if stays_valid(plan)]
+        assert len(valid) == 922
+        for plan in valid:
+            assert exact_law(plan) == run_toy_exact(plan), render(plan.program)
+
+    def test_a_state_outside_the_valid_states_splits_them(self):
+        # a known difference outside the valid states (no validity guard yet):
+        # the runs the sampler can make give 1/4 and 3/4, the exact run 1/3 and 2/3
+        plan = compile_toy(parse(
+            "mode L R E; source L; vacuum R; bs L R; bs L E; bs R L; "
+            "detect L as dl; detect R as dr;"
+        ))
+        assert not stays_valid(plan)
+        assert exact_law(plan) == {
+            (("dl", 0), ("dr", 0)): Fraction(1, 4), (("dl", 0), ("dr", 1)): Fraction(3, 4)
+        }
+        assert run_toy_exact(plan) == {
+            (("dl", 0), ("dr", 0)): Fraction(1, 3), (("dl", 0), ("dr", 1)): Fraction(2, 3)
+        }
+
+    def test_no_measurement_is_one_empty_record(self):
+        assert exact_law(compile_toy(parse("mode L R; source L; bs L R;"))) == {(): 1}
 
 
 class TestEstimate:
@@ -571,6 +610,25 @@ class TestShotRange:
         block = sum(word << (64 * w) for w, word in enumerate(words.tolist()))
         coins = [e.coin for e in sample_run(self.LONG, 11, shot).events]
         assert coins[255:] == [(block >> i) & 1 for i in range(45)]
+
+    def test_more_shots_than_counters_are_refused_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a shot")
+
+        monkeypatch.setattr(montecarlo, "_block", no_draw)
+        monkeypatch.setattr(automaton, "_block", no_draw)
+        scenario = bomb_tester(functional=True)
+        plan = compile_toy(scenario.program)
+        wires = automaton.plan_from_program(scenario.program)
+        for run in (
+            lambda shots: montecarlo.run_experiment(plan, shots, 1),
+            lambda shots: locality_audit(plan, shots, 1),
+            lambda shots: automaton.run_experiment(wires, shots, 1, scenario.labeler),
+        ):
+            with pytest.raises(ValueError, match=r"at most 2\*\*64"):
+                run(2**64 + 1)
+            with pytest.raises(AssertionError, match="drew a shot"):
+                run(2**64)  # admitted: every shot number is below 2**64
 
     def test_the_wire_automaton_draws_through_the_check(self):
         plan = automaton.plan_from_program(mzi_phase(0).program)

@@ -323,3 +323,31 @@ class TestKernel:
         assert gate_table.cache_info().misses == misses
         clicks = {2 * pair + pair % 2 for pair in range(5)}
         assert joint == {tuple(sorted((f"d{k}", int(k in clicks)) for k in range(10))): 1}
+
+    def test_gate_images_keep_no_point(self):
+        import gc
+        import tracemalloc
+
+        from toyfield.circuits import compile_toy, parse, run_toy_exact
+
+        def run_bank(pairs, phase):
+            """Five interferometers on ten modes, one per ``(source, vacuum)`` pair."""
+            lines = ["mode " + " ".join(f"m{k}" for k in range(10)) + ";"]
+            lines += [f"source m{a}; vacuum m{b};" for a, b in pairs]
+            for a, b in pairs:
+                lines += [f"bs m{a} m{b};", f"phase m{b} {phase};", f"bs m{a} m{b};"]
+            lines += [f"detect m{k} as d{k};" for k in range(10)]
+            run_toy_exact(compile_toy(parse("\n".join(lines))))
+
+        run_bank([(k, k + 1) for k in range(0, 10, 2)], "0")  # warms every other cache
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            run_bank([(k + 1, k) for k in range(0, 10, 2)], "pi")
+            run_bank([(k, 9 - k) for k in range(5)], "0")
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 256 * 1024, retained
