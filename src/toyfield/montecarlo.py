@@ -350,11 +350,16 @@ def exact_law(plan: ToyPlan) -> JointDistribution:
     (:attr:`~toyfield.circuits.ToyPlan.outcome_codes`) weighs one over their
     number.  It agrees with ``run_toy_exact`` while the states stay valid
     and can differ once one leaves them."""
-    labels, codes = plan.labels(), plan.outcome_codes.tolist()
+    return _pattern_law(plan.labels(), plan.outcome_codes)
+
+
+def _pattern_law(labels: Sequence[str], codes: np.ndarray) -> JointDistribution:
+    """The law of drawing each of the outcome ``codes`` alike, bit ``i`` of
+    a code the value of ``labels[i]``, keyed by label assignments."""
     return {
         tuple(sorted((label, code >> i & 1) for i, label in enumerate(labels))):
             Fraction(count, len(codes))
-        for code, count in Counter(codes).items()
+        for code, count in Counter(codes.tolist()).items()
     }
 
 

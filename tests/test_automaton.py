@@ -1,8 +1,10 @@
 """Wire-array engine: propagation, gate cells, locality, statistics."""
 
 import collections
+import functools
 import itertools
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,22 +14,23 @@ import pytest
 from toyfield import automaton, montecarlo
 from toyfield.automaton import (
     CaPlan,
-    WIRE_LENGTH,
     _advance,
     _batch_events,
     check_time_reversal,
+    exact_law,
     plan_from_program,
     run_experiment,
     run_scenario_ca,
     run_single,
     trace_line,
 )
-from toyfield.circuits import CapabilityError
+from toyfield.circuits import CapabilityError, compile_toy, parse, run_toy_exact
 from toyfield.montecarlo import _distinct, _tally, derive_seed
 from toyfield.phase_space import RegisterShape
 from toyfield.scenarios import (
     all_variants,
     bomb_tester,
+    mirror_removed,
     mzi_phase,
     mzi_whichway,
     run_scenario,
@@ -35,14 +38,18 @@ from toyfield.scenarios import (
 from toyfield.toy_dynamics import Beamsplitter, apply_gate_index, beamsplitter_formula
 from toyfield.toy_measurement import DisturbanceKind
 
+from test_montecarlo import stays_valid
+from test_quantum_exact import random_program
+
 PLAIN = plan_from_program(mzi_phase(0).program)
 WHICHWAY = plan_from_program(mzi_whichway(DisturbanceKind.NONDESTRUCTIVE).program)
-LABELS = [f"{w}{i}" for w in ("L", "R") for i in range(1, WIRE_LENGTH + 1)]
+CELLS = PLAIN.cells
 
 
 def cells_of(assignments=(), phases=itertools.repeat(0)) -> dict:
-    """Every cell empty with the given phases, except the assigned ones."""
-    cells = {label: (0, phi) for label, phi in zip(LABELS, phases)}
+    """Every cell of the two 16-cell wires empty with the given phases,
+    except the assigned ones."""
+    cells = {cell: (0, phi) for cell, phi in zip(CELLS, phases)}
     cells.update(assignments)
     return cells
 
@@ -58,8 +65,17 @@ def advance(cells: dict, t: int, plan: CaPlan, draws) -> dict:
     return _advance(cells, t, plan, lambda: next(draws))[0]
 
 
-def occupied(cells: dict) -> list[str]:
-    return [label for label in LABELS if cells[label][0]]
+def occupied(cells: dict) -> list[tuple[str, int]]:
+    return [cell for cell in CELLS if cells[cell][0]]
+
+
+@functools.cache
+def random_plans() -> list[tuple[object, CaPlan]]:
+    """The ancilla-free programs among 1000 drawn by ``random_program`` from
+    ``Random(7)``, with their wire layouts."""
+    rng = random.Random(7)
+    programs = [parse(random_program(rng)) for _ in range(1000)]
+    return [(p, plan_from_program(p)) for p in programs if not p.ancillas]
 
 
 class TestPropagation:
@@ -68,34 +84,37 @@ class TestPropagation:
         # successive transitions carry it one cell per step.
         draws = coins(0)
         cells = advance(cells_of(), 0, PLAIN, draws)  # source fires on the first transition
-        assert cells["L1"][0] == 1
+        assert cells["L", 1][0] == 1
         for expected in (2, 3, 4):
             cells = advance(cells, expected - 1, PLAIN, draws)
-            assert occupied(cells) == [f"L{expected}"]
+            assert occupied(cells) == [("L", expected)]
 
     def test_vacuum_stays_vacuum(self):
-        plan = CaPlan(None, {"L": "dl", "R": "dr"}, inject_step=-2)  # never fires
+        plan = plan_from_program(parse(  # PLAIN's layout with no source
+            "mode L R; bs L R; phase R 0; bs L R; detect L as dl; detect R as dr;"
+        ))
+        assert plan.cells == CELLS
         draws = coins(1)
         cells = cells_of(phases=draws)
         phases = set()
-        for t in range(12):
+        for t in range(plan.length):
             cells = advance(cells, t, plan, draws)
             assert occupied(cells) == []
-            phases.add(cells["L5"])
+            phases.add(cells["L", 5])
         assert {n for n, _ in phases} == {0}
 
     def test_splitter_cells_apply_the_update(self):
-        cells = cells_of({"L4": (1, 1), "R4": (0, 1)})
+        cells = cells_of({("L", 4): (1, 1), ("R", 4): (0, 1)})
         out = advance(cells, 4, PLAIN, coins(2))
         n_l, phi_l, n_r, phi_r = beamsplitter_formula(1, 1, 0, 1)
-        assert out["L5"] == (n_l, phi_l)
-        assert out["R5"] == (n_r, phi_r)
+        assert out["L", 5] == (n_l, phi_l)
+        assert out["R", 5] == (n_r, phi_r)
 
     def test_splitter_cells_pass_vacuum_through(self):
-        cells = cells_of({"L4": (0, 1), "R4": (0, 0)})
+        cells = cells_of({("L", 4): (0, 1), ("R", 4): (0, 0)})
         out = advance(cells, 4, PLAIN, coins(3))
-        assert out["L5"] == (0, 1)
-        assert out["R5"] == (0, 0)
+        assert out["L", 5] == (0, 1)
+        assert out["R", 5] == (0, 0)
 
     def test_splitter_is_the_registers_splitter_gate(self):
         # cells (n, phi) of L then R are modes 0 and 1 of a two-mode register
@@ -111,22 +130,81 @@ class TestPropagation:
         run_single(PLAIN, 4, trace=trace)
         line = trace[0]
         assert line.startswith("t= 0 occupied=[") and "phases L=" in line
-        assert trace_line(0, cells_of()) == f"t= 0 occupied=[-] phases L={'0' * 16} R={'0' * 16}"
+        assert trace_line(PLAIN, 0, cells_of()) == (
+            f"t= 0 occupied=[-] phases L={'0' * 16} R={'0' * 16}"
+        )
+
+    def test_trace_has_a_phase_row_per_wire(self):
+        trace: list[str] = []
+        run_single(plan_from_program(mirror_removed().program), 4, trace=trace)
+        rows = trace[0].split("phases ")[1].split()
+        assert [row[:2] for row in rows] == ["L=", "R=", "E="]
+        assert {len(row) for row in rows} == {2 + 16}
 
 
-class TestSchedule:
-    def test_default_schedule_valid(self):
-        PLAIN.validate_schedule()
+GROUP_KINDS = ("beamsplitter", "swap", "phase", "detector")
 
-    def test_odd_injection_rejected(self):
-        from toyfield.circuits import CapabilityError
 
-        with pytest.raises(CapabilityError):
-            CaPlan(None, {"L": "dl", "R": "dr"}, inject_step=1).validate_schedule()
+class TestGeneratedLayout:
+    """The layouts of the ancilla-free random programs."""
 
-    def test_arrival_times_hit_even_steps(self):
-        for position in (4, 8, 12, 16):
-            assert PLAIN.arrival_step(position) % 2 == 0
+    def test_step_k_maps_cell_4k_plus_4_to_the_next(self):
+        for program, plan in random_plans():
+            groups = [b for b in plan.bindings if b.kind in GROUP_KINDS]
+            assert sorted(b.cells[0][1] for b in groups) == [4 * k + 4 for k in range(len(groups))]
+            assert plan.length == 4 * (len(groups) + 1)
+            for binding in groups:
+                half = len(binding.cells) // 2
+                inputs, outputs = binding.cells[:half], binding.cells[half:]
+                assert binding.parity == "even"
+                assert outputs == tuple((wire, i + 1) for wire, i in inputs)
+            # every other step is a detect read from its wire's sink
+            sinks = [b.parameter for b in plan.bindings if b.kind == "sink" and b.parameter]
+            assert len(groups) + len(sinks) == len(program.steps), program
+            assert sorted(plan.patterns[0]) == sorted(program.labels())
+
+    def test_every_excitation_rides_the_front(self):
+        # an excitation sits at cell t at step t, so it meets the group at
+        # cell p on the even step p
+        for _, plan in random_plans()[:200]:
+            draws = coins(plan.length)
+            cells = {cell: (0, next(draws)) for cell in plan.cells}
+            for t in range(plan.length):
+                cells = advance(cells, t, plan, draws)
+                assert {i for (_, i), (n, _) in cells.items() if n} <= {t + 1}
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_groups_partition_the_grid(self, parity):
+        for plan in (PLAIN, *(plan for _, plan in random_plans())):
+            seen = [cell for b in plan.bindings if b.parity == parity for cell in b.cells]
+            assert sorted(seen) == sorted(plan.cells)
+
+    def test_a_detect_before_a_later_step_is_a_detector(self):
+        plan = plan_from_program(parse(
+            "mode L R; source L; bs L R; detect R as mid; detect L as a; bs L R;"
+            " detect L as b; detect R as c; measure N R destructive as d;"
+        ))
+        kinds = {b.parameter[2] if b.kind == "detector" else b.parameter: (b.kind, b.cells[0])
+                 for b in plan.bindings if b.kind in ("detector", "sink")}
+        # c is read before d acts on its wire; R's sink is read by no one
+        assert kinds == {
+            "mid": ("detector", ("R", 8)), "a": ("detector", ("L", 12)),
+            "c": ("detector", ("R", 20)), "d": ("detector", ("R", 24)),
+            "b": ("sink", ("L", 28)), None: ("sink", ("R", 28)),
+        }
+
+    def test_ancillas_are_refused(self):
+        with pytest.raises(CapabilityError, match="no ancilla systems"):
+            plan_from_program(parse("mode L; ancilla A; measure Q A as q;"))
+
+    def test_cells_are_keyed_by_wire_and_position(self):
+        # names that would collide as strings: m1's cell 11 and m11's cell 1
+        modes = [f"m{i}" for i in range(12)]
+        plan = plan_from_program(parse(
+            f"mode {' '.join(modes)};" + "".join(f" phase {m} pi;" for m in modes)
+        ))
+        assert len(set(plan.cells)) == len(plan.cells) == 12 * plan.length
+        assert ("m1", 11) in plan.cells and ("m11", 1) in plan.cells
 
 
 class TestSingleRuns:
@@ -164,7 +242,7 @@ class TestSingleRuns:
         # lives on the wires (the bomb's absorption removes it).
         draws = coins(11)
         cells = cells_of(phases=draws)
-        for t in range(16):
+        for t in range(PLAIN.length):
             cells = advance(cells, t, PLAIN, draws)
             total = sum(n for n, _ in cells.values())
             assert total == 1
@@ -174,17 +252,17 @@ class TestLocalityByConstruction:
     def test_outside_flip_never_changes_group(self):
         # Flip a cell far from the splitter group; the group's next state
         # is bit-identical because maps see only their own group.
-        base = cells_of({"L4": (1, 0), "R4": (0, 1)})
-        poked = {**base, "L10": (0, 1), "R15": (0, 1)}
+        base = cells_of({("L", 4): (1, 0), ("R", 4): (0, 1)})
+        poked = {**base, ("L", 10): (0, 1), ("R", 15): (0, 1)}
         out_a = advance(base, 4, PLAIN, coins(5))
         out_b = advance(poked, 4, PLAIN, coins(5))
         for wire in ("L", "R"):
-            for label in (4, 5):
-                assert out_a[f"{wire}{label}"] == out_b[f"{wire}{label}"]
+            for position in (4, 5):
+                assert out_a[wire, position] == out_b[wire, position]
 
 
 class TestTimeReversal:
-    @pytest.mark.parametrize("kind", ["free_swap", "phase", "beamsplitter"])
+    @pytest.mark.parametrize("kind", ["free_swap", "phase", "beamsplitter", "swap"])
     def test_deterministic_maps_are_symmetric(self, kind):
         assert check_time_reversal(kind)
 
@@ -209,33 +287,34 @@ class TestTimeReversalChecksTheRunningRules:
         monkeypatch.setitem(automaton._RULES, "beamsplitter", one_way)
         assert not check_time_reversal("beamsplitter")
 
+    def test_swap_acting_one_way_is_caught(self, monkeypatch):
+        def one_way(states, binding, t, coin):
+            l_in, r_in, l_out, r_out = states
+            return l_out, r_out, r_in, l_in  # leftward travel stays on its wire
+
+        monkeypatch.setitem(automaton._RULES, "swap", one_way)
+        assert not check_time_reversal("swap")
+
     def test_random_rules_are_not_checked(self):
         with pytest.raises(ValueError):
             check_time_reversal("detector")
 
 
 class TestRuleTable:
-    @pytest.mark.parametrize("parity", ["even", "odd"])
-    def test_groups_partition_the_grid(self, parity):
-        from toyfield.automaton import layout_bindings
-
-        every_cell = {f"{w}{i}" for w in ("L", "R") for i in range(1, WIRE_LENGTH + 1)}
-        seen: list[str] = []
-        for binding in layout_bindings(PLAIN):
-            if binding.parity == parity:
-                seen.extend(binding.cells)
-        assert sorted(seen) == sorted(every_cell)
-
     def test_device_binding_reflects_plan(self):
-        from toyfield.automaton import layout_bindings
+        kinds = {b.cells: b.kind for b in WHICHWAY.bindings}
+        assert kinds[("R", 8), ("R", 9)] == "detector"
+        assert kinds[("L", 8), ("L", 9)] == "free_swap"
+        assert kinds[("L", 4), ("R", 4), ("L", 5), ("R", 5)] == "beamsplitter"
 
-        plan = plan_from_program(
-            mzi_whichway(DisturbanceKind.NONDESTRUCTIVE).program
-        )
-        kinds = {b.cells: b.kind for b in layout_bindings(plan)}
-        assert kinds[("R8", "R9")] == "detector"
-        assert kinds[("L8", "L9")] == "free_swap"
-        assert kinds[("L4", "R4", "L5", "R5")] == "beamsplitter"
+    def test_swap_binding_crosses_the_wires(self):
+        plan = plan_from_program(mirror_removed().program)
+        kinds = {b.cells: b.kind for b in plan.bindings}
+        assert kinds[("R", 8), ("E", 8), ("R", 9), ("E", 9)] == "swap"
+        assert kinds[("L", 8), ("L", 9)] == "free_swap"
+        assert [b.parameter for b in plan.bindings if b.kind == "sink"] == [
+            "detector_L", "detector_R", None
+        ]
 
 
 class TestBatchRunner:
@@ -396,11 +475,14 @@ class TestReplay:
             drawn.append(0)
             return 0
 
-        cells = cells_of()
-        for t in range(plan.arrival_step(WIRE_LENGTH)):
+        cells = {cell: (0, 0) for cell in plan.cells}
+        for t in range(plan.length):
             cells, _ = _advance(cells, t, plan, coin)
-        has_detector = plan.device is not None and plan.device[0] == "detector"
-        assert len(LABELS) + len(drawn) == (80 if has_detector else 64)
+        detectors = sum(b.kind == "detector" for b in plan.bindings)
+        # a phase per cell, then per even step one per source, sink and
+        # detector output cell
+        assert len(plan.cells) + len(drawn) == (2 * len(plan.wires) + detectors) * plan.length
+        assert plan.reads[0] == len(plan.cells) + len(drawn)
 
     @pytest.mark.parametrize("scenario, plan", HOSTABLE, ids=HOSTABLE_IDS)
     def test_copies_only_the_words_read(self, scenario, plan, monkeypatch):
@@ -415,13 +497,25 @@ class TestReplay:
 
         monkeypatch.setattr(automaton, "_shot_words", spy)
         run_single(plan, self.SEED)
-        has_detector = plan.device is not None and plan.device[0] == "detector"
-        assert asked == [2 if has_detector else 1]
+        words = {"bomb_tester[bomb=faulty]": 1, "mirror_removed": 2}  # 48 and 96 bits
+        detectors = any(b.kind == "detector" for b in plan.bindings)
+        assert asked == [words.get(scenario.key, 2 if detectors else 1)]
 
-    def test_more_than_one_block_is_refused(self):
-        long_run = CaPlan(None, {"L": "dl", "R": "dr"}, inject_step=100)
-        with pytest.raises(ValueError, match="more than one Philox block"):
-            run_single(long_run, 0)
+    def test_more_than_one_block_is_read(self):
+        # 32 phase steps make two 132-cell wires: the 264 initial phases
+        # run on into the shot's second Philox block, at counter (s, 1, 0, 0)
+        plan = plan_from_program(parse("mode L R; source L;" + " phase R pi;" * 32))
+        assert len(plan.cells) == 264
+        for shot in (0, 5, 2**64 - 1):
+            bits = 0
+            for block in (0, 1):
+                philox = np.random.Philox(key=derive_seed(self.SEED), counter=shot + (block << 64))
+                for w, word in enumerate(philox.random_raw(4).tolist()):
+                    bits |= word << (64 * (4 * block + w))
+            trace: list[str] = []
+            run_single(plan, self.SEED, shot, trace)
+            rows = trace[0].split("phases L=")[1].split(" R=")
+            assert [int(c) for c in "".join(rows)] == [(bits >> i) & 1 for i in range(264)]
 
 
 class TestAgainstExactReference:
@@ -429,7 +523,7 @@ class TestAgainstExactReference:
     SEED = 7
 
     def test_hostable_variant_count(self):
-        assert len(HOSTABLE) == 12
+        assert len(HOSTABLE) == 13
 
     @pytest.mark.parametrize("scenario, plan", HOSTABLE, ids=HOSTABLE_IDS)
     def test_frequencies_match_quantum(self, scenario, plan):
@@ -461,7 +555,7 @@ def leaky_swap(states, binding, t, coin):
     """A mutant free rule: two L-wire groups XOR the right cell's phase into
     the occupation they carry rightward."""
     (n_a, phi_a), (n_b, phi_b) = states
-    leak = phi_b if binding.cells[0] in ("L13", "L15") else 0
+    leak = phi_b if binding.cells[0] in (("L", 13), ("L", 15)) else 0
     return (n_b, phi_b), (n_a ^ leak, phi_a)
 
 
@@ -473,13 +567,17 @@ class TestPatternLanes:
     SEEDS = (0, 5, 2**70)
 
     def test_dependencies_of_the_hosted_layouts(self):
+        assert PLAIN.reads[1] == (32, 33) and WHICHWAY.reads[1] == (34, 35, 56)
         for scenario, plan in HOSTABLE:
-            bits, dependencies = automaton._layout_of(plan).reads
-            has_detector = plan.device is not None and plan.device[0] == "detector"
-            # the phases the source and the vacuum source draw at step 0
-            # (after the detector's two draws, if there is one), and the
-            # phase the detector gives the cell it passes at step 8
-            assert dependencies == ((34, 35, 56) if has_detector else (32, 33)), scenario.key
+            detectors = sum(b.kind == "detector" for b in plan.bindings)
+            # the phases every wire's cell 1 draws at step 0 (after the
+            # detector's two draws, if there is one), and the phase the
+            # detector gives the cell it passes at step 8, four even steps on
+            first = len(plan.cells) + 2 * detectors
+            passed = len(plan.cells) + 4 * 2 * (len(plan.wires) + detectors)
+            assert plan.reads[1] == (
+                *range(first, first + len(plan.wires)), *[passed] * detectors
+            ), scenario.key
 
     @pytest.mark.parametrize("scenario, plan", HOSTABLE, ids=HOSTABLE_IDS)
     def test_counts_equal_shot_lanes(self, scenario, plan):
@@ -490,7 +588,7 @@ class TestPatternLanes:
 
     @pytest.mark.parametrize("scenario, plan", HOSTABLE, ids=HOSTABLE_IDS)
     def test_bits_outside_the_dependencies_change_no_event(self, scenario, plan):
-        bits, dependencies = automaton._layout_of(plan).reads
+        bits, dependencies = plan.reads
         rng = np.random.default_rng(3)
         planes = rng.integers(0, 256, size=(8 * -(-bits // 64), 64), dtype=np.uint8)
         events = automaton._lanes(plan, planes)
@@ -501,13 +599,13 @@ class TestPatternLanes:
                 assert np.array_equal(column, events[label]), (b, label)
 
     def test_a_leaky_rule_grows_the_dependencies(self, monkeypatch):
-        plans = [plan for _, plan in HOSTABLE[:4]]
-        before = [automaton._layout_of(plan).reads[1] for plan in plans]
+        before = [plan.reads[1] for _, plan in HOSTABLE[:4]]
         monkeypatch.setitem(automaton._RULES, "free_swap", leaky_swap)
-        automaton._layout.cache_clear()
+        plan_from_program.cache_clear()
         try:
-            for plan, old in zip(plans, before):
-                dependencies = automaton._layout_of(plan).reads[1]
+            for (scenario, _), old in zip(HOSTABLE[:4], before):
+                plan = plan_from_program(scenario.program)
+                dependencies = plan.reads[1]
                 assert set(old) < set(dependencies) and 1 << len(dependencies) <= 1000
                 # bits of word 1 among them once a detector draws
                 assert (max(dependencies) >= 64) == (len(old) == 3)
@@ -515,10 +613,10 @@ class TestPatternLanes:
                     expected = shot_lane_counts(plan, shots, 2, record_label)
                     assert run_experiment(plan, shots, 2, record_label) == expected, shots
         finally:
-            automaton._layout.cache_clear()
+            plan_from_program.cache_clear()
 
     def test_bulk_call_evolves_only_the_patterns(self, monkeypatch):
-        automaton._layout.cache_clear()
+        plan_from_program.cache_clear()
         evolved: list[int] = []
         lanes = automaton._lanes
 
@@ -537,11 +635,12 @@ class TestPatternLanes:
             for _ in range(2):
                 counts = run_experiment(plan, 200_000, 7, scenario.labeler)
                 assert sum(counts.values()) == 200_000
-            assert evolved == [1 << len(automaton._layout_of(plan).reads[1])]
+            assert evolved == [1 << len(plan.reads[1])]
 
     def test_chunks_shorter_than_the_patterns_read_them_too(self, monkeypatch):
-        automaton._layout.cache_clear()
-        expected = shot_lane_counts(WHICHWAY, 17, 4, record_label)
+        plan_from_program.cache_clear()
+        plan = plan_from_program(mzi_whichway(DisturbanceKind.NONDESTRUCTIVE).program)
+        expected = shot_lane_counts(plan, 17, 4, record_label)
         evolved: list[int] = []
         lanes = automaton._lanes
 
@@ -551,7 +650,7 @@ class TestPatternLanes:
 
         monkeypatch.setattr(automaton, "_lanes", spy)
         monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 8)
-        assert run_experiment(WHICHWAY, 17, 4, record_label) == expected
+        assert run_experiment(plan, 17, 4, record_label) == expected
         assert evolved == [8]  # the 8 patterns once, for two chunks of 8 and one of 1
 
     def test_index_runs_stop_at_word_ends(self):
@@ -562,16 +661,114 @@ class TestPatternLanes:
         assert automaton._index_runs(()) == []
 
     def test_pattern_codes_are_read_only(self):
-        codes = automaton._layout_of(WHICHWAY).patterns[1]
+        codes = WHICHWAY.patterns[1]
         with pytest.raises(ValueError):
             codes[0] = 0
 
     @pytest.mark.parametrize("scenario, plan", HOSTABLE, ids=HOSTABLE_IDS)
     def test_pattern_law_is_the_exact_toy_law(self, scenario, plan):
         # each pattern of D weighs 1/2^|D|: the CA's exact outcome law
-        labels, codes = automaton._layout_of(plan).patterns
-        law: dict[str, Fraction] = {}
-        for code in codes.tolist():
-            label = scenario.labeler({name: code >> k & 1 for k, name in enumerate(labels)})
-            law[label] = law.get(label, 0) + Fraction(1, len(codes))
-        assert law == run_scenario(scenario, "toy").probs
+        assert exact_law(plan) == run_toy_exact(compile_toy(scenario.program))
+        assert sum(exact_law(plan).values()) == 1
+
+    def test_blocks_past_the_first_are_drawn_once_per_chunk(self, monkeypatch):
+        # 3-mode programs whose events read bits of both the first and a
+        # later Philox block
+        spanning = [
+            plan for program, plan in random_plans()
+            if len(program.modes) == 3 and plan.reads[1] and plan.reads[1][0] < 256
+            and plan.reads[1][-1] >= 256
+        ]
+        assert len(spanning) == 32
+        drawn: list[tuple[int, int]] = []
+        block = automaton._block
+
+        def spy(key, first, shots, which=0):
+            drawn.append((first, which))
+            return block(key, first, shots, which)
+
+        monkeypatch.setattr(automaton, "_block", spy)
+        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 64)
+        for plan in spanning:
+            expected = shot_lane_counts(plan, 150, 3, record_label)
+            del drawn[:]
+            assert run_experiment(plan, 150, 3, record_label) == expected
+            blocks = sorted({b >> 8 for b in plan.reads[1]})
+            assert sorted(drawn) == [(first, b) for first in (0, 64, 128) for b in blocks]
+
+
+class TestExactLaw:
+    def test_equals_the_exact_run_while_states_stay_valid(self):
+        plans = random_plans()
+        assert len(plans) == 635
+        valid = [(p, plan) for p, plan in plans if stays_valid(compile_toy(p))]
+        assert len(valid) == 557
+        for program, plan in valid:
+            assert exact_law(plan) == run_toy_exact(compile_toy(program)), program
+
+    def test_equals_the_monte_carlo_law_everywhere(self):
+        for program, plan in random_plans():
+            assert exact_law(plan) == montecarlo.exact_law(compile_toy(program)), program
+        # outside the valid states both sampled engines split the runs 1/4, 3/4
+        found = parse(
+            "mode L R E; source L; vacuum R; bs L R; bs L E; bs R L; "
+            "detect L as dl; detect R as dr;"
+        )
+        assert exact_law(plan_from_program(found)) == {
+            (("dl", 0), ("dr", 0)): Fraction(1, 4), (("dl", 0), ("dr", 1)): Fraction(3, 4)
+        }
+
+    def test_an_eight_mode_bank(self):
+        # four single-photon interferometers, two closed and two open, and a
+        # swap between the open ones
+        program = parse(
+            "mode m0 m1 m2 m3 m4 m5 m6 m7; source m0; source m2; source m4; source m6;"
+            " bs m0 m1; bs m2 m3; bs m4 m5; bs m6 m7; phase m1 pi; phase m3 0;"
+            " phase m5 pi; bs m0 m1; bs m2 m3; swap m5 m7;"
+            + "".join(f" detect m{i} as d{i};" for i in (3, 0, 7, 1, 6, 4, 2, 5))
+        )
+        plan = plan_from_program(program)
+        law = exact_law(plan)
+        assert law == run_toy_exact(compile_toy(program))
+        assert len(law) == 4 and set(law.values()) == {Fraction(1, 4)}
+
+    def test_a_mutant_splitter_changes_a_law(self, monkeypatch):
+        def gated_by_one_input(states, binding, t, coin):
+            # the splitter's flip gated by the left input's occupation alone
+            def split(left, right):
+                (n_a, phi_a), (n_b, phi_b) = left, right
+                flip = n_a & (n_a ^ phi_a ^ phi_b)
+                return (n_a ^ flip, phi_a ^ flip), (n_b ^ flip, phi_b)
+
+            l_in, r_in, l_out, r_out = states
+            return (*split(l_out, r_out), *split(l_in, r_in))
+
+        monkeypatch.setitem(automaton._RULES, "beamsplitter", gated_by_one_input)
+        plan_from_program.cache_clear()
+        try:
+            changed = [
+                scenario.key for scenario, _ in HOSTABLE
+                if exact_law(plan_from_program(scenario.program))
+                != run_toy_exact(compile_toy(scenario.program))
+            ]
+        finally:
+            plan_from_program.cache_clear()
+        assert "mzi_phase[phase=0]" in changed
+
+
+class TestMemoryBound:
+    def test_more_than_16_event_bits_are_refused(self):
+        text = "mode a b; source a;" + "".join(f" bs a b; detect a as x{i};" for i in range(17))
+        plan = plan_from_program(parse(text))
+        with pytest.raises(CapabilityError, match="read 18 coin bits; at most 16"):
+            run_experiment(plan, 10, 1, record_label)
+        with pytest.raises(CapabilityError):
+            run_single(plan, 1)
+
+    def test_16_event_bits_are_counted(self):
+        text = "mode a b; source a;" + "".join(f" bs a b; detect a as x{i};" for i in range(15))
+        plan = plan_from_program(parse(text))
+        assert len(plan.reads[1]) == 16
+        assert run_experiment(plan, 300, 2, record_label) == shot_lane_counts(
+            plan, 300, 2, record_label
+        )

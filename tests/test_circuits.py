@@ -275,20 +275,21 @@ class TestCompile:
         with pytest.raises(CapabilityError):
             plan_from_program(quantum_eraser("P").program)
 
-    def test_ca_rejects_three_modes(self):
-        from toyfield.automaton import plan_from_program
-        from toyfield.scenarios import mirror_removed
-
-        with pytest.raises(CapabilityError):
-            plan_from_program(mirror_removed().program)
-
     def test_ca_accepts_interferometer(self):
         from toyfield.automaton import plan_from_program
         from toyfield.scenarios import mzi_phase
 
         plan = plan_from_program(mzi_phase(1).program)
-        assert plan.device == ("phase", 1)
-        assert plan.port_labels == {"L": "detector_L", "R": "detector_R"}
+        assert plan.wires == ("L", "R") and plan.length == 16
+        devices = [(b.kind, b.cells, b.parameter) for b in plan.bindings
+                   if b.kind in ("beamsplitter", "phase")]
+        assert devices == [
+            ("beamsplitter", (("L", 4), ("R", 4), ("L", 5), ("R", 5)), None),
+            ("beamsplitter", (("L", 12), ("R", 12), ("L", 13), ("R", 13)), None),
+            ("phase", (("R", 8), ("R", 9)), ("phase", 1)),
+        ]
+        sinks = [(b.cells, b.parameter) for b in plan.bindings if b.kind == "sink"]
+        assert sinks == [((("L", 16),), "detector_L"), ((("R", 16),), "detector_R")]
 
 
 class TestExecution:

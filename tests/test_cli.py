@@ -166,6 +166,29 @@ class TestRun:
         assert code == 3
         assert "ancilla" in err
 
+    def test_ca_runs_every_ancilla_free_scenario(self, capsys):
+        code, out, _ = run_cli(capsys, "run", "mirror_removed", "--engine", "ca",
+                               "--shots", "1000", "--seed", "7", "--format", "json")
+        assert code == 0
+        counts = json.loads(out)["counts"]
+        assert set(counts) == {"no_click", "detector_L", "detector_R"}
+        assert sum(counts.values()) == 1000
+
+    def test_ca_refuses_an_ancilla_scenario(self, capsys):
+        code, _, err = run_cli(capsys, "run", "quantum_eraser", "--engine", "ca",
+                               "--shots", "10", "--seed", "1")
+        assert code == 3
+        assert "ancilla" in err
+
+    def test_ca_refuses_more_event_bits_than_it_counts(self, capsys, tmp_path):
+        path = tmp_path / "chain.mzi"
+        path.write_text("mode a b; source a;" + "".join(
+            f" bs a b; detect a as x{i};" for i in range(17)))
+        code, _, err = run_cli(capsys, "run", str(path), "--engine", "ca",
+                               "--shots", "10", "--seed", "1")
+        assert code == 3
+        assert "18 coin bits" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "run", "nosuch.mzi")
         assert code == 2
