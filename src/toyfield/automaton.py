@@ -40,14 +40,11 @@ A shot's events are a fixed function of a few of its bits.  The rules are
 branch-free on their operands, so one run of :func:`_advance` on
 :class:`_Unknown` bits finds the bits ``D`` the events read
 (:attr:`CaPlan.reads`): ``(32, 33)`` on the two-path interferometer,
-``(34, 35, 56)`` with a detector.  A plan reading more than 16 is refused,
-so its ``2^|D|`` patterns of ``D``, each evolved once as a lane
-(:attr:`CaPlan.patterns`), fit in a chunk.  Shots draw the patterns alike,
-which makes them the exact law too (:func:`exact_law`).
-:func:`run_experiment` counts :data:`toyfield.montecarlo._CHUNK_SHOTS` shots
-at a time through Monte Carlo's tally: each chunk draws each Philox block
-holding a bit of ``D`` once, and two bincounts sum its shots' patterns
-under each pattern's outcome.
+``(34, 35, 56)`` with a detector.  :func:`run_experiment` counts through
+Monte Carlo's :func:`~toyfield.montecarlo._tally`, from the patterns of
+``D``, each evolved once as a lane (:attr:`CaPlan.patterns`), or from one
+lane per shot.  Shots draw the patterns alike, which makes them the exact
+law too: :func:`exact_law` is Monte Carlo's, which weighs any plan's table.
 """
 
 from __future__ import annotations
@@ -55,26 +52,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from toyfield.circuits import (
     CapabilityError,
-    JointDistribution,
     MeasureStep,
     Program,
     Source,
     parse,
 )
-from toyfield.montecarlo import (
-    _CHUNK_SHOTS,
-    _block,
-    _pattern_law,
-    _shot_words,
-    _tally,
-    derive_seed,
-)
+# exact_law weighs any plan's pattern table, so it is this engine's exact law too
+from toyfield.montecarlo import _pattern_table, _shot_words, _tally, derive_seed, exact_law
 from toyfield.toy_dynamics import Beamsplitter, PhaseShift, beamsplitter_rule
 from toyfield.toy_measurement import DisturbanceKind
 
@@ -91,10 +81,6 @@ __all__ = [
 ]
 
 Cell = tuple[str, int]  # (wire, position)
-
-# The most coin bits a plan's events may read: its pattern table then holds
-# at most one chunk of lanes.
-_PATTERN_BITS = _CHUNK_SHOTS.bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -128,8 +114,7 @@ class CaPlan:
     def reads(self) -> tuple[int, tuple[int, ...]]:
         """How many bits a shot reads, and the sorted bits ``D`` its events
         may depend on: one run of :class:`_Unknown` bits, every draw a bit
-        of its own.  Raises :class:`CapabilityError` when ``D`` has more
-        than 16 bits."""
+        of its own."""
         read: list[int] = []
 
         def bit(b: int) -> _Unknown:
@@ -138,30 +123,22 @@ class CaPlan:
 
         events = _run(self, bit, 0).values()
         dependencies = frozenset().union(*(e.bits for e in events if isinstance(e, _Unknown)))
-        if len(dependencies) > _PATTERN_BITS:
-            raise CapabilityError(
-                f"the wire layout's events read {len(dependencies)} coin bits;"
-                f" at most {_PATTERN_BITS} are counted"
-            )
         return len(read), tuple(sorted(dependencies))
 
     @cached_property
-    def patterns(self) -> tuple[list[str], np.ndarray]:
-        """The event labels, detectors then sinks, and the read-only
-        ``int64`` outcome code of each pattern of ``D``: lane ``j`` draws
-        bit ``i`` of ``j`` at ``D[i]`` and 0 at every other bit, and bit
-        ``k`` of its code is its ``k``-th event."""
+    def patterns(self) -> tuple[tuple[str, ...], tuple[int, ...], np.ndarray]:
+        """The :func:`~toyfield.montecarlo._pattern_table` of ``D``, its
+        labels the events, detectors then sinks: lane ``j`` draws bit ``i``
+        of ``j`` at ``D[i]`` and 0 at every other bit."""
         bits, dependencies = self.reads
-        every = np.arange(1 << len(dependencies))
-        planes = np.zeros((8 * -(-bits // 64), len(every)), dtype=np.uint8)
-        for i, b in enumerate(dependencies):
-            planes[b >> 3] |= ((every >> i & 1) << (b & 7)).astype(np.uint8)
-        events = _lanes(self, planes)
-        codes = np.zeros(len(every), dtype=np.int64)
-        for k, column in enumerate(events.values()):
-            codes |= column.astype(np.int64) << k
-        codes.flags.writeable = False
-        return list(events), codes
+
+        def record(every: np.ndarray) -> dict[str, np.ndarray]:
+            planes = np.zeros((8 * -(-bits // 64), len(every)), dtype=np.uint8)
+            for i, b in enumerate(dependencies):
+                planes[b >> 3] |= ((every >> i & 1) << (b & 7)).astype(np.uint8)
+            return _lanes(self, planes)
+
+        return _pattern_table(len(dependencies), record)
 
 
 # _advance walks the table on every step, and a plan's patterns are evolved once
@@ -390,16 +367,17 @@ def _lanes(
 
 
 def _batch_events(
-    plan: CaPlan, shots: int, seed: int, first: int = 0, trace: list[str] | None = None
+    plan: CaPlan, shots: int, key: int, first: int = 0, trace: list[str] | None = None
 ) -> dict[str, np.ndarray]:
-    """Shots ``first .. first + shots - 1`` of ``seed``, one lane per shot:
-    their per-shot event bits (see :func:`_lanes`)."""
+    """Shots ``first .. first + shots - 1`` under the Philox key ``key``
+    (:func:`~toyfield.montecarlo.derive_seed` of the seed), one lane per
+    shot: their per-shot event bits (see :func:`_lanes`)."""
     words = -(-plan.reads[0] // 64)
     # Only the words read are copied.  Row 8w + j holds byte j of the shot's
     # word w, so bit b is bit b % 8 of row b // 8; shifting uint8 rows is
     # cheaper than shifting uint64 words.
     planes = (
-        _shot_words(derive_seed(seed), first, shots, words).astype("<u8", copy=False)
+        _shot_words(key, first, shots, words).astype("<u8", copy=False)
         .view(np.uint8).reshape(words, shots, 8).transpose(0, 2, 1).reshape(8 * words, shots)
     )
     return _lanes(plan, planes, trace)
@@ -409,31 +387,8 @@ def run_single(
     plan: CaPlan, seed: int, shot: int = 0, trace: list[str] | None = None
 ) -> dict[str, int]:
     """Shot ``shot`` of ``seed``: the same run a bulk call makes there."""
-    events = _batch_events(plan, 1, seed, shot, trace)
+    events = _batch_events(plan, 1, derive_seed(seed), shot, trace)
     return {label: int(bits[0]) for label, bits in events.items()}
-
-
-def exact_law(plan: CaPlan) -> JointDistribution:
-    """The exact law of a shot's events, keyed by label assignments as
-    :func:`~toyfield.circuits.run_toy_exact` keys them: a shot draws every
-    pattern of the bits ``D`` its events read alike, so each pattern's code
-    (:attr:`CaPlan.patterns`) weighs ``1/2^|D|``."""
-    return _pattern_law(*plan.patterns)
-
-
-def _index_runs(dependencies: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
-    """How to gather a shot's pattern index, bit ``i`` its bit
-    ``dependencies[i]``: one ``(word, shift, mask, position)`` per run of
-    consecutive bits within one word, read by one shift and one mask, then
-    moved to its place."""
-    runs: list[tuple[int, int, int, int]] = []
-    for i, b in enumerate(dependencies):
-        if runs and b == dependencies[i - 1] + 1 and b % 64:
-            word, shift, mask, position = runs[-1]
-            runs[-1] = (word, shift, mask << 1 | 1, position)
-        else:
-            runs.append((b >> 6, b & 63, 1, i))
-    return runs
 
 
 def run_experiment(
@@ -442,32 +397,17 @@ def run_experiment(
     seed: int,
     labeler: Callable[[dict[str, int]], str],
 ) -> dict[str, int]:
-    """Outcome counts over shots ``0 .. shots - 1`` of ``seed``, counted
-    :data:`toyfield.montecarlo._CHUNK_SHOTS` shots at a time.
-
-    A shot's events are a function of the bits ``D`` of its draws that the
-    plan's dependency pass finds (:attr:`CaPlan.reads`).  Each chunk draws
-    each Philox block holding a bit of ``D`` once, and is counted by two
-    bincounts: how many of its shots drew each pattern of ``D``, summed
-    under the outcome code of each pattern, evolved once per plan
-    (:attr:`CaPlan.patterns`).  The counts are those of one lane per shot
-    (:func:`_batch_events`).
+    """Outcome counts over shots ``0 .. shots - 1`` of ``seed``, counted by
+    :func:`toyfield.montecarlo._tally` from the bits ``D`` the plan's
+    dependency pass finds (:attr:`CaPlan.reads`): from the pattern table,
+    evolved once per plan (:attr:`CaPlan.patterns`), or past 16 bits from
+    one lane per shot (:func:`_batch_events`).  The counts are those of one
+    lane per shot.
     """
-    runs = _index_runs(plan.reads[1])
-    blocks = {word >> 2 for word, *_ in runs}
-    key = derive_seed(seed)
-
-    def counted(first: int, n: int) -> tuple[Sequence[str], list[int], list[int]]:
-        drawn = {block: _block(key, first, n, block).view(np.int64) for block in blocks}
-        index = np.zeros(n, dtype=np.int64)
-        for word, shift, mask, position in runs:
-            index |= (drawn[word >> 2][:, word & 3] >> shift & mask) << position
-        labels, codes = plan.patterns
-        sizes = np.bincount(codes, np.bincount(index, minlength=len(codes)))
-        seen = sizes.nonzero()[0]
-        return labels, seen.tolist(), sizes[seen].astype(np.int64).tolist()
-
-    return _tally(shots, counted, labeler)
+    return _tally(
+        shots, seed, plan.reads[1], lambda: plan.patterns,
+        lambda key, first, n: _batch_events(plan, n, key, first), labeler,
+    )
 
 
 def run_scenario_ca(scenario, shots: int, seed: int) -> dict[str, int]:

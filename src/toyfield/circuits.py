@@ -428,12 +428,12 @@ class ToyPlan:
         return _kernel(self)
 
     @cached_property
-    def outcome_codes(self):
-        """The outcome code of every pattern of the bits a shot's outcome
-        reads (:func:`toyfield.montecarlo._outcome_codes`)."""
-        from toyfield.montecarlo import _outcome_codes
+    def patterns(self):
+        """The pattern table of the bits a shot's outcome reads
+        (:func:`toyfield.montecarlo._patterns`)."""
+        from toyfield.montecarlo import _patterns
 
-        return _outcome_codes(self)
+        return _patterns(self)
 
 
 @dataclass(frozen=True)

@@ -27,27 +27,16 @@ with its buffer emptied, so no word carries over between calls.
 :func:`_kernel` turns a plan into column ops, and one lane kernel,
 :func:`_lanes`, advances ``uint64`` lanes through them: gates through their
 two-subsystem kernels and measurements through their ``(read, keep,
-flip)`` triples.  Calls run :data:`_CHUNK_SHOTS` shots at a time so memory
-stays bounded; no result, nor its order, depends on the chunk size.
-:func:`sample_run` and :func:`locality_audit` build the kernel on every
-call and give every shot its own lane, so ``(seed, shot)`` replays any run
-of a bulk call and the audit sees every run's states.
-:func:`run_experiment` needs only counts, and reads what depends only on
-the plan from the plan object, made once per plan: the kernel
-(:attr:`~toyfield.circuits.ToyPlan.column_kernel`) and the outcome code of
-each of the ``2^(B - 1)`` patterns of the bits an outcome reads
-(:attr:`~toyfield.circuits.ToyPlan.outcome_codes`); their arrays are
-read-only.  A chunk of at least that many shots is counted by two
-bincounts: how many of its shots drew each pattern (the low ``B - 1`` bits
-of word 0, read as a strided view), summed under each pattern's code.  A
-smaller chunk gets one lane per shot, counted by :func:`_distinct`.
-Every shot draws each pattern with the same probability, so weighing the
-patterns alike gives the exact law of a shot's outcome, :func:`exact_law`.
-:func:`_tally` refuses a shot count outside ``[1, 2**64]`` before any
-draw, adds up the chunks' codes and calls the labeler once per distinct
-outcome, in ascending code order; the wire automaton counts its chunks of
-the same size through it too, from its own pattern table.
-:func:`estimate` compares the counts with an exact reference.
+flip)`` triples.  :func:`sample_run` and :func:`locality_audit` build the
+kernel on every call and give every shot its own lane, so ``(seed, shot)``
+replays any run of a bulk call and the audit sees every run's states.
+:func:`run_experiment` counts through :func:`_tally`, as the wire automaton
+does, with the kernel and the pattern table the plan makes once per plan
+object (:attr:`~toyfield.circuits.ToyPlan.column_kernel`,
+:attr:`~toyfield.circuits.ToyPlan.patterns`).  Every shot draws each pattern
+with the same probability, so weighing the patterns alike gives the exact
+law of a shot's outcome, :func:`exact_law`.  :func:`estimate` compares the
+counts with an exact reference.
 
 numpy is imported, and a thread's generator made, on first use, not with
 this module.
@@ -59,13 +48,14 @@ import hashlib
 import json
 import math
 import threading
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from toyfield import __version__
 from toyfield.circuits import (
+    CapabilityError,
     GateStep,
     JointDistribution,
     Program,
@@ -82,6 +72,8 @@ from toyfield.toy_measurement import DisturbanceKind, measurement_kernel
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from toyfield.automaton import CaPlan
 
 __all__ = [
     "FrequencyReport",
@@ -107,6 +99,9 @@ RNG_SCHEME = "philox4x64-10; key=blake2b-128(seed); counter=(shot, block, 0, 0);
 
 # Shots advanced together; bounds the columns' memory, never the results.
 _CHUNK_SHOTS = 1 << 16
+
+# The most bits a pattern table enumerates: it then holds at most 2^16 lanes.
+_PATTERN_BITS = 16
 
 
 def derive_seed(master: int) -> int:
@@ -328,38 +323,31 @@ def _shot_columns(plan: ToyPlan, seed: int, shots: int, first: int = 0) -> Itera
         yield ShotColumns(seed, start, *_lanes(support, ops, words))
 
 
-def _outcome_codes(plan: ToyPlan) -> np.ndarray:
-    """The read-only ``int64`` outcome code of one lane per pattern of the
-    plan's :func:`_outcome_bits`, pattern ``j`` in lane ``j``, run through
-    the plan's cached kernel: bit ``i`` of a code is the value the plan's
-    ``i``-th measurement reads."""
-    import numpy as np
-
+def _patterns(plan: ToyPlan) -> tuple[tuple[str, ...], tuple[int, ...], np.ndarray]:
+    """The plan's :func:`_pattern_table` of the bits a shot's outcome reads,
+    run through its cached kernel: pattern ``j`` is word 0 of lane ``j``."""
     support, ops, bits = plan.column_kernel
-    every = np.arange(1 << _outcome_bits(support, bits), dtype=np.uint64)[None]
-    codes = np.zeros(every.shape[1], dtype=np.int64)
-    for i, event in enumerate(_lanes(support, ops, every)[1]):
-        codes |= event.value.astype(np.int64) << i
-    return _read_only(codes)
+    return _pattern_table(
+        _outcome_bits(support, bits),
+        lambda every: {e.label: e.value for e in _lanes(support, ops, every[None])[1]},
+    )
 
 
-def exact_law(plan: ToyPlan) -> JointDistribution:
-    """The exact law of a shot's outcome, keyed by label assignments as
-    :func:`~toyfield.circuits.run_toy_exact` keys them: a shot draws every
-    pattern of the bits its outcome reads alike, so each pattern's code
-    (:attr:`~toyfield.circuits.ToyPlan.outcome_codes`) weighs one over their
+def exact_law(plan: ToyPlan | CaPlan) -> JointDistribution:
+    """The exact law of a shot's outcome on either sampled engine, keyed by
+    label assignments as :func:`~toyfield.circuits.run_toy_exact` keys them:
+    a shot draws every pattern of the bits its outcome reads alike, so each
+    pattern of the plan's table (:attr:`~toyfield.circuits.ToyPlan.patterns`
+    or :attr:`toyfield.automaton.CaPlan.patterns`) weighs one over their
     number.  It agrees with ``run_toy_exact`` while the states stay valid
     and can differ once one leaves them."""
-    return _pattern_law(plan.labels(), plan.outcome_codes)
+    import numpy as np
 
-
-def _pattern_law(labels: Sequence[str], codes: np.ndarray) -> JointDistribution:
-    """The law of drawing each of the outcome ``codes`` alike, bit ``i`` of
-    a code the value of ``labels[i]``, keyed by label assignments."""
+    labels, codes, ids = plan.patterns
     return {
         tuple(sorted((label, code >> i & 1) for i, label in enumerate(labels))):
-            Fraction(count, len(codes))
-        for code, count in Counter(codes.tolist()).items()
+            Fraction(size, len(ids))
+        for code, size in zip(codes, np.bincount(ids, minlength=len(codes)).tolist())
     }
 
 
@@ -411,10 +399,10 @@ def _z_score(count: int, shots: int, p: Fraction) -> float:
 
 def _distinct(
     record: dict[str, np.ndarray], lanes: int
-) -> tuple[list[str], list[int], list[int]]:
+) -> tuple[list[str], list[int], np.ndarray]:
     """The labels of a ``{label: bit column}`` record of ``lanes`` lanes,
-    one per shot, its distinct outcome codes (bit ``j`` is label ``j``) and
-    how many lanes read each.
+    its distinct outcome codes as ints (bit ``j`` is label ``j``) and each
+    lane's id, the index of its code.
 
     Each group of 32 labels is packed into an int64 key under the rank of
     the lane's earlier groups, so one sort per group finds the distinct rows.
@@ -431,7 +419,7 @@ def _distinct(
             key = np.searchsorted(tables[-1], key) << 32
         for i, column in enumerate(columns[j:j + 32]):
             key |= column.astype(np.int64) << i
-    rows, sizes = np.unique(key, return_counts=True)
+    rows, ids = np.unique(key, return_inverse=True)
     codes = []
     for row in rows.tolist():
         code = row & 0xFFFF_FFFF
@@ -439,7 +427,47 @@ def _distinct(
             row = int(table[row >> 32])
             code = code << 32 | row & 0xFFFF_FFFF
         codes.append(code)
-    return labels, codes, sizes.tolist()
+    return labels, codes, ids
+
+
+def _pattern_table(
+    width: int, record: Callable[[np.ndarray], dict[str, np.ndarray]]
+) -> tuple[tuple[str, ...], tuple[int, ...], np.ndarray]:
+    """Every pattern of the ``width`` bits an outcome reads, as
+    ``(labels, codes, ids)``: ``record(every)`` runs lane ``j`` of the
+    ``uint64`` column ``every`` on pattern ``j``, bit ``i`` of ``j`` the
+    ``i``-th bit read, into a ``{label: bit column}`` record, and
+    :func:`_distinct` gives its labels, its distinct codes and each
+    pattern's id, held here as tuples and a read-only array.
+
+    Raises :class:`~toyfield.circuits.CapabilityError` above
+    :data:`_PATTERN_BITS` bits: the table would hold ``2^width`` lanes.
+    """
+    if width > _PATTERN_BITS:
+        raise CapabilityError(
+            f"the outcome reads {width} random bits; a pattern table holds"
+            f" at most {_PATTERN_BITS}"
+        )
+    import numpy as np
+
+    labels, codes, ids = _distinct(record(np.arange(1 << width, dtype=np.uint64)), 1 << width)
+    return tuple(labels), tuple(codes), _read_only(ids)
+
+
+@lru_cache(maxsize=64)
+def _index_runs(dependencies: Sequence[int]) -> tuple[tuple[int, int, int, int], ...]:
+    """How to gather a shot's pattern index, bit ``i`` its bit
+    ``dependencies[i]``: one ``(word, shift, mask, position)`` per run of
+    consecutive bits within one word, read by one shift and one mask, then
+    moved to its place."""
+    runs: list[tuple[int, int, int, int]] = []
+    for i, b in enumerate(dependencies):
+        if runs and b == dependencies[i - 1] + 1 and b % 64:
+            word, shift, mask, position = runs[-1]
+            runs[-1] = (word, shift, mask << 1 | 1, position)
+        else:
+            runs.append((b >> 6, b & 63, 1, i))
+    return tuple(runs)
 
 
 def _check_shots(shots: int) -> None:
@@ -451,24 +479,61 @@ def _check_shots(shots: int) -> None:
 
 def _tally(
     shots: int,
-    counted: Callable[[int, int], tuple[Sequence[str], list[int], list[int]]],
+    seed: int,
+    dependencies: Sequence[int],
+    patterns: Callable[[], tuple[Sequence[str], Sequence[int], np.ndarray]],
+    lanes: Callable[[int, int, int], dict[str, np.ndarray]],
     labeler: Callable[[dict[str, int]], str],
 ) -> dict[str, int]:
-    """Outcome counts of shots ``0 .. shots - 1``, :data:`_CHUNK_SHOTS` at a time.
+    """Outcome counts of shots ``0 .. shots - 1`` of ``seed``, counted
+    :data:`_CHUNK_SHOTS` at a time; both sampled engines count here.
 
-    ``counted(first, n)`` counts the outcomes of shots ``first .. first + n
-    - 1``: it gives their labels, their distinct outcome codes (bit ``j`` of
-    a code is label ``j``) and how many of the shots drew each.  The counts
-    of every chunk are added up by code, then labelled in ascending code
-    order, so the result, its order too, does not depend on the chunk size;
-    ``labeler`` sees each distinct outcome once.
+    A shot's outcome is a function of the sorted bits ``D``,
+    ``dependencies``, of its draws.  With at most :data:`_PATTERN_BITS` of
+    them, ``patterns()`` gives the :func:`_pattern_table` of ``D``, and a
+    chunk draws each Philox block holding a bit of ``D`` once, gathers each
+    shot's pattern (:func:`_index_runs`) and is two bincounts: how many of
+    its shots drew each pattern, summed under each pattern's outcome id.
+    With more, ``lanes(key, first, n)`` runs one lane per shot ``first ..
+    first + n - 1`` under the Philox key into a ``{label: bit column}``
+    record, which :func:`_distinct` counts.  Either way the counts are those
+    of one lane per shot.
+
+    A shot count outside ``[1, 2**64]`` is refused before any draw.  The
+    chunks' counts are added up by outcome code (bit ``j`` is label ``j``),
+    then labelled in ascending code order, so the result, its order too,
+    does not depend on the chunk size; ``labeler`` sees each distinct
+    outcome once.
     """
+    import numpy as np
+
     _check_shots(shots)
+    key = derive_seed(seed)
+    if len(dependencies) <= _PATTERN_BITS:
+        runs = _index_runs(dependencies)
+        blocks = {word >> 2 for word, *_ in runs}
+        labels, codes, ids = patterns()
+
+        def counted(first: int, n: int) -> tuple[Sequence[str], Sequence[int], np.ndarray]:
+            drawn = {block: _block(key, first, n, block).view(np.int64) for block in blocks}
+            index = np.zeros(n, dtype=np.int64)  # D empty: pattern 0; else the first run sets it
+            for word, shift, mask, position in runs:
+                column = drawn[word >> 2][:, word & 3]
+                column = (column >> shift if shift else column) & mask
+                index = index | column << position if position else column
+            drew = np.bincount(index, minlength=len(ids))
+            return labels, codes, np.bincount(ids, drew, len(codes)).astype(np.int64)
+    else:
+        def counted(first: int, n: int) -> tuple[Sequence[str], Sequence[int], np.ndarray]:
+            labels, codes, ids = _distinct(lanes(key, first, n), n)
+            return labels, codes, np.bincount(ids, minlength=len(codes))
+
     tallies: dict[int, int] = {}
     for first in range(0, shots, _CHUNK_SHOTS):
         labels, codes, sizes = counted(first, min(_CHUNK_SHOTS, shots - first))
-        for code, size in zip(codes, sizes):
-            tallies[code] = tallies.get(code, 0) + size
+        for code, size in zip(codes, sizes.tolist()):
+            if size:
+                tallies[code] = tallies.get(code, 0) + size
     counts: dict[str, int] = {}
     for code in sorted(tallies):
         label = labeler({label: (code >> j) & 1 for j, label in enumerate(labels)})
@@ -486,35 +551,22 @@ def run_experiment(
     contract of :func:`toyfield.automaton.run_experiment`; no exact
     reference is computed.
 
-    A shot's outcome is a function of the low ``B - 1`` bits of its word 0,
-    all its ``B`` bits but the last measurement's coin (``B`` with no
-    measurement).  A chunk of at least ``2^(B - 1)`` shots is two
-    bincounts: how many of its shots drew each of those bit patterns, read
-    off a strided view of word 0, summed under the outcome code of each
-    pattern (:attr:`ToyPlan.outcome_codes`, made the first time a chunk
-    uses it).  A smaller chunk gets one lane per shot, drawn from every word
-    the kernel reads, and :func:`_distinct` counts its outcomes.  The
-    plan's kernel is made once per plan object
-    (:attr:`ToyPlan.column_kernel`); the counts are those of one lane per
-    shot.
+    A shot's outcome reads the low ``B - 1`` bits of its word 0, all its
+    ``B`` bits but the last measurement's coin (``B`` with no measurement),
+    and :func:`_tally` counts it from the plan's pattern table
+    (:attr:`ToyPlan.patterns`) or, past :data:`_PATTERN_BITS` bits, from
+    one lane per shot drawn from every word the plan's kernel
+    (:attr:`ToyPlan.column_kernel`) reads.
     """
-    import numpy as np
-
     support, ops, bits = plan.column_kernel
-    width = _outcome_bits(support, bits)
-    labels = plan.labels()
-    key = derive_seed(seed)
+    words = max(1, -(-bits // 64))
 
-    def counted(first: int, n: int) -> tuple[Sequence[str], list[int], list[int]]:
-        if 1 << width <= n:
-            drawn = _block(key, first, n).view(np.int64)[:, 0] & ((1 << width) - 1)
-            sizes = np.bincount(plan.outcome_codes, np.bincount(drawn, minlength=1 << width))
-            codes = sizes.nonzero()[0]
-            return labels, codes.tolist(), sizes[codes].astype(np.int64).tolist()
-        words = _shot_words(key, first, n, max(1, -(-bits // 64)))
-        return _distinct({e.label: e.value for e in _lanes(support, ops, words)[1]}, n)
+    def lanes(key: int, first: int, n: int) -> dict[str, np.ndarray]:
+        events = _lanes(support, ops, _shot_words(key, first, n, words))[1]
+        return {e.label: e.value for e in events}
 
-    return _tally(shots, counted, labeler or default_labeler)
+    return _tally(shots, seed, range(_outcome_bits(support, bits)), lambda: plan.patterns, lanes,
+                  labeler or default_labeler)
 
 
 def estimate(

@@ -24,8 +24,14 @@ from toyfield.automaton import (
     run_single,
     trace_line,
 )
-from toyfield.circuits import CapabilityError, compile_toy, parse, run_toy_exact
-from toyfield.montecarlo import _distinct, _tally, derive_seed
+from toyfield.circuits import (
+    CapabilityError,
+    compile_toy,
+    default_labeler,
+    parse,
+    run_toy_exact,
+)
+from toyfield.montecarlo import derive_seed
 from toyfield.phase_space import RegisterShape
 from toyfield.scenarios import (
     all_variants,
@@ -417,14 +423,14 @@ class TestReplay:
 
     @pytest.mark.parametrize("scenario, plan", HOSTABLE, ids=HOSTABLE_IDS)
     def test_single_run_is_a_lane_of_the_batch(self, scenario, plan):
-        batch = _batch_events(plan, self.SHOTS, self.SEED)
+        batch = _batch_events(plan, self.SHOTS, derive_seed(self.SEED))
         for s in range(self.SHOTS):
             assert run_single(plan, self.SEED, s) == lane(batch, s)
 
     @pytest.mark.parametrize("first", [1, 7])
     def test_batch_from_first_is_a_slice(self, first):
-        whole = _batch_events(WHICHWAY, self.SHOTS, self.SEED)
-        tail = _batch_events(WHICHWAY, self.SHOTS - first, self.SEED, first)
+        whole = _batch_events(WHICHWAY, self.SHOTS, derive_seed(self.SEED))
+        tail = _batch_events(WHICHWAY, self.SHOTS - first, derive_seed(self.SEED), first)
         for label, bits in tail.items():
             assert np.array_equal(bits, whole[label][first:]), label
 
@@ -440,13 +446,13 @@ class TestReplay:
 
         monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 7)
         drawn: list[int] = []
-        block = automaton._block
+        block = montecarlo._block
 
         def spy(key, first, shots, *args):
             drawn.append(shots)
             return block(key, first, shots, *args)
 
-        monkeypatch.setattr(automaton, "_block", spy)
+        monkeypatch.setattr(montecarlo, "_block", spy)
         counts = run_experiment(WHICHWAY, 2 * 7 + 1, self.SEED, lambda ev: "x")
         assert counts == {"x": 15}
         assert drawn == [7, 7, 1]
@@ -540,11 +546,15 @@ class TestAgainstExactReference:
 
 
 def shot_lane_counts(plan, shots, seed, labeler) -> dict[str, int]:
-    """``run_experiment``'s counts read off one lane per shot."""
-    def counted(first, n):
-        return _distinct(_batch_events(plan, n, seed, first), n)
-
-    return _tally(shots, counted, labeler)
+    """``run_experiment``'s counts read row by row off one lane per shot,
+    labelled in ascending code order (bit ``j`` of a code is event ``j``)."""
+    events = _batch_events(plan, shots, derive_seed(seed))
+    rows = collections.Counter(zip(*(bits.tolist() for bits in events.values())))
+    counts: dict[str, int] = {}
+    for row in sorted(rows, key=lambda row: sum(bit << j for j, bit in enumerate(row))):
+        label = labeler(dict(zip(events, row)))
+        counts[label] = counts.get(label, 0) + rows[row]
+    return counts
 
 
 def record_label(events: dict[str, int]) -> str:
@@ -654,16 +664,21 @@ class TestPatternLanes:
         assert evolved == [8]  # the 8 patterns once, for two chunks of 8 and one of 1
 
     def test_index_runs_stop_at_word_ends(self):
-        assert automaton._index_runs((34, 35, 56)) == [(0, 34, 0b11, 0), (0, 56, 1, 2)]
-        assert automaton._index_runs((62, 63, 64, 65, 127, 128)) == [
+        assert montecarlo._index_runs((34, 35, 56)) == ((0, 34, 0b11, 0), (0, 56, 1, 2))
+        assert montecarlo._index_runs((62, 63, 64, 65, 127, 128)) == (
             (0, 62, 0b11, 0), (1, 0, 0b11, 2), (1, 63, 1, 4), (2, 0, 1, 5)
-        ]
-        assert automaton._index_runs(()) == []
+        )
+        assert montecarlo._index_runs(()) == ()
+        assert montecarlo._index_runs(range(5)) == ((0, 0, 0b11111, 0),)  # Monte Carlo's D
 
-    def test_pattern_codes_are_read_only(self):
-        codes = WHICHWAY.patterns[1]
-        with pytest.raises(ValueError):
+    def test_pattern_table_is_read_only(self):
+        labels, codes, ids = WHICHWAY.patterns
+        with pytest.raises(TypeError):
             codes[0] = 0
+        with pytest.raises(ValueError):
+            ids[0] = 0
+        # one id per pattern of D, one code per distinct outcome
+        assert len(ids) == 1 << len(WHICHWAY.reads[1]) and len(codes) == 4 == ids.max() + 1
 
     @pytest.mark.parametrize("scenario, plan", HOSTABLE, ids=HOSTABLE_IDS)
     def test_pattern_law_is_the_exact_toy_law(self, scenario, plan):
@@ -681,13 +696,13 @@ class TestPatternLanes:
         ]
         assert len(spanning) == 32
         drawn: list[tuple[int, int]] = []
-        block = automaton._block
+        block = montecarlo._block
 
         def spy(key, first, shots, which=0):
             drawn.append((first, which))
             return block(key, first, shots, which)
 
-        monkeypatch.setattr(automaton, "_block", spy)
+        monkeypatch.setattr(montecarlo, "_block", spy)
         monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 64)
         for plan in spanning:
             expected = shot_lane_counts(plan, 150, 3, record_label)
@@ -757,13 +772,18 @@ class TestExactLaw:
 
 
 class TestMemoryBound:
-    def test_more_than_16_event_bits_are_refused(self):
+    def test_more_than_16_event_bits_are_counted_one_lane_per_shot(self, monkeypatch):
         text = "mode a b; source a;" + "".join(f" bs a b; detect a as x{i};" for i in range(17))
         plan = plan_from_program(parse(text))
-        with pytest.raises(CapabilityError, match="read 18 coin bits; at most 16"):
-            run_experiment(plan, 10, 1, record_label)
-        with pytest.raises(CapabilityError):
-            run_single(plan, 1)
+        assert len(plan.reads[1]) == 18
+        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 128)
+        assert run_experiment(plan, 300, 2, record_label) == shot_lane_counts(
+            plan, 300, 2, record_label
+        )
+        assert "patterns" not in vars(plan)  # no table of 2^18 lanes was built
+        assert run_single(plan, 1, 5) == lane(_batch_events(plan, 6, derive_seed(1)), 5)
+        with pytest.raises(CapabilityError, match="reads 18 random bits; .* at most 16"):
+            exact_law(plan)
 
     def test_16_event_bits_are_counted(self):
         text = "mode a b; source a;" + "".join(f" bs a b; detect a as x{i};" for i in range(15))
@@ -772,3 +792,25 @@ class TestMemoryBound:
         assert run_experiment(plan, 300, 2, record_label) == shot_lane_counts(
             plan, 300, 2, record_label
         )
+
+
+def constant_chain(events: int):
+    """``mode a; source a;`` and ``events`` occupation measurements, each of
+    which reads 1 whatever the coins: no event reads a coin bit."""
+    return parse("mode a; source a;" + "".join(f" measure N a as x{i};" for i in range(events)))
+
+
+class TestConstantChains:
+    """One pattern whose outcome code has more bits than an int64."""
+
+    @pytest.mark.parametrize("events", [40, 63, 64])
+    def test_every_shot_reads_all_ones(self, events):
+        program = constant_chain(events)
+        plan = plan_from_program(program)
+        assert plan.reads[1] == ()
+        ones = default_labeler({f"x{i}": 1 for i in range(events)})
+        for shots in (1, 10, 1000):
+            counts = run_experiment(plan, shots, 1, default_labeler)
+            assert counts == {ones: shots}
+            assert montecarlo.run_experiment(compile_toy(program), shots, 1) == counts
+        assert exact_law(plan) == run_toy_exact(compile_toy(program))

@@ -56,10 +56,9 @@ class TestRun:
 
     @pytest.mark.parametrize("engine", ["montecarlo", "ca"])
     def test_sampled_engine_rejects_more_shots_than_counters(self, capsys, monkeypatch, engine):
-        from toyfield import automaton, montecarlo
+        from toyfield import montecarlo
 
-        for module in (montecarlo, automaton):
-            monkeypatch.setattr(module, "_block", lambda *args: pytest.fail("drew a shot"))
+        monkeypatch.setattr(montecarlo, "_block", lambda *args: pytest.fail("drew a shot"))
         code, out, err = run_cli(
             capsys, "run", "bomb_tester", "--functional", "--engine", engine,
             "--shots", str(2**64 + 1), "--seed", "1",
@@ -180,14 +179,29 @@ class TestRun:
         assert code == 3
         assert "ancilla" in err
 
-    def test_ca_refuses_more_event_bits_than_it_counts(self, capsys, tmp_path):
+    def test_ca_counts_more_event_bits_than_a_pattern_table_holds(self, capsys, tmp_path):
+        # the events read 18 coin bits: one lane per shot
         path = tmp_path / "chain.mzi"
         path.write_text("mode a b; source a;" + "".join(
             f" bs a b; detect a as x{i};" for i in range(17)))
-        code, _, err = run_cli(capsys, "run", str(path), "--engine", "ca",
-                               "--shots", "10", "--seed", "1")
-        assert code == 3
-        assert "18 coin bits" in err
+        code, out, _ = run_cli(capsys, "run", str(path), "--engine", "ca",
+                               "--shots", "10", "--seed", "1", "--format", "json")
+        assert code == 0
+        assert sum(json.loads(out)["counts"].values()) == 10
+
+    @pytest.mark.parametrize("engine", ["ca", "montecarlo"])
+    @pytest.mark.parametrize("events", [40, 63, 64])
+    def test_long_constant_chains(self, capsys, tmp_path, engine, events):
+        # every event reads 1 whatever the coins, and the outcome code has
+        # more bits than an int64 holds
+        path = tmp_path / "chain.mzi"
+        path.write_text("mode a; source a;" + "".join(
+            f" measure N a as x{i};" for i in range(events)))
+        code, out, _ = run_cli(capsys, "run", str(path), "--engine", engine,
+                               "--shots", "1000", "--seed", "1", "--format", "json")
+        assert code == 0
+        ones = " ".join(f"{label}=1" for label in sorted(f"x{i}" for i in range(events)))
+        assert json.loads(out)["counts"] == {ones: 1000}
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "run", "nosuch.mzi")

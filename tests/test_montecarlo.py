@@ -133,6 +133,17 @@ class TestExactLaw:
     def test_no_measurement_is_one_empty_record(self):
         assert exact_law(compile_toy(parse("mode L R; source L; bs L R;"))) == {(): 1}
 
+    def test_more_than_16_bits_are_refused(self):
+        # 1 support bit plus one coin per detection, all but the last read
+        def detections(n):
+            return compile_toy(parse("mode m; source m;" + "".join(
+                f" detect m as d{i};" for i in range(n))))
+
+        ones = tuple(sorted((f"d{i}", 1) for i in range(16)))
+        assert exact_law(detections(16)) == {ones: 1} == run_toy_exact(detections(16))
+        with pytest.raises(CapabilityError, match="reads 18 random bits; .* at most 16"):
+            exact_law(detections(18))
+
 
 class TestEstimate:
     def test_deterministic_plan_has_zero_distance(self):
@@ -438,31 +449,39 @@ class TestPatternLanes:
     def test_random_programs(self, monkeypatch):
         lanes = self.spy_lanes(monkeypatch)
         rng = random.Random(13)
-        kinds = collections.Counter()
         for seed in range(200):
             plan = compile_toy(parse(random_program(rng)))
             support, _, bits = montecarlo._kernel(plan)
             width = montecarlo._outcome_bits(support, bits)
             assert width == bits - bool(plan.labels())  # all but the last coin
+            assert width <= montecarlo._PATTERN_BITS
             del lanes[:]
             counts = montecarlo.run_experiment(plan, 500, seed)
-            patterns = 1 << width <= 500
-            assert lanes == [1 << width if patterns else 500]
+            assert lanes == [1 << width]
             assert counts == lane_per_shot_counts(plan, 500, seed)
-            kinds[patterns] += 1
-        assert kinds[True] > 100 and kinds[False] > 10, kinds
 
-    def test_one_call_uses_both_lane_kinds(self, monkeypatch):
+    def test_chunks_shorter_than_the_patterns_read_them_too(self, monkeypatch):
         plan = fresh_plan(bomb_tester(functional=True))
         assert montecarlo._kernel(plan)[2] == 5  # 16 patterns of the 4 bits an outcome reads
         expected = lane_per_shot_counts(plan, 100, 4)
         lanes = self.spy_lanes(monkeypatch)
-        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 32)
+        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 8)
         assert montecarlo.run_experiment(plan, 100, 4) == expected
-        assert lanes == [16, 4]  # the patterns once for three chunks, then the last 4 shots
+        assert lanes == [16]  # the patterns once, for twelve chunks of 8 and one of 4
         del lanes[:]
         assert montecarlo.run_experiment(plan, 100, 4) == expected
-        assert lanes == [4]  # the plan holds the patterns now
+        assert lanes == []  # the plan holds the patterns now
+
+    def test_more_than_16_bits_run_one_lane_per_shot(self, monkeypatch):
+        # 1 support bit plus 18 coins: the outcome reads 18 bits
+        plan = compile_toy(parse("mode m; source m;" + "".join(
+            f" detect m as d{i};" for i in range(18))))
+        expected = lane_per_shot_counts(plan, 100, 4)
+        lanes = self.spy_lanes(monkeypatch)
+        monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 32)
+        assert montecarlo.run_experiment(plan, 100, 4) == expected
+        assert lanes == [32, 32, 32, 4]
+        assert "patterns" not in vars(plan)
 
     def test_bulk_call_advances_only_the_patterns(self, monkeypatch):
         scenario = bomb_tester(functional=True)
@@ -511,7 +530,7 @@ class TestPlanCache:
                 expected = self.items(fresh_plan(scenario), shots, seed, scenario.labeler)
                 assert self.items(cached, shots, seed, scenario.labeler) == expected
                 assert self.items(cached, shots, seed, scenario.labeler) == expected
-        assert "column_kernel" in vars(cached) and "outcome_codes" in vars(cached)
+        assert "column_kernel" in vars(cached) and "patterns" in vars(cached)
 
     @pytest.mark.parametrize("chunk", [6, 20])
     def test_chunk_size_after_caching_changes_nothing(self, chunk, monkeypatch):
@@ -532,10 +551,10 @@ class TestPlanCache:
         plan = fresh_plan(bomb_tester(functional=True))
         montecarlo.run_experiment(plan, 100, 1)
         support, ops, _ = plan.column_kernel
-        codes = plan.outcome_codes
+        labels, codes, ids = plan.patterns
         deltas = [op[3] for op in ops if isinstance(op[0], GateStep)]
-        assert deltas and codes.dtype == np.int64
-        for array in (support, *deltas, codes):
+        assert deltas and isinstance(codes, tuple) and isinstance(labels, tuple)
+        for array in (support, *deltas, ids):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
 
@@ -615,8 +634,7 @@ class TestShotRange:
         def no_draw(*args):
             raise AssertionError("drew a shot")
 
-        monkeypatch.setattr(montecarlo, "_block", no_draw)
-        monkeypatch.setattr(automaton, "_block", no_draw)
+        monkeypatch.setattr(montecarlo, "_block", no_draw)  # both engines draw through it
         scenario = bomb_tester(functional=True)
         plan = compile_toy(scenario.program)
         wires = automaton.plan_from_program(scenario.program)
