@@ -18,6 +18,11 @@ semicolons)::
 The statement rules are written once, in the table ``_STATEMENTS`` (each
 keyword's statement class and argument kinds in field order), which the
 parser reads statements through and the renderer writes them back from.
+The tokenizer reads every token text in one regular-expression call; the
+parser is one loop over that list, a declaration or a statement a turn,
+with its state in local variables and no call per token.  A token's line
+and column are worked out only for a ``ParseError``.  ``_LOWERING`` holds
+each statement class's step, which the lowering reads.
 
 Phase literals are restricted to 0 and pi in the grammar itself: the program
 text is the contract shared by every engine, and the classical engine has no
@@ -199,6 +204,22 @@ _STATEMENTS: dict[str, tuple[type, tuple[str, ...]]] = {
     "measure P": (MeasureP, ("ancilla", "as", "label")),
     "detect": (Detect, ("mode", "as", "label")),
 }
+# Each statement class's step, from the statement and the program's mode and
+# ancilla indices (``m``, ``a``), as ``_lower`` makes it; a preparation makes
+# none, since each engine folds it into its initial state.
+_NONDESTRUCTIVE = DisturbanceKind.NONDESTRUCTIVE
+_LOWERING: dict[type, Callable[[Statement, dict, dict], Step] | None] = {
+    Source: None,
+    Vacuum: None,
+    Bs: lambda s, m, a: GateStep(Beamsplitter(m[s.a], m[s.b])),
+    Phase: lambda s, m, a: GateStep(PhaseShift(m[s.mode], s.s)),
+    CnotStmt: lambda s, m, a: GateStep(Cnot(m[s.control], a[s.ancilla])),
+    Swap: lambda s, m, a: GateStep(SwapModes(m[s.a], m[s.b])),
+    MeasureN: lambda s, m, a: MeasureStep(s.label, "mode", m[s.mode], "N", s.kind),
+    MeasureQ: lambda s, m, a: MeasureStep(s.label, "ancilla", a[s.ancilla], "Q", _NONDESTRUCTIVE),
+    MeasureP: lambda s, m, a: MeasureStep(s.label, "ancilla", a[s.ancilla], "P", _NONDESTRUCTIVE),
+    Detect: lambda s, m, a: MeasureStep(s.label, "mode", m[s.mode], "N", _NONDESTRUCTIVE, True),
+}
 _SYNTAX = {cls: (keyword, kinds) for keyword, (cls, kinds) in _STATEMENTS.items()}
 _ANGLES = ("0", "pi")  # indexed by Phase.s
 _DISTURBANCES = ("nondestructive", "destructive")
@@ -218,151 +239,135 @@ _LEXEME = re.compile(r";|\w+|#[^\n]*|[^ \t\r\n]")
 _TOKEN_CHARS = re.compile(r"[;\w]*")
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _LEXEME.findall(text)
-        if "#" in text:  # every "#" starts or sits in a comment
-            self.tokens = [t for t in self.tokens if t[0] != "#"]
-        if not _TOKEN_CHARS.fullmatch("".join(self.tokens)):
-            stray = next(t for t in self.tokens if not _TOKEN_CHARS.fullmatch(t))
-            raise self.fail(f"unexpected character {stray!r}", self.tokens.index(stray))
-        self.tokens.append("")
-        self.pos = 0
-        self.names: dict[str, list[str]] = {"mode": [], "ancilla": []}
-        self.prepared: set[str] = set()
-        self.touched: set[str] = set()
-        self.labels: set[str] = set()
-
-    def fail(self, message: str, index: int) -> ParseError:
-        """The error at token ``index``.  The end-of-input marker sits right
-        after the last token so that "expected ';'" style errors point at a
-        useful position."""
-        found = [m for m in _LEXEME.finditer(self.text) if m.group()[0] != "#"]
-        offset = found[index].start() if index < len(found) else found[-1].end() if found else 0
-        line_start = self.text.rfind("\n", 0, offset) + 1
-        return ParseError(message, self.text.count("\n", 0, offset) + 1, offset - line_start + 1)
-
-    def peek(self) -> str:
-        return self.tokens[self.pos]
-
-    def take(self) -> str:
-        self.pos += 1
-        return self.tokens[self.pos - 1]
-
-    def expect(self, text: str) -> None:
-        if self.take() != text:
-            raise self.fail(f"expected {text!r}", self.pos - 1)
-
-    def name(self, what: str) -> tuple[int, str]:
-        """A new name and its token index: a word that is no keyword and
-        starts with no digit."""
-        text = self.take()
-        at = self.pos - 1
-        if text in _NOT_NAMES or text[0].isdigit():
-            raise self.fail(f"expected {what}", at)
-        return at, text
-
-    def declared(self, kind: str) -> tuple[int, str]:
-        """A name declared as ``kind``, "mode" or "ancilla", and its token index."""
-        text = self.take()
-        at = self.pos - 1
-        if text in ("", ";"):
-            raise self.fail(f"expected {kind} name", at)
-        if text not in self.names[kind]:
-            other = "ancilla" if kind == "mode" else "mode"
-            if text in self.names[other]:
-                raise self.fail(f"{text} is {_ARTICLE[other]}, not {_ARTICLE[kind]}", at)
-            raise self.fail(f"unknown identifier {text}", at)
-        return at, text
-
-    def parse(self) -> Program:
-        while self.peek() in ("mode", "ancilla"):
-            self.declaration()
-        statements = []
-        while self.peek():
-            statements.append(self.statement())
-        return Program(tuple(self.names["mode"]), tuple(self.names["ancilla"]), tuple(statements))
-
-    def declaration(self) -> None:
-        kind = self.take()
-        if kind == "mode":
-            names = []
-            while self.peek() not in _NOT_NAMES:
-                names.append(self.name("mode name"))
-            if not names:
-                raise self.fail("expected at least one mode name", self.pos)
-        else:
-            names = [self.name("ancilla name")]
-        self.expect(";")
-        for at, text in names:
-            if text in self.names["mode"] or text in self.names["ancilla"]:
-                raise self.fail(f"duplicate declaration of {text}", at)
-            self.names[kind].append(text)
-
-    def statement(self) -> Statement:
-        start = self.pos
-        word = self.take()
-        if word == ";":
-            raise self.fail("expected a statement", start)
-        if word in ("mode", "ancilla"):
-            raise self.fail("declarations must precede statements", start)
-        key = word
-        if word == "measure":
-            variable = self.take()
-            if variable not in ("N", "Q", "P"):
-                raise self.fail("expected measured variable N, Q or P", start + 1)
-            key = f"measure {variable}"
-        if key not in _STATEMENTS:
-            raise self.fail(f"unknown statement {word!r}", start)
-        cls, kinds = _STATEMENTS[key]
-        values: list = []
-        targets = []
-        for kind in kinds:
-            if kind in ("mode", "ancilla"):
-                targets.append(self.declared(kind))
-                values.append(targets[-1][1])
-            elif kind == "angle":
-                angle = self.take()
-                if angle not in _ANGLES:
-                    raise self.fail("expected phase literal 0 or pi", self.pos - 1)
-                values.append(_ANGLES.index(angle))
-            elif kind == "kind":
-                disturbance = DisturbanceKind.NONDESTRUCTIVE
-                if self.peek() in _DISTURBANCES:
-                    disturbance = DisturbanceKind(self.take())
-                values.append(disturbance)
-            elif kind == "as":
-                if self.peek() in _DISTURBANCES and cls in (MeasureQ, MeasureP):
-                    raise self.fail(
-                        "disturbance kind applies only to occupation measurements", self.pos
-                    )
-                self.expect("as")
-            else:
-                at, label = self.name("label")
-                if label in self.labels:
-                    raise self.fail(f"duplicate label {label}", at)
-                self.labels.add(label)
-                values.append(label)
-        self.expect(";")
-        names = [text for _, text in targets]
-        if cls is Source or cls is Vacuum:
-            at, mode = targets[0]
-            if mode in self.prepared:
-                raise self.fail(f"duplicate preparation of {mode}", at)
-            if mode in self.touched:
-                raise self.fail(f"preparation of {mode} after it was used", at)
-            self.prepared.add(mode)
-        else:
-            if len(set(names)) < len(names):
-                raise self.fail(f"{word} needs two distinct modes", targets[1][0])
-            self.touched.update(names)
-        return cls(*values)
+def _error(text: str, message: str, index: int) -> ParseError:
+    """The error at token ``index``.  The end-of-input marker sits right
+    after the last token so that "expected ';'" style errors point at a
+    useful position."""
+    found = [m for m in _LEXEME.finditer(text) if m.group()[0] != "#"]
+    offset = found[index].start() if index < len(found) else found[-1].end() if found else 0
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
 def parse(text: str) -> Program:
-    """Parse program text; raises ParseError with line/column on failure."""
-    return _Parser(text.replace("\r\n", "\n")).parse()
+    """Parse program text; raises ParseError with line/column on failure.
+
+    One loop over the token list, one declaration or statement a turn.  A
+    statement is read through its ``_STATEMENTS`` entry, one argument kind
+    at a time; a name is checked against the declarations so far, and every
+    error names the token it stopped at.
+    """
+    text = text.replace("\r\n", "\n")
+    tokens = _LEXEME.findall(text)
+    if "#" in text:  # every "#" starts or sits in a comment
+        tokens = [t for t in tokens if t[0] != "#"]
+    if not _TOKEN_CHARS.fullmatch("".join(tokens)):
+        stray = next(t for t in tokens if not _TOKEN_CHARS.fullmatch(t))
+        raise _error(text, f"unexpected character {stray!r}", tokens.index(stray))
+    tokens.append("")  # the end of input
+    names: dict[str, list[str]] = {"mode": [], "ancilla": []}
+    statements: list[Statement] = []
+    prepared: set[str] = set()
+    touched: set[str] = set()
+    labels: set[str] = set()
+    i = 0
+    word = tokens[0]
+    while word:
+        start = i
+        i += 1
+        if (word == "mode" or word == "ancilla") and not statements:  # a declaration
+            declared = []
+            if word == "mode":
+                while tokens[i] not in _NOT_NAMES:
+                    if tokens[i][0].isdigit():
+                        raise _error(text, "expected mode name", i)
+                    declared.append(i)
+                    i += 1
+                if not declared:
+                    raise _error(text, "expected at least one mode name", i)
+            else:
+                if tokens[i] in _NOT_NAMES or tokens[i][0].isdigit():
+                    raise _error(text, "expected ancilla name", i)
+                declared.append(i)
+                i += 1
+            if tokens[i] != ";":
+                raise _error(text, "expected ';'", i)
+            for at in declared:
+                if tokens[at] in names["mode"] or tokens[at] in names["ancilla"]:
+                    raise _error(text, f"duplicate declaration of {tokens[at]}", at)
+                names[word].append(tokens[at])
+            i += 1
+            word = tokens[i]
+            continue
+        if word == ";":
+            raise _error(text, "expected a statement", start)
+        if word == "mode" or word == "ancilla":
+            raise _error(text, "declarations must precede statements", start)
+        key = word
+        if word == "measure":
+            if tokens[i] not in ("N", "Q", "P"):
+                raise _error(text, "expected measured variable N, Q or P", i)
+            key = "measure " + tokens[i]
+            i += 1
+        if key not in _STATEMENTS:
+            raise _error(text, f"unknown statement {word!r}", start)
+        cls, kinds = _STATEMENTS[key]
+        values: list = []
+        targets = []  # token indices of the named subsystems
+        for kind in kinds:
+            token = tokens[i]
+            if kind == "mode" or kind == "ancilla":
+                if token == "" or token == ";":
+                    raise _error(text, f"expected {kind} name", i)
+                if token not in names[kind]:
+                    other = "ancilla" if kind == "mode" else "mode"
+                    if token in names[other]:
+                        raise _error(text, f"{token} is {_ARTICLE[other]}, not {_ARTICLE[kind]}", i)
+                    raise _error(text, f"unknown identifier {token}", i)
+                targets.append(i)
+                values.append(token)
+            elif kind == "angle":
+                if token not in _ANGLES:
+                    raise _error(text, "expected phase literal 0 or pi", i)
+                values.append(_ANGLES.index(token))
+            elif kind == "kind":
+                if token not in _DISTURBANCES:
+                    values.append(_NONDESTRUCTIVE)
+                    continue  # the kind is optional and takes no token here
+                values.append(DisturbanceKind(token))
+            elif kind == "as":
+                if token in _DISTURBANCES and (cls is MeasureQ or cls is MeasureP):
+                    raise _error(
+                        text, "disturbance kind applies only to occupation measurements", i
+                    )
+                if token != "as":
+                    raise _error(text, "expected 'as'", i)
+            else:  # a new label
+                if token in _NOT_NAMES or token[0].isdigit():
+                    raise _error(text, "expected label", i)
+                if token in labels:
+                    raise _error(text, f"duplicate label {token}", i)
+                labels.add(token)
+                values.append(token)
+            i += 1
+        if tokens[i] != ";":
+            raise _error(text, "expected ';'", i)
+        if cls is Source or cls is Vacuum:
+            mode = values[0]
+            if mode in prepared:
+                raise _error(text, f"duplicate preparation of {mode}", targets[0])
+            if mode in touched:
+                raise _error(text, f"preparation of {mode} after it was used", targets[0])
+            prepared.add(mode)
+        else:
+            named = [tokens[at] for at in targets]
+            if len(named) == 2 and named[0] == named[1]:
+                raise _error(text, f"{word} needs two distinct modes", targets[1])
+            touched.update(named)
+        statements.append(cls(*values))
+        i += 1
+        word = tokens[i]
+    return Program(tuple(names["mode"]), tuple(names["ancilla"]), tuple(statements))
 
 
 def render(program: Program) -> str:
@@ -439,7 +444,7 @@ class ToyPlan:
 @dataclass(frozen=True)
 class QuantumPlan:
     program: Program
-    initial: tuple[list[int], list[int], int]  # a branch of the exact kernel, quantum.ExactState
+    initial: tuple  # a branch of the exact kernel, quantum.ExactState
     steps: tuple[Step, ...]
 
 
@@ -450,33 +455,13 @@ def _lower(program: Program) -> tuple[Step, ...]:
         raise CompileError("program declares no modes")
     mode = {name: i for i, name in enumerate(program.modes)}
     ancilla = {name: j for j, name in enumerate(program.ancillas)}
-    nondestructive = DisturbanceKind.NONDESTRUCTIVE
     steps: list[Step] = []
     for stmt in program.statements:
-        if isinstance(stmt, (Source, Vacuum)):
-            continue
-        if isinstance(stmt, Bs):
-            step = GateStep(Beamsplitter(mode[stmt.a], mode[stmt.b]))
-        elif isinstance(stmt, Phase):
-            step = GateStep(PhaseShift(mode[stmt.mode], stmt.s))
-        elif isinstance(stmt, CnotStmt):
-            step = GateStep(Cnot(mode[stmt.control], ancilla[stmt.ancilla]))
-        elif isinstance(stmt, Swap):
-            step = GateStep(SwapModes(mode[stmt.a], mode[stmt.b]))
-        elif isinstance(stmt, MeasureN):
-            step = MeasureStep(stmt.label, "mode", mode[stmt.mode], "N", stmt.kind)
-        elif isinstance(stmt, (MeasureQ, MeasureP)):
-            variable = "Q" if isinstance(stmt, MeasureQ) else "P"
-            step = MeasureStep(
-                stmt.label, "ancilla", ancilla[stmt.ancilla], variable, nondestructive
-            )
-        elif isinstance(stmt, Detect):
-            step = MeasureStep(
-                stmt.label, "mode", mode[stmt.mode], "N", nondestructive, is_detect=True
-            )
-        else:
+        if type(stmt) not in _LOWERING:
             raise CompileError(f"cannot compile statement {stmt!r}")
-        steps.append(step)
+        lowering = _LOWERING[type(stmt)]
+        if lowering:
+            steps.append(lowering(stmt, mode, ancilla))
     return tuple(steps)
 
 

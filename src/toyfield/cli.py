@@ -1,6 +1,7 @@
 """Command-line frontend: run scenarios or programs, check claims, draw grids.
 
 Exit codes: 0 success, 1 check failure, 2 usage error (a bad --steps list,
+a step number the program does not have, --steps without --format grids,
 --shots < 1 or > 2**64, --seed < 0, grids off the toy engine, a target path
 that cannot be read or a scenario flag the target does not take among
 them), 3 parse/compile error (text that is not UTF-8 among them), a
@@ -128,6 +129,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     if needs_shots and args.seed < 0:
         print("--seed must be non-negative", file=sys.stderr)
         return 2
+    if args.steps is not None and args.format != "grids":
+        print("--steps selects grid steps; it applies only to --format grids", file=sys.stderr)
+        return 2
 
     scenario = _scenario_from_args(args)
     if args.show_program:
@@ -189,6 +193,10 @@ def _step_numbers(text: str) -> set[int] | None:
 
 
 def _print_grids(plan, selected: set[int] | None) -> int:
+    last = len(plan.steps)
+    stray = sorted((selected or set()) - set(range(last + 1)))
+    if stray:
+        raise _UsageError(f"--steps {','.join(map(str, stray))}: the program has steps 0 to {last}")
     initial = render_grid(plan.initial)  # refuses a register it cannot draw, before any output
     print("Support diagrams; rows (N_L,Phi_L), columns (N_R,Phi_R), order 00,01,10,11.")
     if selected is None or 0 in selected:

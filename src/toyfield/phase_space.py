@@ -47,6 +47,13 @@ __all__ = [
 ]
 
 
+# Registers of at most three subsystems (64 points, the quantum engine's cap)
+# reach a small, finite set of states, so work on them is memoised: gate
+# tables, measurement outcomes, preparations.  Beyond that the point count
+# grows 4x per subsystem, and nothing is kept.
+SMALL_REGISTER_POINTS = 64
+
+
 class ImpossibleOutcome(ValueError):
     """Raised when conditioning on an event of probability zero."""
 
@@ -74,7 +81,7 @@ class RegisterShape:
 
     @property
     def point_count(self) -> int:
-        return 1 << self.bit_count
+        return 1 << 2 * (self.modes + self.ancillas)  # on every memo lookup: no property chain
 
     def occupation_slot(self, mode: int) -> int:
         self._check_mode(mode)
@@ -356,7 +363,14 @@ def is_valid(state: EpistemicState) -> ValidityReport:
 
 def prepared(shape: RegisterShape, occupied: Sequence[int] = ()) -> EpistemicState:
     """Knowledge state: N fixed to 1 on the listed modes and to 0 on the
-    others, every ancilla's q fixed to 0, every phase and momentum uniform."""
+    others, every ancilla's q fixed to 0, every phase and momentum uniform.
+    Memoised on registers of at most ``SMALL_REGISTER_POINTS`` points."""
+    small = shape.point_count <= SMALL_REGISTER_POINTS
+    return (_prepared if small else _prepared.__wrapped__)(shape, tuple(occupied))
+
+
+@lru_cache(maxsize=256)
+def _prepared(shape: RegisterShape, occupied: tuple[int, ...]) -> EpistemicState:
     support = {0}
     for m in occupied:
         support = {x | (1 << shape.occupation_slot(m)) for x in support}
@@ -409,19 +423,6 @@ def randomize(state: EpistemicState, slot: int) -> EpistemicState:
     return EpistemicState(state.shape, state.support | {x ^ flip for x in state.support})
 
 
-def _gather_slots(
-    shape: RegisterShape, modes: Sequence[int], ancillas: Sequence[int]
-) -> list[int]:
-    slots: list[int] = []
-    for m in modes:
-        slots.append(shape.occupation_slot(m))
-        slots.append(shape.phase_slot(m))
-    for a in ancillas:
-        slots.append(shape.coordinate_slot(a))
-        slots.append(shape.momentum_slot(a))
-    return slots
-
-
 def marginal(
     state: EpistemicState,
     modes: Sequence[int] = (),
@@ -432,15 +433,12 @@ def marginal(
         raise ValueError("selection must be non-empty")
     if len(set(modes)) != len(modes) or len(set(ancillas)) != len(ancillas):
         raise ValueError("selection must not repeat subsystems")
-    slots = _gather_slots(state.shape, modes, ancillas)
-    new_shape = RegisterShape(len(modes), len(ancillas))
-    projected = set()
-    for x in state.support:
-        y = 0
-        for k, slot in enumerate(slots):
-            y |= ((x >> slot) & 1) << k
-        projected.add(y)
-    return EpistemicState(new_shape, frozenset(projected))
+    # the k-th selected subsystem's two bits move to slots 2k and 2k+1
+    firsts = [state.shape.occupation_slot(m) for m in modes]
+    firsts += [state.shape.coordinate_slot(a) for a in ancillas]
+    projected = frozenset(sum(((x >> first) & 3) << 2 * k for k, first in enumerate(firsts))
+                          for x in state.support)
+    return EpistemicState(RegisterShape(len(modes), len(ancillas)), projected)
 
 
 def product(a: EpistemicState, b: EpistemicState) -> EpistemicState:

@@ -355,20 +355,23 @@ def total_occupation_weights(state: StateVector, mode_bits: Sequence[int]) -> di
 # ---------------------------------------------------------------------------
 # Exact kernel over Z[sqrt(2)]
 #
-# A branch is ``(a, b, e)``: integer lists a and b and an exponent e, holding
+# A branch is ``(a, b, e)``: integer tuples a and b and an exponent e, holding
 # the unnormalized amplitudes (a[k] + b[k] sqrt(2)) / sqrt(2)^e.  Branches
 # stay unnormalized, so a branch's squared norm is the Born probability of
 # its whole measurement record: no per-step probability, square root or
 # global phase is needed.  Gates and bases are real, so amplitudes are too.
+# A register has at most three qubits, so programs reach few branches: the
+# gate maps and the measurement are memoised on the branch, each memo up to
+# ``_TRANSITIONS`` entries (lists are accepted and read as tuples).
 
-ExactState = tuple[list[int], list[int], int]
+ExactState = tuple[tuple[int, ...], tuple[int, ...], int]
+_TRANSITIONS = 4096
 
 
+@lru_cache(maxsize=64)  # shared, so the memos' keys compare by identity
 def exact_start(index: int, qubits: int) -> ExactState:
     """The basis state ``index`` of a register of ``qubits`` qubits."""
-    a = [0] * (1 << qubits)
-    a[index] = 1
-    return a, [0] * (1 << qubits), 0
+    return tuple(int(k == index) for k in range(1 << qubits)), (0,) * (1 << qubits), 0
 
 
 def _permute(source: tuple[int, ...], negate: tuple[int, ...], state: ExactState) -> ExactState:
@@ -379,7 +382,7 @@ def _permute(source: tuple[int, ...], negate: tuple[int, ...], state: ExactState
     for k in negate:
         a[k] = -a[k]
         b[k] = -b[k]
-    return a, b, e
+    return tuple(a), tuple(b), e
 
 
 def _splitter(pairs: tuple[tuple[int, int], ...], state: ExactState) -> ExactState:
@@ -394,7 +397,18 @@ def _splitter(pairs: tuple[tuple[int, int], ...], state: ExactState) -> ExactSta
         a2[v] = a[u] + a[v]
         b2[u] = b[v] - b[u]
         b2[v] = b[u] + b[v]
-    return a2, b2, e + 1
+    return tuple(a2), tuple(b2), e + 1
+
+
+def _on_tuples(kernel: Callable[[ExactState], ExactState], state: ExactState) -> ExactState:
+    """``kernel(state)``, memoised on the branch as tuples."""
+    a, b, e = state
+    return _transition(kernel, (tuple(a), tuple(b), e))
+
+
+@lru_cache(maxsize=_TRANSITIONS)
+def _transition(kernel: Callable[[ExactState], ExactState], state: ExactState) -> ExactState:
+    return kernel(state)
 
 
 @lru_cache(maxsize=None)  # the 3-subsystem cap leaves a few dozen keys
@@ -404,12 +418,13 @@ def exact_gate(name: str, targets: tuple[int, ...], qubits: int) -> Callable[[Ex
     ``name`` is "bs" (``bs_unitary("second")``; first target is mode a),
     "pi" (``phase_unitary(pi)``), "id" (``phase_unitary(0)``), "cnot"
     (control, target) or "swap"; the index maps are built once per gate,
-    targets and register size.
+    targets and register size, and the map is memoised on the branch.
     """
     indices = range(1 << qubits)
     if name == "bs":
         a, b = (1 << t for t in targets)
-        return partial(_splitter, tuple((k, k ^ a ^ b) for k in indices if k & (a | b) == a))
+        pairs = tuple((k, k ^ a ^ b) for k in indices if k & (a | b) == a)
+        return partial(_on_tuples, partial(_splitter, pairs))
     negate: tuple[int, ...] = ()
     source = tuple(indices)
     if name == "pi":
@@ -423,7 +438,7 @@ def exact_gate(name: str, targets: tuple[int, ...], qubits: int) -> Callable[[Ex
         source = tuple(k ^ flip if (k >> i ^ k >> j) & 1 else k for k in indices)
     elif name != "id":
         raise ValueError(f"no exact kernel for gate {name!r}")
-    return partial(_permute, source, negate)
+    return partial(_on_tuples, partial(_permute, source, negate))
 
 
 @lru_cache(maxsize=None)
@@ -443,9 +458,16 @@ def exact_measure(
     ``ANCILLA_Q_BASIS``); a destructive N then moves the bit-1 part to bit
     0, as ``reset_to_zero`` does.  "P" projects on (|0> +- |1>)/sqrt(2)
     (``ANCILLA_P_BASIS``): both entries of a pair become +-(x0 +- x1) and e
-    grows by 2.  Returns ``(outcome, branch)`` for the nonzero branches; a
-    zero branch is dropped exactly.
+    grows by 2.  Returns a fresh list of ``(outcome, branch)`` for the
+    nonzero branches; a zero branch is dropped exactly.
     """
+    a, b, e = state
+    return list(_split((tuple(a), tuple(b), e), subsystem, variable, destructive))
+
+
+@lru_cache(maxsize=_TRANSITIONS)
+def _split(state: ExactState, subsystem: int, variable: str,
+           destructive: bool) -> tuple[tuple[int, ExactState], ...]:
     a, b, e = state
     size = len(a)
     low, high = _halves(subsystem, size.bit_length() - 1)
@@ -459,8 +481,8 @@ def exact_measure(
                 y = b[k0] + sign * b[k1]
                 a2[k0], a2[k1], b2[k0], b2[k1] = x, sign * x, y, sign * y
             if any(a2) or any(b2):
-                out.append((value, (a2, b2, e + 2)))
-        return out
+                out.append((value, (tuple(a2), tuple(b2), e + 2)))
+        return tuple(out)
     for value, kept in enumerate((low, high)):
         a2 = [0] * size
         b2 = [0] * size
@@ -468,8 +490,8 @@ def exact_measure(
             a2[to] = a[k]
             b2[to] = b[k]
         if any(a2) or any(b2):
-            out.append((value, (a2, b2, e)))
-    return out
+            out.append((value, (tuple(a2), tuple(b2), e)))
+    return tuple(out)
 
 
 def exact_weight(state: ExactState) -> Fraction:

@@ -33,6 +33,7 @@ from functools import lru_cache
 from typing import Callable, Union
 
 from toyfield.phase_space import (
+    SMALL_REGISTER_POINTS,
     EpistemicState,
     PhysicalState,
     RegisterShape,
@@ -234,7 +235,7 @@ class _KernelImage:
 # is about as cheap to build as one push-forward's visits, and indexing a
 # tuple beats reading the kernel; beyond that the table grows 4x per
 # subsystem while a state's support need not.
-_FULL_TABLE_POINTS = 64
+_FULL_TABLE_POINTS = SMALL_REGISTER_POINTS
 
 
 def gate_image(gate: ToyGate, shape: RegisterShape) -> tuple[int, ...] | _KernelImage:

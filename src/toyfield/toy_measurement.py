@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from toyfield.phase_space import EpistemicState, Functional, RegisterShape
+from toyfield.phase_space import SMALL_REGISTER_POINTS, EpistemicState, Functional, RegisterShape
 
 __all__ = [
     "DisturbanceKind",
@@ -83,29 +83,27 @@ def measurement_kernel(
     return read, keep, read ^ 1
 
 
-def _measure(
-    state: EpistemicState,
-    label: str,
-    kernel: tuple[int, int, int],
-    include_zero_probability: bool,
-) -> list[MeasurementOutcome]:
-    """The kernel applied to the whole support: one outcome per read value."""
+def _measure(state, label, kernel, include_zero_probability) -> list[MeasurementOutcome]:
+    """The kernel applied to the whole support: one outcome per read value,
+    as a fresh list.  Memoised on registers of at most
+    ``SMALL_REGISTER_POINTS`` points, computed anew on larger ones."""
+    small = state.shape.point_count <= SMALL_REGISTER_POINTS
+    return list((_outcomes if small else _outcomes.__wrapped__)(
+        state, label, kernel, include_zero_probability))
+
+
+@lru_cache(maxsize=1024)  # a few hundred are reached (README, "Memos")
+def _outcomes(state, label, kernel, include_zero_probability) -> tuple[MeasurementOutcome, ...]:
     read, keep, flip = kernel
     parts: tuple[list[int], list[int]] = ([], [])
     for x in state.support:
         parts[(x >> read) & 1].append(x & keep)
-    bit = 1 << flip
-    outcomes = []
-    for value, part in enumerate(parts):
-        probability = Fraction(len(part), len(state.support))
-        if part:
-            posterior = EpistemicState(state.shape, frozenset(part + [x ^ bit for x in part]))
-        elif include_zero_probability:
-            posterior = state  # no update is defined for an impossible outcome
-        else:
-            continue
-        outcomes.append(MeasurementOutcome(label, value, probability, posterior))
-    return outcomes
+    bit, total = 1 << flip, len(state.support)
+    return tuple(
+        MeasurementOutcome(label, value, Fraction(len(part), total), EpistemicState(
+            state.shape, frozenset(part + [x ^ bit for x in part])) if part else state)
+        for value, part in enumerate(parts) if part or include_zero_probability
+    )
 
 
 def measure_occupation(

@@ -388,6 +388,23 @@ class TestGrid:
         assert out == ""
         assert "--format grids" in err
 
+    @pytest.mark.parametrize("command", [("grid",), ("run", "--format", "grids")])
+    @pytest.mark.parametrize("steps", ["9", "-1", "0,6"])
+    def test_a_step_the_program_lacks_is_refused_before_any_output(self, capsys, command, steps):
+        code, out, err = run_cli(capsys, command[0], "mzi_whichway", *command[1:],
+                                 "--steps", steps)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --steps ") and "steps 0 to 5" in err
+
+    @pytest.mark.parametrize("engine", [("toy",), ("quantum",)])
+    def test_steps_without_grids_is_a_usage_error(self, capsys, engine):
+        code, out, err = run_cli(capsys, "run", "mzi_whichway", "--engine", *engine,
+                                 "--steps", "1")
+        assert code == 2
+        assert out == ""
+        assert "--format grids" in err
+
     def test_step_list(self, capsys):
         _, selected, _ = run_cli(capsys, "grid", "mzi_whichway", "--steps", " 2,0")
         _, everything, _ = run_cli(capsys, "grid", "mzi_whichway")

@@ -1,0 +1,111 @@
+"""The memos of the exact engines: toy measurement outcomes and preparations
+on registers of at most three subsystems, and the exact quantum kernel's
+gate maps and measurement.  Each gives what the uncached computation gives,
+hands out nothing a caller can corrupt, holds no larger register and is
+bounded."""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from toyfield import phase_space, quantum, toy_measurement
+from toyfield.circuits import _kernel_gate
+from toyfield.phase_space import RegisterShape, enumerate_valid_states, prepared
+from toyfield.toy_dynamics import Beamsplitter, Cnot, PhaseShift, SwapModes
+from toyfield.toy_measurement import (
+    DisturbanceKind,
+    measure_ancilla,
+    measure_occupation,
+    measurement_kernel,
+)
+
+SMALL_SHAPES = [RegisterShape(m, a) for m in range(4) for a in range(4 - m) if m + a]
+
+
+def kernels(shape: RegisterShape):
+    """Every measurement of the register: ``(measure, label, kernel)``, where
+    ``measure(state, include_zero)`` is the public call."""
+    for mode in range(shape.modes):
+        for kind in DisturbanceKind:
+            destructive = kind is DisturbanceKind.DESTRUCTIVE
+            yield ((lambda s, z, mode=mode, kind=kind: measure_occupation(s, mode, kind, z)),
+                   f"N_{mode}",
+                   measurement_kernel("N", mode, shape.modes, shape.ancillas, destructive))
+    for ancilla in range(shape.ancillas):
+        for basis in ("Q", "P"):
+            yield ((lambda s, z, ancilla=ancilla, basis=basis: measure_ancilla(s, ancilla, basis, z)),
+                   f"{basis}_{ancilla}",
+                   measurement_kernel(basis, ancilla, shape.modes, shape.ancillas))
+
+
+@pytest.mark.parametrize("shape", SMALL_SHAPES, ids=str)
+def test_memoised_outcomes_equal_the_uncached_ones(shape):
+    uncached = toy_measurement._outcomes.__wrapped__
+    for n, state in enumerate(enumerate_valid_states(shape)):
+        include_zero = bool(n % 2)
+        for measure, label, kernel in kernels(shape):
+            want = list(uncached(state, label, kernel, include_zero))
+            assert measure(state, include_zero) == want  # a miss or a hit
+            assert measure(state, include_zero) == want  # a hit
+
+
+def test_a_returned_list_can_be_mutated():
+    state = prepared(RegisterShape(2, 1), (0,))
+    first = measure_occupation(state, 0)
+    kept = list(first)
+    first.clear()
+    assert measure_occupation(state, 0) == kept
+
+    branch = quantum.exact_start(1, 2)
+    outcomes = quantum.exact_measure(branch, 0, "P")
+    kept = list(outcomes)
+    outcomes.append(outcomes[0])
+    assert quantum.exact_measure(branch, 0, "P") == kept
+
+
+def test_an_eight_mode_register_is_not_memoised():
+    before = (toy_measurement._outcomes.cache_info(), phase_space._prepared.cache_info())
+    state = prepared(RegisterShape(8), (0, 3))
+    outcomes = measure_occupation(state, 3, DisturbanceKind.DESTRUCTIVE)
+    assert [o.value for o in outcomes] == [1]
+    assert measure_ancilla(prepared(RegisterShape(7, 1)), 0, "P")[0].probability == Fraction(1, 2)
+    assert (toy_measurement._outcomes.cache_info(), phase_space._prepared.cache_info()) == before
+
+
+def test_a_preparation_is_shared_on_small_registers_only():
+    assert prepared(RegisterShape(3), [1]) is prepared(RegisterShape(3), (1,))
+    assert prepared(RegisterShape(4), (1,)) == prepared(RegisterShape(4), [1])
+    assert prepared(RegisterShape(4), (1,)) is not prepared(RegisterShape(4), (1,))
+
+
+def test_every_memo_is_bounded():
+    memos = (toy_measurement._outcomes, phase_space._prepared, quantum._split,
+             quantum._transition)
+    for memo in memos:
+        assert memo.cache_info().maxsize is not None
+
+
+GATES = [Beamsplitter(0, 2), Beamsplitter(2, 1), PhaseShift(1, 1), PhaseShift(0, 0),
+         Cnot(0, 0), Cnot(1, 0), SwapModes(0, 1), SwapModes(2, 0)]
+
+
+def test_quantum_kernels_take_lists_and_tuples_alike():
+    rng = random.Random(11)
+    for _ in range(200):
+        a = [rng.randint(-3, 3) for _ in range(8)]
+        b = [rng.randint(-3, 3) for _ in range(8)]
+        e = rng.randint(0, 3)
+        as_lists, as_tuples = (a, b, e), (tuple(a), tuple(b), e)
+        for gate in GATES:
+            apply = quantum.exact_gate(*_kernel_gate(gate, 2), 3)
+            assert apply(as_lists) == apply(as_tuples)
+        for subsystem in range(3):
+            for variable in ("N", "Q", "P"):
+                for destructive in (False, True):
+                    got = quantum.exact_measure(as_lists, subsystem, variable, destructive)
+                    assert got == quantum.exact_measure(as_tuples, subsystem, variable, destructive)
+                    assert got == list(quantum._split.__wrapped__(
+                        as_tuples, subsystem, variable, destructive))
