@@ -1,17 +1,17 @@
 """Spatially localized realization: wires as 1-D cell arrays.
 
-Each mode of an ancilla-free program is a wire of cells ``1 .. length``, each
-cell keyed by ``(wire, position)`` and holding the mode's physical state (an
-occupation bit and a phase bit).  Free propagation is a partitioned block
-rule (Toffoli and Margolus, *Cellular Automata Machines*, 1987) alternating
-between even and odd time steps: from even t, cells (2,3), (4,5), ... swap
+Each mode of an ancilla-free program is a wire of cells ``1 .. length``,
+``cells[wire][i - 1]`` holding cell ``(wire, i)``'s state (an occupation bit
+and a phase bit).  Free propagation is a partitioned block rule (Toffoli and
+Margolus, *Cellular Automata Machines*, 1987), one permutation per wire and
+step parity (:func:`_propagate`): from even t, cells (2,3), (4,5), ... swap
 states and the boundary cells 1 and ``length`` talk to a source or a sink;
 from odd t, cells (1,2), (3,4), ... swap.  An excitation emitted at cell 1
 on the first transition therefore sits at cell j at step j, on every wire.
 
 :func:`plan_from_program` generates the layout from the program's lowered
 steps (:attr:`toyfield.circuits.Program.steps`): step k's group replaces the
-free rule of cells 4k+4 and 4k+5 at even steps, where every wire's front
+free swap of cells 4k+4 and 4k+5 at even steps, where every wire's front
 meets it.  A ``bs`` is the register's splitter gate
 (:func:`toyfield.toy_dynamics.beamsplitter_rule`) across its two wires'
 cells, in both travel directions; a ``swap`` exchanges its wires' cells; a
@@ -23,8 +23,9 @@ wire's sink, cell ``length`` at the last step.  Sourced wires emit the
 excitation at step 0; every emitted and resupplied phase is drawn.  Each
 group's next state depends only on its own cells, so the dynamics is local
 by construction, and each deterministic map is its own time reverse.  The
-layout is one table, :attr:`CaPlan.bindings`; one transition function,
-:func:`_advance`, applies it rule by rule to ints or to uint8 lane columns.
+layout is the groups' table, :attr:`CaPlan.bindings`, plus one shift per
+wire; :func:`_advance` shifts, then applies the table to ints or to uint8
+lane columns.
 
 The coins are Monte Carlo's: shot ``s`` of seed ``m`` reads Philox4x64-10
 blocks ``(s, 0)``, ``(s, 1)``, ... keyed by ``derive_seed(m)``
@@ -85,21 +86,20 @@ Cell = tuple[str, int]  # (wire, position)
 
 @dataclass(frozen=True)
 class RuleBinding:
-    """Assignment of an update map to a cell group at one step parity."""
+    """Assignment of an update map to a cell group at even steps."""
 
-    kind: str  # free_swap | beamsplitter | swap | phase | detector | source | vacuum_source | sink
+    kind: str  # beamsplitter | swap | phase | detector | source | vacuum_source | sink
     cells: tuple[Cell, ...]
-    parity: str = "even"
     parameter: object = None
 
 
 @dataclass(frozen=True)
 class CaPlan:
     """A program's wire layout: one wire of ``length`` cells per mode, and
-    the rule table every transition walks, each cell in exactly one group
-    per parity.  Cross-wire groups come first, then the even pairs position
-    by position, then the sources, the sinks and the odd pairs: a draw's
-    place in that order is its bit."""
+    the rule table each even transition walks after the shift, each group
+    on one even free pair per wire it acts on, or on cell 1 or ``length``.
+    Cross-wire groups come first, then the 2-cell groups position by
+    position, the sources and the sinks: a draw's place there is its bit."""
 
     wires: tuple[str, ...]
     length: int
@@ -141,7 +141,7 @@ class CaPlan:
         return _pattern_table(len(dependencies), record)
 
 
-# _advance walks the table on every step, and a plan's patterns are evolved once
+# _advance walks the table on every even step, and a plan's patterns are evolved once
 @lru_cache(maxsize=64)
 def plan_from_program(program: Program) -> CaPlan:
     """The wire layout of an ancilla-free program, generated from its
@@ -168,24 +168,15 @@ def plan_from_program(program: Program) -> CaPlan:
                            acted, None))
         later.update(acted)
     length = 4 * (len(groups) + 1)
-    placed: dict[Cell, RuleBinding] = {}  # each group's input cells -> its binding
-    for k, (kind, acted, parameter) in enumerate(reversed(groups)):
-        p = 4 * k + 4
-        cells = (*((w, p) for w in acted), *((w, p + 1) for w in acted))
-        placed.update(dict.fromkeys(cells[:len(acted)], RuleBinding(kind, cells, "even", parameter)))
-    even = [
-        placed.get((wire, i), RuleBinding("free_swap", ((wire, i), (wire, i + 1))))
-        for i in range(2, length - 1, 2)
-        for wire in wires
+    placed = [
+        RuleBinding(kind, (*((w, p) for w in acted), *((w, p + 1) for w in acted)), parameter)
+        for p, (kind, acted, parameter) in zip(range(4, length, 4), reversed(groups))
     ]
     sourced = {s.mode for s in program.statements if isinstance(s, Source)}
     bindings = (
-        *(b for b in dict.fromkeys(placed.values()) if len(b.cells) == 4),
-        *(b for b in even if len(b.cells) == 2),
+        *sorted(placed, key=lambda b: -len(b.cells)),  # stable: cross-wire groups first
         *(RuleBinding("source" if w in sourced else "vacuum_source", ((w, 1),)) for w in wires),
-        *(RuleBinding("sink", ((w, length),), "even", sinks[w]) for w in wires),
-        *(RuleBinding("free_swap", ((w, i), (w, i + 1)), "odd")
-          for i in range(1, length, 2) for w in wires),
+        *(RuleBinding("sink", ((w, length),), sinks[w]) for w in wires),
     )
     return CaPlan(wires, length, bindings)
 
@@ -204,10 +195,6 @@ def _split(left: Pair, right: Pair) -> tuple[Pair, Pair]:
 
 # One rule per binding kind: the group's cell states in, in the order of
 # ``binding.cells``, and its new states out in the same order.
-
-
-def _free_swap(states, binding, t, coin):
-    return states[::-1]
 
 
 def _beamsplitter(states, binding, t, coin):
@@ -243,7 +230,6 @@ def _vacuum(states, binding, t, coin):
 
 
 _RULES = {
-    "free_swap": _free_swap,
     "beamsplitter": _beamsplitter,
     "swap": _swap,
     "phase": _phase,
@@ -254,24 +240,34 @@ _RULES = {
 }
 
 
+def _propagate(cells: dict, odd: int) -> dict:
+    """Free propagation from step t, ``odd = t % 2``: one slice exchange per
+    wire swaps cells (1,2), (3,4), ... at odd t, and (2,3), ..., (length-2,
+    length-1) at even t, which leaves cells 1 and ``length`` as they were."""
+    new = {}
+    for wire, row in cells.items():
+        new[wire] = row = row.copy()
+        lo, hi = 1 - odd, len(row) - 1 + odd
+        row[lo:hi:2], row[lo + 1:hi:2] = row[lo + 1:hi:2], row[lo:hi:2]
+    return new
+
+
 def _advance(cells: dict, t: int, plan: CaPlan, coin: Callable[[], object]) -> tuple[dict, dict]:
-    """One transition from step t: every group of t's parity maps its own cells.
+    """One transition from step t: the free shift, then at even t the table.
 
     A cell is an ``(n, phi)`` pair of bits, either ints or per-shot columns,
     and ``coin()`` draws a fresh phase of the same kind.  Returns the new
     cells and each detector's click, by label: the occupation of its input
     cell (no detector acts at odd t).
     """
-    parity = "odd" if t % 2 else "even"
-    new: dict = {}
+    new = _propagate(cells, t % 2)
     clicks: dict = {}
-    for binding in plan.bindings:
-        if binding.parity != parity:
-            continue
-        states = [cells[cell] for cell in binding.cells]
+    for binding in () if t % 2 else plan.bindings:
+        states = [cells[wire][i - 1] for wire, i in binding.cells]
         if binding.kind == "detector":
             clicks[binding.parameter[2]] = states[0][0]
-        new.update(zip(binding.cells, _RULES[binding.kind](states, binding, t, coin)))
+        for (wire, i), state in zip(binding.cells, _RULES[binding.kind](states, binding, t, coin)):
+            new[wire][i - 1] = state
     return new, clicks
 
 
@@ -309,13 +305,11 @@ class _Unknown:
 
 def trace_line(plan: CaPlan, t: int, cells: dict) -> str:
     """One debug line of lane 0: step, occupied cells, one phase row per wire."""
-    lane = {cell: [int(np.ravel(x)[0]) for x in cells[cell]] for cell in plan.cells}
-    occupied = ",".join(f"{wire}{i}" for (wire, i), (n, _) in lane.items() if n) or "-"
-    rows = " ".join(
-        f"{wire}=" + "".join(str(lane[wire, i][1]) for i in range(1, plan.length + 1))
-        for wire in plan.wires
-    )
-    return f"t={t:2d} occupied=[{occupied}] phases {rows}"
+    lane = {wire: [[int(np.ravel(x)[0]) for x in cell] for cell in cells[wire]]
+            for wire in plan.wires}
+    occupied = ",".join(f"{w}{i}" for w, i in plan.cells if lane[w][i - 1][0])
+    rows = " ".join(f"{wire}=" + "".join(str(phi) for _, phi in row) for wire, row in lane.items())
+    return f"t={t:2d} occupied=[{occupied or '-'}] phases {rows}"
 
 
 def _run(
@@ -327,12 +321,12 @@ def _run(
     ``bit(b)`` is bit ``b`` of the run's draws and ``vacuum`` the empty
     occupation, both ints, :class:`_Unknown` bits or per-lane columns.
     """
-    drawn = itertools.count(len(plan.cells))
+    drawn = itertools.count()
 
     def coin():
         return bit(next(drawn))
 
-    cells = {cell: (vacuum, bit(b)) for b, cell in enumerate(plan.cells)}
+    cells = {wire: [(vacuum, coin()) for _ in range(plan.length)] for wire in plan.wires}
     fired: dict = {}
     if trace is not None:
         trace.append(trace_line(plan, 0, cells))
@@ -344,7 +338,7 @@ def _run(
             trace.append(trace_line(plan, t + 1, cells))
     for binding in plan.bindings:
         if binding.kind == "sink" and binding.parameter is not None:
-            fired[binding.parameter] = cells[binding.cells[0]][0]
+            fired[binding.parameter] = cells[binding.cells[0][0]][-1][0]
     return fired
 
 
@@ -421,13 +415,12 @@ def run_scenario_ca(scenario, shots: int, seed: int) -> dict[str, int]:
 
 
 def check_time_reversal(kind: str) -> bool:
-    """True iff the deterministic rule ``kind`` of the table that runs
-    (``free_swap``, ``phase`` with s = 1, ``beamsplitter``, ``swap``), read
-    from the layout of ``bs L R; phase R pi; swap L R;``, is its own time
-    reverse: reversing its group's cells along the wire commutes with it.
-
-    Checked exhaustively over the group's 4^k joint cell states (k = 2, or
-    4 for the splitter and the swap).  ``broken_oneway``, a phase flip on
+    """True iff the deterministic map ``kind`` that runs is its own time
+    reverse: reversing its cells along the wire commutes with it, over all
+    4^k joint cell states.  ``free_swap`` is the free shift
+    (:func:`_propagate`) of a 4-cell wire at both parities; ``phase`` (s =
+    1, k = 2), ``beamsplitter`` and ``swap`` are the groups of the layout of
+    ``bs L R; phase R pi; swap L R;``.  ``broken_oneway``, a phase flip on
     one travel direction only, is the negative control.
     """
 
@@ -437,6 +430,12 @@ def check_time_reversal(kind: str) -> bool:
 
     if kind not in ("free_swap", "phase", "beamsplitter", "swap", "broken_oneway"):
         raise ValueError(f"{kind!r} is not a deterministic rule")
+    if kind == "free_swap":
+        rows = [list(zip(bits[::2], bits[1::2])) for bits in itertools.product((0, 1), repeat=8)]
+        return all(
+            _propagate({"w": row[::-1]}, odd)["w"] == _propagate({"w": row}, odd)["w"][::-1]
+            for row in rows for odd in (0, 1)
+        )
     group, rule = ("phase", broken_oneway) if kind == "broken_oneway" else (kind, _RULES[kind])
     plan = plan_from_program(parse("mode L R; bs L R; phase R pi; swap L R;"))
     binding = next(b for b in plan.bindings if b.kind == group)

@@ -294,6 +294,7 @@ def _check_destructive() -> list[tuple[str, bool, str]]:
 
 
 def _check_locality(shots: int, seed: int) -> list[tuple[str, bool, str]]:
+    from toyfield.automaton import check_time_reversal
     from toyfield.montecarlo import (
         MeasurementEvent,
         RunRecord,
@@ -326,6 +327,13 @@ def _check_locality(shots: int, seed: int) -> list[tuple[str, bool, str]]:
     )
     control = audit_records([corrupt], plan.shape)
     rows.append(("locality negative control detected", not control.clean, ""))
+    # Exact, over every joint state: the wire automaton's deterministic maps
+    for kind, name in (("free_swap", "free shift"), ("phase", "phase"),
+                       ("beamsplitter", "beamsplitter"), ("swap", "swap")):
+        name = f"time reversal: the CA {name} is its own reverse"
+        rows.append((name, check_time_reversal(kind), ""))
+    control_caught = not check_time_reversal("broken_oneway")
+    rows.append(("time reversal negative control detected", control_caught, ""))
     return rows
 
 

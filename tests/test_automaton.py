@@ -49,14 +49,18 @@ from test_quantum_exact import random_program
 
 PLAIN = plan_from_program(mzi_phase(0).program)
 WHICHWAY = plan_from_program(mzi_whichway(DisturbanceKind.NONDESTRUCTIVE).program)
+MIRROR = plan_from_program(mirror_removed().program)
 CELLS = PLAIN.cells
 
 
 def cells_of(assignments=(), phases=itertools.repeat(0)) -> dict:
     """Every cell of the two 16-cell wires empty with the given phases,
     except the assigned ones."""
-    cells = {cell: (0, phi) for cell, phi in zip(CELLS, phases)}
-    cells.update(assignments)
+    cells = {wire: [] for wire in PLAIN.wires}
+    for (wire, _), phi in zip(CELLS, phases):
+        cells[wire].append((0, phi))
+    for (wire, i), state in dict(assignments).items():
+        cells[wire][i - 1] = state
     return cells
 
 
@@ -72,7 +76,7 @@ def advance(cells: dict, t: int, plan: CaPlan, draws) -> dict:
 
 
 def occupied(cells: dict) -> list[tuple[str, int]]:
-    return [cell for cell in CELLS if cells[cell][0]]
+    return [(wire, i) for wire, i in CELLS if cells[wire][i - 1][0]]
 
 
 @functools.cache
@@ -90,7 +94,7 @@ class TestPropagation:
         # successive transitions carry it one cell per step.
         draws = coins(0)
         cells = advance(cells_of(), 0, PLAIN, draws)  # source fires on the first transition
-        assert cells["L", 1][0] == 1
+        assert cells["L"][0][0] == 1
         for expected in (2, 3, 4):
             cells = advance(cells, expected - 1, PLAIN, draws)
             assert occupied(cells) == [("L", expected)]
@@ -106,21 +110,21 @@ class TestPropagation:
         for t in range(plan.length):
             cells = advance(cells, t, plan, draws)
             assert occupied(cells) == []
-            phases.add(cells["L", 5])
+            phases.add(cells["L"][4])
         assert {n for n, _ in phases} == {0}
 
     def test_splitter_cells_apply_the_update(self):
         cells = cells_of({("L", 4): (1, 1), ("R", 4): (0, 1)})
         out = advance(cells, 4, PLAIN, coins(2))
         n_l, phi_l, n_r, phi_r = beamsplitter_formula(1, 1, 0, 1)
-        assert out["L", 5] == (n_l, phi_l)
-        assert out["R", 5] == (n_r, phi_r)
+        assert out["L"][4] == (n_l, phi_l)
+        assert out["R"][4] == (n_r, phi_r)
 
     def test_splitter_cells_pass_vacuum_through(self):
         cells = cells_of({("L", 4): (0, 1), ("R", 4): (0, 0)})
         out = advance(cells, 4, PLAIN, coins(3))
-        assert out["L", 5] == (0, 1)
-        assert out["R", 5] == (0, 0)
+        assert out["L"][4] == (0, 1)
+        assert out["R"][4] == (0, 0)
 
     def test_splitter_is_the_registers_splitter_gate(self):
         # cells (n, phi) of L then R are modes 0 and 1 of a two-mode register
@@ -162,7 +166,6 @@ class TestGeneratedLayout:
             for binding in groups:
                 half = len(binding.cells) // 2
                 inputs, outputs = binding.cells[:half], binding.cells[half:]
-                assert binding.parity == "even"
                 assert outputs == tuple((wire, i + 1) for wire, i in inputs)
             # every other step is a detect read from its wire's sink
             sinks = [b.parameter for b in plan.bindings if b.kind == "sink" and b.parameter]
@@ -174,16 +177,25 @@ class TestGeneratedLayout:
         # cell p on the even step p
         for _, plan in random_plans()[:200]:
             draws = coins(plan.length)
-            cells = {cell: (0, next(draws)) for cell in plan.cells}
+            cells = {wire: [(0, next(draws)) for _ in range(plan.length)] for wire in plan.wires}
             for t in range(plan.length):
                 cells = advance(cells, t, plan, draws)
-                assert {i for (_, i), (n, _) in cells.items() if n} <= {t + 1}
+                assert {i for w, i in plan.cells if cells[w][i - 1][0]} <= {t + 1}
 
-    @pytest.mark.parametrize("parity", ["even", "odd"])
-    def test_groups_partition_the_grid(self, parity):
+    def test_groups_are_disjoint_and_sit_on_even_free_pairs(self):
         for plan in (PLAIN, *(plan for _, plan in random_plans())):
-            seen = [cell for b in plan.bindings if b.parity == parity for cell in b.cells]
-            assert sorted(seen) == sorted(plan.cells)
+            seen = [cell for b in plan.bindings for cell in b.cells]
+            assert len(set(seen)) == len(seen)
+            groups = [b for b in plan.bindings if b.kind in GROUP_KINDS]
+            for binding in groups:
+                p = binding.cells[0][1]
+                wires = [wire for wire, _ in binding.cells[:len(binding.cells) // 2]]
+                assert p % 2 == 0 and 2 <= p < plan.length - 1
+                assert binding.cells == (*((w, p) for w in wires), *((w, p + 1) for w in wires))
+            # the rest of the table is a source and a sink per wire: no free pair
+            ends = [b.cells for b in plan.bindings if b not in groups]
+            assert ends == [*(((w, 1),) for w in plan.wires),
+                            *(((w, plan.length),) for w in plan.wires)]
 
     def test_a_detect_before_a_later_step_is_a_detector(self):
         plan = plan_from_program(parse(
@@ -250,21 +262,61 @@ class TestSingleRuns:
         cells = cells_of(phases=draws)
         for t in range(PLAIN.length):
             cells = advance(cells, t, PLAIN, draws)
-            total = sum(n for n, _ in cells.values())
+            total = sum(n for row in cells.values() for n, _ in row)
             assert total == 1
+
+
+def leaks(plan: CaPlan, t: int) -> list[tuple[tuple[str, int], tuple[str, int]]]:
+    """Every (flipped cell, changed cell) pair where flipping one cell's
+    phase, or its occupation, from a random state at step t changes at t+1 a
+    cell outside the flipped cell's group (at even t) or free pair."""
+    draws = coins(t)
+    base = {wire: [(next(draws), next(draws)) for _ in range(plan.length)] for wire in plan.wires}
+    before = advance(base, t, plan, coins(99))
+    group = {} if t % 2 else {cell: b.cells for b in plan.bindings for cell in b.cells}
+    found = []
+    for wire, i in plan.cells:
+        own = group.get((wire, i), ((wire, i), (wire, i + 1 if i % 2 == t % 2 else i - 1)))
+        for flip in ((1, 0), (0, 1)):
+            poked = {w: row.copy() for w, row in base.items()}
+            poked[wire][i - 1] = tuple(bit ^ f for bit, f in zip(base[wire][i - 1], flip))
+            after = advance(poked, t, plan, coins(99))
+            found += [((wire, i), (w, j)) for w, j in plan.cells
+                      if (w, j) not in own and after[w][j - 1] != before[w][j - 1]]
+    return found
 
 
 class TestLocalityByConstruction:
     def test_outside_flip_never_changes_group(self):
         # Flip a cell far from the splitter group; the group's next state
         # is bit-identical because maps see only their own group.
-        base = cells_of({("L", 4): (1, 0), ("R", 4): (0, 1)})
-        poked = {**base, ("L", 10): (0, 1), ("R", 15): (0, 1)}
+        group = {("L", 4): (1, 0), ("R", 4): (0, 1)}
+        base = cells_of(group)
+        poked = cells_of({**group, ("L", 10): (0, 1), ("R", 15): (0, 1)})
         out_a = advance(base, 4, PLAIN, coins(5))
         out_b = advance(poked, 4, PLAIN, coins(5))
         for wire in ("L", "R"):
             for position in (4, 5):
-                assert out_a[wire, position] == out_b[wire, position]
+                assert out_a[wire][position - 1] == out_b[wire][position - 1]
+
+    @pytest.mark.parametrize("t", [8, 9])
+    @pytest.mark.parametrize("plan", [PLAIN, WHICHWAY, MIRROR], ids=["plain", "whichway", "mirror"])
+    def test_a_cell_reaches_only_its_own_group(self, plan, t):
+        assert leaks(plan, t) == []
+
+    def test_a_leaky_shift_is_caught(self, monkeypatch):
+        propagate = automaton._propagate
+
+        def far_reaching(cells, odd):
+            # cell 1 picks up the phase of the wire's last cell
+            new = propagate(cells, odd)
+            for row in new.values():
+                n, phi = row[0]
+                row[0] = (n, phi ^ row[-1][1])
+            return new
+
+        monkeypatch.setattr(automaton, "_propagate", far_reaching)
+        assert (("L", 15), ("L", 1)) in leaks(PLAIN, 9)
 
 
 class TestTimeReversal:
@@ -301,6 +353,21 @@ class TestTimeReversalChecksTheRunningRules:
         monkeypatch.setitem(automaton._RULES, "swap", one_way)
         assert not check_time_reversal("swap")
 
+    def test_leaky_shift_is_caught(self, monkeypatch):
+        propagate = automaton._propagate
+
+        def one_way(cells, odd):
+            # the occupation carried rightward from cell 1 at odd t picks up
+            # the phase it meets
+            new = propagate(cells, odd)
+            for row in new.values():
+                (n, phi), (_, phi_met) = row[1], row[0]
+                row[1] = (n ^ (phi_met & odd), phi)
+            return new
+
+        monkeypatch.setattr(automaton, "_propagate", one_way)
+        assert not check_time_reversal("free_swap")
+
     def test_random_rules_are_not_checked(self):
         with pytest.raises(ValueError):
             check_time_reversal("detector")
@@ -310,14 +377,14 @@ class TestRuleTable:
     def test_device_binding_reflects_plan(self):
         kinds = {b.cells: b.kind for b in WHICHWAY.bindings}
         assert kinds[("R", 8), ("R", 9)] == "detector"
-        assert kinds[("L", 8), ("L", 9)] == "free_swap"
+        assert (("L", 8), ("L", 9)) not in kinds  # a free pair: the shift moves it
         assert kinds[("L", 4), ("R", 4), ("L", 5), ("R", 5)] == "beamsplitter"
 
     def test_swap_binding_crosses_the_wires(self):
         plan = plan_from_program(mirror_removed().program)
         kinds = {b.cells: b.kind for b in plan.bindings}
         assert kinds[("R", 8), ("E", 8), ("R", 9), ("E", 9)] == "swap"
-        assert kinds[("L", 8), ("L", 9)] == "free_swap"
+        assert (("L", 8), ("L", 9)) not in kinds
         assert [b.parameter for b in plan.bindings if b.kind == "sink"] == [
             "detector_L", "detector_R", None
         ]
@@ -481,7 +548,7 @@ class TestReplay:
             drawn.append(0)
             return 0
 
-        cells = {cell: (0, 0) for cell in plan.cells}
+        cells = {wire: [(0, 0)] * plan.length for wire in plan.wires}
         for t in range(plan.length):
             cells, _ = _advance(cells, t, plan, coin)
         detectors = sum(b.kind == "detector" for b in plan.bindings)
@@ -561,12 +628,14 @@ def record_label(events: dict[str, int]) -> str:
     return ",".join(f"{label}={bit}" for label, bit in events.items())
 
 
-def leaky_swap(states, binding, t, coin):
-    """A mutant free rule: two L-wire groups XOR the right cell's phase into
-    the occupation they carry rightward."""
-    (n_a, phi_a), (n_b, phi_b) = states
-    leak = phi_b if binding.cells[0] in (("L", 13), ("L", 15)) else 0
-    return (n_b, phi_b), (n_a ^ leak, phi_a)
+def leaky_shift(cells, odd, propagate=automaton._propagate):
+    """A mutant free shift: at odd t, the L-wire pairs from cells 13 and 15
+    XOR the right cell's phase into the occupation they carry rightward."""
+    new = propagate(cells, odd)
+    for i in (13, 15) if odd else ():
+        (n, phi), (_, phi_right) = new["L"][i], new["L"][i - 1]
+        new["L"][i] = (n ^ phi_right, phi)
+    return new
 
 
 class TestPatternLanes:
@@ -610,7 +679,7 @@ class TestPatternLanes:
 
     def test_a_leaky_rule_grows_the_dependencies(self, monkeypatch):
         before = [plan.reads[1] for _, plan in HOSTABLE[:4]]
-        monkeypatch.setitem(automaton._RULES, "free_swap", leaky_swap)
+        monkeypatch.setattr(automaton, "_propagate", leaky_shift)
         plan_from_program.cache_clear()
         try:
             for (scenario, _), old in zip(HOSTABLE[:4], before):

@@ -442,6 +442,21 @@ class TestCheck:
         code, out, _ = run_cli(capsys, "check", "locality", "--shots", "2000")
         assert code == 0
         assert "negative control" in out
+        for name in ("free shift", "phase", "beamsplitter", "swap"):
+            assert f"PASS  time reversal: the CA {name} is its own reverse\n" in out
+        assert "PASS  time reversal negative control detected\n" in out
+
+    def test_a_one_way_ca_rule_fails_the_locality_suite(self, capsys, monkeypatch):
+        from toyfield import automaton
+
+        def one_way(states, binding, t, coin):
+            (n_a, phi_a), (n_b, phi_b) = states
+            return (n_b, phi_b ^ binding.parameter[1]), (n_a, phi_a)
+
+        monkeypatch.setitem(automaton._RULES, "phase", one_way)
+        code, out, _ = run_cli(capsys, "check", "locality", "--shots", "2000")
+        assert code == 1
+        assert "FAIL  time reversal: the CA phase is its own reverse\n" in out
 
     @pytest.mark.parametrize(
         "extra, expected",
