@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -62,6 +62,7 @@ from toyfield.circuits import (
     MeasureStep,
     Program,
     Source,
+    object_memo,
     parse,
 )
 # exact_law weighs any plan's pattern table, so it is this engine's exact law too
@@ -105,12 +106,12 @@ class CaPlan:
     length: int
     bindings: tuple[RuleBinding, ...]
 
-    @cached_property
+    @object_memo
     def cells(self) -> tuple[Cell, ...]:
         """Every cell, wire by wire: the order of the initial phase bits."""
         return tuple((wire, i) for wire in self.wires for i in range(1, self.length + 1))
 
-    @cached_property
+    @object_memo
     def reads(self) -> tuple[int, tuple[int, ...]]:
         """How many bits a shot reads, and the sorted bits ``D`` its events
         may depend on: one run of :class:`_Unknown` bits, every draw a bit
@@ -125,7 +126,7 @@ class CaPlan:
         dependencies = frozenset().union(*(e.bits for e in events if isinstance(e, _Unknown)))
         return len(read), tuple(sorted(dependencies))
 
-    @cached_property
+    @object_memo
     def patterns(self) -> tuple[tuple[str, ...], tuple[int, ...], np.ndarray]:
         """The :func:`~toyfield.montecarlo._pattern_table` of ``D``, its
         labels the events, detectors then sinks: lane ``j`` draws bit ``i``

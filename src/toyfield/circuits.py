@@ -37,7 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from typing import Callable, Union
 
 from toyfield.phase_space import EpistemicState, RegisterShape, prepared
@@ -89,6 +89,29 @@ class CompileError(ValueError):
 
 class CapabilityError(CompileError):
     """The target engine cannot host this program."""
+
+
+class object_memo:
+    """A per-object memo: on first read the value is computed and stored in
+    the instance's ``__dict__``, which later reads find before this
+    descriptor.  It takes no lock (unlike ``functools.cached_property`` on
+    Python 3.11): values are deterministic and immutable, so two threads
+    computing one at once store equal values.  An exception stores nothing,
+    so the next read computes again."""
+
+    def __init__(self, compute: Callable):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.compute(instance)
+        instance.__dict__[self.name] = value
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +196,13 @@ class Program:
                 out.append(stmt.label)
         return tuple(out)
 
-    @cached_property
+    @object_memo
     def steps(self) -> tuple[Step, ...]:
         """The steps both compilers read (:func:`_lower`), lowered once per
         program object."""
         return _lower(self)
 
-    @cached_property
+    @object_memo
     def toy_plan(self) -> ToyPlan:
         """The program's classical plan (:func:`compile_toy`), compiled once
         per program object; a program that does not compile raises each time."""
@@ -205,20 +228,23 @@ _STATEMENTS: dict[str, tuple[type, tuple[str, ...]]] = {
     "detect": (Detect, ("mode", "as", "label")),
 }
 # Each statement class's step, from the statement and the program's mode and
-# ancilla indices (``m``, ``a``), as ``_lower`` makes it; a preparation makes
+# ancilla indices (``m``, ``a``), as ``_lower`` makes it through the shared
+# constructors ``_gate_step`` and ``_measure_step``; a preparation makes
 # none, since each engine folds it into its initial state.
 _NONDESTRUCTIVE = DisturbanceKind.NONDESTRUCTIVE
 _LOWERING: dict[type, Callable[[Statement, dict, dict], Step] | None] = {
     Source: None,
     Vacuum: None,
-    Bs: lambda s, m, a: GateStep(Beamsplitter(m[s.a], m[s.b])),
-    Phase: lambda s, m, a: GateStep(PhaseShift(m[s.mode], s.s)),
-    CnotStmt: lambda s, m, a: GateStep(Cnot(m[s.control], a[s.ancilla])),
-    Swap: lambda s, m, a: GateStep(SwapModes(m[s.a], m[s.b])),
-    MeasureN: lambda s, m, a: MeasureStep(s.label, "mode", m[s.mode], "N", s.kind),
-    MeasureQ: lambda s, m, a: MeasureStep(s.label, "ancilla", a[s.ancilla], "Q", _NONDESTRUCTIVE),
-    MeasureP: lambda s, m, a: MeasureStep(s.label, "ancilla", a[s.ancilla], "P", _NONDESTRUCTIVE),
-    Detect: lambda s, m, a: MeasureStep(s.label, "mode", m[s.mode], "N", _NONDESTRUCTIVE, True),
+    Bs: lambda s, m, a: _gate_step(Beamsplitter, m[s.a], m[s.b]),
+    Phase: lambda s, m, a: _gate_step(PhaseShift, m[s.mode], s.s),
+    CnotStmt: lambda s, m, a: _gate_step(Cnot, m[s.control], a[s.ancilla]),
+    Swap: lambda s, m, a: _gate_step(SwapModes, m[s.a], m[s.b]),
+    MeasureN: lambda s, m, a: _measure_step(s.label, "mode", m[s.mode], "N", s.kind, False),
+    MeasureQ: lambda s, m, a: _measure_step(
+        s.label, "ancilla", a[s.ancilla], "Q", _NONDESTRUCTIVE, False),
+    MeasureP: lambda s, m, a: _measure_step(
+        s.label, "ancilla", a[s.ancilla], "P", _NONDESTRUCTIVE, False),
+    Detect: lambda s, m, a: _measure_step(s.label, "mode", m[s.mode], "N", _NONDESTRUCTIVE, True),
 }
 _SYNTAX = {cls: (keyword, kinds) for keyword, (cls, kinds) in _STATEMENTS.items()}
 _ANGLES = ("0", "pi")  # indexed by Phase.s
@@ -413,6 +439,19 @@ class MeasureStep:
 Step = Union[GateStep, MeasureStep]
 
 
+# Hash-consed steps and shapes: equal values built by different programs are
+# one object, so the memos keyed by them (``gate_table``, ``_outcomes``,
+# ``prepared``) match their keys by identity.  Each is a bounded LRU, since
+# labels are user text.
+@lru_cache(maxsize=1024)
+def _gate_step(gate: type, *targets: int) -> GateStep:
+    return GateStep(gate(*targets))
+
+
+_measure_step = lru_cache(maxsize=1024)(MeasureStep)
+_shape = lru_cache(maxsize=64)(RegisterShape)
+
+
 @dataclass(frozen=True)
 class ToyPlan:
     program: Program
@@ -425,14 +464,14 @@ class ToyPlan:
 
     # Monte Carlo's seed-independent work, done once per plan object; the
     # locality audit and single-run replay build their kernel on every call.
-    @cached_property
+    @object_memo
     def column_kernel(self):
         """The plan as Monte Carlo column ops (:func:`toyfield.montecarlo._kernel`)."""
         from toyfield.montecarlo import _kernel
 
         return _kernel(self)
 
-    @cached_property
+    @object_memo
     def patterns(self):
         """The pattern table of the bits a shot's outcome reads
         (:func:`toyfield.montecarlo._patterns`)."""
@@ -474,7 +513,7 @@ def compile_toy(program: Program) -> ToyPlan:
 
 def _compile_toy(program: Program) -> ToyPlan:
     steps = program.steps
-    shape = RegisterShape(len(program.modes), len(program.ancillas))
+    shape = _shape(len(program.modes), len(program.ancillas))
     sourced = [program.modes.index(s.mode) for s in program.statements if isinstance(s, Source)]
     for step in steps:
         if isinstance(step, GateStep):
@@ -514,7 +553,10 @@ def branches(start, steps, apply, measure):
     ``measure(state, step)``'s ``(value, probability, posterior)`` outcomes,
     multiplying its weight and recording ``events[step.label] = value``.
     ``start`` is the list of branches before the first step; its weights set
-    the arithmetic (``Fraction`` stays exact, ``float`` stays float).
+    the arithmetic (``Fraction`` stays exact, ``float`` stays float).  An
+    ``int`` weight stays an ``int`` while every probability is one, as
+    :func:`toy_measure` gives a certain outcome, and becomes a ``Fraction``
+    at the first measurement that splits its branch.
     """
     current = start
     for step in steps:
@@ -547,17 +589,26 @@ def _joint(start, steps, apply, measure, weight=lambda w, state: w) -> dict:
 
 def toy_measure(state: EpistemicState, step: MeasureStep):
     """The classical engine's outcomes of a measurement step, as
-    ``(value, probability, posterior)`` triples."""
+    ``(value, probability, posterior)`` triples; a certain outcome, the only
+    one, has the ``int`` probability 1."""
     if step.variable == "N":
         outcomes = measure_occupation(state, step.index, step.kind)
     else:
         outcomes = measure_ancilla(state, step.index, step.variable)
+    if len(outcomes) == 1:
+        o = outcomes[0]
+        return [(o.value, 1, o.posterior)]
     return [(o.value, o.probability, o.posterior) for o in outcomes]
 
 
 def run_toy_exact(plan: ToyPlan) -> JointDistribution:
-    """Exact joint distribution over measurement labels, by branching."""
-    return _joint([(Fraction(1), plan.initial, {})], plan.steps, push_forward, toy_measure)
+    """Exact joint distribution over measurement labels, by branching.
+
+    Weights start from the ``int`` 1, so a branch makes no ``Fraction``
+    until a measurement splits it; each outcome's total is made a
+    ``Fraction`` once."""
+    joint = _joint([(1, plan.initial, {})], plan.steps, push_forward, toy_measure)
+    return {key: Fraction(total) for key, total in joint.items()}
 
 
 def snap_dyadic(p: float, tol: float = 1e-9, denominator: int = 64) -> Fraction:

@@ -361,8 +361,8 @@ def total_occupation_weights(state: StateVector, mode_bits: Sequence[int]) -> di
 # its whole measurement record: no per-step probability, square root or
 # global phase is needed.  Gates and bases are real, so amplitudes are too.
 # A register has at most three qubits, so programs reach few branches: the
-# gate maps and the measurement are memoised on the branch, each memo up to
-# ``_TRANSITIONS`` entries (lists are accepted and read as tuples).
+# gate maps, the measurement and the weight are memoised on the branch, each
+# memo up to ``_TRANSITIONS`` entries (lists are accepted and read as tuples).
 
 ExactState = tuple[tuple[int, ...], tuple[int, ...], int]
 _TRANSITIONS = 4096
@@ -498,8 +498,15 @@ def exact_weight(state: ExactState) -> Fraction:
     """A branch's squared norm (X + Y sqrt(2)) / 2^e, which must be dyadic.
 
     Y != 0 raises ``ValueError``; the message keeps the float path's
-    wording, "... is not dyadic within 1e-09".
+    wording, "... is not dyadic within 1e-09".  Memoised on the branch as
+    tuples; a raising branch stores nothing and raises again.
     """
+    a, b, e = state
+    return _weight((tuple(a), tuple(b), e))
+
+
+@lru_cache(maxsize=_TRANSITIONS)
+def _weight(state: ExactState) -> Fraction:
     a, b, e = state
     rational = sum(x * x for x in a) + 2 * sum(y * y for y in b)
     irrational = 2 * sum(map(mul, a, b))

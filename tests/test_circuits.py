@@ -338,6 +338,43 @@ class TestExecution:
         assert exact_law(plan) == run_toy_exact(plan)
         assert gate_table.cache_info() == before
 
+    def test_toy_weights_are_fractions_equal_to_an_all_fraction_walk(self):
+        """Weights are ints until a measurement splits a branch; the returned
+        totals are still Fractions, equal to a walk that multiplies every
+        outcome's Fraction probability."""
+        import random
+
+        from test_quantum_exact import random_program
+        from toyfield.circuits import _joint
+        from toyfield.scenarios import all_variants
+        from toyfield.toy_dynamics import push_forward
+        from toyfield.toy_measurement import measure_ancilla, measure_occupation
+
+        def fraction_measure(state, step):
+            if step.variable == "N":
+                outcomes = measure_occupation(state, step.index, step.kind)
+            else:
+                outcomes = measure_ancilla(state, step.index, step.variable)
+            return [(o.value, o.probability, o.posterior) for o in outcomes]
+
+        rng = random.Random(2022)
+        programs = [variant.program for variant in all_variants()]
+        assert len(programs) == 17
+        programs.append(parse(  # leaves the valid states: 1/3 and 2/3
+            "mode L R E; source L; vacuum R; bs L R; bs L E; bs R L; "
+            "detect L as dl; detect R as dr;"))
+        programs += [parse(random_program(rng)) for _ in range(2000)]
+        for program in programs:
+            plan = compile_toy(program)
+            got = run_toy_exact(plan)
+            want = _joint([(Fraction(1), plan.initial, {})], plan.steps,
+                          push_forward, fraction_measure)
+            assert got == want, render(program)
+            assert list(got) == list(want)
+            assert all(type(v) is Fraction for v in got.values()), render(program)
+        assert set(run_toy_exact(compile_toy(programs[17])).values()) == {
+            Fraction(1, 3), Fraction(2, 3)}
+
     def test_snap_dyadic(self):
         assert snap_dyadic(0.25) == Fraction(1, 4)
         assert snap_dyadic(0.5000000001) == Fraction(1, 2)

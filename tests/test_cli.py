@@ -422,8 +422,9 @@ class TestGridGolden:
         [
             (("quantum_eraser", "--basis", "Q"), "grid_quantum_eraser_Q.txt"),
             (("mirror_removed",), "grid_mirror_removed.txt"),
+            (("mzi_whichway",), "grid_mzi_whichway.txt"),
         ],
-        ids=["quantum_eraser_Q", "mirror_removed"],
+        ids=["quantum_eraser_Q", "mirror_removed", "mzi_whichway"],
     )
     def test_full_output(self, capsys, argv, golden):
         code, out, _ = run_cli(capsys, "grid", *argv)

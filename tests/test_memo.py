@@ -1,18 +1,28 @@
 """The memos of the exact engines: toy measurement outcomes and preparations
-on registers of at most three subsystems, and the exact quantum kernel's
-gate maps and measurement.  Each gives what the uncached computation gives,
+on registers of at most three subsystems, the exact quantum kernel's gate
+maps, measurement and weight, a program's lowering and plan, and the shared
+step and shape objects.  Each gives what the uncached computation gives,
 hands out nothing a caller can corrupt, holds no larger register and is
 bounded."""
 
 from __future__ import annotations
 
+import functools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from toyfield import phase_space, quantum, toy_measurement
-from toyfield.circuits import _kernel_gate
+from toyfield import circuits, phase_space, quantum, toy_measurement
+from toyfield.circuits import (
+    CompileError,
+    Program,
+    _kernel_gate,
+    compile_quantum,
+    compile_toy,
+    parse,
+)
 from toyfield.phase_space import RegisterShape, enumerate_valid_states, prepared
 from toyfield.toy_dynamics import Beamsplitter, Cnot, PhaseShift, SwapModes
 from toyfield.toy_measurement import (
@@ -83,7 +93,8 @@ def test_a_preparation_is_shared_on_small_registers_only():
 
 def test_every_memo_is_bounded():
     memos = (toy_measurement._outcomes, phase_space._prepared, quantum._split,
-             quantum._transition)
+             quantum._transition, quantum._weight, circuits._gate_step,
+             circuits._measure_step, circuits._shape)
     for memo in memos:
         assert memo.cache_info().maxsize is not None
 
@@ -109,3 +120,81 @@ def test_quantum_kernels_take_lists_and_tuples_alike():
                     assert got == quantum.exact_measure(as_tuples, subsystem, variable, destructive)
                     assert got == list(quantum._split.__wrapped__(
                         as_tuples, subsystem, variable, destructive))
+
+
+PROGRAM = ("mode L R; ancilla A; source L; bs L R; cnot R A; phase L pi; "
+           "measure P A as p; bs L R; detect L as dl;")
+
+
+def test_a_program_is_lowered_and_compiled_once(monkeypatch):
+    calls = []
+    lower = circuits._lower
+    monkeypatch.setattr(circuits, "_lower", lambda p: calls.append(p) or lower(p))
+    program = parse(PROGRAM)
+    assert program.steps is program.steps is vars(program)["steps"]
+    assert compile_toy(program) is compile_toy(program) is vars(program)["toy_plan"]
+    compile_quantum(program)
+    compile_quantum(program)
+    assert calls == [program]
+
+
+def test_no_per_object_memo_is_a_locking_cached_property():
+    from toyfield.automaton import CaPlan
+
+    for cls in (Program, circuits.ToyPlan, CaPlan):
+        memos = [v for v in vars(cls).values() if isinstance(v, circuits.object_memo)]
+        assert memos and not any(isinstance(v, functools.cached_property)
+                                 for v in vars(cls).values())
+
+
+def test_a_program_that_does_not_compile_raises_on_every_read():
+    program = Program((), (), ())
+    for _ in range(3):
+        with pytest.raises(CompileError, match="declares no modes"):
+            program.toy_plan
+    assert "toy_plan" not in vars(program) and "steps" not in vars(program)
+
+
+def test_equal_programs_share_their_steps_and_shape():
+    first, second = parse(PROGRAM), parse(PROGRAM)
+    assert first is not second and first.steps is not second.steps
+    assert all(a is b for a, b in zip(first.steps, second.steps, strict=True))
+    assert compile_toy(first).shape is compile_toy(second).shape
+    other = parse(PROGRAM.replace("ancilla A; ", "").replace("cnot R A; ", "")
+                  .replace("measure P A as p; ", ""))
+    assert other.steps[0] is first.steps[0]  # bs L R
+    assert compile_toy(other).shape is not compile_toy(first).shape
+
+
+def test_the_weight_memo_equals_the_uncached_weight(monkeypatch):
+    """Every final branch of the exact quantum runs of 300 random programs."""
+    from test_quantum_exact import random_program
+
+    reached = []
+    weigh = quantum.exact_weight
+    monkeypatch.setattr(quantum, "exact_weight", lambda s: reached.append(s) or weigh(s))
+    rng = random.Random(5)
+    for _ in range(300):
+        try:
+            circuits.run_quantum_exact(compile_quantum(parse(random_program(rng))))
+        except ValueError:  # a weight that is not dyadic
+            pass
+    assert len(reached) > 300
+    for state in reached:
+        try:
+            want = quantum._weight.__wrapped__(state)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                weigh(state)
+        else:
+            assert weigh(state) == want and type(weigh(state)) is Fraction
+
+
+def test_a_non_dyadic_weight_raises_the_same_message_every_time():
+    branch = ((1, 0), (1, 0), 0)  # (1 + sqrt(2))^2 = 3 + 2 sqrt(2)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError, match="is not dyadic within 1e-09") as caught:
+            quantum.exact_weight(branch)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
