@@ -7,23 +7,26 @@ identical outcome statistics for the Mach-Zehnder interferometer and its
 classic variants: the bomb tester, the delayed-choice experiment, and the
 quantum eraser.  A spatially localized cellular-automaton engine and a Monte
 Carlo frequency estimator round out the set.
+
+The package exports the register shape and the knowledge states.  The
+records of one physical state (``PhysicalState`` and its per-mode and
+per-ancilla parts) belong to the coarse-graining, in
+:mod:`toyfield.first_quantized`.  Importing the package loads only
+:mod:`toyfield.phase_space`; a toy ``toyfield run`` adds the circuit language,
+the toy engine and the scenarios, and the check suites
+(:mod:`toyfield.checks`), the coarse-graining, the quantum kernel, Monte Carlo
+and the wire automaton load only when a command uses them.
 """
 
 from toyfield.phase_space import (
-    AncillaState,
     EpistemicState,
-    ModeState,
-    PhysicalState,
     RegisterShape,
     make_occupied,
     make_vacuum,
 )
 
 __all__ = [
-    "AncillaState",
     "EpistemicState",
-    "ModeState",
-    "PhysicalState",
     "RegisterShape",
     "make_occupied",
     "make_vacuum",

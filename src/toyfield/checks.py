@@ -1,0 +1,139 @@
+"""The verification suites of ``toyfield check``, as rows of results.
+
+Each suite returns ``(name, ok, detail)`` rows; :func:`suite_rows` assembles the
+suites a ``check`` command names.  The command line checks its arguments and
+prints the rows, and imports this module only when it runs a check, so a
+``toyfield run`` neither loads nor compiles it.
+"""
+
+from __future__ import annotations
+
+from toyfield import scenarios
+from toyfield.circuits import compile_toy
+from toyfield.first_quantized import check_commutation
+from toyfield.phase_space import RegisterShape, enumerate_valid_states, marginal
+from toyfield.scenarios import run_scenario
+from toyfield.toy_dynamics import Beamsplitter, PhaseShift
+from toyfield.toy_measurement import DisturbanceKind, measure_occupation
+
+Row = tuple[str, bool, str]
+
+
+def _check_equivalence() -> list[Row]:
+    rows = []
+    for key, toy, quantum_dist, ok in scenarios.equivalence_sweep():
+        detail = "" if ok else f"toy={toy.as_floats()} quantum={quantum_dist.as_floats()}"
+        rows.append((f"equivalence {key}", ok, detail))
+    for basis in ("Q", "P"):
+        before = run_scenario(scenarios.quantum_eraser(basis, "before"), "toy")
+        after = run_scenario(scenarios.quantum_eraser(basis, "after"), "toy")
+        rows.append(
+            (
+                f"eraser timing invariance basis={basis}",
+                before.probs == after.probs,
+                "",
+            )
+        )
+    for choice in ("phase0", "phasepi", "detector"):
+        early = run_scenario(scenarios.delayed_choice(choice, "before"), "toy")
+        late = run_scenario(scenarios.delayed_choice(choice, "after"), "toy")
+        rows.append(
+            (f"delayed-choice timing invariance choice={choice}", early.probs == late.probs, "")
+        )
+    return rows
+
+
+def _check_coarse_grain() -> list[Row]:
+    circuits_to_check = {
+        "mzi phase 0": [Beamsplitter(0, 1), PhaseShift(1, 0), Beamsplitter(0, 1)],
+        "mzi phase pi": [Beamsplitter(0, 1), PhaseShift(1, 1), Beamsplitter(0, 1)],
+        "mzi detector": [Beamsplitter(0, 1), ("measure", 1), Beamsplitter(0, 1)],
+        "joint phase flip": [PhaseShift(0, 1), PhaseShift(1, 1)],
+    }
+    rows = []
+    for name, circuit in circuits_to_check.items():
+        report = check_commutation(circuit)
+        rows.append((f"coarse-grain {name}", report.commutes, report.detail))
+    return rows
+
+
+def _check_destructive() -> list[Row]:
+    rows = []
+    mismatch = ""
+    ok = True
+    for state in enumerate_valid_states(RegisterShape(2)):
+        for mode in (0, 1):
+            other = 1 - mode
+            nd = measure_occupation(state, mode, DisturbanceKind.NONDESTRUCTIVE)
+            de = measure_occupation(state, mode, DisturbanceKind.DESTRUCTIVE)
+            if [(o.value, o.probability) for o in nd] != [
+                (o.value, o.probability) for o in de
+            ]:
+                ok, mismatch = False, f"probabilities differ on {state}"
+                break
+            for a, b in zip(nd, de):
+                if marginal(a.posterior, modes=(other,)).support != marginal(
+                    b.posterior, modes=(other,)
+                ).support:
+                    ok, mismatch = False, f"posterior marginals differ on {state}"
+                    break
+    rows.append(("destructive ~ nondestructive (all valid two-mode states)", ok, mismatch))
+    return rows
+
+
+def _check_locality(shots: int, seed: int) -> list[Row]:
+    from toyfield.automaton import check_time_reversal
+    from toyfield.montecarlo import (
+        MeasurementEvent,
+        RunRecord,
+        audit_records,
+        locality_audit,
+    )
+
+    rows = []
+    for scenario in (
+        scenarios.mzi_whichway(DisturbanceKind.NONDESTRUCTIVE),
+        scenarios.quantum_eraser("P"),
+    ):
+        plan = compile_toy(scenario.program)
+        report = locality_audit(plan, shots, seed)
+        rows.append(
+            (
+                f"locality {scenario.key} ({report.runs} runs)",
+                report.clean,
+                f"{len(report.violations)} violations",
+            )
+        )
+    # Negative control: a fabricated event that mutates a distant bit.
+    plan = compile_toy(scenarios.mzi_whichway(DisturbanceKind.NONDESTRUCTIVE).program)
+    corrupt = RunRecord(
+        0,
+        0,
+        (MeasurementEvent("which_way", "mode", 1, 1, 0, 0b0001, 0b0011),),
+        {"which_way": 1},
+    )
+    control = audit_records([corrupt], plan.shape)
+    rows.append(("locality negative control detected", not control.clean, ""))
+    # Exact, over every joint state: the wire automaton's deterministic maps
+    for kind, name in (("free_swap", "free shift"), ("phase", "phase"),
+                       ("beamsplitter", "beamsplitter"), ("swap", "swap")):
+        name = f"time reversal: the CA {name} is its own reverse"
+        rows.append((name, check_time_reversal(kind), ""))
+    control_caught = not check_time_reversal("broken_oneway")
+    rows.append(("time reversal negative control detected", control_caught, ""))
+    return rows
+
+
+def suite_rows(suite: str, shots: int, seed: int) -> list[Row]:
+    """The rows of ``suite`` (one of ``cli.CHECK_SUITES``; "all" runs every
+    suite in order); ``shots`` and ``seed`` drive the sampled locality audit."""
+    out: list[Row] = []
+    if suite in ("equivalence", "all"):
+        out.extend(_check_equivalence())
+    if suite in ("coarse-grain", "all"):
+        out.extend(_check_coarse_grain())
+    if suite in ("destructive", "all"):
+        out.extend(_check_destructive())
+    if suite in ("locality", "all"):
+        out.extend(_check_locality(shots, seed))
+    return out

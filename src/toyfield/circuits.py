@@ -55,7 +55,6 @@ from toyfield.toy_measurement import (
     DisturbanceKind,
     measure_ancilla,
     measure_occupation,
-    measurement_kernel,
 )
 
 __all__ = [
@@ -120,40 +119,54 @@ class object_memo:
 
 @dataclass(frozen=True)
 class Source:
+    """``source m``: prepare the mode with one excitation."""
+
     mode: str
 
 
 @dataclass(frozen=True)
 class Vacuum:
+    """``vacuum m``: prepare the mode empty (the default of an unprepared mode)."""
+
     mode: str
 
 
 @dataclass(frozen=True)
 class Bs:
+    """``bs a b``: a 50-50 splitter; ``a`` is the mode whose occupation is exchanged."""
+
     a: str
     b: str
 
 
 @dataclass(frozen=True)
 class Phase:
+    """``phase m 0|pi``: a phase shifter on one mode."""
+
     mode: str
     s: int  # 0 or 1; 1 means a pi shift
 
 
 @dataclass(frozen=True)
 class CnotStmt:
+    """``cnot m A``: mark the mode's occupation on the ancilla."""
+
     control: str
     ancilla: str
 
 
 @dataclass(frozen=True)
 class Swap:
+    """``swap a b``: exchange two modes."""
+
     a: str
     b: str
 
 
 @dataclass(frozen=True)
 class MeasureN:
+    """``measure N m [kind] as label``: an occupation measurement."""
+
     mode: str
     kind: DisturbanceKind
     label: str
@@ -161,18 +174,24 @@ class MeasureN:
 
 @dataclass(frozen=True)
 class MeasureQ:
+    """``measure Q A as label``: read the ancilla's coordinate."""
+
     ancilla: str
     label: str
 
 
 @dataclass(frozen=True)
 class MeasureP:
+    """``measure P A as label``: read the ancilla's momentum."""
+
     ancilla: str
     label: str
 
 
 @dataclass(frozen=True)
 class Detect:
+    """``detect m as label``: a nondestructive port detector."""
+
     mode: str
     label: str
 
@@ -184,6 +203,8 @@ Statement = Union[
 
 @dataclass(frozen=True)
 class Program:
+    """A parsed program: declared modes and ancillas, then its statements in order."""
+
     modes: tuple[str, ...]
     ancillas: tuple[str, ...]
     statements: tuple[Statement, ...]
@@ -423,11 +444,15 @@ def render(program: Program) -> str:
 
 @dataclass(frozen=True)
 class GateStep:
+    """A lowered gate, shared by both exact engines."""
+
     gate: ToyGate
 
 
 @dataclass(frozen=True)
 class MeasureStep:
+    """A lowered measurement, shared by both exact engines."""
+
     label: str
     target_kind: str  # "mode" or "ancilla"
     index: int
@@ -454,6 +479,8 @@ _shape = lru_cache(maxsize=64)(RegisterShape)
 
 @dataclass(frozen=True)
 class ToyPlan:
+    """A program compiled for the classical engine: its register, initial state and steps."""
+
     program: Program
     shape: RegisterShape
     initial: EpistemicState
@@ -482,6 +509,8 @@ class ToyPlan:
 
 @dataclass(frozen=True)
 class QuantumPlan:
+    """A program compiled for the exact state-vector kernel: its initial branch and steps."""
+
     program: Program
     initial: tuple  # a branch of the exact kernel, quantum.ExactState
     steps: tuple[Step, ...]
@@ -611,21 +640,6 @@ def run_toy_exact(plan: ToyPlan) -> JointDistribution:
     return {key: Fraction(total) for key, total in joint.items()}
 
 
-def snap_dyadic(p: float, tol: float = 1e-9, denominator: int = 64) -> Fraction:
-    """Snap a float probability to the nearest multiple of ``1/denominator``.
-
-    For float results, such as ``quantum.measure_subsystem``'s Born
-    probabilities, checked against dyadic ones; a float farther than ``tol``
-    from such a multiple is an error.  Program runs need no snapping:
-    :func:`run_quantum_exact` computes every weight exactly, at any
-    denominator.
-    """
-    candidate = Fraction(round(p * denominator), denominator)
-    if abs(p - float(candidate)) > tol:
-        raise ValueError(f"probability {p} is not dyadic within {tol}")
-    return candidate
-
-
 def _kernel_gate(gate: ToyGate, modes: int) -> tuple[str, tuple[int, ...]]:
     """The exact kernel's name and target bits of a toy gate on a register
     of ``modes`` modes followed by its ancillas."""
@@ -666,19 +680,6 @@ def run_quantum_exact(plan: QuantumPlan) -> JointDistribution:
 
     return _joint([(1, plan.initial, {})], plan.steps, apply, measure,
                   lambda _, state: quantum.exact_weight(state))
-
-
-def step_run_index(state: int, shape: RegisterShape, step: MeasureStep, coin: int):
-    """Apply one measurement step to a packed state with an explicit coin:
-    ``(value, state after)`` under the step's measurement kernel."""
-    read, keep, flip = measurement_kernel(
-        step.variable,
-        step.index,
-        shape.modes,
-        shape.ancillas,
-        step.kind is DisturbanceKind.DESTRUCTIVE,
-    )
-    return (state >> read) & 1, (state & keep) ^ (coin << flip)
 
 
 def default_labeler(outcome: dict[str, int]) -> str:

@@ -221,124 +221,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     return _print_grids(compile_toy(_scenario_from_args(args).program), args.steps)
 
 
-# ---------------------------------------------------------------------------
-# Check suites
-
-
-def _check_equivalence() -> list[tuple[str, bool, str]]:
-    rows = []
-    for key, toy, quantum_dist, ok in scenarios.equivalence_sweep():
-        detail = "" if ok else f"toy={toy.as_floats()} quantum={quantum_dist.as_floats()}"
-        rows.append((f"equivalence {key}", ok, detail))
-    for basis in ("Q", "P"):
-        before = run_scenario(scenarios.quantum_eraser(basis, "before"), "toy")
-        after = run_scenario(scenarios.quantum_eraser(basis, "after"), "toy")
-        rows.append(
-            (
-                f"eraser timing invariance basis={basis}",
-                before.probs == after.probs,
-                "",
-            )
-        )
-    for choice in ("phase0", "phasepi", "detector"):
-        early = run_scenario(scenarios.delayed_choice(choice, "before"), "toy")
-        late = run_scenario(scenarios.delayed_choice(choice, "after"), "toy")
-        rows.append(
-            (f"delayed-choice timing invariance choice={choice}", early.probs == late.probs, "")
-        )
-    return rows
-
-
-def _check_coarse_grain() -> list[tuple[str, bool, str]]:
-    from toyfield.first_quantized import check_commutation
-    from toyfield.toy_dynamics import Beamsplitter, PhaseShift
-
-    circuits_to_check = {
-        "mzi phase 0": [Beamsplitter(0, 1), PhaseShift(1, 0), Beamsplitter(0, 1)],
-        "mzi phase pi": [Beamsplitter(0, 1), PhaseShift(1, 1), Beamsplitter(0, 1)],
-        "mzi detector": [Beamsplitter(0, 1), ("measure", 1), Beamsplitter(0, 1)],
-        "joint phase flip": [PhaseShift(0, 1), PhaseShift(1, 1)],
-    }
-    rows = []
-    for name, circuit in circuits_to_check.items():
-        report = check_commutation(circuit)
-        rows.append((f"coarse-grain {name}", report.commutes, report.detail))
-    return rows
-
-
-def _check_destructive() -> list[tuple[str, bool, str]]:
-    from toyfield.phase_space import RegisterShape, enumerate_valid_states, marginal
-    from toyfield.toy_measurement import DisturbanceKind, measure_occupation
-
-    rows = []
-    mismatch = ""
-    ok = True
-    for state in enumerate_valid_states(RegisterShape(2)):
-        for mode in (0, 1):
-            other = 1 - mode
-            nd = measure_occupation(state, mode, DisturbanceKind.NONDESTRUCTIVE)
-            de = measure_occupation(state, mode, DisturbanceKind.DESTRUCTIVE)
-            if [(o.value, o.probability) for o in nd] != [
-                (o.value, o.probability) for o in de
-            ]:
-                ok, mismatch = False, f"probabilities differ on {state}"
-                break
-            for a, b in zip(nd, de):
-                if marginal(a.posterior, modes=(other,)).support != marginal(
-                    b.posterior, modes=(other,)
-                ).support:
-                    ok, mismatch = False, f"posterior marginals differ on {state}"
-                    break
-    rows.append(("destructive ~ nondestructive (all valid two-mode states)", ok, mismatch))
-    return rows
-
-
-def _check_locality(shots: int, seed: int) -> list[tuple[str, bool, str]]:
-    from toyfield.automaton import check_time_reversal
-    from toyfield.montecarlo import (
-        MeasurementEvent,
-        RunRecord,
-        audit_records,
-        locality_audit,
-    )
-    from toyfield.toy_measurement import DisturbanceKind
-
-    rows = []
-    for scenario in (
-        scenarios.mzi_whichway(DisturbanceKind.NONDESTRUCTIVE),
-        scenarios.quantum_eraser("P"),
-    ):
-        plan = compile_toy(scenario.program)
-        report = locality_audit(plan, shots, seed)
-        rows.append(
-            (
-                f"locality {scenario.key} ({report.runs} runs)",
-                report.clean,
-                f"{len(report.violations)} violations",
-            )
-        )
-    # Negative control: a fabricated event that mutates a distant bit.
-    plan = compile_toy(scenarios.mzi_whichway(DisturbanceKind.NONDESTRUCTIVE).program)
-    corrupt = RunRecord(
-        0,
-        0,
-        (MeasurementEvent("which_way", "mode", 1, 1, 0, 0b0001, 0b0011),),
-        {"which_way": 1},
-    )
-    control = audit_records([corrupt], plan.shape)
-    rows.append(("locality negative control detected", not control.clean, ""))
-    # Exact, over every joint state: the wire automaton's deterministic maps
-    for kind, name in (("free_swap", "free shift"), ("phase", "phase"),
-                       ("beamsplitter", "beamsplitter"), ("swap", "swap")):
-        name = f"time reversal: the CA {name} is its own reverse"
-        rows.append((name, check_time_reversal(kind), ""))
-    control_caught = not check_time_reversal("broken_oneway")
-    rows.append(("time reversal negative control detected", control_caught, ""))
-    return rows
-
-
 def cmd_check(args: argparse.Namespace) -> int:
-    suite = args.suite
     shots = 100_000 if args.shots is None else args.shots
     seed = 7 if args.seed is None else args.seed
     if not 1 <= shots <= 1 << 64:
@@ -347,15 +230,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     if seed < 0:
         print("--seed must be non-negative", file=sys.stderr)
         return 2
-    rows: list[tuple[str, bool, str]] = []
-    if suite in ("equivalence", "all"):
-        rows.extend(_check_equivalence())
-    if suite in ("coarse-grain", "all"):
-        rows.extend(_check_coarse_grain())
-    if suite in ("destructive", "all"):
-        rows.extend(_check_destructive())
-    if suite in ("locality", "all"):
-        rows.extend(_check_locality(shots, seed))
+    from toyfield.checks import suite_rows  # loaded only by a check, never by a run
+
+    rows = suite_rows(args.suite, shots, seed)
     for name, ok, detail in rows:
         status = "PASS" if ok else "FAIL"
         suffix = f"  {detail}" if detail and not ok else ""

@@ -10,7 +10,10 @@ The coarse theory has the same structure as the two-mode theory: between w
 and theta at most one of {w, theta, w + theta} can be known; the splitter
 swaps w and theta; measuring w randomizes theta.  This module provides the
 coarse objects and an exhaustive check that coarse-graining commutes with
-dynamics and measurement for any circuit that stays in the sector.
+dynamics and measurement for any circuit that stays in the sector.  The fine
+side's single physical state, as a record of bits (``PhysicalState``, read per
+mode as ``ModeState`` and per ancilla as ``AncillaState``), lives here too:
+coarse-graining is its one reader, since the engines work on packed ints.
 """
 
 from __future__ import annotations
@@ -18,11 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from toyfield.phase_space import (
-    EpistemicState,
-    PhysicalState,
-    RegisterShape,
-)
+from toyfield.phase_space import EpistemicState, RegisterShape, unpack_bits
 from toyfield.toy_dynamics import (
     Beamsplitter,
     Identity,
@@ -35,9 +34,12 @@ from toyfield.toy_dynamics import (
 from toyfield.toy_measurement import DisturbanceKind, measure_occupation
 
 __all__ = [
+    "AncillaState",
     "CommutationReport",
     "FqEpistemicState",
     "FqState",
+    "ModeState",
+    "PhysicalState",
     "SectorError",
     "check_commutation",
     "coarse_grain",
@@ -53,6 +55,70 @@ _TWO_MODES = RegisterShape(2)
 
 class SectorError(ValueError):
     """Raised when a state lies outside the single-excitation sector."""
+
+
+@dataclass(frozen=True)
+class ModeState:
+    """One mode's ontic state: occupation bit and phase bit."""
+
+    n: int
+    phi: int
+
+    def __post_init__(self) -> None:
+        if self.n not in (0, 1) or self.phi not in (0, 1):
+            raise ValueError("mode bits must be 0 or 1")
+
+
+@dataclass(frozen=True)
+class AncillaState:
+    """One ancilla's ontic state: coordinate bit q and momentum bit p.
+
+    The labeled forms a0/a1 (for q) and a+/a- (for p) are relabelings of
+    0/1.
+    """
+
+    q: int
+    p: int
+
+    def __post_init__(self) -> None:
+        if self.q not in (0, 1) or self.p not in (0, 1):
+            raise ValueError("ancilla bits must be 0 or 1")
+
+
+@dataclass(frozen=True)
+class PhysicalState:
+    """A complete bit assignment for a register.
+
+    ``bits`` is in register order: (N_0, Phi_0, N_1, Phi_1, ..., q_0, p_0,
+    ...).
+    """
+
+    bits: tuple[int, ...]
+    shape: RegisterShape
+
+    def __post_init__(self) -> None:
+        if len(self.bits) != self.shape.bit_count:
+            raise ValueError(
+                f"expected {self.shape.bit_count} bits, got {len(self.bits)}"
+            )
+        if any(b not in (0, 1) for b in self.bits):
+            raise ValueError("bits must be 0 or 1")
+
+    def mode(self, i: int) -> ModeState:
+        n_slot = self.shape.occupation_slot(i)
+        return ModeState(self.bits[n_slot], self.bits[n_slot + 1])
+
+    def ancilla(self, j: int) -> AncillaState:
+        q_slot = self.shape.coordinate_slot(j)
+        return AncillaState(self.bits[q_slot], self.bits[q_slot + 1])
+
+    def index(self) -> int:
+        """Little-endian packed integer; the canonical enumeration index."""
+        return sum(b << k for k, b in enumerate(self.bits))
+
+    @classmethod
+    def from_index(cls, index: int, shape: RegisterShape) -> "PhysicalState":
+        return cls(unpack_bits(index, shape.bit_count), shape)
 
 
 @dataclass(frozen=True)
@@ -193,6 +259,8 @@ SECTOR_INDICES = tuple(
 
 @dataclass(frozen=True)
 class CommutationReport:
+    """Whether coarse-graining commutes with a circuit, and where it first fails if not."""
+
     commutes: bool
     detail: str = ""
 

@@ -612,6 +612,8 @@ class LocalityViolation:
 
 @dataclass(frozen=True)
 class LocalityReport:
+    """What a locality audit checked and every violation it found."""
+
     runs: int
     events_checked: int
     violations: tuple[LocalityViolation, ...]

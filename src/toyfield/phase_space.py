@@ -26,12 +26,9 @@ from itertools import combinations
 from typing import Sequence
 
 __all__ = [
-    "AncillaState",
     "EpistemicState",
     "Functional",
     "ImpossibleOutcome",
-    "ModeState",
-    "PhysicalState",
     "RegisterShape",
     "ValidityReport",
     "condition",
@@ -108,77 +105,6 @@ class RegisterShape:
             raise IndexError(f"ancilla index {ancilla} out of range for {self}")
 
 
-@dataclass(frozen=True)
-class ModeState:
-    """One mode's ontic state: occupation bit and phase bit."""
-
-    n: int
-    phi: int
-
-    def __post_init__(self) -> None:
-        if self.n not in (0, 1) or self.phi not in (0, 1):
-            raise ValueError("mode bits must be 0 or 1")
-
-
-@dataclass(frozen=True)
-class AncillaState:
-    """One ancilla's ontic state: coordinate bit q and momentum bit p.
-
-    The labeled forms a0/a1 (for q) and a+/a- (for p) are relabelings of
-    0/1.
-    """
-
-    q: int
-    p: int
-
-    def __post_init__(self) -> None:
-        if self.q not in (0, 1) or self.p not in (0, 1):
-            raise ValueError("ancilla bits must be 0 or 1")
-
-
-@dataclass(frozen=True)
-class PhysicalState:
-    """A complete bit assignment for a register.
-
-    ``bits`` is in register order: (N_0, Phi_0, N_1, Phi_1, ..., q_0, p_0,
-    ...).
-    """
-
-    bits: tuple[int, ...]
-    shape: RegisterShape
-
-    def __post_init__(self) -> None:
-        if len(self.bits) != self.shape.bit_count:
-            raise ValueError(
-                f"expected {self.shape.bit_count} bits, got {len(self.bits)}"
-            )
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
-
-    def mode(self, i: int) -> ModeState:
-        n_slot = self.shape.occupation_slot(i)
-        return ModeState(self.bits[n_slot], self.bits[n_slot + 1])
-
-    def ancilla(self, j: int) -> AncillaState:
-        q_slot = self.shape.coordinate_slot(j)
-        return AncillaState(self.bits[q_slot], self.bits[q_slot + 1])
-
-    def index(self) -> int:
-        """Little-endian packed integer; the canonical enumeration index."""
-        return pack_bits(self.bits)
-
-    @classmethod
-    def from_index(cls, index: int, shape: RegisterShape) -> "PhysicalState":
-        return cls(unpack_bits(index, shape.bit_count), shape)
-
-
-def pack_bits(bits: Sequence[int]) -> int:
-    value = 0
-    for k, b in enumerate(bits):
-        value |= (b & 1) << k
-    return value
-
-
 def unpack_bits(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> k) & 1 for k in range(width))
 
@@ -205,20 +131,6 @@ def coordinate(shape: RegisterShape, ancilla: int) -> Functional:
 
 def momentum(shape: RegisterShape, ancilla: int) -> Functional:
     return Functional(1 << shape.momentum_slot(ancilla), f"P_{ancilla}")
-
-
-def delta_occupation(shape: RegisterShape, a: int, b: int) -> Functional:
-    return Functional(
-        (1 << shape.occupation_slot(a)) | (1 << shape.occupation_slot(b)),
-        f"N_{a}^N_{b}",
-    )
-
-
-def delta_phase(shape: RegisterShape, a: int, b: int) -> Functional:
-    return Functional(
-        (1 << shape.phase_slot(a)) | (1 << shape.phase_slot(b)),
-        f"Phi_{a}^Phi_{b}",
-    )
 
 
 @dataclass(frozen=True)
@@ -267,6 +179,8 @@ class EpistemicState:
 
 @dataclass(frozen=True)
 class ValidityReport:
+    """Whether a state obeys the knowledge restriction, and the first violation if not."""
+
     valid: bool
     violation: str | None = None
 

@@ -91,6 +91,8 @@ Labeler = Callable[[dict[str, int]], str]
 
 @dataclass(frozen=True)
 class Scenario:
+    """A named experiment: its parameters, its program and its outcome labeler."""
+
     name: str
     params: tuple[tuple[str, str], ...]
     program: Program

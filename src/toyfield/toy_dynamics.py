@@ -35,7 +35,6 @@ from typing import Callable, Union
 from toyfield.phase_space import (
     SMALL_REGISTER_POINTS,
     EpistemicState,
-    PhysicalState,
     RegisterShape,
 )
 
@@ -46,11 +45,6 @@ __all__ = [
     "PhaseShift",
     "SwapModes",
     "ToyGate",
-    "apply_beamsplitter",
-    "apply_cnot",
-    "apply_gate",
-    "apply_phase_shift",
-    "apply_swap",
     "beamsplitter_formula",
     "beamsplitter_rule",
     "beamsplitter_swap_rule",
@@ -62,6 +56,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Beamsplitter:
+    """The splitter on modes ``a`` and ``b``; ``a`` plays the exchanged role."""
+
     a: int
     b: int
 
@@ -72,6 +68,8 @@ class Beamsplitter:
 
 @dataclass(frozen=True)
 class PhaseShift:
+    """Flip the mode's phase bit when ``s`` is 1."""
+
     mode: int
     s: int
 
@@ -82,12 +80,16 @@ class PhaseShift:
 
 @dataclass(frozen=True)
 class Cnot:
+    """Copy the control mode's occupation into the ancilla's coordinate bit."""
+
     control: int
     ancilla: int
 
 
 @dataclass(frozen=True)
 class SwapModes:
+    """Exchange the two bits of mode ``a`` with those of mode ``b``."""
+
     a: int
     b: int
 
@@ -98,7 +100,7 @@ class SwapModes:
 
 @dataclass(frozen=True)
 class Identity:
-    pass
+    """The gate that changes nothing."""
 
 
 ToyGate = Union[Beamsplitter, PhaseShift, Cnot, SwapModes, Identity]
@@ -167,30 +169,6 @@ def apply_gate_index(gate: ToyGate, index: int, shape: RegisterShape) -> int:
     for slot, bit in zip(slots, rule(*((index >> slot) & 1 for slot in slots))):
         index = (index & ~(1 << slot)) | (bit << slot)
     return index
-
-
-def apply_gate(gate: ToyGate, state: PhysicalState) -> PhysicalState:
-    new_index = apply_gate_index(gate, state.index(), state.shape)
-    return PhysicalState.from_index(new_index, state.shape)
-
-
-def apply_beamsplitter(state: PhysicalState, a: int, b: int) -> PhysicalState:
-    """Beamsplitter between modes a and b; a plays the exchanged role."""
-    return apply_gate(Beamsplitter(a, b), state)
-
-
-def apply_phase_shift(state: PhysicalState, mode: int, s: int) -> PhysicalState:
-    """Flip the mode's phase bit when s = 1; occupation is untouched."""
-    return apply_gate(PhaseShift(mode, s), state)
-
-
-def apply_cnot(state: PhysicalState, control: int, ancilla: int) -> PhysicalState:
-    """Record the control's occupation in q; back-action shifts Phi by p."""
-    return apply_gate(Cnot(control, ancilla), state)
-
-
-def apply_swap(state: PhysicalState, a: int, b: int) -> PhysicalState:
-    return apply_gate(SwapModes(a, b), state)
 
 
 @lru_cache(maxsize=None)

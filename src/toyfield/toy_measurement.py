@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from toyfield.phase_space import SMALL_REGISTER_POINTS, EpistemicState, Functional, RegisterShape
+from toyfield.phase_space import SMALL_REGISTER_POINTS, EpistemicState, RegisterShape
 
 __all__ = [
     "DisturbanceKind",
@@ -35,7 +35,6 @@ __all__ = [
     "measure_ancilla",
     "measure_occupation",
     "measurement_kernel",
-    "outcome_distribution",
     "sample_measurement_index",
 ]
 
@@ -47,19 +46,12 @@ class DisturbanceKind(enum.Enum):
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
+    """One value of a measurement, its probability and the posterior it leaves."""
+
     variable: str
     value: int
     probability: Fraction
     posterior: EpistemicState
-
-
-def outcome_distribution(
-    state: EpistemicState, variable: Functional
-) -> list[tuple[int, Fraction]]:
-    """Probability of each value: the fraction of the support attaining it."""
-    total = len(state.support)
-    ones = sum(1 for x in state.support if ((x & variable.mask).bit_count() & 1))
-    return [(0, Fraction(total - ones, total)), (1, Fraction(ones, total))]
 
 
 @lru_cache(maxsize=None)  # keyed by plain values: it sits on the per-shot path

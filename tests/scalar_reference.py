@@ -1,0 +1,102 @@
+"""One state at a time: the scalar forms the tests check the engines against.
+
+The engines work on packed supports and on columns of shots.  These helpers
+apply one gate to one ``PhysicalState``, one measurement step to one packed
+state with an explicit coin, count one functional's values over a support,
+name the parity of two modes' bits, and snap a float probability to a dyadic
+``Fraction``.  Each reads the engines' own tables (the gates' local rules and
+the measurement kernel), so a test compares a scalar path with a bulk one,
+not two copies of a rule.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from toyfield.circuits import MeasureStep
+from toyfield.first_quantized import PhysicalState
+from toyfield.phase_space import EpistemicState, Functional, RegisterShape
+from toyfield.toy_dynamics import (
+    Beamsplitter,
+    Cnot,
+    PhaseShift,
+    SwapModes,
+    ToyGate,
+    apply_gate_index,
+)
+from toyfield.toy_measurement import DisturbanceKind, measurement_kernel
+
+
+def apply_gate(gate: ToyGate, state: PhysicalState) -> PhysicalState:
+    new_index = apply_gate_index(gate, state.index(), state.shape)
+    return PhysicalState.from_index(new_index, state.shape)
+
+
+def apply_beamsplitter(state: PhysicalState, a: int, b: int) -> PhysicalState:
+    """Beamsplitter between modes a and b; a plays the exchanged role."""
+    return apply_gate(Beamsplitter(a, b), state)
+
+
+def apply_phase_shift(state: PhysicalState, mode: int, s: int) -> PhysicalState:
+    """Flip the mode's phase bit when s = 1; occupation is untouched."""
+    return apply_gate(PhaseShift(mode, s), state)
+
+
+def apply_cnot(state: PhysicalState, control: int, ancilla: int) -> PhysicalState:
+    """Record the control's occupation in q; back-action shifts Phi by p."""
+    return apply_gate(Cnot(control, ancilla), state)
+
+
+def apply_swap(state: PhysicalState, a: int, b: int) -> PhysicalState:
+    return apply_gate(SwapModes(a, b), state)
+
+
+def delta_occupation(shape: RegisterShape, a: int, b: int) -> Functional:
+    return Functional(
+        (1 << shape.occupation_slot(a)) | (1 << shape.occupation_slot(b)),
+        f"N_{a}^N_{b}",
+    )
+
+
+def delta_phase(shape: RegisterShape, a: int, b: int) -> Functional:
+    return Functional(
+        (1 << shape.phase_slot(a)) | (1 << shape.phase_slot(b)),
+        f"Phi_{a}^Phi_{b}",
+    )
+
+
+def outcome_distribution(
+    state: EpistemicState, variable: Functional
+) -> list[tuple[int, Fraction]]:
+    """Probability of each value: the fraction of the support attaining it."""
+    total = len(state.support)
+    ones = sum(1 for x in state.support if ((x & variable.mask).bit_count() & 1))
+    return [(0, Fraction(total - ones, total)), (1, Fraction(ones, total))]
+
+
+def snap_dyadic(p: float, tol: float = 1e-9, denominator: int = 64) -> Fraction:
+    """Snap a float probability to the nearest multiple of ``1/denominator``.
+
+    For float results, such as ``quantum.measure_subsystem``'s Born
+    probabilities, checked against dyadic ones; a float farther than ``tol``
+    from such a multiple is an error.  Program runs need no snapping:
+    ``circuits.run_quantum_exact`` computes every weight exactly, at any
+    denominator.
+    """
+    candidate = Fraction(round(p * denominator), denominator)
+    if abs(p - float(candidate)) > tol:
+        raise ValueError(f"probability {p} is not dyadic within {tol}")
+    return candidate
+
+
+def step_run_index(state: int, shape: RegisterShape, step: MeasureStep, coin: int):
+    """Apply one measurement step to a packed state with an explicit coin:
+    ``(value, state after)`` under the step's measurement kernel."""
+    read, keep, flip = measurement_kernel(
+        step.variable,
+        step.index,
+        shape.modes,
+        shape.ancillas,
+        step.kind is DisturbanceKind.DESTRUCTIVE,
+    )
+    return (state >> read) & 1, (state & keep) ^ (coin << flip)

@@ -151,9 +151,9 @@ def test_07_destructive_equivalence():
 
 
 def test_08_closure_of_valid_states():
+    from scalar_reference import delta_occupation
     from toyfield.phase_space import (
         RegisterShape,
-        delta_occupation,
         enumerate_valid_states,
         is_valid,
         marginal,

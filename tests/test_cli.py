@@ -465,11 +465,11 @@ class TestCheck:
          (("--shots", "1", "--seed", "3"), (1, 3))],
     )
     def test_locality_shots_and_seed(self, capsys, monkeypatch, extra, expected):
-        from toyfield import cli
+        from toyfield import checks
 
         seen = []
         monkeypatch.setattr(
-            cli, "_check_locality", lambda shots, seed: seen.append((shots, seed)) or []
+            checks, "_check_locality", lambda shots, seed: seen.append((shots, seed)) or []
         )
         code, _, _ = run_cli(capsys, "check", "locality", *extra)
         assert code == 0
@@ -477,9 +477,9 @@ class TestCheck:
 
     @pytest.mark.parametrize("suite", ["locality", "destructive"])
     def test_shots_below_one_rejected(self, capsys, monkeypatch, suite):
-        from toyfield import cli
+        from toyfield import checks
 
-        monkeypatch.setattr(cli, "_check_locality", lambda shots, seed: pytest.fail("ran"))
+        monkeypatch.setattr(checks, "_check_locality", lambda shots, seed: pytest.fail("ran"))
         code, out, err = run_cli(capsys, "check", suite, "--shots", "0")
         assert code == 2
         assert out == ""
@@ -487,9 +487,9 @@ class TestCheck:
 
     @pytest.mark.parametrize("suite", ["locality", "destructive"])
     def test_more_shots_than_counters_rejected(self, capsys, monkeypatch, suite):
-        from toyfield import cli
+        from toyfield import checks
 
-        monkeypatch.setattr(cli, "_check_locality", lambda shots, seed: pytest.fail("ran"))
+        monkeypatch.setattr(checks, "_check_locality", lambda shots, seed: pytest.fail("ran"))
         code, out, err = run_cli(capsys, "check", suite, "--shots", str(2**64 + 1))
         assert code == 2
         assert out == ""
@@ -497,9 +497,9 @@ class TestCheck:
 
     @pytest.mark.parametrize("suite", ["locality", "destructive"])
     def test_negative_seed_rejected(self, capsys, monkeypatch, suite):
-        from toyfield import cli
+        from toyfield import checks
 
-        monkeypatch.setattr(cli, "_check_locality", lambda shots, seed: pytest.fail("ran"))
+        monkeypatch.setattr(checks, "_check_locality", lambda shots, seed: pytest.fail("ran"))
         code, out, err = run_cli(capsys, "check", suite, "--seed", "-1")
         assert code == 2
         assert out == ""
@@ -511,10 +511,10 @@ class TestCheck:
         assert err.value.code == 2
 
     def test_failing_check_exits_one(self, capsys, monkeypatch):
-        from toyfield import cli
+        from toyfield import checks
 
         monkeypatch.setattr(
-            cli, "_check_destructive", lambda: [("rigged", False, "boom")]
+            checks, "_check_destructive", lambda: [("rigged", False, "boom")]
         )
         code, out, _ = run_cli(capsys, "check", "destructive")
         assert code == 1

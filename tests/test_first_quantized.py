@@ -16,7 +16,8 @@ from toyfield.first_quantized import (
     fq_measure_whichway,
     fq_phase_shift,
 )
-from toyfield.phase_space import PhysicalState, RegisterShape, make_occupied
+from toyfield.first_quantized import PhysicalState
+from toyfield.phase_space import RegisterShape, make_occupied
 from toyfield.toy_dynamics import Beamsplitter, Cnot, PhaseShift
 
 TWO = RegisterShape(2)
@@ -69,7 +70,7 @@ class TestFqOperations:
 
     def test_reversed_splitter_swaps_with_complement(self):
         from toyfield.first_quantized import fq_beamsplitter_reversed
-        from toyfield.toy_dynamics import apply_gate
+        from scalar_reference import apply_gate
 
         # The coarse image of the reversed-orientation splitter, checked
         # against the fine dynamics on every sector state.

@@ -23,7 +23,6 @@ from toyfield.circuits import (
     parse,
     render,
     run_toy_exact,
-    step_run_index,
 )
 from toyfield.montecarlo import (
     MeasurementEvent,
@@ -36,6 +35,7 @@ from toyfield.montecarlo import (
     sample_run,
 )
 from toyfield.phase_space import is_valid
+from scalar_reference import step_run_index
 from toyfield.scenarios import (
     Scenario,
     all_variants,
@@ -698,3 +698,48 @@ def test_importing_and_exact_runs_load_no_numpy():
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_a_toy_run_from_the_command_line_loads_only_what_it_executes(tmp_path):
+    # `python -m toyfield.cli`, as a cold run starts; -X importtime logs every
+    # module the process loads, one per line, its name in the last column.
+    path = tmp_path / "two_mzis.mzi"
+    path.write_text(
+        "mode a b c d; source a; source c;\n"
+        "bs a b; phase b pi; bs a b; bs c d; bs c d;\n"
+        "detect a as da; detect b as db; detect c as dc; detect d as dd;\n"
+    )
+    src = str(Path(toyfield.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "toyfield.cli", "run", str(path),
+         "--engine", "toy", "--format", "json"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"da=0 db=1 dc=1 dd=0": "1"}
+    loaded = {line.rsplit("|", 1)[1].strip() for line in result.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "toyfield.circuits" in loaded
+    unused = {"toyfield.checks", "toyfield.first_quantized", "toyfield.quantum",
+              "toyfield.montecarlo", "toyfield.automaton", "numpy"}
+    assert not unused & loaded, sorted(unused & loaded)
+
+
+def test_every_dataclass_in_src_has_its_own_docstring():
+    # Without one, @dataclass builds a docstring from inspect.signature at import.
+    import importlib
+    import inspect
+    import pkgutil
+
+    seen = 0
+    for info in pkgutil.iter_modules(toyfield.__path__):
+        module = importlib.import_module(f"toyfield.{info.name}")
+        for cls in vars(module).values():
+            if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__):
+                continue
+            seen += 1
+            generated = cls.__name__ + str(inspect.signature(cls)).replace(" -> None", "")
+            assert cls.__doc__ and cls.__doc__ != generated, f"{module.__name__}.{cls.__name__}"
+    assert seen >= 40

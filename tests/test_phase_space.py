@@ -6,7 +6,6 @@ from fractions import Fraction
 from toyfield.phase_space import (
     EpistemicState,
     ImpossibleOutcome,
-    PhysicalState,
     RegisterShape,
     condition,
     enumerate_valid_states,
@@ -20,6 +19,7 @@ from toyfield.phase_space import (
     product,
     randomize,
 )
+from toyfield.first_quantized import PhysicalState
 
 TWO = RegisterShape(2)
 

@@ -21,8 +21,8 @@ from toyfield.circuits import (
     compile_quantum,
     parse,
     run_quantum_exact,
-    snap_dyadic,
 )
+from scalar_reference import snap_dyadic
 from toyfield.toy_dynamics import Beamsplitter, Cnot, PhaseShift, SwapModes
 from toyfield.toy_measurement import DisturbanceKind
 

@@ -5,9 +5,10 @@ from itertools import product as iterproduct
 
 import pytest
 
+from scalar_reference import outcome_distribution
+from toyfield.first_quantized import PhysicalState
 from toyfield.phase_space import (
     EpistemicState,
-    PhysicalState,
     RegisterShape,
     enumerate_valid_states,
     is_valid,
@@ -19,7 +20,6 @@ from toyfield.toy_measurement import (
     DisturbanceKind,
     measure_ancilla,
     measure_occupation,
-    outcome_distribution,
     sample_measurement_index,
 )
 
@@ -228,7 +228,8 @@ class TestSampling:
     def test_sampling_average_matches_exact_posterior(self):
         # Averaging the sampled update over the support and both coins
         # reproduces the exact two-step update, outcome by outcome.
-        from toyfield.circuits import MeasureStep, step_run_index
+        from scalar_reference import step_run_index
+        from toyfield.circuits import MeasureStep
         from toyfield.toy_measurement import sample_measurement_index
 
         def accumulate(state, update):
