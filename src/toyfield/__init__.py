@@ -8,10 +8,9 @@ classic variants: the bomb tester, the delayed-choice experiment, and the
 quantum eraser.  A spatially localized cellular-automaton engine and a Monte
 Carlo frequency estimator round out the set.
 
-The package exports the register shape and the knowledge states.  The
-records of one physical state (``PhysicalState`` and its per-mode and
-per-ancilla parts) belong to the coarse-graining, in
-:mod:`toyfield.first_quantized`.  Importing the package loads only
+The package exports the register shape and the knowledge states; a single
+physical state is a packed int, as every engine reads it.  Importing the
+package loads only
 :mod:`toyfield.phase_space`; a toy ``toyfield run`` adds the circuit language,
 the toy engine and the scenarios, and the check suites
 (:mod:`toyfield.checks`), the coarse-graining, the quantum kernel, Monte Carlo

@@ -640,28 +640,15 @@ def run_toy_exact(plan: ToyPlan) -> JointDistribution:
     return {key: Fraction(total) for key, total in joint.items()}
 
 
-def _kernel_gate(gate: ToyGate, modes: int) -> tuple[str, tuple[int, ...]]:
-    """The exact kernel's name and target bits of a toy gate on a register
-    of ``modes`` modes followed by its ancillas."""
-    if isinstance(gate, Beamsplitter):
-        return "bs", (gate.a, gate.b)
-    if isinstance(gate, PhaseShift):
-        return ("pi" if gate.s else "id"), (gate.mode,)
-    if isinstance(gate, Cnot):
-        return "cnot", (gate.control, modes + gate.ancilla)
-    if isinstance(gate, SwapModes):
-        return "swap", (gate.a, gate.b)
-    raise CompileError(f"no state-vector counterpart for {gate!r}")
-
-
 def run_quantum_exact(plan: QuantumPlan) -> JointDistribution:
     """Joint distribution from the state-vector engine, computed exactly.
 
     Each branch is an unnormalized amplitude vector over Z[sqrt(2)] with one
-    scale exponent (``quantum.exact_gate``, ``quantum.exact_measure``); a
-    final branch's squared norm is the Born probability of its record.  A
-    weight with an irrational part raises ``ValueError``; every other weight
-    is a dyadic ``Fraction`` of whatever denominator it has.
+    scale exponent, as integer tuples; a step's own gate picks its map
+    (``quantum.exact_gate``), and ``quantum.exact_measure`` splits it.  A
+    final branch's squared norm is the Born probability of its record; a
+    weight with an irrational part raises ``ValueError``, and every other
+    weight is a dyadic ``Fraction`` of whatever denominator it has.
     """
     from toyfield import quantum
 
@@ -669,8 +656,7 @@ def run_quantum_exact(plan: QuantumPlan) -> JointDistribution:
     qubits = modes + len(plan.program.ancillas)
 
     def apply(state, gate: ToyGate):
-        name, targets = _kernel_gate(gate, modes)
-        return quantum.exact_gate(name, targets, qubits)(state)
+        return quantum.exact_gate(gate, modes, qubits)(state)
 
     def measure(state, step: MeasureStep):
         subsystem = step.index if step.target_kind == "mode" else modes + step.index

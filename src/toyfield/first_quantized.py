@@ -10,10 +10,9 @@ The coarse theory has the same structure as the two-mode theory: between w
 and theta at most one of {w, theta, w + theta} can be known; the splitter
 swaps w and theta; measuring w randomizes theta.  This module provides the
 coarse objects and an exhaustive check that coarse-graining commutes with
-dynamics and measurement for any circuit that stays in the sector.  The fine
-side's single physical state, as a record of bits (``PhysicalState``, read per
-mode as ``ModeState`` and per ancilla as ``AncillaState``), lives here too:
-coarse-graining is its one reader, since the engines work on packed ints.
+dynamics and measurement for any circuit that stays in the sector.  A fine
+state is a packed int, as in the engines: ``coarse_grain_index`` reads its
+two modes' bits.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from toyfield.phase_space import EpistemicState, RegisterShape, unpack_bits
+from toyfield.phase_space import EpistemicState, RegisterShape
 from toyfield.toy_dynamics import (
     Beamsplitter,
     Identity,
@@ -34,16 +33,13 @@ from toyfield.toy_dynamics import (
 from toyfield.toy_measurement import DisturbanceKind, measure_occupation
 
 __all__ = [
-    "AncillaState",
     "CommutationReport",
     "FqEpistemicState",
     "FqState",
-    "ModeState",
-    "PhysicalState",
     "SectorError",
     "check_commutation",
-    "coarse_grain",
     "coarse_grain_epistemic",
+    "coarse_grain_index",
     "coarse_grain_gate",
     "fq_beamsplitter",
     "fq_measure_whichway",
@@ -55,70 +51,6 @@ _TWO_MODES = RegisterShape(2)
 
 class SectorError(ValueError):
     """Raised when a state lies outside the single-excitation sector."""
-
-
-@dataclass(frozen=True)
-class ModeState:
-    """One mode's ontic state: occupation bit and phase bit."""
-
-    n: int
-    phi: int
-
-    def __post_init__(self) -> None:
-        if self.n not in (0, 1) or self.phi not in (0, 1):
-            raise ValueError("mode bits must be 0 or 1")
-
-
-@dataclass(frozen=True)
-class AncillaState:
-    """One ancilla's ontic state: coordinate bit q and momentum bit p.
-
-    The labeled forms a0/a1 (for q) and a+/a- (for p) are relabelings of
-    0/1.
-    """
-
-    q: int
-    p: int
-
-    def __post_init__(self) -> None:
-        if self.q not in (0, 1) or self.p not in (0, 1):
-            raise ValueError("ancilla bits must be 0 or 1")
-
-
-@dataclass(frozen=True)
-class PhysicalState:
-    """A complete bit assignment for a register.
-
-    ``bits`` is in register order: (N_0, Phi_0, N_1, Phi_1, ..., q_0, p_0,
-    ...).
-    """
-
-    bits: tuple[int, ...]
-    shape: RegisterShape
-
-    def __post_init__(self) -> None:
-        if len(self.bits) != self.shape.bit_count:
-            raise ValueError(
-                f"expected {self.shape.bit_count} bits, got {len(self.bits)}"
-            )
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
-
-    def mode(self, i: int) -> ModeState:
-        n_slot = self.shape.occupation_slot(i)
-        return ModeState(self.bits[n_slot], self.bits[n_slot + 1])
-
-    def ancilla(self, j: int) -> AncillaState:
-        q_slot = self.shape.coordinate_slot(j)
-        return AncillaState(self.bits[q_slot], self.bits[q_slot + 1])
-
-    def index(self) -> int:
-        """Little-endian packed integer; the canonical enumeration index."""
-        return sum(b << k for k, b in enumerate(self.bits))
-
-    @classmethod
-    def from_index(cls, index: int, shape: RegisterShape) -> "PhysicalState":
-        return cls(unpack_bits(index, shape.bit_count), shape)
 
 
 @dataclass(frozen=True)
@@ -167,16 +99,8 @@ def _sector_check(n_l: int, n_r: int) -> None:
         raise SectorError("state outside the single-excitation sector")
 
 
-def coarse_grain(state: PhysicalState) -> FqState:
-    """Project a two-mode sector state onto (w, theta)."""
-    if state.shape != _TWO_MODES:
-        raise ValueError("coarse-graining is defined on two-mode registers")
-    left, right = state.mode(0), state.mode(1)
-    _sector_check(left.n, right.n)
-    return FqState(left.n, left.phi ^ right.phi)
-
-
 def coarse_grain_index(index: int) -> FqState:
+    """Project a packed two-mode sector state onto (w, theta)."""
     n_l, phi_l = index & 1, (index >> 1) & 1
     n_r, phi_r = (index >> 2) & 1, (index >> 3) & 1
     _sector_check(n_l, n_r)

@@ -5,9 +5,11 @@ Program runs go through the exact kernel at the end of this module
 program text reaches only the splitter's 1/sqrt(2), 0/pi phases and the P
 basis, so every amplitude is (a + b sqrt(2)) / sqrt(2)^e with integers a, b
 and one exponent e per branch, and every weight is computed exactly.  The
-float API above it (``StateVector``, the unitaries, ``apply_gate``,
-``measure_subsystem``) takes arbitrary angles and bases, and serves as the
-reference the kernel is tested against.
+kernel reads the program's lowered gates (``toy_dynamics.Beamsplitter`` and
+the rest) directly, and a branch is a tuple of integer tuples from start to
+weight.  The float API above it (``StateVector``, the unitaries,
+``apply_gate``, ``measure_subsystem``) takes arbitrary angles and bases, and
+serves as the reference the kernel is tested against.
 
 Two descriptions are supported.  In the first-quantized description the
 system is a single photon with a two-dimensional which-way degree of freedom
@@ -39,6 +41,8 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from operator import mul
 from typing import Callable, Sequence
+
+from toyfield.toy_dynamics import Beamsplitter, Cnot, PhaseShift, SwapModes, ToyGate
 
 __all__ = [
     "MeasurementBasis",
@@ -362,7 +366,7 @@ def total_occupation_weights(state: StateVector, mode_bits: Sequence[int]) -> di
 # global phase is needed.  Gates and bases are real, so amplitudes are too.
 # A register has at most three qubits, so programs reach few branches: the
 # gate maps, the measurement and the weight are memoised on the branch, each
-# memo up to ``_TRANSITIONS`` entries (lists are accepted and read as tuples).
+# memo up to ``_TRANSITIONS`` entries.
 
 ExactState = tuple[tuple[int, ...], tuple[int, ...], int]
 _TRANSITIONS = 4096
@@ -400,45 +404,43 @@ def _splitter(pairs: tuple[tuple[int, int], ...], state: ExactState) -> ExactSta
     return tuple(a2), tuple(b2), e + 1
 
 
-def _on_tuples(kernel: Callable[[ExactState], ExactState], state: ExactState) -> ExactState:
-    """``kernel(state)``, memoised on the branch as tuples."""
-    a, b, e = state
-    return _transition(kernel, (tuple(a), tuple(b), e))
-
-
 @lru_cache(maxsize=_TRANSITIONS)
 def _transition(kernel: Callable[[ExactState], ExactState], state: ExactState) -> ExactState:
     return kernel(state)
 
 
-@lru_cache(maxsize=None)  # the 3-subsystem cap leaves a few dozen keys
-def exact_gate(name: str, targets: tuple[int, ...], qubits: int) -> Callable[[ExactState], ExactState]:
-    """The exact map of a gate on a register of ``qubits`` qubits.
+# The 3-subsystem cap leaves a few dozen keys.  Typed, since gates of two
+# classes with equal fields hash alike: the class in the key tells them apart.
+@lru_cache(maxsize=None, typed=True)
+def exact_gate(gate: ToyGate, modes: int, qubits: int) -> Callable[[ExactState], ExactState]:
+    """The exact map of a lowered gate on a register of ``modes`` modes and
+    then its ancillas, ``qubits`` qubits in all.
 
-    ``name`` is "bs" (``bs_unitary("second")``; first target is mode a),
-    "pi" (``phase_unitary(pi)``), "id" (``phase_unitary(0)``), "cnot"
-    (control, target) or "swap"; the index maps are built once per gate,
-    targets and register size, and the map is memoised on the branch.
+    A ``Beamsplitter`` is ``bs_unitary("second")`` with mode ``a`` first, a
+    ``PhaseShift`` is ``phase_unitary(pi * s)``, a ``Cnot`` is
+    ``cnot_unitary()`` from mode ``control`` to qubit ``modes + ancilla``,
+    and ``SwapModes`` is ``swap_unitary()``; any other gate raises
+    ``ValueError``.  The index maps are built once per gate and register,
+    and the map is memoised on the branch.
     """
     indices = range(1 << qubits)
-    if name == "bs":
-        a, b = (1 << t for t in targets)
+    if isinstance(gate, Beamsplitter):
+        a, b = 1 << gate.a, 1 << gate.b
         pairs = tuple((k, k ^ a ^ b) for k in indices if k & (a | b) == a)
-        return partial(_on_tuples, partial(_splitter, pairs))
+        return partial(_transition, partial(_splitter, pairs))
     negate: tuple[int, ...] = ()
     source = tuple(indices)
-    if name == "pi":
-        negate = tuple(k for k in indices if k >> targets[0] & 1)
-    elif name == "cnot":
-        control, target = targets
-        source = tuple(k ^ 1 << target if k >> control & 1 else k for k in indices)
-    elif name == "swap":
-        i, j = targets
-        flip = 1 << i | 1 << j
-        source = tuple(k ^ flip if (k >> i ^ k >> j) & 1 else k for k in indices)
-    elif name != "id":
-        raise ValueError(f"no exact kernel for gate {name!r}")
-    return partial(_on_tuples, partial(_permute, source, negate))
+    if isinstance(gate, PhaseShift):
+        negate = tuple(k for k in indices if gate.s and k >> gate.mode & 1)
+    elif isinstance(gate, Cnot):
+        target = modes + gate.ancilla
+        source = tuple(k ^ 1 << target if k >> gate.control & 1 else k for k in indices)
+    elif isinstance(gate, SwapModes):
+        flip = 1 << gate.a | 1 << gate.b
+        source = tuple(k ^ flip if (k >> gate.a ^ k >> gate.b) & 1 else k for k in indices)
+    else:
+        raise ValueError(f"no exact kernel for gate {gate!r}")
+    return partial(_transition, partial(_permute, source, negate))
 
 
 @lru_cache(maxsize=None)
@@ -449,25 +451,19 @@ def _halves(subsystem: int, qubits: int) -> tuple[tuple[int, ...], tuple[int, ..
     return low, tuple(k | bit for k in low)
 
 
-def exact_measure(
-    state: ExactState, subsystem: int, variable: str, destructive: bool = False
-) -> list[tuple[int, ExactState]]:
+@lru_cache(maxsize=_TRANSITIONS)
+def exact_measure(state: ExactState, subsystem: int, variable: str,
+                  destructive: bool = False) -> tuple[tuple[int, ExactState], ...]:
     """Split a branch over a projective measurement of one subsystem.
 
     ``variable`` "N" or "Q" measures the bit (``OCCUPATION_BASIS``,
     ``ANCILLA_Q_BASIS``); a destructive N then moves the bit-1 part to bit
     0, as ``reset_to_zero`` does.  "P" projects on (|0> +- |1>)/sqrt(2)
     (``ANCILLA_P_BASIS``): both entries of a pair become +-(x0 +- x1) and e
-    grows by 2.  Returns a fresh list of ``(outcome, branch)`` for the
-    nonzero branches; a zero branch is dropped exactly.
+    grows by 2.  Returns the ``(outcome, branch)`` pairs of the nonzero
+    branches as a tuple, shared by every call on an equal branch; a zero
+    branch is dropped exactly.
     """
-    a, b, e = state
-    return list(_split((tuple(a), tuple(b), e), subsystem, variable, destructive))
-
-
-@lru_cache(maxsize=_TRANSITIONS)
-def _split(state: ExactState, subsystem: int, variable: str,
-           destructive: bool) -> tuple[tuple[int, ExactState], ...]:
     a, b, e = state
     size = len(a)
     low, high = _halves(subsystem, size.bit_length() - 1)
@@ -494,19 +490,14 @@ def _split(state: ExactState, subsystem: int, variable: str,
     return tuple(out)
 
 
+@lru_cache(maxsize=_TRANSITIONS)
 def exact_weight(state: ExactState) -> Fraction:
     """A branch's squared norm (X + Y sqrt(2)) / 2^e, which must be dyadic.
 
     Y != 0 raises ``ValueError``; the message keeps the float path's
-    wording, "... is not dyadic within 1e-09".  Memoised on the branch as
-    tuples; a raising branch stores nothing and raises again.
+    wording, "... is not dyadic within 1e-09".  Memoised on the branch; a
+    raising branch stores nothing and raises again.
     """
-    a, b, e = state
-    return _weight((tuple(a), tuple(b), e))
-
-
-@lru_cache(maxsize=_TRANSITIONS)
-def _weight(state: ExactState) -> Fraction:
     a, b, e = state
     rational = sum(x * x for x in a) + 2 * sum(y * y for y in b)
     irrational = 2 * sum(map(mul, a, b))

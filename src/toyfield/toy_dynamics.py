@@ -171,7 +171,7 @@ def apply_gate_index(gate: ToyGate, index: int, shape: RegisterShape) -> int:
     return index
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, as gates of two classes can hash alike
 def _gate_kernel(gate: ToyGate, shape: RegisterShape) -> tuple[int, int, tuple[int, ...]]:
     """``(shift0, shift1, deltas)``: the gate maps ``x`` to
     ``x ^ deltas[(x >> shift0) & 3 | ((x >> shift1) & 3) << 2]``.
@@ -228,7 +228,7 @@ def gate_image(gate: ToyGate, shape: RegisterShape) -> tuple[int, ...] | _Kernel
     return _KernelImage(*_gate_kernel(gate, shape))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed, as for _gate_kernel
 def gate_table(gate: ToyGate, shape: RegisterShape) -> tuple[int, ...]:
     """Permutation table of the gate on the whole register: 4^n entries.
 

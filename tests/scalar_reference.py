@@ -1,6 +1,8 @@
 """One state at a time: the scalar forms the tests check the engines against.
 
-The engines work on packed supports and on columns of shots.  These helpers
+The engines work on packed supports and on columns of shots.  Here one
+physical state is a record of bits (``PhysicalState``, read per mode as
+``ModeState`` and per ancilla as ``AncillaState``).  These helpers
 apply one gate to one ``PhysicalState``, one measurement step to one packed
 state with an explicit coin, count one functional's values over a support,
 name the parity of two modes' bits, and snap a float probability to a dyadic
@@ -11,11 +13,11 @@ not two copies of a rule.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from toyfield.circuits import MeasureStep
-from toyfield.first_quantized import PhysicalState
-from toyfield.phase_space import EpistemicState, Functional, RegisterShape
+from toyfield.phase_space import EpistemicState, Functional, RegisterShape, unpack_bits
 from toyfield.toy_dynamics import (
     Beamsplitter,
     Cnot,
@@ -25,6 +27,70 @@ from toyfield.toy_dynamics import (
     apply_gate_index,
 )
 from toyfield.toy_measurement import DisturbanceKind, measurement_kernel
+
+
+@dataclass(frozen=True)
+class ModeState:
+    """One mode's ontic state: occupation bit and phase bit."""
+
+    n: int
+    phi: int
+
+    def __post_init__(self) -> None:
+        if self.n not in (0, 1) or self.phi not in (0, 1):
+            raise ValueError("mode bits must be 0 or 1")
+
+
+@dataclass(frozen=True)
+class AncillaState:
+    """One ancilla's ontic state: coordinate bit q and momentum bit p.
+
+    The labeled forms a0/a1 (for q) and a+/a- (for p) are relabelings of
+    0/1.
+    """
+
+    q: int
+    p: int
+
+    def __post_init__(self) -> None:
+        if self.q not in (0, 1) or self.p not in (0, 1):
+            raise ValueError("ancilla bits must be 0 or 1")
+
+
+@dataclass(frozen=True)
+class PhysicalState:
+    """A complete bit assignment for a register.
+
+    ``bits`` is in register order: (N_0, Phi_0, N_1, Phi_1, ..., q_0, p_0,
+    ...).
+    """
+
+    bits: tuple[int, ...]
+    shape: RegisterShape
+
+    def __post_init__(self) -> None:
+        if len(self.bits) != self.shape.bit_count:
+            raise ValueError(
+                f"expected {self.shape.bit_count} bits, got {len(self.bits)}"
+            )
+        if any(b not in (0, 1) for b in self.bits):
+            raise ValueError("bits must be 0 or 1")
+
+    def mode(self, i: int) -> ModeState:
+        n_slot = self.shape.occupation_slot(i)
+        return ModeState(self.bits[n_slot], self.bits[n_slot + 1])
+
+    def ancilla(self, j: int) -> AncillaState:
+        q_slot = self.shape.coordinate_slot(j)
+        return AncillaState(self.bits[q_slot], self.bits[q_slot + 1])
+
+    def index(self) -> int:
+        """Little-endian packed integer; the canonical enumeration index."""
+        return sum(b << k for k, b in enumerate(self.bits))
+
+    @classmethod
+    def from_index(cls, index: int, shape: RegisterShape) -> "PhysicalState":
+        return cls(unpack_bits(index, shape.bit_count), shape)
 
 
 def apply_gate(gate: ToyGate, state: PhysicalState) -> PhysicalState:

@@ -18,7 +18,6 @@ from toyfield import circuits, phase_space, quantum, toy_measurement
 from toyfield.circuits import (
     CompileError,
     Program,
-    _kernel_gate,
     compile_quantum,
     compile_toy,
     parse,
@@ -71,9 +70,8 @@ def test_a_returned_list_can_be_mutated():
 
     branch = quantum.exact_start(1, 2)
     outcomes = quantum.exact_measure(branch, 0, "P")
-    kept = list(outcomes)
-    outcomes.append(outcomes[0])
-    assert quantum.exact_measure(branch, 0, "P") == kept
+    assert type(outcomes) is tuple and all(type(pair) is tuple for pair in outcomes)
+    assert quantum.exact_measure(branch, 0, "P") == outcomes
 
 
 def test_an_eight_mode_register_is_not_memoised():
@@ -92,34 +90,57 @@ def test_a_preparation_is_shared_on_small_registers_only():
 
 
 def test_every_memo_is_bounded():
-    memos = (toy_measurement._outcomes, phase_space._prepared, quantum._split,
-             quantum._transition, quantum._weight, circuits._gate_step,
+    memos = (toy_measurement._outcomes, phase_space._prepared, quantum.exact_measure,
+             quantum._transition, quantum.exact_weight, circuits._gate_step,
              circuits._measure_step, circuits._shape)
     for memo in memos:
         assert memo.cache_info().maxsize is not None
 
 
-GATES = [Beamsplitter(0, 2), Beamsplitter(2, 1), PhaseShift(1, 1), PhaseShift(0, 0),
-         Cnot(0, 0), Cnot(1, 0), SwapModes(0, 1), SwapModes(2, 0)]
+def test_quantum_memos_equal_the_uncached_maps():
+    from test_quantum_exact import GATES
 
-
-def test_quantum_kernels_take_lists_and_tuples_alike():
     rng = random.Random(11)
     for _ in range(200):
-        a = [rng.randint(-3, 3) for _ in range(8)]
-        b = [rng.randint(-3, 3) for _ in range(8)]
-        e = rng.randint(0, 3)
-        as_lists, as_tuples = (a, b, e), (tuple(a), tuple(b), e)
+        state = (tuple(rng.randint(-3, 3) for _ in range(8)),
+                 tuple(rng.randint(-3, 3) for _ in range(8)), rng.randint(0, 3))
         for gate in GATES:
-            apply = quantum.exact_gate(*_kernel_gate(gate, 2), 3)
-            assert apply(as_lists) == apply(as_tuples)
+            apply = quantum.exact_gate(gate, 2, 3)
+            uncached = apply.args[0]  # the map that ``_transition`` memoises
+            assert apply(state) == uncached(state)
+            assert apply(state) == uncached(state)  # a hit
         for subsystem in range(3):
             for variable in ("N", "Q", "P"):
                 for destructive in (False, True):
-                    got = quantum.exact_measure(as_lists, subsystem, variable, destructive)
-                    assert got == quantum.exact_measure(as_tuples, subsystem, variable, destructive)
-                    assert got == list(quantum._split.__wrapped__(
-                        as_tuples, subsystem, variable, destructive))
+                    args = (state, subsystem, variable, destructive)
+                    want = quantum.exact_measure.__wrapped__(*args)
+                    assert quantum.exact_measure(*args) == want  # a miss or a hit
+                    assert quantum.exact_measure(*args) == want  # a hit
+
+
+# Gates of four classes on one register; the first three hash alike.
+REGISTER = ("mode a b; ancilla A; source a; bs a b; phase a pi; swap a b; cnot a A; "
+            "detect a as d;")
+
+
+def test_the_gate_memos_compare_no_gates_of_two_classes(monkeypatch):
+    """A gate's class is part of its memo key, so a gate is never compared
+    with one of another class that hashes alike."""
+    classes = (Beamsplitter, Cnot, PhaseShift, SwapModes)
+    crossed = []
+    for cls in classes:
+        def eq(self, other, eq=cls.__eq__):
+            if type(other) in classes and type(other) is not type(self):
+                crossed.append((self, other))
+            return eq(self, other)
+
+        monkeypatch.setattr(cls, "__eq__", eq)
+    assert hash(Beamsplitter(0, 1)) == hash(PhaseShift(0, 1)) == hash(SwapModes(0, 1))
+    for _ in range(2):
+        program = parse(REGISTER)
+        circuits.run_toy_exact(compile_toy(program))
+        circuits.run_quantum_exact(compile_quantum(program))
+    assert crossed == []
 
 
 PROGRAM = ("mode L R; ancilla A; source L; bs L R; cnot R A; phase L pi; "
@@ -182,7 +203,7 @@ def test_the_weight_memo_equals_the_uncached_weight(monkeypatch):
     assert len(reached) > 300
     for state in reached:
         try:
-            want = quantum._weight.__wrapped__(state)
+            want = weigh.__wrapped__(state)
         except ValueError as error:
             with pytest.raises(ValueError, match=re.escape(str(error))):
                 weigh(state)

@@ -19,7 +19,7 @@ from toyfield.phase_space import (
     product,
     randomize,
 )
-from toyfield.first_quantized import PhysicalState
+from scalar_reference import PhysicalState
 
 TWO = RegisterShape(2)
 

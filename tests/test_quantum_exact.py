@@ -10,6 +10,7 @@ return the same joint distribution; where it raises, the kernel must raise
 
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from toyfield.circuits import (
     run_quantum_exact,
 )
 from scalar_reference import snap_dyadic
-from toyfield.toy_dynamics import Beamsplitter, Cnot, PhaseShift, SwapModes
+from toyfield.toy_dynamics import Beamsplitter, Cnot, Identity, PhaseShift, SwapModes
 from toyfield.toy_measurement import DisturbanceKind
 
 _BASES = {
@@ -139,19 +140,31 @@ def to_floats(state) -> list[float]:
     return [(x + y * math.sqrt(2.0)) / math.sqrt(2.0) ** e for x, y in zip(a, b)]
 
 
-@pytest.mark.parametrize("gate", [
-    Beamsplitter(0, 2), Beamsplitter(2, 1), PhaseShift(1, 1), PhaseShift(0, 0),
-    Cnot(0, 0), Cnot(1, 0), SwapModes(0, 1), SwapModes(2, 0),
-])
+GATES = [Beamsplitter(0, 2), Beamsplitter(2, 1), PhaseShift(1, 1), PhaseShift(0, 0),
+         Cnot(0, 0), Cnot(1, 0), SwapModes(0, 1), SwapModes(2, 0)]
+
+# One statement of every kind the lowering knows.
+EVERY_STATEMENT = ("mode L R; ancilla A; source L; vacuum R; bs L R; phase L pi; cnot L A; "
+                   "swap L R; measure N L as n; measure Q A as q; measure P A as p; "
+                   "detect R as d;")
+
+
+def test_the_gates_checked_are_every_gate_class_the_lowering_makes():
+    program = parse(EVERY_STATEMENT)
+    assert {type(s) for s in program.statements} == set(circuits._LOWERING)
+    made = {type(s.gate) for s in program.steps if isinstance(s, circuits.GateStep)}
+    assert made == {type(gate) for gate in GATES}
+
+
+@pytest.mark.parametrize("gate", GATES)
 def test_each_gate_equals_its_unitary(gate):
     """On random vectors of Z[sqrt(2)] over two modes and an ancilla."""
     rng = random.Random(repr(gate))
-    name, targets = circuits._kernel_gate(gate, 2)
-    kernel = quantum.exact_gate(name, targets, 3)
+    kernel = quantum.exact_gate(gate, 2, 3)
     unitary, bits = _unitary(gate, 2)
     for _ in range(20):
-        state = ([rng.randint(-3, 3) for _ in range(8)], [rng.randint(-3, 3) for _ in range(8)],
-                 rng.randint(0, 3))
+        state = (tuple(rng.randint(-3, 3) for _ in range(8)),
+                 tuple(rng.randint(-3, 3) for _ in range(8)), rng.randint(0, 3))
         amps = to_floats(state)
         norm = math.sqrt(sum(x * x for x in amps))
         if not norm:
@@ -161,8 +174,13 @@ def test_each_gate_equals_its_unitary(gate):
         assert got == pytest.approx([x.real * norm for x in want.amps], abs=1e-9)
 
 
+def test_a_gate_without_an_exact_map_is_refused():
+    with pytest.raises(ValueError, match=re.escape("no exact kernel for gate Identity()")):
+        quantum.exact_gate(Identity(), 2, 3)
+
+
 def test_weight_is_the_squared_norm_and_refuses_irrational_parts():
-    assert quantum.exact_weight(([1, 1, 0, 0], [0, 0, 0, 0], 2)) == Fraction(1, 2)
-    assert quantum.exact_weight(([0, 0], [1, 1], 4)) == Fraction(1, 4)
+    assert quantum.exact_weight(((1, 1, 0, 0), (0, 0, 0, 0), 2)) == Fraction(1, 2)
+    assert quantum.exact_weight(((0, 0), (1, 1), 4)) == Fraction(1, 4)
     with pytest.raises(ValueError, match=r"is not dyadic within 1e-09$"):
-        quantum.exact_weight(([1, 0], [1, 0], 3))
+        quantum.exact_weight(((1, 0), (1, 0), 3))

@@ -27,8 +27,8 @@ from toyfield.toy_dynamics import (
     push_forward,
 )
 from toyfield import toy_dynamics
-from toyfield.first_quantized import PhysicalState
 from scalar_reference import (
+    PhysicalState,
     apply_beamsplitter,
     apply_cnot,
     apply_gate,

@@ -6,7 +6,7 @@ from itertools import product as iterproduct
 import pytest
 
 from scalar_reference import outcome_distribution
-from toyfield.first_quantized import PhysicalState
+from scalar_reference import PhysicalState
 from toyfield.phase_space import (
     EpistemicState,
     RegisterShape,
