@@ -18,11 +18,13 @@ semicolons)::
 The statement rules are written once, in the table ``_STATEMENTS`` (each
 keyword's statement class and argument kinds in field order), which the
 parser reads statements through and the renderer writes them back from.
-The tokenizer reads every token text in one regular-expression call; the
-parser is one loop over that list, a declaration or a statement a turn,
-with its state in local variables and no call per token.  A token's line
-and column are worked out only for a ``ParseError``.  ``_LOWERING`` holds
-each statement class's step, which the lowering reads.
+The tokenizer checks the text, comments removed, against the token and
+ASCII spacing characters once and splits it on its spacing; the parser is
+one loop over that token list, a declaration or a statement a turn, with
+its state in local variables and no call per token.  The text is scanned
+with a regular expression only for a ``ParseError``, to find a stray
+character or a token's line and column.  ``_LOWERING`` holds each
+statement class's step, which the lowering reads.
 
 Phase literals are restricted to 0 and pi in the grammar itself: the program
 text is the contract shared by every engine, and the classical engine has no
@@ -40,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Union
 
-from toyfield.phase_space import EpistemicState, RegisterShape, prepared
+from toyfield.phase_space import SMALL_REGISTER_POINTS, EpistemicState, RegisterShape, prepared
 from toyfield.toy_dynamics import (
     Beamsplitter,
     Cnot,
@@ -279,11 +281,14 @@ _KEYWORDS = {
 _NOT_NAMES = _KEYWORDS | {"", ";"}
 
 # A token (";" or a word), a comment, or any other character but spacing,
-# which is an error.  Token texts are read in one ``findall``; the text is
-# scanned again only for a ParseError, to find where it sits.  "" marks the
-# end of input.
+# which is an error.  A text whose characters outside comments are all token
+# characters or ASCII spacing (``_PLAIN``, after ``_COMMENT`` is removed) is
+# split on its spacing; the ``_LEXEME`` scan runs only for a ParseError, to
+# find a stray character or where a token sits.  "" marks the end of input.
 _LEXEME = re.compile(r";|\w+|#[^\n]*|[^ \t\r\n]")
 _TOKEN_CHARS = re.compile(r"[;\w]*")
+_COMMENT = re.compile(r"#[^\n]*")
+_PLAIN = re.compile(r"[;\w \t\r\n]*")
 
 
 def _error(text: str, message: str, index: int) -> ParseError:
@@ -305,12 +310,12 @@ def parse(text: str) -> Program:
     error names the token it stopped at.
     """
     text = text.replace("\r\n", "\n")
-    tokens = _LEXEME.findall(text)
-    if "#" in text:  # every "#" starts or sits in a comment
-        tokens = [t for t in tokens if t[0] != "#"]
-    if not _TOKEN_CHARS.fullmatch("".join(tokens)):
+    code = _COMMENT.sub("", text) if "#" in text else text
+    if not _PLAIN.fullmatch(code):  # str.split would take \x0b, \xa0 and others as spacing
+        tokens = [t for t in _LEXEME.findall(text) if t[0] != "#"]
         stray = next(t for t in tokens if not _TOKEN_CHARS.fullmatch(t))
         raise _error(text, f"unexpected character {stray!r}", tokens.index(stray))
+    tokens = code.replace(";", " ; ").split()
     tokens.append("")  # the end of input
     names: dict[str, list[str]] = {"mode": [], "ancilla": []}
     statements: list[Statement] = []
@@ -360,7 +365,7 @@ def parse(text: str) -> Program:
             raise _error(text, f"unknown statement {word!r}", start)
         cls, kinds = _STATEMENTS[key]
         values: list = []
-        targets = []  # token indices of the named subsystems
+        named = []  # the subsystems the statement names
         for kind in kinds:
             token = tokens[i]
             if kind == "mode" or kind == "ancilla":
@@ -371,7 +376,7 @@ def parse(text: str) -> Program:
                     if token in names[other]:
                         raise _error(text, f"{token} is {_ARTICLE[other]}, not {_ARTICLE[kind]}", i)
                     raise _error(text, f"unknown identifier {token}", i)
-                targets.append(i)
+                named.append(token)
                 values.append(token)
             elif kind == "angle":
                 if token not in _ANGLES:
@@ -399,17 +404,18 @@ def parse(text: str) -> Program:
             i += 1
         if tokens[i] != ";":
             raise _error(text, "expected ';'", i)
+        # Both checks below point at the last name, the token before the ";":
+        # a preparation's one mode, or the second of two modes.
         if cls is Source or cls is Vacuum:
             mode = values[0]
             if mode in prepared:
-                raise _error(text, f"duplicate preparation of {mode}", targets[0])
+                raise _error(text, f"duplicate preparation of {mode}", i - 1)
             if mode in touched:
-                raise _error(text, f"preparation of {mode} after it was used", targets[0])
+                raise _error(text, f"preparation of {mode} after it was used", i - 1)
             prepared.add(mode)
         else:
-            named = [tokens[at] for at in targets]
             if len(named) == 2 and named[0] == named[1]:
-                raise _error(text, f"{word} needs two distinct modes", targets[1])
+                raise _error(text, f"{word} needs two distinct modes", i - 1)
             touched.update(named)
         statements.append(cls(*values))
         i += 1
@@ -465,7 +471,7 @@ Step = Union[GateStep, MeasureStep]
 
 
 # Hash-consed steps and shapes: equal values built by different programs are
-# one object, so the memos keyed by them (``gate_table``, ``_outcomes``,
+# one object, so the memos keyed by them (``gate_table``, ``toy_measure``,
 # ``prepared``) match their keys by identity.  Each is a bounded LRU, since
 # labels are user text.
 @lru_cache(maxsize=1024)
@@ -554,7 +560,7 @@ def _compile_toy(program: Program) -> ToyPlan:
 def compile_quantum(program: Program) -> QuantumPlan:
     """Lower a program to the state-vector engine (modes then ancillas),
     starting from the exact kernel's basis state."""
-    from toyfield import quantum
+    import toyfield.quantum as quantum
 
     steps = program.steps
     qubits = len(program.modes) + len(program.ancillas)
@@ -580,12 +586,13 @@ def branches(start, steps, apply, measure):
     A branch is ``(weight, state, events)``.  A gate maps every branch's state
     through ``apply(state, gate)``; a measurement splits every branch over
     ``measure(state, step)``'s ``(value, probability, posterior)`` outcomes,
-    multiplying its weight and recording ``events[step.label] = value``.
-    ``start`` is the list of branches before the first step; its weights set
-    the arithmetic (``Fraction`` stays exact, ``float`` stays float).  An
-    ``int`` weight stays an ``int`` while every probability is one, as
-    :func:`toy_measure` gives a certain outcome, and becomes a ``Fraction``
-    at the first measurement that splits its branch.
+    multiplying its weight and appending ``(step.label, value)`` to its
+    events, a tuple of ``(label, value)`` pairs in step order.  ``start`` is
+    the list of branches before the first step, each with the events ``()``;
+    its weights set the arithmetic (``Fraction`` stays exact, ``float`` stays
+    float).  An ``int`` weight stays an ``int`` while every probability is
+    one, as :func:`toy_measure` gives a certain outcome, and becomes a
+    ``Fraction`` at the first measurement that splits its branch.
     """
     current = start
     for step in steps:
@@ -595,7 +602,7 @@ def branches(start, steps, apply, measure):
         else:
             label = step.label
             current = [
-                (w * prob, posterior, {**events, label: value})
+                (w * prob, posterior, (*events, (label, value)))
                 for w, state, events in current
                 for value, prob, posterior in measure(state, step)
             ]
@@ -604,30 +611,42 @@ def branches(start, steps, apply, measure):
 
 def _joint(start, steps, apply, measure, weight=lambda w, state: w) -> dict:
     """Total weight per label assignment over the final branches, reading
-    each final branch's weight as ``weight(w, state)``."""
+    each final branch's weight as ``weight(w, state)``.  An assignment is
+    a branch's events sorted: a program's labels are distinct, so its pairs
+    are in label order."""
     final = start
     for _, final in branches(start, steps, apply, measure):
         pass
     joint: dict = {}
     for w, state, events in final:
-        key = tuple(sorted(events.items()))
+        key = tuple(sorted(events))
         w = weight(w, state)
         joint[key] = joint[key] + w if key in joint else w
     return joint
 
 
-def toy_measure(state: EpistemicState, step: MeasureStep):
-    """The classical engine's outcomes of a measurement step, as
+def toy_measure(state: EpistemicState, step: MeasureStep) -> tuple:
+    """The classical engine's outcomes of a measurement step, as a tuple of
     ``(value, probability, posterior)`` triples; a certain outcome, the only
-    one, has the ``int`` probability 1."""
+    one, has the ``int`` probability 1.
+
+    On registers of at most ``SMALL_REGISTER_POINTS`` points the tuple is a
+    bounded memo's, keyed by the state and the step and shared by every call
+    on them; on larger registers it is computed anew."""
+    small = state.shape.point_count <= SMALL_REGISTER_POINTS
+    return (_toy_outcomes if small else _toy_outcomes.__wrapped__)(state, step)
+
+
+@lru_cache(maxsize=4096)
+def _toy_outcomes(state: EpistemicState, step: MeasureStep) -> tuple:
     if step.variable == "N":
         outcomes = measure_occupation(state, step.index, step.kind)
     else:
         outcomes = measure_ancilla(state, step.index, step.variable)
     if len(outcomes) == 1:
         o = outcomes[0]
-        return [(o.value, 1, o.posterior)]
-    return [(o.value, o.probability, o.posterior) for o in outcomes]
+        return ((o.value, 1, o.posterior),)
+    return tuple((o.value, o.probability, o.posterior) for o in outcomes)
 
 
 def run_toy_exact(plan: ToyPlan) -> JointDistribution:
@@ -636,7 +655,7 @@ def run_toy_exact(plan: ToyPlan) -> JointDistribution:
     Weights start from the ``int`` 1, so a branch makes no ``Fraction``
     until a measurement splits it; each outcome's total is made a
     ``Fraction`` once."""
-    joint = _joint([(1, plan.initial, {})], plan.steps, push_forward, toy_measure)
+    joint = _joint([(1, plan.initial, ())], plan.steps, push_forward, toy_measure)
     return {key: Fraction(total) for key, total in joint.items()}
 
 
@@ -650,7 +669,7 @@ def run_quantum_exact(plan: QuantumPlan) -> JointDistribution:
     weight with an irrational part raises ``ValueError``, and every other
     weight is a dyadic ``Fraction`` of whatever denominator it has.
     """
-    from toyfield import quantum
+    import toyfield.quantum as quantum  # no fromlist: no import machinery per call
 
     modes = len(plan.program.modes)
     qubits = modes + len(plan.program.ancillas)
@@ -664,7 +683,7 @@ def run_quantum_exact(plan: QuantumPlan) -> JointDistribution:
         outcomes = quantum.exact_measure(state, subsystem, step.variable, destructive)
         return [(value, 1, after) for value, after in outcomes]
 
-    return _joint([(1, plan.initial, {})], plan.steps, apply, measure,
+    return _joint([(1, plan.initial, ())], plan.steps, apply, measure,
                   lambda _, state: quantum.exact_weight(state))
 
 

@@ -203,13 +203,13 @@ def _print_grids(plan, selected: set[int] | None) -> int:
         print("\nstep 0: preparation   p=1")
         for line in initial:
             print(line)
-    start = [(Fraction(1), plan.initial, {})]
+    start = [(Fraction(1), plan.initial, ())]
     stepped = circuits.branches(start, plan.steps, push_forward, circuits.toy_measure)
     for step_number, (step, current) in enumerate(stepped, 1):
         if selected is not None and step_number not in selected:
             continue
         for w, state, events in current:
-            tags = " ".join(f"{label}={value}" for label, value in events.items())
+            tags = " ".join(f"{label}={value}" for label, value in events)
             suffix = f"   [{tags}]" if tags else ""
             print(f"\nstep {step_number}: {_describe_step(step)}   p={_fraction_str(w)}{suffix}")
             for line in render_grid(state):

@@ -41,13 +41,15 @@ __all__ = [
     "prepared",
     "product",
     "randomize",
+    "shared_state",
 ]
 
 
 # Registers of at most three subsystems (64 points, the quantum engine's cap)
 # reach a small, finite set of states, so work on them is memoised: gate
-# tables, measurement outcomes, preparations.  Beyond that the point count
-# grows 4x per subsystem, and nothing is kept.
+# tables, measurement outcomes, preparations, and the states themselves
+# (:func:`shared_state`).  Beyond that the point count grows 4x per
+# subsystem, and nothing is kept.
 SMALL_REGISTER_POINTS = 64
 
 
@@ -57,7 +59,11 @@ class ImpossibleOutcome(ValueError):
 
 @dataclass(frozen=True)
 class RegisterShape:
-    """Number of modes and ancillas in a register; fixes the bit layout."""
+    """Number of modes and ancillas in a register; fixes the bit layout.
+
+    Its hash and ``point_count``, the 4^n packed states, are worked out once
+    per shape: every memo lookup keyed by a shape or a state reads them.
+    """
 
     modes: int
     ancillas: int = 0
@@ -67,6 +73,11 @@ class RegisterShape:
             raise ValueError("register shape must be non-negative")
         if self.modes + self.ancillas == 0:
             raise ValueError("register must hold at least one subsystem")
+        object.__setattr__(self, "point_count", 1 << 2 * (self.modes + self.ancillas))
+        object.__setattr__(self, "_hash", hash((self.modes, self.ancillas)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def subsystems(self) -> int:
@@ -75,10 +86,6 @@ class RegisterShape:
     @property
     def bit_count(self) -> int:
         return 2 * self.subsystems
-
-    @property
-    def point_count(self) -> int:
-        return 1 << 2 * (self.modes + self.ancillas)  # on every memo lookup: no property chain
 
     def occupation_slot(self, mode: int) -> int:
         self._check_mode(mode)
@@ -140,6 +147,7 @@ class EpistemicState:
     The support is stored as packed-state integers.  Every supported state
     has probability ``1/len(support)``; validity against the knowledge
     restriction is checked by :func:`is_valid`, never silently repaired.
+    Its hash is the support's, which the frozenset keeps once computed.
     """
 
     shape: RegisterShape
@@ -151,6 +159,9 @@ class EpistemicState:
         limit = self.shape.point_count
         if min(self.support) < 0 or max(self.support) >= limit:
             raise ValueError("support index out of range for register shape")
+
+    def __hash__(self) -> int:
+        return hash(self.support)
 
     @property
     def size(self) -> int:
@@ -275,6 +286,19 @@ def is_valid(state: EpistemicState) -> ValidityReport:
     return ValidityReport(True)
 
 
+def shared_state(shape: RegisterShape, support: frozenset[int]) -> EpistemicState:
+    """``EpistemicState(shape, support)``, one object per value on registers
+    of at most ``SMALL_REGISTER_POINTS`` points, so the memos keyed by states
+    match their keys by identity; each is checked once, when first built.  A
+    new object on larger registers, where nothing is kept."""
+    if shape.point_count <= SMALL_REGISTER_POINTS:
+        return _shared_state(shape, support)
+    return EpistemicState(shape, support)
+
+
+_shared_state = lru_cache(maxsize=4096)(EpistemicState)
+
+
 def prepared(shape: RegisterShape, occupied: Sequence[int] = ()) -> EpistemicState:
     """Knowledge state: N fixed to 1 on the listed modes and to 0 on the
     others, every ancilla's q fixed to 0, every phase and momentum uniform.
@@ -290,7 +314,7 @@ def _prepared(shape: RegisterShape, occupied: tuple[int, ...]) -> EpistemicState
         support = {x | (1 << shape.occupation_slot(m)) for x in support}
     for slot in range(1, shape.bit_count, 2):  # the phase and momentum bits
         support |= {x ^ (1 << slot) for x in support}
-    return EpistemicState(shape, frozenset(support))
+    return shared_state(shape, frozenset(support))
 
 
 def make_occupied(mode_count: int, occupied_index: int) -> EpistemicState:

@@ -409,6 +409,10 @@ def _transition(kernel: Callable[[ExactState], ExactState], state: ExactState) -
     return kernel(state)
 
 
+def _unchanged(state: ExactState) -> ExactState:
+    return state
+
+
 # The 3-subsystem cap leaves a few dozen keys.  Typed, since gates of two
 # classes with equal fields hash alike: the class in the key tells them apart.
 @lru_cache(maxsize=None, typed=True)
@@ -421,7 +425,8 @@ def exact_gate(gate: ToyGate, modes: int, qubits: int) -> Callable[[ExactState],
     ``cnot_unitary()`` from mode ``control`` to qubit ``modes + ancilla``,
     and ``SwapModes`` is ``swap_unitary()``; any other gate raises
     ``ValueError``.  The index maps are built once per gate and register,
-    and the map is memoised on the branch.
+    and the map is memoised on the branch, except ``phase m 0``'s: the
+    identity returns the branch it is given and keeps no memo entry.
     """
     indices = range(1 << qubits)
     if isinstance(gate, Beamsplitter):
@@ -431,7 +436,9 @@ def exact_gate(gate: ToyGate, modes: int, qubits: int) -> Callable[[ExactState],
     negate: tuple[int, ...] = ()
     source = tuple(indices)
     if isinstance(gate, PhaseShift):
-        negate = tuple(k for k in indices if gate.s and k >> gate.mode & 1)
+        if not gate.s:
+            return _unchanged
+        negate = tuple(k for k in indices if k >> gate.mode & 1)
     elif isinstance(gate, Cnot):
         target = modes + gate.ancilla
         source = tuple(k ^ 1 << target if k >> gate.control & 1 else k for k in indices)

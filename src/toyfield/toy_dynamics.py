@@ -36,6 +36,7 @@ from toyfield.phase_space import (
     SMALL_REGISTER_POINTS,
     EpistemicState,
     RegisterShape,
+    shared_state,
 )
 
 __all__ = [
@@ -249,6 +250,11 @@ def gate_table(gate: ToyGate, shape: RegisterShape) -> tuple[int, ...]:
 
 
 def push_forward(state: EpistemicState, gate: ToyGate) -> EpistemicState:
-    """Image of the support under the gate permutation; stays flat."""
-    image = gate_image(gate, state.shape)
-    return EpistemicState(state.shape, frozenset(map(image.__getitem__, state.support)))
+    """Image of the support under the gate permutation; stays flat.
+
+    On registers of at most three subsystems equal images are one object
+    (:func:`~toyfield.phase_space.shared_state`), built and range-checked
+    once; on larger ones each image is a new state."""
+    shape = state.shape
+    image = gate_image(gate, shape)
+    return shared_state(shape, frozenset(map(image.__getitem__, state.support)))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from toyfield.phase_space import SMALL_REGISTER_POINTS, EpistemicState, RegisterShape
+from toyfield.phase_space import EpistemicState, RegisterShape, shared_state
 
 __all__ = [
     "DisturbanceKind",
@@ -76,26 +76,20 @@ def measurement_kernel(
 
 
 def _measure(state, label, kernel, include_zero_probability) -> list[MeasurementOutcome]:
-    """The kernel applied to the whole support: one outcome per read value,
-    as a fresh list.  Memoised on registers of at most
-    ``SMALL_REGISTER_POINTS`` points, computed anew on larger ones."""
-    small = state.shape.point_count <= SMALL_REGISTER_POINTS
-    return list((_outcomes if small else _outcomes.__wrapped__)(
-        state, label, kernel, include_zero_probability))
-
-
-@lru_cache(maxsize=1024)  # a few hundred are reached (README, "Memos")
-def _outcomes(state, label, kernel, include_zero_probability) -> tuple[MeasurementOutcome, ...]:
+    """The kernel applied to the whole support: one outcome per read value.
+    Each posterior is :func:`~toyfield.phase_space.shared_state`'s, one
+    object per value on registers of at most ``SMALL_REGISTER_POINTS``
+    points."""
     read, keep, flip = kernel
     parts: tuple[list[int], list[int]] = ([], [])
     for x in state.support:
         parts[(x >> read) & 1].append(x & keep)
     bit, total = 1 << flip, len(state.support)
-    return tuple(
-        MeasurementOutcome(label, value, Fraction(len(part), total), EpistemicState(
+    return [
+        MeasurementOutcome(label, value, Fraction(len(part), total), shared_state(
             state.shape, frozenset(part + [x ^ bit for x in part])) if part else state)
         for value, part in enumerate(parts) if part or include_zero_probability
-    )
+    ]
 
 
 def measure_occupation(

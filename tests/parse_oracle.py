@@ -4,7 +4,9 @@ reference that ``circuits.parse``'s single token loop is checked against.
 ``test_parse_oracle`` feeds both the same texts; each must give the same
 ``Program`` or the same ``(message, line, column)``.  The oracle reads the
 language's tables (the statement table, keywords, lexer) from
-``toyfield.circuits``, so the two differ only in how they walk the tokens.
+``toyfield.circuits``, and tokenizes with the ``_LEXEME`` scan, which
+``circuits.parse`` runs only to place an error: the two differ in how they
+split the text and how they walk the tokens.
 """
 
 from __future__ import annotations

@@ -39,6 +39,11 @@ MZI_PI = (
     "mode L R; source L; vacuum R; bs L R; phase R pi; bs L R; "
     "detect L as dl; detect R as dr;"
 )
+# Leaves the valid states: 1/3 and 2/3 on the toy engine, not dyadic on the
+# quantum engine.
+LEAVES_THEORY = (
+    "mode L R E; source L; vacuum R; bs L R; bs L E; bs R L; detect L as dl; detect R as dr;\n"
+)
 
 
 class TestParse:
@@ -361,14 +366,12 @@ class TestExecution:
         rng = random.Random(2022)
         programs = [variant.program for variant in all_variants()]
         assert len(programs) == 17
-        programs.append(parse(  # leaves the valid states: 1/3 and 2/3
-            "mode L R E; source L; vacuum R; bs L R; bs L E; bs R L; "
-            "detect L as dl; detect R as dr;"))
+        programs += [parse(LEAVES_THEORY), parse(TestInTheoryWitness.TEXT)]
         programs += [parse(random_program(rng)) for _ in range(2000)]
         for program in programs:
             plan = compile_toy(program)
             got = run_toy_exact(plan)
-            want = _joint([(Fraction(1), plan.initial, {})], plan.steps,
+            want = _joint([(Fraction(1), plan.initial, ())], plan.steps,
                           push_forward, fraction_measure)
             assert got == want, render(program)
             assert list(got) == list(want)
@@ -412,7 +415,7 @@ class TestInTheoryWitness:
 
         plan = compile_toy(parse(self.TEXT))
         states = [plan.initial]
-        for _, current in branches([(1, plan.initial, {})], plan.steps, push_forward, toy_measure):
+        for _, current in branches([(1, plan.initial, ())], plan.steps, push_forward, toy_measure):
             states += [state for _, state, _ in current]
         assert len(states) == 1 + 5 + 2 + 2
         assert all(is_valid(state) for state in states)

@@ -432,6 +432,46 @@ class TestGridGolden:
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+class TestExactRunsGolden:
+    """``toyfield run <file> --format json`` on both exact engines, for the 17
+    scenario variants' programs, a program whose toy states leave the valid
+    ones (1/3 and 2/3; non-dyadic for the quantum engine) and the in-theory
+    witness of ``test_circuits``: the output recorded in
+    ``golden/exact_runs.json`` while branch events were still dicts, and the
+    engines' keys, one ``(label, value)`` pair per label in label order."""
+
+    RUNS = json.loads((GOLDEN / "exact_runs.json").read_text(encoding="utf-8"))
+
+    def test_the_golden_runs_cover_every_variant(self):
+        from test_circuits import LEAVES_THEORY, TestInTheoryWitness
+        from toyfield.scenarios import all_variants
+
+        texts = [variant.program_text() for variant in all_variants()]
+        texts += [LEAVES_THEORY, TestInTheoryWitness.TEXT]
+        assert [run["program"] for run in self.RUNS] == [t for t in texts for _ in range(2)]
+
+    @pytest.mark.parametrize("run", RUNS, ids=lambda run: f"{run['engine']}")
+    def test_json_output_and_keys(self, capsys, tmp_path, run):
+        from toyfield import circuits
+
+        path = tmp_path / "program.mzi"
+        path.write_text(run["program"], encoding="utf-8")
+        code, out, _ = run_cli(capsys, "run", str(path), "--engine", run["engine"],
+                               "--format", "json")
+        assert (code, out) == (run["code"], run["stdout"])
+        if code:
+            return
+        program = circuits.parse(run["program"])
+        if run["engine"] == "toy":
+            joint = circuits.run_toy_exact(circuits.compile_toy(program))
+        else:
+            joint = circuits.run_quantum_exact(circuits.compile_quantum(program))
+        labels = sorted(program.labels())
+        for key in joint:
+            assert type(key) is tuple and [label for label, _ in key] == labels
+            assert all(type(pair) is tuple and pair[1] in (0, 1) for pair in key)
+
+
 class TestCheck:
     def test_fast_suites_pass(self, capsys):
         for suite in ("equivalence", "coarse-grain", "destructive"):

@@ -1,64 +1,78 @@
-"""The memos of the exact engines: toy measurement outcomes and preparations
-on registers of at most three subsystems, the exact quantum kernel's gate
-maps, measurement and weight, a program's lowering and plan, and the shared
-step and shape objects.  Each gives what the uncached computation gives,
-hands out nothing a caller can corrupt, holds no larger register and is
-bounded."""
+"""The memos of the exact engines: toy measurement steps, states and
+preparations on registers of at most three subsystems, the exact quantum
+kernel's gate maps, measurement and weight, a program's lowering and plan,
+and the shared step and shape objects.  Each gives what the uncached
+computation gives, hands out nothing a caller can corrupt, holds no larger
+register and is bounded."""
 
 from __future__ import annotations
 
 import functools
+import importlib
+import pkgutil
 import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from toyfield import circuits, phase_space, quantum, toy_measurement
+import toyfield
+from toyfield import circuits, phase_space, quantum
 from toyfield.circuits import (
     CompileError,
+    MeasureStep,
     Program,
     compile_quantum,
     compile_toy,
     parse,
+    toy_measure,
 )
-from toyfield.phase_space import RegisterShape, enumerate_valid_states, prepared
-from toyfield.toy_dynamics import Beamsplitter, Cnot, PhaseShift, SwapModes
-from toyfield.toy_measurement import (
-    DisturbanceKind,
-    measure_ancilla,
-    measure_occupation,
-    measurement_kernel,
-)
+from toyfield.phase_space import EpistemicState, RegisterShape, enumerate_valid_states, prepared
+from toyfield.toy_dynamics import Beamsplitter, Cnot, PhaseShift, SwapModes, push_forward
+from toyfield.toy_measurement import DisturbanceKind, measure_ancilla, measure_occupation
 
 SMALL_SHAPES = [RegisterShape(m, a) for m in range(4) for a in range(4 - m) if m + a]
 
 
-def kernels(shape: RegisterShape):
-    """Every measurement of the register: ``(measure, label, kernel)``, where
-    ``measure(state, include_zero)`` is the public call."""
+def measure_steps(shape: RegisterShape):
+    """Every measurement step of the register, labelled ``x``."""
     for mode in range(shape.modes):
         for kind in DisturbanceKind:
-            destructive = kind is DisturbanceKind.DESTRUCTIVE
-            yield ((lambda s, z, mode=mode, kind=kind: measure_occupation(s, mode, kind, z)),
-                   f"N_{mode}",
-                   measurement_kernel("N", mode, shape.modes, shape.ancillas, destructive))
+            yield MeasureStep("x", "mode", mode, "N", kind)
+        yield MeasureStep("x", "mode", mode, "N", DisturbanceKind.NONDESTRUCTIVE, True)
     for ancilla in range(shape.ancillas):
         for basis in ("Q", "P"):
-            yield ((lambda s, z, ancilla=ancilla, basis=basis: measure_ancilla(s, ancilla, basis, z)),
-                   f"{basis}_{ancilla}",
-                   measurement_kernel(basis, ancilla, shape.modes, shape.ancillas))
+            yield MeasureStep("x", "ancilla", ancilla, basis, DisturbanceKind.NONDESTRUCTIVE)
 
 
 @pytest.mark.parametrize("shape", SMALL_SHAPES, ids=str)
 def test_memoised_outcomes_equal_the_uncached_ones(shape):
-    uncached = toy_measurement._outcomes.__wrapped__
-    for n, state in enumerate(enumerate_valid_states(shape)):
-        include_zero = bool(n % 2)
-        for measure, label, kernel in kernels(shape):
-            want = list(uncached(state, label, kernel, include_zero))
-            assert measure(state, include_zero) == want  # a miss or a hit
-            assert measure(state, include_zero) == want  # a hit
+    """The step memo on every valid state: the uncached triples, as one
+    shared tuple whose posteriors are the shared states."""
+    uncached = circuits._toy_outcomes.__wrapped__
+    for state in enumerate_valid_states(shape):
+        for step in measure_steps(shape):
+            want = uncached(state, step)
+            got = toy_measure(state, step)  # a miss or a hit
+            assert type(got) is tuple and got == want
+            assert toy_measure(state, step) is got  # a hit
+            for _, _, posterior in got:
+                assert phase_space.shared_state(shape, posterior.support) is posterior
+
+
+def test_the_step_memo_equals_the_uncached_outcomes_on_random_programs(monkeypatch):
+    """Every measurement of the exact toy runs of 300 random programs."""
+    from test_quantum_exact import random_program
+
+    reached = []
+    monkeypatch.setattr(circuits, "toy_measure",
+                        lambda state, step: reached.append((state, step)) or toy_measure(state, step))
+    rng = random.Random(6)
+    for _ in range(300):
+        circuits.run_toy_exact(compile_toy(parse(random_program(rng))))
+    assert len(reached) > 300
+    for state, step in reached:
+        assert toy_measure(state, step) == circuits._toy_outcomes.__wrapped__(state, step)
 
 
 def test_a_returned_list_can_be_mutated():
@@ -75,12 +89,29 @@ def test_a_returned_list_can_be_mutated():
 
 
 def test_an_eight_mode_register_is_not_memoised():
-    before = (toy_measurement._outcomes.cache_info(), phase_space._prepared.cache_info())
+    memos = (circuits._toy_outcomes, phase_space._shared_state, phase_space._prepared)
+    before = [memo.cache_info() for memo in memos]
     state = prepared(RegisterShape(8), (0, 3))
     outcomes = measure_occupation(state, 3, DisturbanceKind.DESTRUCTIVE)
     assert [o.value for o in outcomes] == [1]
+    step = MeasureStep("x", "mode", 3, "N", DisturbanceKind.DESTRUCTIVE)
+    assert [value for value, _, _ in toy_measure(state, step)] == [1]
+    assert toy_measure(state, step) is not toy_measure(state, step)
+    assert push_forward(state, SwapModes(0, 3)) is not push_forward(state, SwapModes(0, 3))
     assert measure_ancilla(prepared(RegisterShape(7, 1)), 0, "P")[0].probability == Fraction(1, 2)
-    assert (toy_measurement._outcomes.cache_info(), phase_space._prepared.cache_info()) == before
+    assert [memo.cache_info() for memo in memos] == before
+
+
+def test_equal_small_register_push_forwards_are_one_object():
+    shape = RegisterShape(2, 1)
+    shared = prepared(shape, (0,))
+    fresh = EpistemicState(shape, frozenset(shared.support))  # equal, not shared
+    assert fresh == shared and fresh is not shared
+    for gate in (Beamsplitter(0, 1), PhaseShift(1, 1), Cnot(0, 0), SwapModes(1, 0)):
+        assert push_forward(fresh, gate) is push_forward(shared, gate)
+    swapped = push_forward(shared, SwapModes(0, 1))
+    assert push_forward(swapped, SwapModes(1, 0)) is shared
+    assert hash(shared) == hash(fresh) == hash(shared.support)
 
 
 def test_a_preparation_is_shared_on_small_registers_only():
@@ -90,11 +121,26 @@ def test_a_preparation_is_shared_on_small_registers_only():
 
 
 def test_every_memo_is_bounded():
-    memos = (toy_measurement._outcomes, phase_space._prepared, quantum.exact_measure,
-             quantum._transition, quantum.exact_weight, circuits._gate_step,
-             circuits._measure_step, circuits._shape)
-    for memo in memos:
-        assert memo.cache_info().maxsize is not None
+    """Every ``lru_cache`` in the package, found by walking its modules: a
+    memo keyed by states, branches or user text has a size bound."""
+    from toyfield import scenarios, toy_dynamics, toy_measurement
+
+    # The unbounded memos: each is keyed by a gate or a register size (or,
+    # for scenarios, one of the module's fixed texts), a set the engines fix.
+    unbounded = {toy_dynamics.gate_table, toy_dynamics._gate_kernel, quantum.exact_gate,
+                 toy_measurement.measurement_kernel, quantum._halves,
+                 phase_space._valid_supports, scenarios._program}
+    found = {}
+    for module_info in pkgutil.iter_modules(toyfield.__path__):
+        module = importlib.import_module(f"toyfield.{module_info.name}")
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_info", None)):
+                found.setdefault(value, f"{module_info.name}.{name}")
+    assert unbounded <= found.keys()
+    assert {circuits._toy_outcomes, phase_space._shared_state, quantum._transition} <= found.keys()
+    unchecked = [name for memo, name in found.items()
+                 if memo not in unbounded and memo.cache_info().maxsize is None]
+    assert unchecked == []
 
 
 def test_quantum_memos_equal_the_uncached_maps():
@@ -106,6 +152,11 @@ def test_quantum_memos_equal_the_uncached_maps():
                  tuple(rng.randint(-3, 3) for _ in range(8)), rng.randint(0, 3))
         for gate in GATES:
             apply = quantum.exact_gate(gate, 2, 3)
+            if isinstance(gate, PhaseShift) and not gate.s:  # the identity: no memo entry
+                before = quantum._transition.cache_info()
+                assert apply(state) is state
+                assert quantum._transition.cache_info() == before
+                continue
             uncached = apply.args[0]  # the map that ``_transition`` memoises
             assert apply(state) == uncached(state)
             assert apply(state) == uncached(state)  # a hit
