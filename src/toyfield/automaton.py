@@ -51,12 +51,12 @@ law too: :func:`exact_law` is Monte Carlo's, which weighs any plan's table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
+from toyfield._record import record
 from toyfield.circuits import (
     CapabilityError,
     MeasureStep,
@@ -85,7 +85,7 @@ __all__ = [
 Cell = tuple[str, int]  # (wire, position)
 
 
-@dataclass(frozen=True)
+@record
 class RuleBinding:
     """Assignment of an update map to a cell group at even steps."""
 
@@ -94,7 +94,7 @@ class RuleBinding:
     parameter: object = None
 
 
-@dataclass(frozen=True)
+@record
 class CaPlan:
     """A program's wire layout: one wire of ``length`` cells per mode, and
     the rule table each even transition walks after the shift, each group
@@ -272,7 +272,7 @@ def _advance(cells: dict, t: int, plan: CaPlan, coin: Callable[[], object]) -> t
     return new, clicks
 
 
-@dataclass(frozen=True)
+@record
 class _Unknown:
     """A bit the dependency pass does not know: the set of a shot's bit
     indices it may depend on.  ``x & 0`` and ``x | 1`` fold to constants;

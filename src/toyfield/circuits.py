@@ -37,11 +37,11 @@ returns joint distributions over the declared labels.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Union
 
+from toyfield._record import record
 from toyfield.phase_space import SMALL_REGISTER_POINTS, EpistemicState, RegisterShape, prepared
 from toyfield.toy_dynamics import (
     Beamsplitter,
@@ -119,21 +119,21 @@ class object_memo:
 # Program representation
 
 
-@dataclass(frozen=True)
+@record
 class Source:
     """``source m``: prepare the mode with one excitation."""
 
     mode: str
 
 
-@dataclass(frozen=True)
+@record
 class Vacuum:
     """``vacuum m``: prepare the mode empty (the default of an unprepared mode)."""
 
     mode: str
 
 
-@dataclass(frozen=True)
+@record
 class Bs:
     """``bs a b``: a 50-50 splitter; ``a`` is the mode whose occupation is exchanged."""
 
@@ -141,7 +141,7 @@ class Bs:
     b: str
 
 
-@dataclass(frozen=True)
+@record
 class Phase:
     """``phase m 0|pi``: a phase shifter on one mode."""
 
@@ -149,7 +149,7 @@ class Phase:
     s: int  # 0 or 1; 1 means a pi shift
 
 
-@dataclass(frozen=True)
+@record
 class CnotStmt:
     """``cnot m A``: mark the mode's occupation on the ancilla."""
 
@@ -157,7 +157,7 @@ class CnotStmt:
     ancilla: str
 
 
-@dataclass(frozen=True)
+@record
 class Swap:
     """``swap a b``: exchange two modes."""
 
@@ -165,7 +165,7 @@ class Swap:
     b: str
 
 
-@dataclass(frozen=True)
+@record
 class MeasureN:
     """``measure N m [kind] as label``: an occupation measurement."""
 
@@ -174,7 +174,7 @@ class MeasureN:
     label: str
 
 
-@dataclass(frozen=True)
+@record
 class MeasureQ:
     """``measure Q A as label``: read the ancilla's coordinate."""
 
@@ -182,7 +182,7 @@ class MeasureQ:
     label: str
 
 
-@dataclass(frozen=True)
+@record
 class MeasureP:
     """``measure P A as label``: read the ancilla's momentum."""
 
@@ -190,7 +190,7 @@ class MeasureP:
     label: str
 
 
-@dataclass(frozen=True)
+@record
 class Detect:
     """``detect m as label``: a nondestructive port detector."""
 
@@ -203,7 +203,7 @@ Statement = Union[
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Program:
     """A parsed program: declared modes and ancillas, then its statements in order."""
 
@@ -235,7 +235,7 @@ class Program:
 # ---------------------------------------------------------------------------
 # Statement table, lexer and parser
 
-# Each statement's keyword and argument kinds, in its dataclass's field order
+# Each statement's keyword and argument kinds, in its record's field order
 # (``as`` is syntax only): parse reads every statement through its entry and
 # render writes it back from the same entry.
 _STATEMENTS: dict[str, tuple[type, tuple[str, ...]]] = {
@@ -431,7 +431,7 @@ def render(program: Program) -> str:
     lines += [f"ancilla {ancilla};" for ancilla in program.ancillas]
     for stmt in program.statements:
         keyword, kinds = _SYNTAX[type(stmt)]
-        values = iter(vars(stmt).values())
+        values = (getattr(stmt, name) for name in stmt._fields)
         words = [keyword]
         for kind in kinds:
             value = "as" if kind == "as" else next(values)
@@ -448,14 +448,14 @@ def render(program: Program) -> str:
 # Compiled plans
 
 
-@dataclass(frozen=True)
+@record
 class GateStep:
     """A lowered gate, shared by both exact engines."""
 
     gate: ToyGate
 
 
-@dataclass(frozen=True)
+@record
 class MeasureStep:
     """A lowered measurement, shared by both exact engines."""
 
@@ -483,7 +483,7 @@ _measure_step = lru_cache(maxsize=1024)(MeasureStep)
 _shape = lru_cache(maxsize=64)(RegisterShape)
 
 
-@dataclass(frozen=True)
+@record
 class ToyPlan:
     """A program compiled for the classical engine: its register, initial state and steps."""
 
@@ -513,7 +513,7 @@ class ToyPlan:
         return _patterns(self)
 
 
-@dataclass(frozen=True)
+@record
 class QuantumPlan:
     """A program compiled for the exact state-vector kernel: its initial branch and steps."""
 

@@ -17,9 +17,9 @@ two modes' bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from toyfield._record import record
 from toyfield.phase_space import EpistemicState, RegisterShape
 from toyfield.toy_dynamics import (
     Beamsplitter,
@@ -53,7 +53,7 @@ class SectorError(ValueError):
     """Raised when a state lies outside the single-excitation sector."""
 
 
-@dataclass(frozen=True)
+@record
 class FqState:
     """Coarse ontic state: which-way bit w and relative phase bit theta."""
 
@@ -69,7 +69,7 @@ class FqState:
         return "L" if self.w == 1 else "R"
 
 
-@dataclass(frozen=True)
+@record
 class FqEpistemicState:
     """Flat distribution over coarse states; valid when at most one of
     {w, theta, w + theta} is known."""
@@ -181,7 +181,7 @@ SECTOR_INDICES = tuple(
 )
 
 
-@dataclass(frozen=True)
+@record
 class CommutationReport:
     """Whether coarse-graining commutes with a circuit, and where it first fails if not."""
 

@@ -48,11 +48,11 @@ import hashlib
 import json
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
+from toyfield._record import record
 from toyfield import __version__
 from toyfield.circuits import (
     CapabilityError,
@@ -124,7 +124,7 @@ def provenance(seed: int, digest: str) -> dict[str, object]:
             "toyfield_version": __version__}
 
 
-@dataclass(frozen=True)
+@record
 class MeasurementEvent:
     """One measurement during a run, with enough state to audit locality."""
 
@@ -137,7 +137,7 @@ class MeasurementEvent:
     state_after: int
 
 
-@dataclass(frozen=True)
+@record
 class RunRecord:
     """One run; ``sample_run(plan, seed, shot)`` replays it."""
 
@@ -148,7 +148,7 @@ class RunRecord:
     shot: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class ShotColumns:
     """Shots ``first``, ``first + 1``, ... of one seed, one lane per shot.
 
@@ -356,7 +356,7 @@ def sample_run(plan: ToyPlan, seed: int, shot: int = 0) -> RunRecord:
     return next(_shot_columns(plan, seed, 1, shot)).record(0)
 
 
-@dataclass(frozen=True)
+@record
 class FrequencyReport:
     """Empirical frequencies against an exact reference distribution."""
 
@@ -599,7 +599,7 @@ def estimate(
                            program_sha256(plan.program))
 
 
-@dataclass(frozen=True)
+@record
 class LocalityViolation:
     """A measurement that moved bits outside its subsystem, in shot ``shot``
     of ``seed``."""
@@ -610,7 +610,7 @@ class LocalityViolation:
     shot: int = 0
 
 
-@dataclass(frozen=True)
+@record
 class LocalityReport:
     """What a locality audit checked and every violation it found."""
 

@@ -19,11 +19,12 @@ All probabilities are exact dyadic rationals; no floating point enters here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
+
+from toyfield._record import record
 
 __all__ = [
     "EpistemicState",
@@ -57,12 +58,11 @@ class ImpossibleOutcome(ValueError):
     """Raised when conditioning on an event of probability zero."""
 
 
-@dataclass(frozen=True)
+@record
 class RegisterShape:
     """Number of modes and ancillas in a register; fixes the bit layout.
 
-    Its hash and ``point_count``, the 4^n packed states, are worked out once
-    per shape: every memo lookup keyed by a shape or a state reads them.
+    Its ``point_count``, the 4^n packed states, is worked out once: memo lookups read it.
     """
 
     modes: int
@@ -74,10 +74,6 @@ class RegisterShape:
         if self.modes + self.ancillas == 0:
             raise ValueError("register must hold at least one subsystem")
         object.__setattr__(self, "point_count", 1 << 2 * (self.modes + self.ancillas))
-        object.__setattr__(self, "_hash", hash((self.modes, self.ancillas)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def subsystems(self) -> int:
@@ -116,7 +112,7 @@ def unpack_bits(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> k) & 1 for k in range(width))
 
 
-@dataclass(frozen=True)
+@record
 class Functional:
     """A binary linear functional on the register bits, f(x) = parity(mask & x)."""
 
@@ -140,7 +136,7 @@ def momentum(shape: RegisterShape, ancilla: int) -> Functional:
     return Functional(1 << shape.momentum_slot(ancilla), f"P_{ancilla}")
 
 
-@dataclass(frozen=True)
+@record
 class EpistemicState:
     """A flat probability distribution over a support of physical states.
 
@@ -188,7 +184,7 @@ class EpistemicState:
         return self.render()
 
 
-@dataclass(frozen=True)
+@record
 class ValidityReport:
     """Whether a state obeys the knowledge restriction, and the first violation if not."""
 

@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from operator import mul
 from typing import Callable, Sequence
 
+from toyfield._record import record
 from toyfield.toy_dynamics import Beamsplitter, Cnot, PhaseShift, SwapModes, ToyGate
 
 __all__ = [
@@ -85,7 +85,7 @@ def _is_unitary(matrix: Matrix) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class QuantumGate:
     """A dense unitary together with the number of qubits it acts on."""
 
@@ -104,7 +104,7 @@ class QuantumGate:
         return 1 if len(self.matrix) == 2 else 2
 
 
-@dataclass(frozen=True)
+@record
 class StateVector:
     """Amplitudes over the computational basis of a qubit register."""
 
@@ -250,7 +250,7 @@ def apply_gate(state: StateVector, gate: QuantumGate, targets: Sequence[int]) ->
     return StateVector(tuple(amps))
 
 
-@dataclass(frozen=True)
+@record
 class MeasurementBasis:
     """A labeled orthonormal basis of a single subsystem."""
 

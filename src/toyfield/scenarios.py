@@ -28,10 +28,10 @@ Scenario catalog:
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
+from toyfield._record import record
 from toyfield import circuits
 from toyfield.circuits import (
     Program,
@@ -59,7 +59,7 @@ __all__ = [
 ENGINES = ("toy", "quantum", "ca", "montecarlo")
 
 
-@dataclass(frozen=True)
+@record
 class OutcomeDistribution:
     """Labeled outcome probabilities; exact engines carry rationals.
 
@@ -89,7 +89,7 @@ class OutcomeDistribution:
 Labeler = Callable[[dict[str, int]], str]
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     """A named experiment: its parameters, its program and its outcome labeler."""
 

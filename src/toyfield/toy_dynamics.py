@@ -28,10 +28,10 @@ all sixteen two-mode states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Union
 
+from toyfield._record import record
 from toyfield.phase_space import (
     SMALL_REGISTER_POINTS,
     EpistemicState,
@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Beamsplitter:
     """The splitter on modes ``a`` and ``b``; ``a`` plays the exchanged role."""
 
@@ -67,7 +67,7 @@ class Beamsplitter:
             raise ValueError("beamsplitter needs two distinct modes")
 
 
-@dataclass(frozen=True)
+@record
 class PhaseShift:
     """Flip the mode's phase bit when ``s`` is 1."""
 
@@ -79,7 +79,7 @@ class PhaseShift:
             raise ValueError("phase shift bit must be 0 or 1")
 
 
-@dataclass(frozen=True)
+@record
 class Cnot:
     """Copy the control mode's occupation into the ancilla's coordinate bit."""
 
@@ -87,7 +87,7 @@ class Cnot:
     ancilla: int
 
 
-@dataclass(frozen=True)
+@record
 class SwapModes:
     """Exchange the two bits of mode ``a`` with those of mode ``b``."""
 
@@ -99,7 +99,7 @@ class SwapModes:
             raise ValueError("swap needs two distinct modes")
 
 
-@dataclass(frozen=True)
+@record
 class Identity:
     """The gate that changes nothing."""
 
@@ -197,7 +197,7 @@ def _gate_kernel(gate: ToyGate, shape: RegisterShape) -> tuple[int, int, tuple[i
     return shift0, shift1, tuple(deltas * (16 // len(deltas)))
 
 
-@dataclass(frozen=True)
+@record
 class _KernelImage:
     """A gate's permutation of one register, read off its kernel at each
     point asked for; it stores no point."""

@@ -23,10 +23,10 @@ indistinguishable at the distribution level.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from toyfield._record import record
 from toyfield.phase_space import EpistemicState, RegisterShape, shared_state
 
 __all__ = [
@@ -44,7 +44,7 @@ class DisturbanceKind(enum.Enum):
     DESTRUCTIVE = "destructive"
 
 
-@dataclass(frozen=True)
+@record
 class MeasurementOutcome:
     """One value of a measurement, its probability and the posterior it leaves."""
 
