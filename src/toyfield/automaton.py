@@ -77,7 +77,6 @@ __all__ = [
     "exact_law",
     "plan_from_program",
     "run_experiment",
-    "run_scenario_ca",
     "run_single",
     "trace_line",
 ]
@@ -403,12 +402,6 @@ def run_experiment(
         shots, seed, plan.reads[1], lambda: plan.patterns,
         lambda key, first, n: _batch_events(plan, n, key, first), labeler,
     )
-
-
-def run_scenario_ca(scenario, shots: int, seed: int) -> dict[str, int]:
-    """Compile a scenario for the wire layout and count outcomes."""
-    plan = plan_from_program(scenario.program)
-    return run_experiment(plan, shots, seed, scenario.labeler)
 
 
 # ---------------------------------------------------------------------------

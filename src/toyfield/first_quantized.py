@@ -6,179 +6,102 @@ variable w (1 when the left mode is occupied) and a binary relative phase
 theta = Phi_L + Phi_R.  The map from sector states to (w, theta) is exactly
 2-to-1: simultaneous flips of both local phases are invisible to it.
 
-The coarse theory has the same structure as the two-mode theory: between w
-and theta at most one of {w, theta, w + theta} can be known; the splitter
-swaps w and theta; measuring w randomizes theta.  This module provides the
-coarse objects and an exhaustive check that coarse-graining commutes with
-dynamics and measurement for any circuit that stays in the sector.  A fine
-state is a packed int, as in the engines: ``coarse_grain_index`` reads its
-two modes' bits.
+The coarse theory is the toy theory of one mode, with w as its occupation N
+and theta as its phase Phi: at most one of {w, theta, w + theta} can be
+known, the splitter swaps w and theta, and measuring w randomizes theta.  So
+a coarse point is a packed one-mode state ``w | theta << 1`` on
+:data:`COARSE`, a coarse state of knowledge is an ``EpistemicState`` there,
+its validity is :func:`~toyfield.phase_space.is_valid` and measuring w is the
+engine's occupation measurement of mode 0.  This module maps fine states and
+gates onto it and checks exhaustively that coarse-graining commutes with
+dynamics and measurement for any circuit that stays in the sector.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from toyfield._record import record
-from toyfield.phase_space import EpistemicState, RegisterShape
+from toyfield.circuits import GateStep, MeasureStep, branches, toy_measure
+from toyfield.phase_space import EpistemicState, RegisterShape, enumerate_valid_states
 from toyfield.toy_dynamics import (
-    Beamsplitter,
-    Identity,
-    PhaseShift,
-    SwapModes,
-    ToyGate,
-    apply_gate_index,
-    push_forward,
+    Beamsplitter, Identity, PhaseShift, SwapModes, ToyGate, apply_gate_index, push_forward,
 )
-from toyfield.toy_measurement import DisturbanceKind, measure_occupation
+from toyfield.toy_measurement import DisturbanceKind
 
 __all__ = [
+    "COARSE",
     "CommutationReport",
-    "FqEpistemicState",
-    "FqState",
+    "SECTOR_INDICES",
     "SectorError",
     "check_commutation",
     "coarse_grain_epistemic",
-    "coarse_grain_index",
     "coarse_grain_gate",
-    "fq_beamsplitter",
-    "fq_measure_whichway",
-    "fq_phase_shift",
+    "coarse_grain_index",
 ]
 
+COARSE = RegisterShape(1)
 _TWO_MODES = RegisterShape(2)
+
+SECTOR_INDICES = tuple(index for index in range(16) if (index ^ index >> 2) & 1)
+
+# Coarse gates as the image of each coarse point w | theta << 1, in point
+# order.  They are written out, not derived from the fine gates, so that the
+# ontic check in check_commutation compares two independent descriptions.
+_SPLITTER = (0, 2, 1, 3)  # swap w and theta
+_SPLITTER_REVERSED = (3, 1, 2, 0)  # swap w and theta, complementing both
+_PHASE_SHIFT = ((0, 1, 2, 3), (2, 3, 0, 1))  # flip theta by s
+_SWAP_MODES = (1, 0, 3, 2)  # flip w
+_IDENTITY = (0, 1, 2, 3)
+
+_WHICHWAY = MeasureStep("w", "mode", 0, "N", DisturbanceKind.NONDESTRUCTIVE)
 
 
 class SectorError(ValueError):
     """Raised when a state lies outside the single-excitation sector."""
 
 
-@record
-class FqState:
-    """Coarse ontic state: which-way bit w and relative phase bit theta."""
-
-    w: int
-    theta: int
-
-    def __post_init__(self) -> None:
-        if self.w not in (0, 1) or self.theta not in (0, 1):
-            raise ValueError("w and theta must be bits")
-
-    @property
-    def way(self) -> str:
-        return "L" if self.w == 1 else "R"
-
-
-@record
-class FqEpistemicState:
-    """Flat distribution over coarse states; valid when at most one of
-    {w, theta, w + theta} is known."""
-
-    support: frozenset[FqState]
-
-    def __post_init__(self) -> None:
-        if not self.support:
-            raise ValueError("support must be non-empty")
-
-    @property
-    def size(self) -> int:
-        return len(self.support)
-
-    def is_valid(self) -> bool:
-        if len(self.support) == 4:
-            return True
-        if len(self.support) != 2:
-            return False
-        a, b = sorted(self.support, key=lambda s: (s.w, s.theta))
-        # Exactly one of w, theta, w + theta constant across the pair.
-        return (a.w ^ b.w, a.theta ^ b.theta) in ((0, 1), (1, 0), (1, 1))
-
-
-def _sector_check(n_l: int, n_r: int) -> None:
-    if n_l ^ n_r != 1:
-        raise SectorError("state outside the single-excitation sector")
-
-
-def coarse_grain_index(index: int) -> FqState:
-    """Project a packed two-mode sector state onto (w, theta)."""
+def coarse_grain_index(index: int) -> int:
+    """Project a packed two-mode sector state onto the coarse point ``w | theta << 1``."""
     n_l, phi_l = index & 1, (index >> 1) & 1
     n_r, phi_r = (index >> 2) & 1, (index >> 3) & 1
-    _sector_check(n_l, n_r)
-    return FqState(n_l, phi_l ^ phi_r)
+    if n_l ^ n_r != 1:
+        raise SectorError("state outside the single-excitation sector")
+    return n_l | (phi_l ^ phi_r) << 1
 
 
-def coarse_grain_epistemic(state: EpistemicState) -> FqEpistemicState:
+def coarse_grain_epistemic(state: EpistemicState) -> EpistemicState:
     """Coarse-grain a two-mode epistemic state with sector-confined support."""
     if state.shape != _TWO_MODES:
         raise ValueError("coarse-graining is defined on two-mode registers")
-    return FqEpistemicState(frozenset(coarse_grain_index(x) for x in state.support))
+    return EpistemicState(COARSE, frozenset(map(coarse_grain_index, state.support)))
 
 
-def fq_beamsplitter(state: FqState) -> FqState:
-    """The splitter in the coarse theory: swap w and theta."""
-    return FqState(state.theta, state.w)
+def coarse_grain_gate(gate: ToyGate) -> tuple[int, ...] | None:
+    """The coarse counterpart of a two-mode gate, as the image of each of the
+    four coarse points, or None if it has none.
 
-
-def fq_beamsplitter_reversed(state: FqState) -> FqState:
-    """Coarse image of the splitter with its arguments reversed.
-
-    Feeding the right mode into the exchanged role makes N_R (not N_L)
-    track the relative phase, so on the sector w and theta swap with both
-    complemented.  A distinct, equally valid coarse gate.
+    A splitter swaps w and theta.  Fed with its arguments reversed, it makes
+    N_R (not N_L) track the relative phase, so w and theta also complement.
+    A phase flip on either mode flips theta; exchanging the modes flips w.
     """
-    return FqState(state.theta ^ 1, state.w ^ 1)
-
-
-def fq_phase_shift(state: FqState, s: int) -> FqState:
-    """A local phase flip on either mode flips the relative phase."""
-    return FqState(state.w, state.theta ^ s)
-
-
-def fq_swap_modes(state: FqState) -> FqState:
-    """Exchanging the two modes inverts w and preserves theta."""
-    return FqState(state.w ^ 1, state.theta)
-
-
-def _fq_apply(state: FqEpistemicState, f) -> FqEpistemicState:
-    return FqEpistemicState(frozenset(f(s) for s in state.support))
-
-
-def fq_measure_whichway(
-    state: FqEpistemicState,
-) -> list[tuple[int, Fraction, FqEpistemicState]]:
-    """Measure w: condition on the outcome, then randomize theta."""
-    total = len(state.support)
-    outcomes = []
-    for value in (0, 1):
-        kept = [s for s in state.support if s.w == value]
-        if not kept:
-            continue
-        prob = Fraction(len(kept), total)
-        posterior = frozenset(
-            FqState(value, theta) for s in kept for theta in (s.theta, s.theta ^ 1)
-        )
-        outcomes.append((value, prob, FqEpistemicState(posterior)))
-    return outcomes
-
-
-def coarse_grain_gate(gate: ToyGate):
-    """The coarse counterpart of a two-mode gate, or None if it has none."""
     if isinstance(gate, Beamsplitter):
-        return fq_beamsplitter if gate.a == 0 else fq_beamsplitter_reversed
+        return _SPLITTER if gate.a == 0 else _SPLITTER_REVERSED
     if isinstance(gate, PhaseShift):
-        return lambda s, bit=gate.s: fq_phase_shift(s, bit)
+        return _PHASE_SHIFT[gate.s]
     if isinstance(gate, SwapModes):
-        return fq_swap_modes
+        return _SWAP_MODES
     if isinstance(gate, Identity):
-        return lambda s: s
+        return _IDENTITY
     return None
 
 
-SECTOR_INDICES = tuple(
-    index
-    for index in range(16)
-    if ((index & 1) ^ ((index >> 2) & 1)) == 1
-)
+def _coarse_apply(state: EpistemicState, gate: ToyGate) -> EpistemicState:
+    table = coarse_grain_gate(gate)
+    return EpistemicState(COARSE, frozenset(table[x] for x in state.support))
+
+
+def _coarse_measure(state: EpistemicState, step: MeasureStep) -> list:
+    # Measuring N_L reads w; measuring N_R reads its complement.
+    return [(w ^ step.index, p, post) for w, p, post in toy_measure(state, _WHICHWAY)]
 
 
 @record
@@ -192,86 +115,51 @@ class CommutationReport:
         return self.commutes
 
 
-def _sector_epistemic_states() -> list[EpistemicState]:
-    """All valid two-mode epistemic states supported inside the sector."""
-    from toyfield.phase_space import enumerate_valid_states, is_valid
-
-    sector = set(SECTOR_INDICES)
-    return [
-        state
-        for state in enumerate_valid_states(_TWO_MODES)
-        if set(state.support) <= sector and is_valid(state)
-    ]
-
-
 def check_commutation(circuit) -> CommutationReport:
     """Verify coarse-graining commutes with a sector circuit, exhaustively.
 
     ``circuit`` is a sequence of steps: either a two-mode ToyGate or the pair
-    ("measure", mode).  Gates are checked on all 8 sector ontic states;
-    measurements are checked on every valid sector-supported epistemic state
-    (outcome probabilities and coarse posteriors must agree).  Each step is
-    also replayed along the epistemic evolution from every valid sector
-    state, comparing the coarse image after every step.
+    ("measure", mode), a nondestructive occupation measurement.  Each gate's
+    coarse table is checked on all 8 sector ontic states.  Then, from every
+    valid sector-supported epistemic state, the circuit branches on the fine
+    register and, from that state's coarse image, on :data:`COARSE`; after
+    every step both runs must hold the same weights and records, with each
+    fine branch's coarse image equal to its coarse branch's state.
     """
+    steps = []
     for step in circuit:
         if isinstance(step, tuple) and step[0] == "measure":
+            mode, kind = step[1], DisturbanceKind.NONDESTRUCTIVE
+            steps.append(MeasureStep(f"N_{mode}", "mode", mode, "N", kind))
             continue
-        fq = coarse_grain_gate(step)
-        if fq is None:
+        table = coarse_grain_gate(step)
+        if table is None:
             return CommutationReport(False, f"gate {step!r} has no coarse counterpart")
         for index in SECTOR_INDICES:
-            image = apply_gate_index(step, index, _TWO_MODES)
             try:
-                fine_then_coarse = coarse_grain_index(image)
+                image = coarse_grain_index(apply_gate_index(step, index, _TWO_MODES))
             except SectorError:
                 return CommutationReport(False, f"gate {step!r} leaves the sector")
-            coarse_then_fq = fq(coarse_grain_index(index))
-            if fine_then_coarse != coarse_then_fq:
+            if image != table[coarse_grain_index(index)]:
                 return CommutationReport(
                     False, f"gate {step!r} disagrees on ontic state {index}"
                 )
+        steps.append(GateStep(step))
 
-    for start in _sector_epistemic_states():
-        branches = [(start, coarse_grain_epistemic(start))]
-        for step in circuit:
-            new_branches = []
-            if isinstance(step, tuple) and step[0] == "measure":
-                mode = step[1]
-                for fine, coarse in branches:
-                    fine_outcomes = measure_occupation(
-                        fine, mode, DisturbanceKind.NONDESTRUCTIVE
-                    )
-                    coarse_outcomes = dict(
-                        (value, (prob, post))
-                        for value, prob, post in fq_measure_whichway(coarse)
-                    )
-                    for outcome in fine_outcomes:
-                        # N_0 reads w directly; N_1 reads its complement.
-                        w_value = outcome.value if mode == 0 else outcome.value ^ 1
-                        if w_value not in coarse_outcomes:
-                            return CommutationReport(
-                                False, f"outcome {outcome.value} missing coarsely"
-                            )
-                        prob, post = coarse_outcomes[w_value]
-                        if prob != outcome.probability:
-                            return CommutationReport(
-                                False, "outcome probabilities disagree"
-                            )
-                        if coarse_grain_epistemic(outcome.posterior).support != post.support:
-                            return CommutationReport(
-                                False, "posterior coarse images disagree"
-                            )
-                        new_branches.append((outcome.posterior, post))
-            else:
-                fq = coarse_grain_gate(step)
-                for fine, coarse in branches:
-                    fine_next = push_forward(fine, step)
-                    coarse_next = _fq_apply(coarse, fq)
-                    if coarse_grain_epistemic(fine_next).support != coarse_next.support:
-                        return CommutationReport(
-                            False, f"gate {step!r} disagrees along the evolution"
-                        )
-                    new_branches.append((fine_next, coarse_next))
-            branches = new_branches
+    sector = set(SECTOR_INDICES)
+    for start in enumerate_valid_states(_TWO_MODES):
+        if not start.support <= sector:
+            continue
+        fine = branches([(1, start, ())], steps, push_forward, toy_measure)
+        coarse = branches(
+            [(1, coarse_grain_epistemic(start), ())], steps, _coarse_apply, _coarse_measure
+        )
+        for number, ((_, fine_now), (_, coarse_now)) in enumerate(zip(fine, coarse), 1):
+            fine_image = sorted(
+                (w, events, coarse_grain_epistemic(state).support) for w, state, events in fine_now
+            )
+            if fine_image != sorted((w, events, state.support) for w, state, events in coarse_now):
+                return CommutationReport(
+                    False, f"step {number} disagrees from start state {sorted(start.support)}"
+                )
     return CommutationReport(True)

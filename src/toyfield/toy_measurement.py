@@ -75,7 +75,7 @@ def measurement_kernel(
     return read, keep, read ^ 1
 
 
-def _measure(state, label, kernel, include_zero_probability) -> list[MeasurementOutcome]:
+def _measure(state, label, kernel) -> list[MeasurementOutcome]:
     """The kernel applied to the whole support: one outcome per read value.
     Each posterior is :func:`~toyfield.phase_space.shared_state`'s, one
     object per value on registers of at most ``SMALL_REGISTER_POINTS``
@@ -87,8 +87,8 @@ def _measure(state, label, kernel, include_zero_probability) -> list[Measurement
     bit, total = 1 << flip, len(state.support)
     return [
         MeasurementOutcome(label, value, Fraction(len(part), total), shared_state(
-            state.shape, frozenset(part + [x ^ bit for x in part])) if part else state)
-        for value, part in enumerate(parts) if part or include_zero_probability
+            state.shape, frozenset(part + [x ^ bit for x in part])))
+        for value, part in enumerate(parts) if part
     ]
 
 
@@ -96,29 +96,21 @@ def measure_occupation(
     state: EpistemicState,
     mode: int,
     kind: DisturbanceKind = DisturbanceKind.NONDESTRUCTIVE,
-    include_zero_probability: bool = False,
 ) -> list[MeasurementOutcome]:
     """Occupation measurement on one mode, labelled ``N_<mode>``.
 
     Nondestructive: the posterior keeps the observed occupation and has the
     mode's phase randomized.  Destructive: the posterior has the mode reset
     to the unoccupied uniform-phase state regardless of the outcome.
-
-    Zero-probability outcomes are listed only on request; no update is
-    defined for them, so their posterior field carries the unchanged prior.
+    Zero-probability outcomes are not listed.
     """
     shape = state.shape
     destructive = kind is DisturbanceKind.DESTRUCTIVE
     kernel = measurement_kernel("N", mode, shape.modes, shape.ancillas, destructive)
-    return _measure(state, f"N_{mode}", kernel, include_zero_probability)
+    return _measure(state, f"N_{mode}", kernel)
 
 
-def measure_ancilla(
-    state: EpistemicState,
-    ancilla: int,
-    basis: str,
-    include_zero_probability: bool = False,
-) -> list[MeasurementOutcome]:
+def measure_ancilla(state: EpistemicState, ancilla: int, basis: str) -> list[MeasurementOutcome]:
     """Measure an ancilla's coordinate (basis "Q") or momentum (basis "P").
 
     The posterior has the conjugate bit randomized.  Q outcomes 0/1 are the
@@ -128,7 +120,7 @@ def measure_ancilla(
     if basis not in ("Q", "P"):
         raise ValueError(f"basis must be 'Q' or 'P', got {basis!r}")
     kernel = measurement_kernel(basis, ancilla, state.shape.modes, state.shape.ancillas)
-    return _measure(state, f"{basis}_{ancilla}", kernel, include_zero_probability)
+    return _measure(state, f"{basis}_{ancilla}", kernel)
 
 
 def sample_measurement_index(

@@ -249,18 +249,18 @@ def test_08_closure_of_valid_states():
 
 
 def test_09_cellular_automaton():
-    from toyfield.automaton import check_time_reversal, run_scenario_ca
+    from toyfield.automaton import check_time_reversal
 
     start = time.perf_counter()
-    assert run_scenario_ca(scenarios.mzi_phase(0), SHOTS, SEED) == {
+    assert run_scenario(scenarios.mzi_phase(0), "ca", SHOTS, SEED).counts == {
         "detector_L": SHOTS
     }
-    assert run_scenario_ca(scenarios.mzi_phase(1), SHOTS, SEED) == {
+    assert run_scenario(scenarios.mzi_phase(1), "ca", SHOTS, SEED).counts == {
         "detector_R": SHOTS
     }
-    whichway = run_scenario_ca(
-        scenarios.mzi_whichway(DisturbanceKind.NONDESTRUCTIVE), SHOTS, SEED
-    )
+    whichway = run_scenario(
+        scenarios.mzi_whichway(DisturbanceKind.NONDESTRUCTIVE), "ca", SHOTS, SEED
+    ).counts
     worst = 0.0
     for label in (
         "fired & detector_L",
@@ -271,7 +271,7 @@ def test_09_cellular_automaton():
         z = (whichway[label] / SHOTS - 0.25) / (0.25 * 0.75 / SHOTS) ** 0.5
         worst = max(worst, abs(z))
         assert abs(z) <= 3, (label, z)
-    bomb = run_scenario_ca(scenarios.bomb_tester(True), SHOTS, SEED)
+    bomb = run_scenario(scenarios.bomb_tester(True), "ca", SHOTS, SEED).counts
     for label, p in (
         ("exploded", 0.5),
         ("safe & detector_L", 0.25),

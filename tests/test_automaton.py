@@ -20,7 +20,6 @@ from toyfield.automaton import (
     exact_law,
     plan_from_program,
     run_experiment,
-    run_scenario_ca,
     run_single,
     trace_line,
 )
@@ -392,16 +391,16 @@ class TestRuleTable:
 
 class TestBatchRunner:
     def test_deterministic_scenarios(self):
-        counts = run_scenario_ca(mzi_phase(0), shots=5000, seed=11)
+        counts = run_scenario(mzi_phase(0), "ca", 5000, 11).counts
         assert counts == {"detector_L": 5000}
-        counts = run_scenario_ca(mzi_phase(1), shots=5000, seed=11)
+        counts = run_scenario(mzi_phase(1), "ca", 5000, 11).counts
         assert counts == {"detector_R": 5000}
 
     def test_whichway_frequencies(self):
         shots = 40000
-        counts = run_scenario_ca(
-            mzi_whichway(DisturbanceKind.NONDESTRUCTIVE), shots=shots, seed=11
-        )
+        counts = run_scenario(
+            mzi_whichway(DisturbanceKind.NONDESTRUCTIVE), "ca", shots, 11
+        ).counts
         assert set(counts) == {
             "fired & detector_L",
             "fired & detector_R",
@@ -414,13 +413,13 @@ class TestBatchRunner:
 
     def test_bomb_frequencies(self):
         shots = 40000
-        counts = run_scenario_ca(bomb_tester(True), shots=shots, seed=11)
+        counts = run_scenario(bomb_tester(True), "ca", shots, 11).counts
         z = (counts["exploded"] / shots - 0.5) / (0.25 / shots) ** 0.5
         assert abs(z) < 4
 
     def test_seed_determinism(self):
-        a = run_scenario_ca(bomb_tester(True), shots=2000, seed=9)
-        b = run_scenario_ca(bomb_tester(True), shots=2000, seed=9)
+        a = run_scenario(bomb_tester(True), "ca", 2000, 9).counts
+        b = run_scenario(bomb_tester(True), "ca", 2000, 9).counts
         assert a == b
 
     def test_scalar_and_batch_agree_on_deterministic_runs(self):
@@ -600,7 +599,7 @@ class TestAgainstExactReference:
 
     @pytest.mark.parametrize("scenario, plan", HOSTABLE, ids=HOSTABLE_IDS)
     def test_frequencies_match_quantum(self, scenario, plan):
-        counts = run_scenario_ca(scenario, self.SHOTS, self.SEED)
+        counts = run_scenario(scenario, "ca", self.SHOTS, self.SEED).counts
         exact = run_scenario(scenario, "quantum").probs
         assert set(counts) <= {label for label, p in exact.items() if p}
         for label, p in exact.items():

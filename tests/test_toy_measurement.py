@@ -94,11 +94,6 @@ class TestMeasureOccupation:
         assert only.value == 1 and only.probability == 1
         assert set(only.posterior.support_bits()) == {(1, 0), (1, 1)}
 
-    def test_zero_probability_outcomes_hidden_by_default(self):
-        state = make_occupied(1, 0)
-        assert len(measure_occupation(state, 0)) == 1
-        assert len(measure_occupation(state, 0, include_zero_probability=True)) == 2
-
     def test_repeatability_everywhere(self):
         for state in enumerate_valid_states(TWO):
             for mode in (0, 1):
@@ -285,13 +280,6 @@ class TestKernel:
         assert [o.variable for o in measure_occupation(MARKED, 1)] == ["N_1", "N_1"]
         assert {o.variable for o in measure_ancilla(MARKED, 0, "Q")} == {"Q_0"}
         assert {o.variable for o in measure_ancilla(MARKED, 0, "P")} == {"P_0"}
-
-    def test_zero_probability_outcome_carries_prior(self):
-        outcomes = measure_ancilla(MARKED, 0, "P", include_zero_probability=True)
-        assert len(outcomes) == 2
-        state = make_occupied(1, 0)
-        zero = measure_occupation(state, 0, DisturbanceKind.DESTRUCTIVE, True)[0]
-        assert (zero.value, zero.probability, zero.posterior) == (0, 0, state)
 
     def test_out_of_range_targets_rejected(self):
         with pytest.raises(IndexError):
