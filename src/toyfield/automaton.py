@@ -9,8 +9,8 @@ states and the boundary cells 1 and ``length`` talk to a source or a sink;
 from odd t, cells (1,2), (3,4), ... swap.  An excitation emitted at cell 1
 on the first transition therefore sits at cell j at step j, on every wire.
 
-:func:`plan_from_program` generates the layout from the program's lowered
-steps (:attr:`toyfield.circuits.Program.steps`): step k's group replaces the
+:func:`plan_from_program` generates the layout from the program's steps
+(:attr:`toyfield.circuits.Program.steps`): step k's group replaces the
 free swap of cells 4k+4 and 4k+5 at even steps, where every wire's front
 meets it.  A ``bs`` is the register's splitter gate
 (:func:`toyfield.toy_dynamics.beamsplitter_rule`) across its two wires'
@@ -145,7 +145,7 @@ class CaPlan:
 @lru_cache(maxsize=64)
 def plan_from_program(program: Program) -> CaPlan:
     """The wire layout of an ancilla-free program, generated from its
-    lowered steps (see the module docstring)."""
+    steps (see the module docstring)."""
     if program.ancillas:
         raise CapabilityError("the wire layout has no ancilla systems")
     wires = program.modes
@@ -172,7 +172,7 @@ def plan_from_program(program: Program) -> CaPlan:
         RuleBinding(kind, (*((w, p) for w in acted), *((w, p + 1) for w in acted)), parameter)
         for p, (kind, acted, parameter) in zip(range(4, length, 4), reversed(groups))
     ]
-    sourced = {s.mode for s in program.statements if isinstance(s, Source)}
+    sourced = {wires[s.mode] for s in program.statements if isinstance(s, Source)}
     bindings = (
         *sorted(placed, key=lambda b: -len(b.cells)),  # stable: cross-wire groups first
         *(RuleBinding("source" if w in sourced else "vacuum_source", ((w, 1),)) for w in wires),

@@ -16,29 +16,31 @@ semicolons)::
              | "detect" mode "as" label ";"
 
 The statement rules are written once, in the table ``_STATEMENTS`` (each
-keyword's statement class and argument kinds in field order), which the
-parser reads statements through and the renderer writes them back from.
-The tokenizer checks the text, comments removed, against the token and
-ASCII spacing characters once and splits it on its spacing; the parser is
-one loop over that token list, a declaration or a statement a turn, with
-its state in local variables and no call per token.  The text is scanned
-with a regular expression only for a ``ParseError``, to find a stray
-character or a token's line and column.  ``_LOWERING`` holds each
-statement class's step, which the lowering reads.
+keyword's builder and argument kinds, a mode or an ancilla read as its
+index), which the parser reads statements through and the renderer writes
+them back through, names taken from the program's declarations.  A parsed
+program holds what the engines run: the preparations ``Source`` and
+``Vacuum``, and each gate or measurement as its hash-consed ``GateStep`` or
+``MeasureStep``.  The tokenizer checks the text, comments removed, against
+the token and ASCII spacing characters once and splits it on its spacing;
+the parser is one loop over that token list, a declaration or a statement a
+turn, with its state in local variables and no call per token.  The text is
+scanned with a regular expression only for a ``ParseError``, to find a stray
+character or a token's line and column.
 
 Phase literals are restricted to 0 and pi in the grammar itself: the program
 text is the contract shared by every engine, and the classical engine has no
-counterpart for other angles.  Programs lower to one sequence of gate and
-measurement steps, which each engine's plan pairs with its own initial
-state; one branching executor runs the steps on either exact engine and
-returns joint distributions over the declared labels.
+counterpart for other angles.  Each engine's plan pairs the program's steps
+(its statements without the preparations) with its own initial state; one
+branching executor runs the steps on either exact engine and returns joint
+distributions over the declared labels.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Union
 
 from toyfield._record import record
@@ -121,109 +123,80 @@ class object_memo:
 
 @record
 class Source:
-    """``source m``: prepare the mode with one excitation."""
+    """``source m``: prepare the mode (by index) with one excitation."""
 
-    mode: str
+    mode: int
 
 
 @record
 class Vacuum:
-    """``vacuum m``: prepare the mode empty (the default of an unprepared mode)."""
+    """``vacuum m``: prepare the mode (by index) empty, the default of an unprepared mode."""
 
-    mode: str
-
-
-@record
-class Bs:
-    """``bs a b``: a 50-50 splitter; ``a`` is the mode whose occupation is exchanged."""
-
-    a: str
-    b: str
+    mode: int
 
 
 @record
-class Phase:
-    """``phase m 0|pi``: a phase shifter on one mode."""
+class GateStep:
+    """A gate statement, shared by both exact engines."""
 
-    mode: str
-    s: int  # 0 or 1; 1 means a pi shift
-
-
-@record
-class CnotStmt:
-    """``cnot m A``: mark the mode's occupation on the ancilla."""
-
-    control: str
-    ancilla: str
+    gate: ToyGate
 
 
 @record
-class Swap:
-    """``swap a b``: exchange two modes."""
+class MeasureStep:
+    """A measurement statement, shared by both exact engines."""
 
-    a: str
-    b: str
-
-
-@record
-class MeasureN:
-    """``measure N m [kind] as label``: an occupation measurement."""
-
-    mode: str
-    kind: DisturbanceKind
     label: str
+    target_kind: str  # "mode" or "ancilla"
+    index: int
+    variable: str  # "N", "Q" or "P"
+    kind: DisturbanceKind  # meaningful for N only
+    is_detect: bool = False
 
 
-@record
-class MeasureQ:
-    """``measure Q A as label``: read the ancilla's coordinate."""
-
-    ancilla: str
-    label: str
+Step = Union[GateStep, MeasureStep]
+Statement = Union[Source, Vacuum, GateStep, MeasureStep]
 
 
-@record
-class MeasureP:
-    """``measure P A as label``: read the ancilla's momentum."""
-
-    ancilla: str
-    label: str
-
-
-@record
-class Detect:
-    """``detect m as label``: a nondestructive port detector."""
-
-    mode: str
-    label: str
+# Hash-consed steps and shapes: equal values built by different programs are
+# one object, so the memos keyed by them (``gate_table``, ``toy_measure``,
+# ``prepared``) match their keys by identity.  Each is a bounded LRU, since
+# labels are user text.
+@lru_cache(maxsize=1024)
+def _gate_step(gate: type, *targets: int) -> GateStep:
+    return GateStep(gate(*targets))
 
 
-Statement = Union[
-    Source, Vacuum, Bs, Phase, CnotStmt, Swap, MeasureN, MeasureQ, MeasureP, Detect
-]
+_measure_step = lru_cache(maxsize=1024)(MeasureStep)
+_shape = lru_cache(maxsize=64)(RegisterShape)
 
 
 @record
 class Program:
-    """A parsed program: declared modes and ancillas, then its statements in order."""
+    """A parsed program: declared modes and ancillas, then its statements in
+    order, the preparations over mode indices and the gates and measurements
+    as the steps the engines run."""
 
     modes: tuple[str, ...]
     ancillas: tuple[str, ...]
     statements: tuple[Statement, ...]
-    name: str = ""
 
     def labels(self) -> tuple[str, ...]:
-        out = []
-        for stmt in self.statements:
-            if isinstance(stmt, (MeasureN, MeasureQ, MeasureP, Detect)):
-                out.append(stmt.label)
-        return tuple(out)
+        return tuple(s.label for s in self.statements if type(s) is MeasureStep)
 
     @object_memo
     def steps(self) -> tuple[Step, ...]:
-        """The steps both compilers read (:func:`_lower`), lowered once per
-        program object."""
-        return _lower(self)
+        """The statements with the preparations left out, which each engine
+        folds into its initial state instead: the steps both compilers read."""
+        if not self.modes:
+            raise CompileError("program declares no modes")
+        steps = []
+        for stmt in self.statements:
+            if type(stmt) is GateStep or type(stmt) is MeasureStep:
+                steps.append(stmt)
+            elif type(stmt) is not Source and type(stmt) is not Vacuum:
+                raise CompileError(f"cannot compile statement {stmt!r}")
+        return tuple(steps)
 
     @object_memo
     def toy_plan(self) -> ToyPlan:
@@ -235,42 +208,29 @@ class Program:
 # ---------------------------------------------------------------------------
 # Statement table, lexer and parser
 
-# Each statement's keyword and argument kinds, in its record's field order
-# (``as`` is syntax only): parse reads every statement through its entry and
-# render writes it back from the same entry.
-_STATEMENTS: dict[str, tuple[type, tuple[str, ...]]] = {
+# Each statement's keyword, the function that builds it and its argument kinds
+# (``as`` is syntax only), a mode or an ancilla passed as its index: parse
+# reads every statement through its entry and render writes it back through
+# the same kinds.
+_NONDESTRUCTIVE = DisturbanceKind.NONDESTRUCTIVE
+_STATEMENTS: dict[str, tuple[Callable[..., Statement], tuple[str, ...]]] = {
     "source": (Source, ("mode",)),
     "vacuum": (Vacuum, ("mode",)),
-    "bs": (Bs, ("mode", "mode")),
-    "phase": (Phase, ("mode", "angle")),
-    "cnot": (CnotStmt, ("mode", "ancilla")),
-    "swap": (Swap, ("mode", "mode")),
-    "measure N": (MeasureN, ("mode", "kind", "as", "label")),
-    "measure Q": (MeasureQ, ("ancilla", "as", "label")),
-    "measure P": (MeasureP, ("ancilla", "as", "label")),
-    "detect": (Detect, ("mode", "as", "label")),
+    "bs": (partial(_gate_step, Beamsplitter), ("mode", "mode")),
+    "phase": (partial(_gate_step, PhaseShift), ("mode", "angle")),
+    "cnot": (partial(_gate_step, Cnot), ("mode", "ancilla")),
+    "swap": (partial(_gate_step, SwapModes), ("mode", "mode")),
+    "measure N": (lambda m, kind, label: _measure_step(label, "mode", m, "N", kind, False),
+                  ("mode", "kind", "as", "label")),
+    "measure Q": (lambda a, label: _measure_step(label, "ancilla", a, "Q", _NONDESTRUCTIVE, False),
+                  ("ancilla", "as", "label")),
+    "measure P": (lambda a, label: _measure_step(label, "ancilla", a, "P", _NONDESTRUCTIVE, False),
+                  ("ancilla", "as", "label")),
+    "detect": (lambda m, label: _measure_step(label, "mode", m, "N", _NONDESTRUCTIVE, True),
+               ("mode", "as", "label")),
 }
-# Each statement class's step, from the statement and the program's mode and
-# ancilla indices (``m``, ``a``), as ``_lower`` makes it through the shared
-# constructors ``_gate_step`` and ``_measure_step``; a preparation makes
-# none, since each engine folds it into its initial state.
-_NONDESTRUCTIVE = DisturbanceKind.NONDESTRUCTIVE
-_LOWERING: dict[type, Callable[[Statement, dict, dict], Step] | None] = {
-    Source: None,
-    Vacuum: None,
-    Bs: lambda s, m, a: _gate_step(Beamsplitter, m[s.a], m[s.b]),
-    Phase: lambda s, m, a: _gate_step(PhaseShift, m[s.mode], s.s),
-    CnotStmt: lambda s, m, a: _gate_step(Cnot, m[s.control], a[s.ancilla]),
-    Swap: lambda s, m, a: _gate_step(SwapModes, m[s.a], m[s.b]),
-    MeasureN: lambda s, m, a: _measure_step(s.label, "mode", m[s.mode], "N", s.kind, False),
-    MeasureQ: lambda s, m, a: _measure_step(
-        s.label, "ancilla", a[s.ancilla], "Q", _NONDESTRUCTIVE, False),
-    MeasureP: lambda s, m, a: _measure_step(
-        s.label, "ancilla", a[s.ancilla], "P", _NONDESTRUCTIVE, False),
-    Detect: lambda s, m, a: _measure_step(s.label, "mode", m[s.mode], "N", _NONDESTRUCTIVE, True),
-}
-_SYNTAX = {cls: (keyword, kinds) for keyword, (cls, kinds) in _STATEMENTS.items()}
-_ANGLES = ("0", "pi")  # indexed by Phase.s
+_GATE_KEYWORDS = {Beamsplitter: "bs", PhaseShift: "phase", Cnot: "cnot", SwapModes: "swap"}
+_ANGLES = ("0", "pi")  # indexed by PhaseShift.s
 _DISTURBANCES = ("nondestructive", "destructive")
 _ARTICLE = {"mode": "a mode", "ancilla": "an ancilla"}
 
@@ -317,7 +277,7 @@ def parse(text: str) -> Program:
         raise _error(text, f"unexpected character {stray!r}", tokens.index(stray))
     tokens = code.replace(";", " ; ").split()
     tokens.append("")  # the end of input
-    names: dict[str, list[str]] = {"mode": [], "ancilla": []}
+    names: dict[str, dict[str, int]] = {"mode": {}, "ancilla": {}}  # name -> index
     statements: list[Statement] = []
     prepared: set[str] = set()
     touched: set[str] = set()
@@ -347,7 +307,7 @@ def parse(text: str) -> Program:
             for at in declared:
                 if tokens[at] in names["mode"] or tokens[at] in names["ancilla"]:
                     raise _error(text, f"duplicate declaration of {tokens[at]}", at)
-                names[word].append(tokens[at])
+                names[word][tokens[at]] = len(names[word])
             i += 1
             word = tokens[i]
             continue
@@ -363,7 +323,7 @@ def parse(text: str) -> Program:
             i += 1
         if key not in _STATEMENTS:
             raise _error(text, f"unknown statement {word!r}", start)
-        cls, kinds = _STATEMENTS[key]
+        build, kinds = _STATEMENTS[key]
         values: list = []
         named = []  # the subsystems the statement names
         for kind in kinds:
@@ -377,7 +337,7 @@ def parse(text: str) -> Program:
                         raise _error(text, f"{token} is {_ARTICLE[other]}, not {_ARTICLE[kind]}", i)
                     raise _error(text, f"unknown identifier {token}", i)
                 named.append(token)
-                values.append(token)
+                values.append(names[kind][token])
             elif kind == "angle":
                 if token not in _ANGLES:
                     raise _error(text, "expected phase literal 0 or pi", i)
@@ -388,7 +348,7 @@ def parse(text: str) -> Program:
                     continue  # the kind is optional and takes no token here
                 values.append(DisturbanceKind(token))
             elif kind == "as":
-                if token in _DISTURBANCES and (cls is MeasureQ or cls is MeasureP):
+                if token in _DISTURBANCES and (key == "measure Q" or key == "measure P"):
                     raise _error(
                         text, "disturbance kind applies only to occupation measurements", i
                     )
@@ -406,8 +366,8 @@ def parse(text: str) -> Program:
             raise _error(text, "expected ';'", i)
         # Both checks below point at the last name, the token before the ";":
         # a preparation's one mode, or the second of two modes.
-        if cls is Source or cls is Vacuum:
-            mode = values[0]
+        if build is Source or build is Vacuum:
+            mode = named[0]
             if mode in prepared:
                 raise _error(text, f"duplicate preparation of {mode}", i - 1)
             if mode in touched:
@@ -417,10 +377,24 @@ def parse(text: str) -> Program:
             if len(named) == 2 and named[0] == named[1]:
                 raise _error(text, f"{word} needs two distinct modes", i - 1)
             touched.update(named)
-        statements.append(cls(*values))
+        statements.append(build(*values))
         i += 1
         word = tokens[i]
     return Program(tuple(names["mode"]), tuple(names["ancilla"]), tuple(statements))
+
+
+def _arguments(stmt: Statement) -> tuple[str, tuple]:
+    """A statement's keyword and its argument values, in the order of the
+    keyword's argument kinds (``as`` takes none)."""
+    if type(stmt) is GateStep:
+        gate = stmt.gate
+        return _GATE_KEYWORDS[type(gate)], tuple(getattr(gate, name) for name in gate._fields)
+    if type(stmt) is MeasureStep:
+        keyword = "detect" if stmt.is_detect else "measure " + stmt.variable
+        if keyword == "measure N":
+            return keyword, (stmt.index, stmt.kind, stmt.label)
+        return keyword, (stmt.index, stmt.label)
+    return type(stmt).__name__.lower(), (stmt.mode,)  # "source" or "vacuum"
 
 
 def render(program: Program) -> str:
@@ -430,12 +404,16 @@ def render(program: Program) -> str:
         lines.append("mode " + " ".join(program.modes) + ";")
     lines += [f"ancilla {ancilla};" for ancilla in program.ancillas]
     for stmt in program.statements:
-        keyword, kinds = _SYNTAX[type(stmt)]
-        values = (getattr(stmt, name) for name in stmt._fields)
+        keyword, values = _arguments(stmt)
+        values = iter(values)
         words = [keyword]
-        for kind in kinds:
+        for kind in _STATEMENTS[keyword][1]:
             value = "as" if kind == "as" else next(values)
-            if kind == "angle":
+            if kind == "mode":
+                value = program.modes[value]
+            elif kind == "ancilla":
+                value = program.ancillas[value]
+            elif kind == "angle":
                 value = _ANGLES[value]
             elif kind == "kind":
                 value = value.value
@@ -449,41 +427,6 @@ def render(program: Program) -> str:
 
 
 @record
-class GateStep:
-    """A lowered gate, shared by both exact engines."""
-
-    gate: ToyGate
-
-
-@record
-class MeasureStep:
-    """A lowered measurement, shared by both exact engines."""
-
-    label: str
-    target_kind: str  # "mode" or "ancilla"
-    index: int
-    variable: str  # "N", "Q" or "P"
-    kind: DisturbanceKind  # meaningful for N only
-    is_detect: bool = False
-
-
-Step = Union[GateStep, MeasureStep]
-
-
-# Hash-consed steps and shapes: equal values built by different programs are
-# one object, so the memos keyed by them (``gate_table``, ``toy_measure``,
-# ``prepared``) match their keys by identity.  Each is a bounded LRU, since
-# labels are user text.
-@lru_cache(maxsize=1024)
-def _gate_step(gate: type, *targets: int) -> GateStep:
-    return GateStep(gate(*targets))
-
-
-_measure_step = lru_cache(maxsize=1024)(MeasureStep)
-_shape = lru_cache(maxsize=64)(RegisterShape)
-
-
-@record
 class ToyPlan:
     """A program compiled for the classical engine: its register, initial state and steps."""
 
@@ -491,9 +434,6 @@ class ToyPlan:
     shape: RegisterShape
     initial: EpistemicState
     steps: tuple[Step, ...]
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(s.label for s in self.steps if isinstance(s, MeasureStep))
 
     # Monte Carlo's seed-independent work, done once per plan object; the
     # locality audit and single-run replay build their kernel on every call.
@@ -522,34 +462,17 @@ class QuantumPlan:
     steps: tuple[Step, ...]
 
 
-def _lower(program: Program) -> tuple[Step, ...]:
-    """The program's gates and measurements as steps shared by both engines;
-    preparations are folded into each engine's initial state instead."""
-    if not program.modes:
-        raise CompileError("program declares no modes")
-    mode = {name: i for i, name in enumerate(program.modes)}
-    ancilla = {name: j for j, name in enumerate(program.ancillas)}
-    steps: list[Step] = []
-    for stmt in program.statements:
-        if type(stmt) not in _LOWERING:
-            raise CompileError(f"cannot compile statement {stmt!r}")
-        lowering = _LOWERING[type(stmt)]
-        if lowering:
-            steps.append(lowering(stmt, mode, ancilla))
-    return tuple(steps)
-
-
 def compile_toy(program: Program) -> ToyPlan:
-    """Lower a program to the classical engine: an initial flat state and a
-    sequence of permutation gates and measurement steps.  The plan is made
-    once per program object and shared (:attr:`Program.toy_plan`)."""
+    """Compile a program for the classical engine: an initial flat state and
+    the program's steps, permutation gates and measurements.  The plan is
+    made once per program object and shared (:attr:`Program.toy_plan`)."""
     return program.toy_plan
 
 
 def _compile_toy(program: Program) -> ToyPlan:
     steps = program.steps
     shape = _shape(len(program.modes), len(program.ancillas))
-    sourced = [program.modes.index(s.mode) for s in program.statements if isinstance(s, Source)]
+    sourced = [s.mode for s in program.statements if isinstance(s, Source)]
     for step in steps:
         if isinstance(step, GateStep):
             gate_image(step.gate, shape)  # verifies the permutation up front
@@ -558,7 +481,7 @@ def _compile_toy(program: Program) -> ToyPlan:
 
 
 def compile_quantum(program: Program) -> QuantumPlan:
-    """Lower a program to the state-vector engine (modes then ancillas),
+    """Compile a program for the state-vector engine (modes then ancillas),
     starting from the exact kernel's basis state."""
     import toyfield.quantum as quantum
 
@@ -569,7 +492,7 @@ def compile_quantum(program: Program) -> QuantumPlan:
     start_index = 0
     for stmt in program.statements:
         if isinstance(stmt, Source):
-            start_index |= 1 << program.modes.index(stmt.mode)
+            start_index |= 1 << stmt.mode
     return QuantumPlan(program, quantum.exact_start(start_index, qubits), steps)
 
 

@@ -111,6 +111,17 @@ def _load_program(target: str) -> Program:
     return circuits.parse(text)
 
 
+def _out_of_range(shots: int, seed: int) -> bool:
+    """Whether ``--shots`` or ``--seed`` is out of range; prints the usage error if so."""
+    if not 1 <= shots <= 1 << 64:
+        print("--shots must be at least 1 and at most 2**64", file=sys.stderr)
+        return True
+    if seed < 0:
+        print("--seed must be non-negative", file=sys.stderr)
+        return True
+    return False
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     engine = args.engine
     if args.format == "grids" and engine != "toy":
@@ -123,11 +134,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not needs_shots and (args.shots is not None or args.seed is not None):
         print(f"engine {engine!r} is exact; --shots/--seed do not apply", file=sys.stderr)
         return 2
-    if needs_shots and not 1 <= args.shots <= 1 << 64:
-        print("--shots must be at least 1 and at most 2**64", file=sys.stderr)
-        return 2
-    if needs_shots and args.seed < 0:
-        print("--seed must be non-negative", file=sys.stderr)
+    if needs_shots and _out_of_range(args.shots, args.seed):
         return 2
     if args.steps is not None and args.format != "grids":
         print("--steps selects grid steps; it applies only to --format grids", file=sys.stderr)
@@ -224,11 +231,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     shots = 100_000 if args.shots is None else args.shots
     seed = 7 if args.seed is None else args.seed
-    if not 1 <= shots <= 1 << 64:
-        print("--shots must be at least 1 and at most 2**64", file=sys.stderr)
-        return 2
-    if seed < 0:
-        print("--seed must be non-negative", file=sys.stderr)
+    if _out_of_range(shots, seed):
         return 2
     from toyfield.checks import suite_rows  # loaded only by a check, never by a run
 

@@ -225,7 +225,7 @@ def _difference_basis(support: frozenset[int]) -> list[int] | None:
 _EVEN_BITS = 0x5555555555555555
 
 
-def _symplectic_product(f: int, g: int, subsystems: int) -> int:
+def _symplectic_product(f: int, g: int) -> int:
     """Pairing that couples bit 2k with bit 2k+1, mod 2."""
     a = (((f & _EVEN_BITS) << 1) & g).bit_count()
     b = (((g & _EVEN_BITS) << 1) & f).bit_count()
@@ -272,12 +272,11 @@ def is_valid(state: EpistemicState) -> ValidityReport:
     basis = _difference_basis(state.support)
     if basis is None:
         return ValidityReport(False, "not an affine subspace")
-    n = state.shape.subsystems
     # The known set is the annihilator of the difference space; the pairing
     # is bilinear, so isotropy of the span follows from basis pairs.
     annihilator = _annihilator_basis(basis, state.shape.bit_count)
     for f, g in combinations(annihilator, 2):
-        if _symplectic_product(f, g, n):
+        if _symplectic_product(f, g):
             return ValidityReport(False, "isotropy violated")
     return ValidityReport(True)
 
@@ -409,7 +408,7 @@ def _isotropic_subspaces(subsystems: int) -> list[list[int]]:
             for v in vectors:
                 if v in span:
                     continue
-                if any(_symplectic_product(v, b, subsystems) for b in basis):
+                if any(_symplectic_product(v, b) for b in basis):
                     continue
                 new_span = frozenset(span | {s ^ v for s in span})
                 if new_span in found:

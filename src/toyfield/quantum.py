@@ -5,7 +5,7 @@ Program runs go through the exact kernel at the end of this module
 program text reaches only the splitter's 1/sqrt(2), 0/pi phases and the P
 basis, so every amplitude is (a + b sqrt(2)) / sqrt(2)^e with integers a, b
 and one exponent e per branch, and every weight is computed exactly.  The
-kernel reads the program's lowered gates (``toy_dynamics.Beamsplitter`` and
+kernel reads the program's gates (``toy_dynamics.Beamsplitter`` and
 the rest) directly, and a branch is a tuple of integer tuples from start to
 weight.  The float API above it (``StateVector``, the unitaries,
 ``apply_gate``, ``measure_subsystem``) takes arbitrary angles and bases, and
@@ -417,7 +417,7 @@ def _unchanged(state: ExactState) -> ExactState:
 # classes with equal fields hash alike: the class in the key tells them apart.
 @lru_cache(maxsize=None, typed=True)
 def exact_gate(gate: ToyGate, modes: int, qubits: int) -> Callable[[ExactState], ExactState]:
-    """The exact map of a lowered gate on a register of ``modes`` modes and
+    """The exact map of a program's gate on a register of ``modes`` modes and
     then its ancillas, ``qubits`` qubits in all.
 
     A ``Beamsplitter`` is ``bs_unitary("second")`` with mode ``a`` first, a

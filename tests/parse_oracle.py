@@ -19,8 +19,6 @@ from toyfield.circuits import (
     _NOT_NAMES,
     _STATEMENTS,
     _TOKEN_CHARS,
-    MeasureP,
-    MeasureQ,
     ParseError,
     Program,
     Source,
@@ -127,13 +125,13 @@ class _Parser:
             key = f"measure {variable}"
         if key not in _STATEMENTS:
             raise self.fail(f"unknown statement {word!r}", start)
-        cls, kinds = _STATEMENTS[key]
+        build, kinds = _STATEMENTS[key]
         values: list = []
         targets = []
         for kind in kinds:
             if kind in ("mode", "ancilla"):
                 targets.append(self.declared(kind))
-                values.append(targets[-1][1])
+                values.append(self.names[kind].index(targets[-1][1]))
             elif kind == "angle":
                 angle = self.take()
                 if angle not in _ANGLES:
@@ -145,7 +143,7 @@ class _Parser:
                     disturbance = DisturbanceKind(self.take())
                 values.append(disturbance)
             elif kind == "as":
-                if self.peek() in _DISTURBANCES and cls in (MeasureQ, MeasureP):
+                if self.peek() in _DISTURBANCES and key in ("measure Q", "measure P"):
                     raise self.fail(
                         "disturbance kind applies only to occupation measurements", self.pos
                     )
@@ -158,7 +156,7 @@ class _Parser:
                 values.append(label)
         self.expect(";")
         names = [text for _, text in targets]
-        if cls is Source or cls is Vacuum:
+        if build is Source or build is Vacuum:
             at, mode = targets[0]
             if mode in self.prepared:
                 raise self.fail(f"duplicate preparation of {mode}", at)
@@ -169,7 +167,7 @@ class _Parser:
             if len(set(names)) < len(names):
                 raise self.fail(f"{word} needs two distinct modes", targets[1][0])
             self.touched.update(names)
-        return cls(*values)
+        return build(*values)
 
 
 def parse(text: str) -> Program:

@@ -10,17 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from toyfield.circuits import (
-    Bs,
     CapabilityError,
-    CnotStmt,
     CompileError,
-    Detect,
-    MeasureN,
+    GateStep,
+    MeasureStep,
     ParseError,
-    Phase,
     Program,
     Source,
-    Swap,
     Vacuum,
     compile_quantum,
     compile_toy,
@@ -33,7 +29,14 @@ from toyfield.circuits import (
 )
 from toyfield.montecarlo import exact_law
 from scalar_reference import snap_dyadic
+from toyfield.toy_dynamics import Beamsplitter, Cnot, PhaseShift, SwapModes
 from toyfield.toy_measurement import DisturbanceKind
+
+ND = DisturbanceKind.NONDESTRUCTIVE
+
+
+def detect(mode: int, label: str) -> MeasureStep:
+    return MeasureStep(label, "mode", mode, "N", ND, True)
 
 MZI_PI = (
     "mode L R; source L; vacuum R; bs L R; phase R pi; bs L R; "
@@ -51,13 +54,13 @@ class TestParse:
         program = parse(MZI_PI)
         assert program.modes == ("L", "R")
         assert program.statements == (
-            Source("L"),
-            Vacuum("R"),
-            Bs("L", "R"),
-            Phase("R", 1),
-            Bs("L", "R"),
-            Detect("L", "dl"),
-            Detect("R", "dr"),
+            Source(0),
+            Vacuum(1),
+            GateStep(Beamsplitter(0, 1)),
+            GateStep(PhaseShift(1, 1)),
+            GateStep(Beamsplitter(0, 1)),
+            detect(0, "dl"),
+            detect(1, "dr"),
         )
 
     def test_comments_and_whitespace(self):
@@ -100,9 +103,7 @@ class TestParse:
 
     def test_measure_default_kind_is_nondestructive(self):
         program = parse("mode L R; source L; measure N R as w;")
-        assert program.statements[-1] == MeasureN(
-            "R", DisturbanceKind.NONDESTRUCTIVE, "w"
-        )
+        assert program.statements[-1] == MeasureStep("w", "mode", 1, "N", ND)
 
     def test_preparation_after_use_rejected(self):
         with pytest.raises(ParseError, match="after it was used"):
@@ -181,21 +182,23 @@ def small_programs(draw) -> Program:
     mode_count = draw(st.integers(2, 3))
     modes = ["L", "R", "E"][:mode_count]
     use_ancilla = draw(st.booleans())
-    statements = [Source("L"), Vacuum("R")]
+    indices = range(mode_count)
+    statements = [Source(0), Vacuum(1)]
     gate_count = draw(st.integers(0, 4))
     for _ in range(gate_count):
         kind = draw(st.integers(0, 3))
         if kind == 0:
-            a, b = draw(st.permutations(modes))[:2]
-            statements.append(Bs(a, b))
+            a, b = draw(st.permutations(indices))[:2]
+            statements.append(GateStep(Beamsplitter(a, b)))
         elif kind == 1:
-            statements.append(Phase(draw(st.sampled_from(modes)), draw(st.integers(0, 1))))
+            statements.append(GateStep(PhaseShift(draw(st.sampled_from(indices)),
+                                                  draw(st.integers(0, 1)))))
         elif kind == 2 and use_ancilla:
-            statements.append(CnotStmt(draw(st.sampled_from(modes)), "A"))
+            statements.append(GateStep(Cnot(draw(st.sampled_from(indices)), 0)))
         elif kind == 3 and mode_count == 3:
-            statements.append(Swap("R", "E"))
-    statements.append(Detect("L", "dl"))
-    statements.append(Detect("R", "dr"))
+            statements.append(GateStep(SwapModes(1, 2)))
+    statements.append(detect(0, "dl"))
+    statements.append(detect(1, "dr"))
     return Program(tuple(modes), ("A",) if use_ancilla else (), tuple(statements))
 
 
@@ -214,7 +217,7 @@ class TestCompile:
     def test_toy_plan_shape(self):
         plan = compile_toy(parse(MZI_PI))
         assert plan.shape.modes == 2 and plan.shape.ancillas == 0
-        assert plan.labels() == ("dl", "dr")
+        assert plan.program.labels() == ("dl", "dr")
 
     def test_unprepared_mode_defaults_to_vacuum(self):
         program = parse("mode L R; source L; bs L R; detect L as dl; detect R as dr;")
@@ -228,24 +231,13 @@ class TestCompile:
         with pytest.raises(CapabilityError):
             compile_quantum(parse(text))
 
-    def test_both_compilers_lower_a_program_once(self, monkeypatch):
-        from toyfield import circuits
-
-        lowered = []
-        lower = circuits._lower
-
-        def counting(program):
-            lowered.append(program)
-            return lower(program)
-
-        monkeypatch.setattr(circuits, "_lower", counting)
+    def test_both_compilers_lower_a_program_once(self):
         program = parse(
             "mode L R; ancilla A; source L; bs L R; cnot R A; measure P A as p; "
             "bs L R; detect L as dl; detect R as dr;"
         )
         toy, quantum = compile_toy(program), compile_quantum(program)
-        assert len(lowered) == 1
-        assert toy.steps == quantum.steps == lower(program)
+        assert toy.steps is quantum.steps is program.steps
         fresh = parse(render(program))
         assert program == fresh and fresh == program
         assert hash(program) == hash(fresh)
@@ -272,6 +264,12 @@ class TestCompile:
         program = Program((), (), ())
         for compile_ in (compile_toy, compile_quantum, compile_toy):
             with pytest.raises(CompileError, match="declares no modes"):
+                compile_(program)
+
+    def test_a_statement_no_engine_runs_is_refused_by_each_compiler(self):
+        program = Program(("L",), (), ("junk",))
+        for compile_ in (compile_toy, compile_quantum):
+            with pytest.raises(CompileError, match="cannot compile statement 'junk'"):
                 compile_(program)
 
     def test_ca_rejects_ancillas(self):
