@@ -10,11 +10,12 @@ Carlo frequency estimator round out the set.
 
 The package exports the register shape and the knowledge states; a single
 physical state is a packed int, as every engine reads it.  Importing the
-package loads only
-:mod:`toyfield.phase_space`; a toy ``toyfield run`` adds the circuit language,
-the toy engine and the scenarios, and the check suites
-(:mod:`toyfield.checks`), the coarse-graining, the quantum kernel, Monte Carlo
-and the wire automaton load only when a command uses them.
+package loads only :mod:`toyfield.phase_space`; a toy ``toyfield run`` of a
+program file adds only the circuit language and the toy engine.  The
+scenario catalogue (:mod:`toyfield.scenarios`), the grid printer
+(:mod:`toyfield.grid`), the check suites (:mod:`toyfield.checks`), the
+coarse-graining, the quantum kernel, Monte Carlo and the wire automaton load
+only when a command uses them.
 """
 
 from toyfield.phase_space import (

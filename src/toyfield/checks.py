@@ -1,9 +1,9 @@
 """The verification suites of ``toyfield check``, as rows of results.
 
 Each suite returns ``(name, ok, detail)`` rows; :func:`suite_rows` assembles the
-suites a ``check`` command names.  The command line checks its arguments and
-prints the rows, and imports this module only when it runs a check, so a
-``toyfield run`` neither loads nor compiles it.
+suites a ``check`` command names and :func:`print_suite` prints them.  The
+command line checks its arguments and imports this module only when it runs a
+check, so a ``toyfield run`` neither loads nor compiles it.
 """
 
 from __future__ import annotations
@@ -137,3 +137,16 @@ def suite_rows(suite: str, shots: int, seed: int) -> list[Row]:
     if suite in ("locality", "all"):
         out.extend(_check_locality(shots, seed))
     return out
+
+
+def print_suite(suite: str, shots: int, seed: int) -> int:
+    """Print ``suite``'s rows, a FAIL row with its detail, and the tally;
+    returns the exit code: 0 if every row passed, 1 otherwise."""
+    rows = suite_rows(suite, shots, seed)
+    for name, ok, detail in rows:
+        status = "PASS" if ok else "FAIL"
+        suffix = f"  {detail}" if detail and not ok else ""
+        print(f"{status}  {name}{suffix}")
+    failed = sum(1 for _, ok, _ in rows if not ok)
+    print(f"\n{len(rows) - failed}/{len(rows)} checks passed")
+    return 1 if failed else 0

@@ -26,14 +26,17 @@ the token and ASCII spacing characters once and splits it on its spacing;
 the parser is one loop over that token list, a declaration or a statement a
 turn, with its state in local variables and no call per token.  The text is
 scanned with a regular expression only for a ``ParseError``, to find a stray
-character or a token's line and column.
+character or a token's line and column; that pattern and the comment pattern
+are compiled on first use.
 
 Phase literals are restricted to 0 and pi in the grammar itself: the program
 text is the contract shared by every engine, and the classical engine has no
 counterpart for other angles.  Each engine's plan pairs the program's steps
 (its statements without the preparations) with its own initial state; one
 branching executor runs the steps on either exact engine and returns joint
-distributions over the declared labels.
+distributions over the declared labels.  A ``Scenario`` pairs a program with
+a labeler, and ``run_scenario`` runs it on any engine: a program file is run
+through them without loading the scenario catalogue (:mod:`toyfield.scenarios`).
 """
 
 from __future__ import annotations
@@ -64,9 +67,11 @@ from toyfield.toy_measurement import (
 __all__ = [
     "CapabilityError",
     "CompileError",
+    "OutcomeDistribution",
     "ParseError",
     "Program",
     "QuantumPlan",
+    "Scenario",
     "ToyPlan",
     "branches",
     "compile_quantum",
@@ -75,6 +80,7 @@ __all__ = [
     "parse",
     "render",
     "run_quantum_exact",
+    "run_scenario",
     "run_toy_exact",
 ]
 
@@ -161,13 +167,20 @@ Statement = Union[Source, Vacuum, GateStep, MeasureStep]
 # Hash-consed steps and shapes: equal values built by different programs are
 # one object, so the memos keyed by them (``gate_table``, ``toy_measure``,
 # ``prepared``) match their keys by identity.  Each is a bounded LRU, since
-# labels are user text.
+# labels are user text, keyed by plain values, whose hashes are C code (an
+# enum's ``__hash__`` is Python).
 @lru_cache(maxsize=1024)
 def _gate_step(gate: type, *targets: int) -> GateStep:
     return GateStep(gate(*targets))
 
 
-_measure_step = lru_cache(maxsize=1024)(MeasureStep)
+@lru_cache(maxsize=1024)
+def _measure_step(label: str, target_kind: str, index: int, variable: str,
+                  destructive: bool, is_detect: bool) -> MeasureStep:
+    kind = _DESTRUCTIVE if destructive else _NONDESTRUCTIVE
+    return MeasureStep(label, target_kind, index, variable, kind, is_detect)
+
+
 _shape = lru_cache(maxsize=64)(RegisterShape)
 
 
@@ -213,6 +226,7 @@ class Program:
 # reads every statement through its entry and render writes it back through
 # the same kinds.
 _NONDESTRUCTIVE = DisturbanceKind.NONDESTRUCTIVE
+_DESTRUCTIVE = DisturbanceKind.DESTRUCTIVE
 _STATEMENTS: dict[str, tuple[Callable[..., Statement], tuple[str, ...]]] = {
     "source": (Source, ("mode",)),
     "vacuum": (Vacuum, ("mode",)),
@@ -220,18 +234,20 @@ _STATEMENTS: dict[str, tuple[Callable[..., Statement], tuple[str, ...]]] = {
     "phase": (partial(_gate_step, PhaseShift), ("mode", "angle")),
     "cnot": (partial(_gate_step, Cnot), ("mode", "ancilla")),
     "swap": (partial(_gate_step, SwapModes), ("mode", "mode")),
-    "measure N": (lambda m, kind, label: _measure_step(label, "mode", m, "N", kind, False),
+    "measure N": (lambda m, kind, label: _measure_step(label, "mode", m, "N",
+                                                       kind is _DESTRUCTIVE, False),
                   ("mode", "kind", "as", "label")),
-    "measure Q": (lambda a, label: _measure_step(label, "ancilla", a, "Q", _NONDESTRUCTIVE, False),
+    "measure Q": (lambda a, label: _measure_step(label, "ancilla", a, "Q", False, False),
                   ("ancilla", "as", "label")),
-    "measure P": (lambda a, label: _measure_step(label, "ancilla", a, "P", _NONDESTRUCTIVE, False),
+    "measure P": (lambda a, label: _measure_step(label, "ancilla", a, "P", False, False),
                   ("ancilla", "as", "label")),
-    "detect": (lambda m, label: _measure_step(label, "mode", m, "N", _NONDESTRUCTIVE, True),
+    "detect": (lambda m, label: _measure_step(label, "mode", m, "N", False, True),
                ("mode", "as", "label")),
 }
 _GATE_KEYWORDS = {Beamsplitter: "bs", PhaseShift: "phase", Cnot: "cnot", SwapModes: "swap"}
 _ANGLES = ("0", "pi")  # indexed by PhaseShift.s
 _DISTURBANCES = ("nondestructive", "destructive")
+_KINDS = {"nondestructive": _NONDESTRUCTIVE, "destructive": _DESTRUCTIVE}  # no enum call
 _ARTICLE = {"mode": "a mode", "ancilla": "an ancilla"}
 
 _KEYWORDS = {
@@ -245,17 +261,29 @@ _NOT_NAMES = _KEYWORDS | {"", ";"}
 # characters or ASCII spacing (``_PLAIN``, after ``_COMMENT`` is removed) is
 # split on its spacing; the ``_LEXEME`` scan runs only for a ParseError, to
 # find a stray character or where a token sits.  "" marks the end of input.
-_LEXEME = re.compile(r";|\w+|#[^\n]*|[^ \t\r\n]")
-_TOKEN_CHARS = re.compile(r"[;\w]*")
-_COMMENT = re.compile(r"#[^\n]*")
+# Only a ParseError or a comment reads the patterns of ``_LAZY``, so each is
+# compiled on first use and kept by ``re``'s own cache; ``circuits._LEXEME``
+# and the others still read as module attributes.
 _PLAIN = re.compile(r"[;\w \t\r\n]*")
+_LAZY = {"_LEXEME": r";|\w+|#[^\n]*|[^ \t\r\n]", "_TOKEN_CHARS": r"[;\w]*",
+         "_COMMENT": r"#[^\n]*"}
+
+
+def _pattern(name: str) -> re.Pattern:
+    return re.compile(_LAZY[name])
+
+
+def __getattr__(name: str) -> re.Pattern:
+    if name in _LAZY:
+        return _pattern(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _error(text: str, message: str, index: int) -> ParseError:
     """The error at token ``index``.  The end-of-input marker sits right
     after the last token so that "expected ';'" style errors point at a
     useful position."""
-    found = [m for m in _LEXEME.finditer(text) if m.group()[0] != "#"]
+    found = [m for m in _pattern("_LEXEME").finditer(text) if m.group()[0] != "#"]
     offset = found[index].start() if index < len(found) else found[-1].end() if found else 0
     line_start = text.rfind("\n", 0, offset) + 1
     return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
@@ -270,10 +298,11 @@ def parse(text: str) -> Program:
     error names the token it stopped at.
     """
     text = text.replace("\r\n", "\n")
-    code = _COMMENT.sub("", text) if "#" in text else text
+    code = _pattern("_COMMENT").sub("", text) if "#" in text else text
     if not _PLAIN.fullmatch(code):  # str.split would take \x0b, \xa0 and others as spacing
-        tokens = [t for t in _LEXEME.findall(text) if t[0] != "#"]
-        stray = next(t for t in tokens if not _TOKEN_CHARS.fullmatch(t))
+        tokens = [t for t in _pattern("_LEXEME").findall(text) if t[0] != "#"]
+        token_chars = _pattern("_TOKEN_CHARS")
+        stray = next(t for t in tokens if not token_chars.fullmatch(t))
         raise _error(text, f"unexpected character {stray!r}", tokens.index(stray))
     tokens = code.replace(";", " ; ").split()
     tokens.append("")  # the end of input
@@ -346,7 +375,7 @@ def parse(text: str) -> Program:
                 if token not in _DISTURBANCES:
                     values.append(_NONDESTRUCTIVE)
                     continue  # the kind is optional and takes no token here
-                values.append(DisturbanceKind(token))
+                values.append(_KINDS[token])
             elif kind == "as":
                 if token in _DISTURBANCES and (key == "measure Q" or key == "measure P"):
                     raise _error(
@@ -624,3 +653,106 @@ def joint_to_labeled(
         label = labeler(dict(key))
         out[label] = out[label] + weight if label in out else weight
     return {label: w for label, w in out.items() if w}
+
+
+# ---------------------------------------------------------------------------
+# Scenarios and engines
+
+ENGINES = ("toy", "quantum", "ca", "montecarlo")
+
+
+@record
+class OutcomeDistribution:
+    """Labeled outcome probabilities; exact engines carry rationals.
+
+    Sampled engines also carry shot counts; ``probs`` then holds empirical
+    frequencies as Fractions of the shot count.  An exact distribution must
+    sum to 1; a sampled one's counts must sum to the shot count, which makes
+    its frequencies sum to 1.
+    """
+
+    probs: dict[str, Fraction]
+    shots: int | None = None
+    counts: dict[str, int] | None = None
+
+    def __post_init__(self) -> None:
+        if self.counts is not None:
+            if sum(self.counts.values()) != self.shots:
+                raise ValueError("counts must sum to the shot count")
+            return
+        total = sum(self.probs.values())
+        if total != 1:
+            raise ValueError(f"probabilities sum to {total}, not 1")
+
+    def as_floats(self) -> dict[str, float]:
+        return {k: float(v) for k, v in sorted(self.probs.items())}
+
+
+Labeler = Callable[[dict[str, int]], str]
+
+
+@record
+class Scenario:
+    """A named experiment: its parameters, its program and its outcome labeler."""
+
+    name: str
+    params: tuple[tuple[str, str], ...]
+    program: Program
+    labeler: Labeler
+
+    @property
+    def key(self) -> str:
+        if not self.params:
+            return self.name
+        return self.name + "[" + ",".join(f"{k}={v}" for k, v in self.params) + "]"
+
+    def program_text(self) -> str:
+        return render(self.program)
+
+
+_TIMINGS = ("before", "after")
+
+# Each catalogued scenario's name (:mod:`toyfield.scenarios`) -> the
+# parameters ``scenario_by_name`` reads for it, each with the values it accepts.
+SCENARIO_PARAMS: dict[str, dict[str, tuple]] = {
+    "mzi_phase": {"phase": (0, 1, "0", "1", "pi")},
+    "mzi_whichway": {"kind": (*_KINDS, *_KINDS.values())},
+    "bomb_tester": {"functional": (True, False)},
+    "delayed_choice": {"choice": ("phase0", "phasepi", "detector"), "timing": _TIMINGS},
+    "quantum_eraser": {"basis": ("Q", "P"), "ancilla_timing": _TIMINGS},
+    "mirror_removed": {},
+}
+
+
+def run_scenario(
+    scenario: Scenario,
+    engine: str = "toy",
+    shots: int | None = None,
+    seed: int | None = None,
+) -> OutcomeDistribution:
+    """Run a scenario on the chosen engine.
+
+    The exact engines ("toy", "quantum") need no shots; "montecarlo" and
+    "ca" require both a shot count and a seed.
+    """
+    if engine == "toy":
+        joint = run_toy_exact(compile_toy(scenario.program))
+        return OutcomeDistribution(joint_to_labeled(joint, scenario.labeler))
+    if engine == "quantum":
+        joint = run_quantum_exact(compile_quantum(scenario.program))
+        return OutcomeDistribution(joint_to_labeled(joint, scenario.labeler))
+    if engine in ("montecarlo", "ca"):
+        if shots is None or seed is None:
+            raise ValueError(f"engine {engine!r} requires shots and seed")
+        if engine == "montecarlo":
+            from toyfield.montecarlo import run_experiment
+
+            plan = compile_toy(scenario.program)
+        else:
+            from toyfield.automaton import plan_from_program, run_experiment
+
+            plan = plan_from_program(scenario.program)
+        counts = run_experiment(plan, shots, seed, scenario.labeler)
+        probs = {label: Fraction(c, shots) for label, c in counts.items()}
+        return OutcomeDistribution(probs, shots=shots, counts=dict(counts))
+    raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")

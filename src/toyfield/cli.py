@@ -14,25 +14,22 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
-from toyfield import circuits, scenarios
+from toyfield import circuits
 from toyfield.circuits import (
+    ENGINES,
+    SCENARIO_PARAMS,
     CapabilityError,
     CompileError,
+    OutcomeDistribution,
     ParseError,
     Program,
+    Scenario,
     compile_toy,
+    run_scenario,
 )
-from toyfield.phase_space import EpistemicState, marginal
-from toyfield.scenarios import OutcomeDistribution, Scenario, run_scenario
-from toyfield.toy_dynamics import push_forward
 
 CHECK_SUITES = ("equivalence", "coarse-grain", "destructive", "locality", "all")
-
-
-def _fraction_str(p: Fraction) -> str:
-    return str(p.numerator) if p.denominator == 1 else f"{p.numerator}/{p.denominator}"
 
 
 def _print_distribution(
@@ -55,14 +52,14 @@ def _print_distribution(
                 },
             }
         else:
-            payload = {k: _fraction_str(v) for k, v in sorted(dist.probs.items())}
+            payload = {k: str(v) for k, v in sorted(dist.probs.items())}
         print(json.dumps(payload, indent=2))
         return
     width = max((len(k) for k in dist.probs), default=8)
     for label in sorted(dist.probs):
         p = dist.probs[label]
         if dist.counts is None:
-            fraction, extra = _fraction_str(p), ""
+            fraction, extra = str(p), ""
         else:  # unreduced, so every row of a run shares the shot count
             count = dist.counts[label]
             fraction, extra = f"{count}/{dist.shots}", f"  ({count} shots)"
@@ -77,12 +74,12 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     """The named scenario, or a program file (``-`` for stdin) under the default labeler.
 
     Raises :class:`_UsageError` for a scenario flag the target does not take;
-    program files take none.
+    program files take none.  Only a named scenario loads the catalogue.
     """
-    takes = scenarios.SCENARIO_PARAMS.get(args.target, ())
+    takes = SCENARIO_PARAMS.get(args.target, ())
     params = {
         name: getattr(args, name)
-        for names in scenarios.SCENARIO_PARAMS.values()
+        for names in SCENARIO_PARAMS.values()
         for name in names
         if getattr(args, name) is not None
     }
@@ -90,9 +87,11 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
         if name not in takes:
             flag = "--faulty" if value is False else "--" + name.replace("_", "-")
             raise _UsageError(f"{flag} does not apply to {args.target}")
-    if args.target not in scenarios.SCENARIO_PARAMS:
+    if args.target not in SCENARIO_PARAMS:
         return Scenario(args.target, (), _load_program(args.target), circuits.default_labeler)
-    return scenarios.scenario_by_name(args.target, **params)
+    from toyfield.scenarios import scenario_by_name
+
+    return scenario_by_name(args.target, **params)
 
 
 def _load_program(target: str) -> Program:
@@ -145,7 +144,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(scenario.program_text(), end="")
         return 0
     if args.format == "grids":
-        return _print_grids(compile_toy(scenario.program), args.steps)
+        return _grids(scenario, args.steps)
     try:
         dist = run_scenario(scenario, engine, args.shots, args.seed)
     except ValueError as error:  # a compile error, or a quantum weight that is not dyadic
@@ -153,42 +152,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 3
     _print_distribution(dist, args.format, scenario.program, args.seed)
     return 0
-
-
-# ---------------------------------------------------------------------------
-# Grid diagrams
-
-_AXIS_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-def render_grid(state: EpistemicState) -> list[str]:
-    """A 4x4 support diagram over two modes.
-
-    Rows are (N_L, Phi_L) and columns (N_R, Phi_R), both in the order 00,
-    01, 10, 11.  Registers with more than two subsystems are shown as their
-    marginal on the first two modes.
-    """
-    if state.shape.modes < 2:
-        raise CapabilityError("grid diagrams need at least two modes")
-    if state.shape.subsystems > 2:
-        state = marginal(state, modes=(0, 1))
-    filled = {
-        ((bits[0], bits[1]), (bits[2], bits[3])) for bits in state.support_bits()
-    }
-    lines = ["        N_R,Phi_R", "        00 01 10 11"]
-    for row in _AXIS_ORDER:
-        cells = " ".join(
-            " #" if (row, col) in filled else " ." for col in _AXIS_ORDER
-        )
-        lines.append(f"  {row[0]}{row[1]}   {cells}")
-    return lines
-
-
-def _describe_step(step) -> str:
-    if isinstance(step, circuits.GateStep):
-        return repr(step.gate)
-    tag = "detect" if step.is_detect else f"measure {step.variable}"
-    return f"{tag} -> {step.label}"
 
 
 def _step_numbers(text: str) -> set[int] | None:
@@ -199,33 +162,21 @@ def _step_numbers(text: str) -> set[int] | None:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of step numbers: {text!r}")
 
 
-def _print_grids(plan, selected: set[int] | None) -> int:
+def _grids(scenario: Scenario, selected: set[int] | None) -> int:
+    """Print the scenario's support diagrams at the ``--steps`` selected; the
+    grid printer (:mod:`toyfield.grid`) is loaded only here."""
+    plan = compile_toy(scenario.program)
     last = len(plan.steps)
     stray = sorted((selected or set()) - set(range(last + 1)))
     if stray:
         raise _UsageError(f"--steps {','.join(map(str, stray))}: the program has steps 0 to {last}")
-    initial = render_grid(plan.initial)  # refuses a register it cannot draw, before any output
-    print("Support diagrams; rows (N_L,Phi_L), columns (N_R,Phi_R), order 00,01,10,11.")
-    if selected is None or 0 in selected:
-        print("\nstep 0: preparation   p=1")
-        for line in initial:
-            print(line)
-    start = [(Fraction(1), plan.initial, ())]
-    stepped = circuits.branches(start, plan.steps, push_forward, circuits.toy_measure)
-    for step_number, (step, current) in enumerate(stepped, 1):
-        if selected is not None and step_number not in selected:
-            continue
-        for w, state, events in current:
-            tags = " ".join(f"{label}={value}" for label, value in events)
-            suffix = f"   [{tags}]" if tags else ""
-            print(f"\nstep {step_number}: {_describe_step(step)}   p={_fraction_str(w)}{suffix}")
-            for line in render_grid(state):
-                print(line)
-    return 0
+    from toyfield.grid import print_grids
+
+    return print_grids(plan, selected)
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
-    return _print_grids(compile_toy(_scenario_from_args(args).program), args.steps)
+    return _grids(_scenario_from_args(args), args.steps)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -233,16 +184,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     seed = 7 if args.seed is None else args.seed
     if _out_of_range(shots, seed):
         return 2
-    from toyfield.checks import suite_rows  # loaded only by a check, never by a run
+    from toyfield.checks import print_suite  # loaded only by a check, never by a run
 
-    rows = suite_rows(args.suite, shots, seed)
-    for name, ok, detail in rows:
-        status = "PASS" if ok else "FAIL"
-        suffix = f"  {detail}" if detail and not ok else ""
-        print(f"{status}  {name}{suffix}")
-    failed = sum(1 for _, ok, _ in rows if not ok)
-    print(f"\n{len(rows) - failed}/{len(rows)} checks passed")
-    return 1 if failed else 0
+    return print_suite(args.suite, shots, seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -255,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a scenario or a program file")
     run.add_argument("target", help="scenario name, program path, or '-' for stdin")
-    run.add_argument("--engine", choices=scenarios.ENGINES, default="toy")
+    run.add_argument("--engine", choices=ENGINES, default="toy")
     run.add_argument("--shots", type=int)
     run.add_argument("--seed", type=int)
     run.add_argument("--format", choices=("table", "json", "grids"), default="table")

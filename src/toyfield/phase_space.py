@@ -28,20 +28,14 @@ from toyfield._record import record
 
 __all__ = [
     "EpistemicState",
-    "Functional",
-    "ImpossibleOutcome",
     "RegisterShape",
     "ValidityReport",
-    "condition",
     "enumerate_valid_states",
     "is_valid",
-    "make_ancilla",
     "make_occupied",
     "make_vacuum",
     "marginal",
     "prepared",
-    "product",
-    "randomize",
     "shared_state",
 ]
 
@@ -52,10 +46,6 @@ __all__ = [
 # (:func:`shared_state`).  Beyond that the point count grows 4x per
 # subsystem, and nothing is kept.
 SMALL_REGISTER_POINTS = 64
-
-
-class ImpossibleOutcome(ValueError):
-    """Raised when conditioning on an event of probability zero."""
 
 
 @record
@@ -110,30 +100,6 @@ class RegisterShape:
 
 def unpack_bits(value: int, width: int) -> tuple[int, ...]:
     return tuple((value >> k) & 1 for k in range(width))
-
-
-@record
-class Functional:
-    """A binary linear functional on the register bits, f(x) = parity(mask & x)."""
-
-    mask: int
-    label: str = ""
-
-
-def occupation(shape: RegisterShape, mode: int) -> Functional:
-    return Functional(1 << shape.occupation_slot(mode), f"N_{mode}")
-
-
-def phase(shape: RegisterShape, mode: int) -> Functional:
-    return Functional(1 << shape.phase_slot(mode), f"Phi_{mode}")
-
-
-def coordinate(shape: RegisterShape, ancilla: int) -> Functional:
-    return Functional(1 << shape.coordinate_slot(ancilla), f"Q_{ancilla}")
-
-
-def momentum(shape: RegisterShape, ancilla: int) -> Functional:
-    return Functional(1 << shape.momentum_slot(ancilla), f"P_{ancilla}")
 
 
 @record
@@ -327,35 +293,6 @@ def make_vacuum(mode_count: int) -> EpistemicState:
     return prepared(RegisterShape(mode_count))
 
 
-def make_ancilla(q: int = 0) -> EpistemicState:
-    """A single ancilla with its coordinate bit known and momentum uniform."""
-    if q not in (0, 1):
-        raise ValueError("q must be 0 or 1")
-    shape = RegisterShape(0, 1)
-    return EpistemicState(shape, frozenset({q, q | 2}))
-
-
-def condition(state: EpistemicState, variable: Functional, value: int) -> EpistemicState:
-    """Restrict the support to states where the functional takes the value."""
-    if value not in (0, 1):
-        raise ValueError("value must be a bit")
-    kept = frozenset(
-        x for x in state.support if ((x & variable.mask).bit_count() & 1) == value
-    )
-    if not kept:
-        label = variable.label or f"mask {variable.mask:#x}"
-        raise ImpossibleOutcome(f"impossible outcome: {label} = {value}")
-    return EpistemicState(state.shape, kept)
-
-
-def randomize(state: EpistemicState, slot: int) -> EpistemicState:
-    """Union the support with its image under flipping one bit slot."""
-    if not 0 <= slot < state.shape.bit_count:
-        raise IndexError(f"bit slot {slot} out of range")
-    flip = 1 << slot
-    return EpistemicState(state.shape, state.support | {x ^ flip for x in state.support})
-
-
 def marginal(
     state: EpistemicState,
     modes: Sequence[int] = (),
@@ -372,28 +309,6 @@ def marginal(
     projected = frozenset(sum(((x >> first) & 3) << 2 * k for k, first in enumerate(firsts))
                           for x in state.support)
     return EpistemicState(RegisterShape(len(modes), len(ancillas)), projected)
-
-
-def product(a: EpistemicState, b: EpistemicState) -> EpistemicState:
-    """Cartesian-product support; mode and ancilla counts concatenate."""
-    shape = RegisterShape(a.shape.modes + b.shape.modes, a.shape.ancillas + b.shape.ancillas)
-
-    def relocate(x: int, src: RegisterShape, mode_off: int, anc_off: int) -> int:
-        y = 0
-        for m in range(src.modes):
-            y |= ((x >> src.occupation_slot(m)) & 1) << shape.occupation_slot(mode_off + m)
-            y |= ((x >> src.phase_slot(m)) & 1) << shape.phase_slot(mode_off + m)
-        for j in range(src.ancillas):
-            y |= ((x >> src.coordinate_slot(j)) & 1) << shape.coordinate_slot(anc_off + j)
-            y |= ((x >> src.momentum_slot(j)) & 1) << shape.momentum_slot(anc_off + j)
-        return y
-
-    support = frozenset(
-        relocate(x, a.shape, 0, 0) | relocate(y, b.shape, a.shape.modes, a.shape.ancillas)
-        for x in a.support
-        for y in b.support
-    )
-    return EpistemicState(shape, support)
 
 
 def _isotropic_subspaces(subsystems: int) -> list[list[int]]:

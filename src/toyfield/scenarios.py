@@ -23,22 +23,27 @@ Scenario catalog:
   outcome).  The ancilla can be read before or after the ports.
 * ``mirror_removed`` -- the R-arm mirror is replaced by a swap with an
   unoccupied environment mode; half the runs leave the interferometer dark.
+
+``Scenario``, ``OutcomeDistribution``, ``run_scenario``, ``ENGINES`` and
+``SCENARIO_PARAMS`` live in :mod:`toyfield.circuits`, which a program-file
+run loads anyway, and are re-exported here; only a named scenario loads this
+catalogue.
 """
 
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Iterator
 
-from toyfield._record import record
-from toyfield import circuits
-from toyfield.circuits import (
+from toyfield.circuits import (  # noqa: F401  re-exported: callers read them here too
+    ENGINES,
+    SCENARIO_PARAMS,
+    Labeler,
+    OutcomeDistribution,
     Program,
-    compile_quantum,
-    compile_toy,
-    joint_to_labeled,
+    Scenario,
     parse,
+    run_scenario,
 )
 from toyfield.toy_measurement import DisturbanceKind
 
@@ -55,57 +60,6 @@ __all__ = [
     "run_scenario",
     "scenario_by_name",
 ]
-
-ENGINES = ("toy", "quantum", "ca", "montecarlo")
-
-
-@record
-class OutcomeDistribution:
-    """Labeled outcome probabilities; exact engines carry rationals.
-
-    Sampled engines also carry shot counts; ``probs`` then holds empirical
-    frequencies as Fractions of the shot count.  An exact distribution must
-    sum to 1; a sampled one's counts must sum to the shot count, which makes
-    its frequencies sum to 1.
-    """
-
-    probs: dict[str, Fraction]
-    shots: int | None = None
-    counts: dict[str, int] | None = None
-
-    def __post_init__(self) -> None:
-        if self.counts is not None:
-            if sum(self.counts.values()) != self.shots:
-                raise ValueError("counts must sum to the shot count")
-            return
-        total = sum(self.probs.values())
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-
-    def as_floats(self) -> dict[str, float]:
-        return {k: float(v) for k, v in sorted(self.probs.items())}
-
-
-Labeler = Callable[[dict[str, int]], str]
-
-
-@record
-class Scenario:
-    """A named experiment: its parameters, its program and its outcome labeler."""
-
-    name: str
-    params: tuple[tuple[str, str], ...]
-    program: Program
-    labeler: Labeler
-
-    @property
-    def key(self) -> str:
-        if not self.params:
-            return self.name
-        return self.name + "[" + ",".join(f"{k}={v}" for k, v in self.params) + "]"
-
-    def program_text(self) -> str:
-        return circuits.render(self.program)
 
 
 @functools.cache
@@ -300,20 +254,6 @@ def scenario_by_name(name: str, **params) -> Scenario:
     return mirror_removed()
 
 
-_TIMINGS = ("before", "after")
-
-# Each scenario's name -> the parameters :func:`scenario_by_name` reads for it,
-# each with the values it accepts.
-SCENARIO_PARAMS: dict[str, dict[str, tuple]] = {
-    "mzi_phase": {"phase": (0, 1, "0", "1", "pi")},
-    "mzi_whichway": {"kind": (*(k.value for k in DisturbanceKind), *DisturbanceKind)},
-    "bomb_tester": {"functional": (True, False)},
-    "delayed_choice": {"choice": ("phase0", "phasepi", "detector"), "timing": _TIMINGS},
-    "quantum_eraser": {"basis": ("Q", "P"), "ancilla_timing": _TIMINGS},
-    "mirror_removed": {},
-}
-
-
 def all_variants() -> Iterator[Scenario]:
     """Every scenario at every parameter setting; the equivalence sweep."""
     yield mzi_phase(0)
@@ -329,40 +269,6 @@ def all_variants() -> Iterator[Scenario]:
         for timing in ("before", "after"):
             yield quantum_eraser(basis, timing)
     yield mirror_removed()
-
-
-def run_scenario(
-    scenario: Scenario,
-    engine: str = "toy",
-    shots: int | None = None,
-    seed: int | None = None,
-) -> OutcomeDistribution:
-    """Run a scenario on the chosen engine.
-
-    The exact engines ("toy", "quantum") need no shots; "montecarlo" and
-    "ca" require both a shot count and a seed.
-    """
-    if engine == "toy":
-        joint = circuits.run_toy_exact(compile_toy(scenario.program))
-        return OutcomeDistribution(joint_to_labeled(joint, scenario.labeler))
-    if engine == "quantum":
-        joint = circuits.run_quantum_exact(compile_quantum(scenario.program))
-        return OutcomeDistribution(joint_to_labeled(joint, scenario.labeler))
-    if engine in ("montecarlo", "ca"):
-        if shots is None or seed is None:
-            raise ValueError(f"engine {engine!r} requires shots and seed")
-        if engine == "montecarlo":
-            from toyfield.montecarlo import run_experiment
-
-            plan = compile_toy(scenario.program)
-        else:
-            from toyfield.automaton import plan_from_program, run_experiment
-
-            plan = plan_from_program(scenario.program)
-        counts = run_experiment(plan, shots, seed, scenario.labeler)
-        probs = {label: Fraction(c, shots) for label, c in counts.items()}
-        return OutcomeDistribution(probs, shots=shots, counts=dict(counts))
-    raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
 
 def equivalence_sweep() -> list[tuple[str, OutcomeDistribution, OutcomeDistribution, bool]]:

@@ -21,9 +21,9 @@ as the identity otherwise.  Without this, a pair of unoccupied inputs with
 odd relative phase would be mapped to a doubly occupied pair, producing
 detector clicks out of vacuum in the bomb-tester and removed-mirror
 arrangements.  :func:`beamsplitter_rule` is the one copy of this condition;
-the wire automaton's splitter calls it too.  The raw formula is kept as
-:func:`beamsplitter_formula` for the algebraic identities it satisfies on
-all sixteen two-mode states.
+the wire automaton's splitter calls it too.  The raw formula and its
+swap-rule form, with the identities they satisfy on all sixteen two-mode
+states, are the tests' scalar reference (``tests/scalar_reference.py``).
 """
 
 from __future__ import annotations
@@ -46,9 +46,7 @@ __all__ = [
     "PhaseShift",
     "SwapModes",
     "ToyGate",
-    "beamsplitter_formula",
     "beamsplitter_rule",
-    "beamsplitter_swap_rule",
     "gate_image",
     "gate_table",
     "push_forward",
@@ -107,30 +105,9 @@ class Identity:
 ToyGate = Union[Beamsplitter, PhaseShift, Cnot, SwapModes, Identity]
 
 
-def beamsplitter_formula(n_a: int, phi_a: int, n_b: int, phi_b: int) -> tuple[int, int, int, int]:
-    """The raw interferometric update on one pair of modes."""
-    return (
-        phi_a ^ phi_b,
-        n_a ^ phi_b,
-        n_a ^ n_b ^ phi_a ^ phi_b,
-        phi_b,
-    )
-
-
-def beamsplitter_swap_rule(n_a: int, phi_a: int, n_b: int, phi_b: int) -> tuple[int, int, int, int]:
-    """Same map in (N_a, dN, dPhi, Phi_b) coordinates: swap N_a with dPhi."""
-    d_n = n_a ^ n_b
-    d_phi = phi_a ^ phi_b
-    n_a_out = d_phi
-    d_phi_out = n_a
-    n_b_out = n_a_out ^ d_n
-    phi_a_out = d_phi_out ^ phi_b
-    return (n_a_out, phi_a_out, n_b_out, phi_b)
-
-
 def beamsplitter_rule(n_a, phi_a, n_b, phi_b):
-    """The splitter gate: :func:`beamsplitter_formula` where exactly one
-    input is occupied, the identity elsewhere.
+    """The splitter gate: the interferometric update of the module docstring
+    where exactly one input is occupied, the identity elsewhere.
 
     The formula flips N_a, Phi_a and N_b together, by N_a + Phi_a + Phi_b,
     so the gate is that flip gated by N_a + N_b.  Branch-free: the bits are
@@ -238,9 +215,9 @@ def gate_table(gate: ToyGate, shape: RegisterShape) -> tuple[int, ...]:
     marker its mode and ancilla), so at most 16 local patterns fix its action
     everywhere.  The table is built from that kernel, whose local check
     already proves the map a permutation, and is checked once more in full.
-    Push-forwards on more than three subsystems go through
-    :func:`gate_image` and never build it, and Monte Carlo applies the
-    kernel itself to whole columns of shots.
+    Push-forwards on more than three subsystems apply the kernel to the
+    support and never build it, and Monte Carlo applies the kernel itself
+    to whole columns of shots.
     """
     table = tuple(map(_KernelImage(*_gate_kernel(gate, shape)).__getitem__,
                       range(shape.point_count)))
@@ -252,9 +229,15 @@ def gate_table(gate: ToyGate, shape: RegisterShape) -> tuple[int, ...]:
 def push_forward(state: EpistemicState, gate: ToyGate) -> EpistemicState:
     """Image of the support under the gate permutation; stays flat.
 
-    On registers of at most three subsystems equal images are one object
+    On registers of at most three subsystems the image is read off
+    :func:`gate_table`, and equal images are one object
     (:func:`~toyfield.phase_space.shared_state`), built and range-checked
-    once; on larger ones each image is a new state."""
+    once.  On larger ones the gate's kernel is applied to the whole support
+    in one comprehension, and each image is a new state."""
     shape = state.shape
-    image = gate_image(gate, shape)
-    return shared_state(shape, frozenset(map(image.__getitem__, state.support)))
+    if shape.point_count <= _FULL_TABLE_POINTS:
+        table = gate_table(gate, shape)
+        return shared_state(shape, frozenset(map(table.__getitem__, state.support)))
+    shift0, shift1, deltas = _gate_kernel(gate, shape)
+    return shared_state(shape, frozenset(
+        [x ^ deltas[(x >> shift0) & 3 | ((x >> shift1) & 3) << 2] for x in state.support]))

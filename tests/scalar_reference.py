@@ -9,6 +9,12 @@ name the parity of two modes' bits, and snap a float probability to a dyadic
 ``Fraction``.  Each reads the engines' own tables (the gates' local rules and
 the measurement kernel), so a test compares a scalar path with a bulk one,
 not two copies of a rule.
+
+The rest is the calculus the engines never call: binary linear functionals
+and conditioning on one, randomizing a bit, products of registers, a lone
+ancilla's preparation, and the splitter's raw algebra (its update on every
+input, in two coordinate forms), which the gate restricts to one occupied
+input.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from toyfield.circuits import MeasureStep
-from toyfield.phase_space import EpistemicState, Functional, RegisterShape, unpack_bits
+from toyfield.phase_space import EpistemicState, RegisterShape, unpack_bits
 from toyfield.toy_dynamics import (
     Beamsplitter,
     Cnot,
@@ -166,3 +172,109 @@ def step_run_index(state: int, shape: RegisterShape, step: MeasureStep, coin: in
         step.kind is DisturbanceKind.DESTRUCTIVE,
     )
     return (state >> read) & 1, (state & keep) ^ (coin << flip)
+
+
+# ---------------------------------------------------------------------------
+# The epistemic-state calculus beyond what the engines run
+
+
+class ImpossibleOutcome(ValueError):
+    """Raised when conditioning on an event of probability zero."""
+
+
+@dataclass(frozen=True)
+class Functional:
+    """A binary linear functional on the register bits, f(x) = parity(mask & x)."""
+
+    mask: int
+    label: str = ""
+
+
+def occupation(shape: RegisterShape, mode: int) -> Functional:
+    return Functional(1 << shape.occupation_slot(mode), f"N_{mode}")
+
+
+def phase(shape: RegisterShape, mode: int) -> Functional:
+    return Functional(1 << shape.phase_slot(mode), f"Phi_{mode}")
+
+
+def coordinate(shape: RegisterShape, ancilla: int) -> Functional:
+    return Functional(1 << shape.coordinate_slot(ancilla), f"Q_{ancilla}")
+
+
+def momentum(shape: RegisterShape, ancilla: int) -> Functional:
+    return Functional(1 << shape.momentum_slot(ancilla), f"P_{ancilla}")
+
+
+def make_ancilla(q: int = 0) -> EpistemicState:
+    """A single ancilla with its coordinate bit known and momentum uniform."""
+    if q not in (0, 1):
+        raise ValueError("q must be 0 or 1")
+    shape = RegisterShape(0, 1)
+    return EpistemicState(shape, frozenset({q, q | 2}))
+
+
+def condition(state: EpistemicState, variable: Functional, value: int) -> EpistemicState:
+    """Restrict the support to states where the functional takes the value."""
+    if value not in (0, 1):
+        raise ValueError("value must be a bit")
+    kept = frozenset(
+        x for x in state.support if ((x & variable.mask).bit_count() & 1) == value
+    )
+    if not kept:
+        label = variable.label or f"mask {variable.mask:#x}"
+        raise ImpossibleOutcome(f"impossible outcome: {label} = {value}")
+    return EpistemicState(state.shape, kept)
+
+
+def randomize(state: EpistemicState, slot: int) -> EpistemicState:
+    """Union the support with its image under flipping one bit slot."""
+    if not 0 <= slot < state.shape.bit_count:
+        raise IndexError(f"bit slot {slot} out of range")
+    flip = 1 << slot
+    return EpistemicState(state.shape, state.support | {x ^ flip for x in state.support})
+
+
+def product(a: EpistemicState, b: EpistemicState) -> EpistemicState:
+    """Cartesian-product support; mode and ancilla counts concatenate."""
+    shape = RegisterShape(a.shape.modes + b.shape.modes, a.shape.ancillas + b.shape.ancillas)
+
+    def relocate(x: int, src: RegisterShape, mode_off: int, anc_off: int) -> int:
+        y = 0
+        for m in range(src.modes):
+            y |= ((x >> src.occupation_slot(m)) & 1) << shape.occupation_slot(mode_off + m)
+            y |= ((x >> src.phase_slot(m)) & 1) << shape.phase_slot(mode_off + m)
+        for j in range(src.ancillas):
+            y |= ((x >> src.coordinate_slot(j)) & 1) << shape.coordinate_slot(anc_off + j)
+            y |= ((x >> src.momentum_slot(j)) & 1) << shape.momentum_slot(anc_off + j)
+        return y
+
+    support = frozenset(
+        relocate(x, a.shape, 0, 0) | relocate(y, b.shape, a.shape.modes, a.shape.ancillas)
+        for x in a.support
+        for y in b.support
+    )
+    return EpistemicState(shape, support)
+
+
+def beamsplitter_formula(n_a: int, phi_a: int, n_b: int, phi_b: int) -> tuple[int, int, int, int]:
+    """The raw interferometric update on one pair of modes (the gate,
+    ``toy_dynamics.beamsplitter_rule``, applies it only where exactly one
+    input is occupied)."""
+    return (
+        phi_a ^ phi_b,
+        n_a ^ phi_b,
+        n_a ^ n_b ^ phi_a ^ phi_b,
+        phi_b,
+    )
+
+
+def beamsplitter_swap_rule(n_a: int, phi_a: int, n_b: int, phi_b: int) -> tuple[int, int, int, int]:
+    """Same map in (N_a, dN, dPhi, Phi_b) coordinates: swap N_a with dPhi."""
+    d_n = n_a ^ n_b
+    d_phi = phi_a ^ phi_b
+    n_a_out = d_phi
+    d_phi_out = n_a
+    n_b_out = n_a_out ^ d_n
+    phi_a_out = d_phi_out ^ phi_b
+    return (n_a_out, phi_a_out, n_b_out, phi_b)

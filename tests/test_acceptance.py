@@ -151,14 +151,12 @@ def test_07_destructive_equivalence():
 
 
 def test_08_closure_of_valid_states():
-    from scalar_reference import delta_occupation
+    from scalar_reference import delta_occupation, product, randomize
     from toyfield.phase_space import (
         RegisterShape,
         enumerate_valid_states,
         is_valid,
         marginal,
-        product,
-        randomize,
     )
     from toyfield.toy_dynamics import (
         Beamsplitter,

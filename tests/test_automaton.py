@@ -40,7 +40,8 @@ from toyfield.scenarios import (
     mzi_whichway,
     run_scenario,
 )
-from toyfield.toy_dynamics import Beamsplitter, apply_gate_index, beamsplitter_formula
+from scalar_reference import beamsplitter_formula
+from toyfield.toy_dynamics import Beamsplitter, apply_gate_index
 from toyfield.toy_measurement import DisturbanceKind
 
 from test_montecarlo import stays_valid

@@ -741,9 +741,25 @@ def test_a_toy_run_from_the_command_line_loads_only_what_it_executes(tmp_path):
     # dataclasses and inspect only where the interpreter's own start loads them
     at_start, _ = imported_modules("-c", "pass", env=env)
     unused = {"toyfield.checks", "toyfield.first_quantized", "toyfield.quantum",
-              "toyfield.montecarlo", "toyfield.automaton", "numpy",
-              *({"dataclasses", "inspect"} - at_start)}
+              "toyfield.montecarlo", "toyfield.automaton", "toyfield.scenarios",
+              "toyfield.grid", "numpy", *({"dataclasses", "inspect"} - at_start)}
     assert not unused & loaded, sorted(unused & loaded)
+
+
+def test_a_cold_grid_run_prints_the_golden_diagrams_byte_for_byte():
+    # The grid printer and the scenario catalogue load only for a run that
+    # needs them; a fresh `python -m toyfield.cli grid` process loads both and
+    # prints exactly the recorded diagrams.
+    src = str(Path(toyfield.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-X", "importtime", "-m", "toyfield.cli", "grid",
+                             "mzi_whichway"], env=env, capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    golden = Path(__file__).parent / "golden" / "grid_mzi_whichway.txt"
+    assert result.stdout == golden.read_bytes()
+    loaded = {line.rsplit(b"|", 1)[1].strip() for line in result.stderr.splitlines()
+              if line.startswith(b"import time:")}
+    assert {b"toyfield.grid", b"toyfield.scenarios"} <= loaded
 
 
 def test_every_record_in_src_has_its_own_docstring():

@@ -5,21 +5,23 @@ from fractions import Fraction
 
 from toyfield.phase_space import (
     EpistemicState,
-    ImpossibleOutcome,
     RegisterShape,
-    condition,
     enumerate_valid_states,
     is_valid,
-    make_ancilla,
     make_occupied,
     make_vacuum,
     marginal,
+)
+from scalar_reference import (
+    ImpossibleOutcome,
+    PhysicalState,
+    condition,
+    make_ancilla,
     occupation,
     phase,
     product,
     randomize,
 )
-from scalar_reference import PhysicalState
 
 TWO = RegisterShape(2)
 
