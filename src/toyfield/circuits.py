@@ -44,10 +44,17 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache, partial
+from math import gcd
 from typing import Callable, Union
 
 from toyfield._record import record
-from toyfield.phase_space import SMALL_REGISTER_POINTS, EpistemicState, RegisterShape, prepared
+from toyfield.phase_space import (
+    SMALL_REGISTER_POINTS,
+    EpistemicState,
+    RegisterShape,
+    prepared,
+    shared_fraction,
+)
 from toyfield.toy_dynamics import (
     Beamsplitter,
     Cnot,
@@ -531,20 +538,32 @@ def compile_quantum(program: Program) -> QuantumPlan:
 Assignment = tuple[tuple[str, int], ...]
 JointDistribution = dict[Assignment, Fraction]
 
+# The weight of a branch no measurement has split, and the probability of a
+# certain outcome: the one object ``branches`` multiplies by nothing.
+ONE = (1, 1)
+
+
+def _product(w: tuple[int, int], p: tuple[int, int]) -> tuple[int, int]:
+    """The reduced pair of the product of two reduced pairs: one ``gcd``."""
+    numerator, denominator = w[0] * p[0], w[1] * p[1]
+    divisor = gcd(numerator, denominator)
+    return numerator // divisor, denominator // divisor
+
 
 def branches(start, steps, apply, measure):
     """Branch ``start`` over the steps; yield ``(step, branches)`` after each.
 
-    A branch is ``(weight, state, events)``.  A gate maps every branch's state
-    through ``apply(state, gate)``; a measurement splits every branch over
-    ``measure(state, step)``'s ``(value, probability, posterior)`` outcomes,
-    multiplying its weight and appending ``(step.label, value)`` to its
-    events, a tuple of ``(label, value)`` pairs in step order.  ``start`` is
-    the list of branches before the first step, each with the events ``()``;
-    its weights set the arithmetic (``Fraction`` stays exact, ``float`` stays
-    float).  An ``int`` weight stays an ``int`` while every probability is
-    one, as :func:`toy_measure` gives a certain outcome, and becomes a
-    ``Fraction`` at the first measurement that splits its branch.
+    A branch is ``(weight, state, events)``, its weight a reduced
+    ``(numerator, denominator)`` pair of ints.  A gate maps every branch's
+    state through ``apply(state, gate)``; a measurement splits every branch
+    over ``measure(state, step)``'s ``(value, probability, posterior)``
+    outcomes, each probability a reduced pair, multiplying its weight and
+    appending ``(step.label, value)`` to its events, a tuple of ``(label,
+    value)`` pairs in step order.  ``start`` is the list of branches before
+    the first step, each with the events ``()``, usually the one branch of
+    weight :data:`ONE`.  A certain outcome's probability is :data:`ONE`,
+    which leaves the weight as it is; a split makes its product with one
+    ``math.gcd``, so every weight stays in lowest terms.
     """
     current = start
     for step in steps:
@@ -554,33 +573,29 @@ def branches(start, steps, apply, measure):
         else:
             label = step.label
             current = [
-                (w * prob, posterior, (*events, (label, value)))
+                (w if p is ONE else p if w is ONE else _product(w, p),
+                 posterior, (*events, (label, value)))
                 for w, state, events in current
-                for value, prob, posterior in measure(state, step)
+                for value, p, posterior in measure(state, step)
             ]
         yield step, current
 
 
-def _joint(start, steps, apply, measure, weight=lambda w, state: w) -> dict:
-    """Total weight per label assignment over the final branches, reading
-    each final branch's weight as ``weight(w, state)``.  An assignment is
-    a branch's events sorted: a program's labels are distinct, so its pairs
-    are in label order."""
+def _final(start, steps, apply, measure) -> list:
+    """The branches after the last step.  From one start branch their events
+    differ, so each assignment (a branch's events sorted, in label order
+    since a program's labels are distinct) is one branch's."""
     final = start
     for _, final in branches(start, steps, apply, measure):
         pass
-    joint: dict = {}
-    for w, state, events in final:
-        key = tuple(sorted(events))
-        w = weight(w, state)
-        joint[key] = joint[key] + w if key in joint else w
-    return joint
+    return final
 
 
 def toy_measure(state: EpistemicState, step: MeasureStep) -> tuple:
     """The classical engine's outcomes of a measurement step, as a tuple of
-    ``(value, probability, posterior)`` triples; a certain outcome, the only
-    one, has the ``int`` probability 1.
+    ``(value, probability, posterior)`` triples, each probability a reduced
+    ``(numerator, denominator)`` pair; a certain outcome, the only one, has
+    the probability :data:`ONE`.
 
     On registers of at most ``SMALL_REGISTER_POINTS`` points the tuple is a
     bounded memo's, keyed by the state and the step and shared by every call
@@ -597,18 +612,18 @@ def _toy_outcomes(state: EpistemicState, step: MeasureStep) -> tuple:
         outcomes = measure_ancilla(state, step.index, step.variable)
     if len(outcomes) == 1:
         o = outcomes[0]
-        return ((o.value, 1, o.posterior),)
-    return tuple((o.value, o.probability, o.posterior) for o in outcomes)
+        return ((o.value, ONE, o.posterior),)
+    return tuple((o.value, (o.probability.numerator, o.probability.denominator), o.posterior)
+                 for o in outcomes)
 
 
 def run_toy_exact(plan: ToyPlan) -> JointDistribution:
     """Exact joint distribution over measurement labels, by branching.
 
-    Weights start from the ``int`` 1, so a branch makes no ``Fraction``
-    until a measurement splits it; each outcome's total is made a
-    ``Fraction`` once."""
-    joint = _joint([(1, plan.initial, ())], plan.steps, push_forward, toy_measure)
-    return {key: Fraction(total) for key, total in joint.items()}
+    Weights are reduced int pairs (:func:`branches`); each outcome's is made
+    a ``Fraction`` once, by :func:`~toyfield.phase_space.shared_fraction`."""
+    final = _final([(ONE, plan.initial, ())], plan.steps, push_forward, toy_measure)
+    return {tuple(sorted(events)): shared_fraction(*w) for w, _, events in final}
 
 
 def run_quantum_exact(plan: QuantumPlan) -> JointDistribution:
@@ -616,27 +631,31 @@ def run_quantum_exact(plan: QuantumPlan) -> JointDistribution:
 
     Each branch is an unnormalized amplitude vector over Z[sqrt(2)] with one
     scale exponent, as integer tuples; a step's own gate picks its map
-    (``quantum.exact_gate``), and ``quantum.exact_measure`` splits it.  A
-    final branch's squared norm is the Born probability of its record; a
+    (``quantum.exact_gate``), and ``quantum.exact_measure`` splits it, each
+    outcome of probability :data:`ONE`.  A final branch's squared norm
+    (``quantum.exact_weight``) is the Born probability of its record; a
     weight with an irrational part raises ``ValueError``, and every other
-    weight is a dyadic ``Fraction`` of whatever denominator it has.
+    weight is a dyadic ``Fraction`` of whatever denominator it has, the
+    object :func:`~toyfield.phase_space.shared_fraction` gives for it.
     """
     import toyfield.quantum as quantum  # no fromlist: no import machinery per call
 
+    exact_gate, exact_measure = quantum.exact_gate, quantum.exact_measure
+    exact_weight = quantum.exact_weight
     modes = len(plan.program.modes)
     qubits = modes + len(plan.program.ancillas)
 
     def apply(state, gate: ToyGate):
-        return quantum.exact_gate(gate, modes, qubits)(state)
+        return exact_gate(gate, modes, qubits)(state)
 
     def measure(state, step: MeasureStep):
         subsystem = step.index if step.target_kind == "mode" else modes + step.index
         destructive = step.kind is DisturbanceKind.DESTRUCTIVE
-        outcomes = quantum.exact_measure(state, subsystem, step.variable, destructive)
-        return [(value, 1, after) for value, after in outcomes]
+        outcomes = exact_measure(state, subsystem, step.variable, destructive)
+        return [(value, ONE, after) for value, after in outcomes]
 
-    return _joint([(1, plan.initial, ())], plan.steps, apply, measure,
-                  lambda _, state: quantum.exact_weight(state))
+    final = _final([(ONE, plan.initial, ())], plan.steps, apply, measure)
+    return {tuple(sorted(events)): exact_weight(state) for _, state, events in final}
 
 
 def default_labeler(outcome: dict[str, int]) -> str:

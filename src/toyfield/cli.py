@@ -5,7 +5,10 @@ a step number the program does not have, --steps without --format grids,
 --shots < 1 or > 2**64, --seed < 0, grids off the toy engine, a target path
 that cannot be read or a scenario flag the target does not take among
 them), 3 parse/compile error (text that is not UTF-8 among them), a
-register the grids cannot draw, or a quantum result that is not dyadic.
+register the grids cannot draw, or a quantum result that is not dyadic,
+and 141 when the reader closed stdout before the output was written (as in
+``toyfield grid mzi_whichway | head -3``): 128 + SIGPIPE, what a shell
+reports for a process that signal ends, with no traceback.
 Sampled engines require explicit --shots and --seed; there is no
 environment fallback for seeds by design.
 """
@@ -13,6 +16,7 @@ environment fallback for seeds by design.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from toyfield import circuits
@@ -242,13 +246,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at shutdown
+        return code
     except (ParseError, CompileError, CapabilityError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 3
     except _UsageError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The rest of the output is dropped, and the interpreter's shutdown
+        # flush writes it to os.devnull instead of failing on the pipe again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ dynamics and measurement for any circuit that stays in the sector.
 from __future__ import annotations
 
 from toyfield._record import record
-from toyfield.circuits import GateStep, MeasureStep, branches, toy_measure
+from toyfield.circuits import ONE, GateStep, MeasureStep, branches, toy_measure
 from toyfield.phase_space import EpistemicState, RegisterShape, enumerate_valid_states
 from toyfield.toy_dynamics import (
     Beamsplitter, Identity, PhaseShift, SwapModes, ToyGate, apply_gate_index, push_forward,
@@ -123,8 +123,9 @@ def check_commutation(circuit) -> CommutationReport:
     coarse table is checked on all 8 sector ontic states.  Then, from every
     valid sector-supported epistemic state, the circuit branches on the fine
     register and, from that state's coarse image, on :data:`COARSE`; after
-    every step both runs must hold the same weights and records, with each
-    fine branch's coarse image equal to its coarse branch's state.
+    every step both runs must hold the same weights, compared as their
+    reduced int pairs, and records, with each fine branch's coarse image
+    equal to its coarse branch's state.
     """
     steps = []
     for step in circuit:
@@ -150,9 +151,9 @@ def check_commutation(circuit) -> CommutationReport:
     for start in enumerate_valid_states(_TWO_MODES):
         if not start.support <= sector:
             continue
-        fine = branches([(1, start, ())], steps, push_forward, toy_measure)
+        fine = branches([(ONE, start, ())], steps, push_forward, toy_measure)
         coarse = branches(
-            [(1, coarse_grain_epistemic(start), ())], steps, _coarse_apply, _coarse_measure
+            [(ONE, coarse_grain_epistemic(start), ())], steps, _coarse_apply, _coarse_measure
         )
         for number, ((_, fine_now), (_, coarse_now)) in enumerate(zip(fine, coarse), 1):
             fine_image = sorted(

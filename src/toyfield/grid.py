@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from toyfield.circuits import CapabilityError, GateStep, ToyPlan, branches, toy_measure
+from toyfield.circuits import ONE, CapabilityError, GateStep, ToyPlan, branches, toy_measure
 from toyfield.phase_space import EpistemicState, marginal
 from toyfield.toy_dynamics import push_forward
 
@@ -56,15 +56,14 @@ def print_grids(plan: ToyPlan, selected: set[int] | None) -> int:
         print("\nstep 0: preparation   p=1")
         for line in initial:
             print(line)
-    start = [(Fraction(1), plan.initial, ())]
-    stepped = branches(start, plan.steps, push_forward, toy_measure)
+    stepped = branches([(ONE, plan.initial, ())], plan.steps, push_forward, toy_measure)
     for step_number, (step, current) in enumerate(stepped, 1):
         if selected is not None and step_number not in selected:
             continue
         for w, state, events in current:
             tags = " ".join(f"{label}={value}" for label, value in events)
             suffix = f"   [{tags}]" if tags else ""
-            print(f"\nstep {step_number}: {_describe_step(step)}   p={w!s}{suffix}")
+            print(f"\nstep {step_number}: {_describe_step(step)}   p={Fraction(*w)}{suffix}")
             for line in render_grid(state):
                 print(line)
     return 0

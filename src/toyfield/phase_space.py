@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 from typing import Sequence
 
 from toyfield._record import record
@@ -36,6 +37,7 @@ __all__ = [
     "make_vacuum",
     "marginal",
     "prepared",
+    "shared_fraction",
     "shared_state",
 ]
 
@@ -258,6 +260,19 @@ def shared_state(shape: RegisterShape, support: frozenset[int]) -> EpistemicStat
 
 
 _shared_state = lru_cache(maxsize=4096)(EpistemicState)
+
+
+@lru_cache(maxsize=1024)
+def shared_fraction(numerator: int, denominator: int) -> Fraction:
+    """``Fraction(numerator, denominator)``, one object per value: both exact
+    engines make their outcome weights here, so equal distributions compare
+    by identity.  A bounded LRU keyed by the pair; an unreduced pair's entry
+    holds its reduced pair's object, and a reduced one builds its
+    ``Fraction`` once."""
+    divisor = gcd(numerator, denominator)
+    if divisor != 1:
+        return shared_fraction(numerator // divisor, denominator // divisor)
+    return Fraction(numerator, denominator)
 
 
 def prepared(shape: RegisterShape, occupied: Sequence[int] = ()) -> EpistemicState:

@@ -42,6 +42,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from toyfield._record import record
+from toyfield.phase_space import shared_fraction
 from toyfield.toy_dynamics import Beamsplitter, Cnot, PhaseShift, SwapModes, ToyGate
 
 __all__ = [
@@ -502,7 +503,9 @@ def exact_weight(state: ExactState) -> Fraction:
     """A branch's squared norm (X + Y sqrt(2)) / 2^e, which must be dyadic.
 
     Y != 0 raises ``ValueError``; the message keeps the float path's
-    wording, "... is not dyadic within 1e-09".  Memoised on the branch; a
+    wording, "... is not dyadic within 1e-09".  The weight is the object
+    :func:`~toyfield.phase_space.shared_fraction` gives for X/2^e, the one
+    the toy engine gives for an equal weight.  Memoised on the branch; a
     raising branch stores nothing and raises again.
     """
     a, b, e = state
@@ -515,4 +518,4 @@ def exact_weight(state: ExactState) -> Fraction:
             f"probability {value} = ({rational} {sign} {abs(irrational)}*sqrt(2))/2**{e} "
             "is not dyadic within 1e-09"
         )
-    return Fraction(rational, 1 << e)
+    return shared_fraction(rational, 1 << e)

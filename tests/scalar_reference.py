@@ -5,8 +5,9 @@ physical state is a record of bits (``PhysicalState``, read per mode as
 ``ModeState`` and per ancilla as ``AncillaState``).  These helpers
 apply one gate to one ``PhysicalState``, one measurement step to one packed
 state with an explicit coin, count one functional's values over a support,
-name the parity of two modes' bits, and snap a float probability to a dyadic
-``Fraction``.  Each reads the engines' own tables (the gates' local rules and
+name the parity of two modes' bits, snap a float probability to a dyadic
+``Fraction``, and walk a program's branches with weights of any number type
+(``joint``).  Each reads the engines' own tables (the gates' local rules and
 the measurement kernel), so a test compares a scalar path with a bulk one,
 not two copies of a rule.
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from toyfield.circuits import MeasureStep
+from toyfield.circuits import GateStep, MeasureStep
 from toyfield.phase_space import EpistemicState, RegisterShape, unpack_bits
 from toyfield.toy_dynamics import (
     Beamsplitter,
@@ -172,6 +173,29 @@ def step_run_index(state: int, shape: RegisterShape, step: MeasureStep, coin: in
         step.kind is DisturbanceKind.DESTRUCTIVE,
     )
     return (state >> read) & 1, (state & keep) ^ (coin << flip)
+
+
+def joint(start, steps, apply, measure) -> dict:
+    """Total weight per label assignment of a branch walk whose weights
+    multiply with ``*``: ``Fraction`` stays exact and ``float`` stays float.
+
+    The engines' walk, ``circuits.branches``, carries reduced int pairs; this
+    one takes ``start`` (a list of ``(weight, state, events)`` branches) and
+    ``measure``'s ``(value, probability, posterior)`` outcomes in any number
+    type.  An assignment is a branch's events sorted, so in label order."""
+    current = start
+    for step in steps:
+        if isinstance(step, GateStep):
+            current = [(w, apply(state, step.gate), events) for w, state, events in current]
+        else:
+            current = [(w * p, posterior, (*events, (step.label, value)))
+                       for w, state, events in current
+                       for value, p, posterior in measure(state, step)]
+    totals: dict = {}
+    for w, _, events in current:
+        key = tuple(sorted(events))
+        totals[key] = totals[key] + w if key in totals else w
+    return totals
 
 
 # ---------------------------------------------------------------------------

@@ -343,13 +343,13 @@ class TestExecution:
         assert gate_table.cache_info() == before
 
     def test_toy_weights_are_fractions_equal_to_an_all_fraction_walk(self):
-        """Weights are ints until a measurement splits a branch; the returned
+        """Weights are reduced int pairs while the run branches; the returned
         totals are still Fractions, equal to a walk that multiplies every
         outcome's Fraction probability."""
         import random
 
+        from scalar_reference import joint
         from test_quantum_exact import random_program
-        from toyfield.circuits import _joint
         from toyfield.scenarios import all_variants
         from toyfield.toy_dynamics import push_forward
         from toyfield.toy_measurement import measure_ancilla, measure_occupation
@@ -369,13 +369,52 @@ class TestExecution:
         for program in programs:
             plan = compile_toy(program)
             got = run_toy_exact(plan)
-            want = _joint([(Fraction(1), plan.initial, ())], plan.steps,
-                          push_forward, fraction_measure)
+            want = joint([(Fraction(1), plan.initial, ())], plan.steps,
+                         push_forward, fraction_measure)
             assert got == want, render(program)
             assert list(got) == list(want)
             assert all(type(v) is Fraction for v in got.values()), render(program)
         assert set(run_toy_exact(compile_toy(programs[17])).values()) == {
             Fraction(1, 3), Fraction(2, 3)}
+
+    def test_every_branch_weight_is_a_pair_in_lowest_terms(self):
+        """After every step of random programs, and of one whose states leave
+        the valid ones (weights of a third), each branch weight is a pair of
+        ints in lowest terms; a certain outcome leaves the start's ``ONE``."""
+        import random
+        from math import gcd
+
+        from test_quantum_exact import random_program
+        from toyfield.circuits import ONE, branches, toy_measure
+        from toyfield.toy_dynamics import push_forward
+
+        rng = random.Random(30)
+        programs = [parse(LEAVES_THEORY)] + [parse(random_program(rng)) for _ in range(1000)]
+        seen = set()
+        for program in programs:
+            plan = compile_toy(program)
+            for _, current in branches([(ONE, plan.initial, ())], plan.steps, push_forward,
+                                       toy_measure):
+                for w, _, _ in current:
+                    n, d = w
+                    assert type(n) is int and type(d) is int, render(program)
+                    assert 0 < n <= d and gcd(n, d) == 1, render(program)
+                    assert w is ONE or w != ONE, render(program)
+                    seen.add(w)
+        assert {(1, 1), (1, 2), (1, 4), (1, 3), (2, 3)} <= seen
+
+    def test_equal_toy_and_quantum_weights_are_one_object(self):
+        """On the 17 variants both engines give equal joint distributions,
+        and each toy weight is the quantum weight's object."""
+        from toyfield.scenarios import all_variants
+
+        variants = list(all_variants())
+        assert len(variants) == 17
+        for variant in variants:
+            toy = run_toy_exact(compile_toy(variant.program))
+            quantum = run_quantum_exact(compile_quantum(variant.program))
+            assert toy == quantum, variant.key
+            assert all(toy[key] is quantum[key] for key in toy), variant.key
 
     def test_snap_dyadic(self):
         assert snap_dyadic(0.25) == Fraction(1, 4)
@@ -413,7 +452,8 @@ class TestInTheoryWitness:
 
         plan = compile_toy(parse(self.TEXT))
         states = [plan.initial]
-        for _, current in branches([(1, plan.initial, ())], plan.steps, push_forward, toy_measure):
+        for _, current in branches([((1, 1), plan.initial, ())], plan.steps, push_forward,
+                                   toy_measure):
             states += [state for _, state, _ in current]
         assert len(states) == 1 + 5 + 2 + 2
         assert all(is_valid(state) for state in states)

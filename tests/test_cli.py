@@ -1,10 +1,14 @@
 """Command-line interface: outputs, exit codes, error reporting."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import toyfield
 from toyfield.cli import main
 
 
@@ -328,6 +332,29 @@ class TestScenarioFlags:
         assert code == 2
         assert out == ""
         assert "--kind" in err
+
+
+class TestClosedStdout:
+    """A reader that closes stdout before the output is written, as ``| head
+    -3`` does: the command exits 141 and writes nothing to stderr.  The
+    pipe's read end is closed before the process starts, so its first write
+    to stdout fails, with no race."""
+
+    @pytest.mark.parametrize("argv", [("grid", "mzi_whichway"),
+                                      ("run", "mzi_whichway", "--format", "json")],
+                             ids=["grid", "run-json"])
+    def test_exits_141_without_a_traceback(self, argv):
+        src = str(Path(toyfield.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            result = subprocess.run([sys.executable, "-m", "toyfield.cli", *argv],
+                                    stdout=write, stderr=subprocess.PIPE, timeout=120,
+                                    env={**os.environ, "PYTHONPATH": path})
+        finally:
+            os.close(write)
+        assert (result.returncode, result.stderr) == (141, b"")
 
 
 class TestGrid:

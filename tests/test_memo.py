@@ -120,6 +120,18 @@ def test_a_preparation_is_shared_on_small_registers_only():
     assert prepared(RegisterShape(4), (1,)) is not prepared(RegisterShape(4), (1,))
 
 
+def test_an_equal_weight_is_one_fraction():
+    """Both exact engines make their weights through ``shared_fraction``: an
+    unreduced pair gives its reduced pair's object, and the quantum weight
+    of a branch is the object of its value."""
+    quarter = phase_space.shared_fraction(1, 4)
+    assert phase_space.shared_fraction(2, 8) is quarter
+    assert type(quarter) is Fraction and quarter == Fraction(1, 4)
+    assert phase_space.shared_fraction(3, 3) is phase_space.shared_fraction(1, 1) == 1
+    assert quantum.exact_weight(((0, 0), (1, 0), 3)) is quarter  # 2 / 2**3
+    assert quantum.exact_weight.__wrapped__(((0, 0), (1, 0), 3)) is quarter
+
+
 def test_every_memo_is_bounded():
     """Every ``lru_cache`` in the package, found by walking its modules: a
     memo keyed by states, branches or user text has a size bound."""
@@ -137,7 +149,8 @@ def test_every_memo_is_bounded():
             if callable(getattr(value, "cache_info", None)):
                 found.setdefault(value, f"{module_info.name}.{name}")
     assert unbounded <= found.keys()
-    assert {circuits._toy_outcomes, phase_space._shared_state, quantum._transition} <= found.keys()
+    assert {circuits._toy_outcomes, phase_space._shared_state, phase_space.shared_fraction,
+            quantum._transition} <= found.keys()
     unchecked = [name for memo, name in found.items()
                  if memo not in unbounded and memo.cache_info().maxsize is None]
     assert unchecked == []

@@ -98,7 +98,7 @@ class TestEnumerationIdentity:
 
 def stays_valid(plan) -> bool:
     """Whether every branch state of the plan's exact toy run is valid."""
-    stepped = circuits.branches([(1, plan.initial, {})], plan.steps,
+    stepped = circuits.branches([((1, 1), plan.initial, {})], plan.steps,
                                 push_forward, circuits.toy_measure)
     return is_valid(plan.initial) and all(
         is_valid(state) for _, branches in stepped for _, state, _ in branches

@@ -23,7 +23,7 @@ from toyfield.circuits import (
     parse,
     run_quantum_exact,
 )
-from scalar_reference import snap_dyadic
+from scalar_reference import joint, snap_dyadic
 from toyfield.toy_dynamics import Beamsplitter, Cnot, Identity, PhaseShift, SwapModes
 from toyfield.toy_measurement import DisturbanceKind
 
@@ -66,7 +66,7 @@ def float_reference(program) -> dict:
         return outcomes
 
     start_branch = [(1.0, quantum.basis_state(start, qubits), {})]
-    raw = circuits._joint(start_branch, program.steps, apply, measure)
+    raw = joint(start_branch, program.steps, apply, measure)
     snapped = {key: snap_dyadic(w) for key, w in raw.items()}
     return {key: p for key, p in snapped.items() if p}
 
