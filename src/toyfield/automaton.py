@@ -129,16 +129,14 @@ class CaPlan:
     def patterns(self) -> tuple[tuple[str, ...], tuple[int, ...], np.ndarray]:
         """The :func:`~toyfield.montecarlo._pattern_table` of ``D``, its
         labels the events, detectors then sinks: lane ``j`` draws bit ``i``
-        of ``j`` at ``D[i]`` and 0 at every other bit."""
-        bits, dependencies = self.reads
+        of ``j`` at ``D[i]``, and every other bit is one shared zero column."""
 
         def record(every: np.ndarray) -> dict[str, np.ndarray]:
-            planes = np.zeros((8 * -(-bits // 64), len(every)), dtype=np.uint8)
-            for i, b in enumerate(dependencies):
-                planes[b >> 3] |= ((every >> i & 1) << (b & 7)).astype(np.uint8)
-            return _lanes(self, planes)
+            zero = np.zeros(len(every), dtype=np.uint8)
+            drawn = {b: (every >> i & 1).astype(np.uint8) for i, b in enumerate(self.reads[1])}
+            return _lanes(self, len(every), lambda b: drawn.get(b, zero))
 
-        return _pattern_table(len(dependencies), record)
+        return _pattern_table(self.reads[1], record)
 
 
 # _advance walks the table on every even step, and a plan's patterns are evolved once
@@ -343,19 +341,11 @@ def _run(
 
 
 def _lanes(
-    plan: CaPlan, planes: np.ndarray, trace: list[str] | None = None
+    plan: CaPlan, lanes: int, bit: Callable[[int], np.ndarray], trace: list[str] | None = None
 ) -> dict[str, np.ndarray]:
-    """Evolve one lane per column of the uint8 byte ``planes``, row ``b //
-    8`` holding bit ``b`` of every lane in its bit ``b % 8``, at once; one
-    uint8 column per cell bit.  Returns per-lane event bits.
-
-    ``trace`` receives a :func:`trace_line` of lane 0 at every step.
-    """
-    lanes = planes.shape[1]
-
-    def bit(b: int) -> np.ndarray:
-        return (planes[b >> 3] >> (b & 7)) & 1
-
+    """Evolve ``lanes`` lanes at once, ``bit(b)`` the uint8 column of their
+    bit ``b``, one uint8 column per cell bit, into per-lane event bits;
+    ``trace`` receives a :func:`trace_line` of lane 0 at every step."""
     events = _run(plan, bit, np.zeros(lanes, dtype=np.uint8), trace)
     return {label: np.broadcast_to(bits, lanes) for label, bits in events.items()}
 
@@ -374,7 +364,7 @@ def _batch_events(
         _shot_words(key, first, shots, words).astype("<u8", copy=False)
         .view(np.uint8).reshape(words, shots, 8).transpose(0, 2, 1).reshape(8 * words, shots)
     )
-    return _lanes(plan, planes, trace)
+    return _lanes(plan, shots, lambda b: (planes[b >> 3] >> (b & 7)) & 1, trace)
 
 
 def run_single(
@@ -398,10 +388,7 @@ def run_experiment(
     one lane per shot (:func:`_batch_events`).  The counts are those of one
     lane per shot.
     """
-    return _tally(
-        shots, seed, plan.reads[1], lambda: plan.patterns,
-        lambda key, first, n: _batch_events(plan, n, key, first), labeler,
-    )
+    return _tally(plan, shots, seed, _batch_events, labeler)
 
 
 # ---------------------------------------------------------------------------

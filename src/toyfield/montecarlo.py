@@ -31,12 +31,12 @@ flip)`` triples.  :func:`sample_run` and :func:`locality_audit` build the
 kernel on every call and give every shot its own lane, so ``(seed, shot)``
 replays any run of a bulk call and the audit sees every run's states.
 :func:`run_experiment` counts through :func:`_tally`, as the wire automaton
-does, with the kernel and the pattern table the plan makes once per plan
+does, from the kernel and the pattern table the plan makes once per plan
 object (:attr:`~toyfield.circuits.ToyPlan.column_kernel`,
-:attr:`~toyfield.circuits.ToyPlan.patterns`).  Every shot draws each pattern
-with the same probability, so weighing the patterns alike gives the exact
-law of a shot's outcome, :func:`exact_law`.  :func:`estimate` compares the
-counts with an exact reference.
+:attr:`~toyfield.circuits.ToyPlan.patterns`), so a call does only the work
+that depends on its seed.  Every shot draws each pattern alike, so weighing
+them alike gives the exact law of a shot's outcome, :func:`exact_law`.
+:func:`estimate` compares the counts with an exact reference.
 
 numpy is imported, and a thread's generator made, on first use, not with
 this module.
@@ -49,7 +49,6 @@ import json
 import math
 import threading
 from fractions import Fraction
-from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from toyfield._record import record
@@ -217,12 +216,9 @@ def _block(key: int, first: int, shots: int, block: int = 0) -> np.ndarray:
         import numpy as np
 
         philox = _PHILOX.generator = np.random.Philox(key=0)
-    mask = 0xFFFF_FFFF_FFFF_FFFF
-    counter = first + (block << 64)
     philox.state = {
         "bit_generator": "Philox",
-        "state": {"counter": [counter >> s & mask for s in (0, 64, 128, 192)],
-                  "key": [key & mask, key >> 64]},
+        "state": {"counter": [first, block, 0, 0], "key": [key & 0xFFFF_FFFF_FFFF_FFFF, key >> 64]},
         "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
     }
     return philox.random_raw(4 * shots).reshape(shots, 4)
@@ -323,12 +319,12 @@ def _shot_columns(plan: ToyPlan, seed: int, shots: int, first: int = 0) -> Itera
         yield ShotColumns(seed, start, *_lanes(support, ops, words))
 
 
-def _patterns(plan: ToyPlan) -> tuple[tuple[str, ...], tuple[int, ...], np.ndarray]:
+def _patterns(plan: ToyPlan) -> _Table:
     """The plan's :func:`_pattern_table` of the bits a shot's outcome reads,
     run through its cached kernel: pattern ``j`` is word 0 of lane ``j``."""
     support, ops, bits = plan.column_kernel
     return _pattern_table(
-        _outcome_bits(support, bits),
+        range(_outcome_bits(support, bits)),
         lambda every: {e.label: e.value for e in _lanes(support, ops, every[None])[1]},
     )
 
@@ -343,12 +339,10 @@ def exact_law(plan: ToyPlan | CaPlan) -> JointDistribution:
     and can differ once one leaves them."""
     import numpy as np
 
-    labels, codes, ids = plan.patterns
-    return {
-        tuple(sorted((label, code >> i & 1) for i, label in enumerate(labels))):
-            Fraction(size, len(ids))
-        for code, size in zip(codes, np.bincount(ids, minlength=len(codes)).tolist())
-    }
+    table = plan.patterns
+    sizes = np.bincount(table[2], minlength=len(table.outcomes)).tolist()
+    return {tuple(sorted(pairs)): Fraction(size, len(table[2]))
+            for pairs, size in zip(table.outcomes, sizes)}
 
 
 def sample_run(plan: ToyPlan, seed: int, shot: int = 0) -> RunRecord:
@@ -401,20 +395,21 @@ def _distinct(
     record: dict[str, np.ndarray], lanes: int
 ) -> tuple[list[str], list[int], np.ndarray]:
     """The labels of a ``{label: bit column}`` record of ``lanes`` lanes,
-    its distinct outcome codes as ints (bit ``j`` is label ``j``) and each
-    lane's id, the index of its code.
+    its distinct outcome codes as ints in ascending order (bit ``j`` is
+    label ``j``) and each lane's id, the index of its code.
 
-    Each group of 32 labels is packed into an int64 key under the rank of
-    the lane's earlier groups, so one sort per group finds the distinct rows.
+    Each group of 32 labels, the highest first, is packed into an int64 key
+    under the rank of the lane's higher groups, so one sort per group finds
+    the distinct rows, in code order.
     """
     import numpy as np
 
     labels, columns = list(record), list(record.values())
     key = np.zeros(lanes, dtype=np.int64)
-    tables = []  # the distinct keys of each group of 32 labels but the last
+    tables = []  # the distinct keys of each group of 32 labels but the lowest, highest first
     # np.unique sorts, faster here than its hash path, only when asked for counts
-    for j in range(0, len(columns), 32):
-        if j:
+    for n, j in enumerate(reversed(range(0, len(columns), 32))):
+        if n:
             tables.append(np.unique(key, return_counts=True)[0])
             key = np.searchsorted(tables[-1], key) << 32
         for i, column in enumerate(columns[j:j + 32]):
@@ -423,38 +418,50 @@ def _distinct(
     codes = []
     for row in rows.tolist():
         code = row & 0xFFFF_FFFF
-        for table in reversed(tables):
+        for shift, table in enumerate(reversed(tables), 1):
             row = int(table[row >> 32])
-            code = code << 32 | row & 0xFFFF_FFFF
+            code |= (row & 0xFFFF_FFFF) << 32 * shift
         codes.append(code)
     return labels, codes, ids
 
 
+class _Table(tuple):
+    """A pattern table ``(labels, codes, ids)`` and what :func:`_tally` reads
+    of it per call: the Philox ``blocks`` holding a bit of ``D``, its index
+    ``runs`` (word ``word`` of ``blocks[slot]``, shifted left by ``move`` or
+    right if negative, masked) and each code's ``(label, bit)`` ``outcomes``."""
+
+
 def _pattern_table(
-    width: int, record: Callable[[np.ndarray], dict[str, np.ndarray]]
-) -> tuple[tuple[str, ...], tuple[int, ...], np.ndarray]:
-    """Every pattern of the ``width`` bits an outcome reads, as
-    ``(labels, codes, ids)``: ``record(every)`` runs lane ``j`` of the
-    ``uint64`` column ``every`` on pattern ``j``, bit ``i`` of ``j`` the
-    ``i``-th bit read, into a ``{label: bit column}`` record, and
+    dependencies: Sequence[int], record: Callable[[np.ndarray], dict[str, np.ndarray]]
+) -> _Table:
+    """Every pattern of the sorted bits ``D``, ``dependencies``, that an
+    outcome reads, as a :class:`_Table`: ``record(every)`` runs lane ``j``
+    of the ``uint64`` column ``every`` on pattern ``j``, whose bit ``i`` is
+    bit ``D[i]``, into a ``{label: bit column}`` record, and
     :func:`_distinct` gives its labels, its distinct codes and each
     pattern's id, held here as tuples and a read-only array.
 
     Raises :class:`~toyfield.circuits.CapabilityError` above
-    :data:`_PATTERN_BITS` bits: the table would hold ``2^width`` lanes.
+    :data:`_PATTERN_BITS` bits: the table would hold ``2^|D|`` lanes.
     """
+    width = len(dependencies)
     if width > _PATTERN_BITS:
-        raise CapabilityError(
-            f"the outcome reads {width} random bits; a pattern table holds"
-            f" at most {_PATTERN_BITS}"
-        )
+        raise CapabilityError(f"the outcome reads {width} random bits; a pattern table"
+                              f" holds at most {_PATTERN_BITS}")
     import numpy as np
 
     labels, codes, ids = _distinct(record(np.arange(1 << width, dtype=np.uint64)), 1 << width)
-    return tuple(labels), tuple(codes), _read_only(ids)
+    table = _Table((tuple(labels), tuple(codes), _read_only(ids)))
+    runs = _index_runs(dependencies)
+    table.blocks = tuple(sorted({word >> 2 for word, *_ in runs}))
+    table.runs = tuple((table.blocks.index(word >> 2), word & 3, position - shift, mask << position)
+                       for word, shift, mask, position in runs)
+    table.outcomes = tuple(tuple((label, code >> j & 1) for j, label in enumerate(labels))
+                           for code in codes)
+    return table
 
 
-@lru_cache(maxsize=64)
 def _index_runs(dependencies: Sequence[int]) -> tuple[tuple[int, int, int, int], ...]:
     """How to gather a shot's pattern index, bit ``i`` its bit
     ``dependencies[i]``: one ``(word, shift, mask, position)`` per run of
@@ -478,67 +485,72 @@ def _check_shots(shots: int) -> None:
 
 
 def _tally(
+    plan: ToyPlan | CaPlan,
     shots: int,
     seed: int,
-    dependencies: Sequence[int],
-    patterns: Callable[[], tuple[Sequence[str], Sequence[int], np.ndarray]],
-    lanes: Callable[[int, int, int], dict[str, np.ndarray]],
+    lanes: Callable[[ToyPlan | CaPlan, int, int, int], dict[str, np.ndarray]],
     labeler: Callable[[dict[str, int]], str],
 ) -> dict[str, int]:
-    """Outcome counts of shots ``0 .. shots - 1`` of ``seed``, counted
+    """Outcome counts of shots ``0 .. shots - 1`` of ``seed`` on ``plan``,
     :data:`_CHUNK_SHOTS` at a time; both sampled engines count here.
 
-    A shot's outcome is a function of the sorted bits ``D``,
-    ``dependencies``, of its draws.  With at most :data:`_PATTERN_BITS` of
-    them, ``patterns()`` gives the :func:`_pattern_table` of ``D``, and a
-    chunk draws each Philox block holding a bit of ``D`` once, gathers each
-    shot's pattern (:func:`_index_runs`) and is two bincounts: how many of
-    its shots drew each pattern, summed under each pattern's outcome id.
-    With more, ``lanes(key, first, n)`` runs one lane per shot ``first ..
-    first + n - 1`` under the Philox key into a ``{label: bit column}``
-    record, which :func:`_distinct` counts.  Either way the counts are those
-    of one lane per shot.
-
-    A shot count outside ``[1, 2**64]`` is refused before any draw.  The
-    chunks' counts are added up by outcome code (bit ``j`` is label ``j``),
-    then labelled in ascending code order, so the result, its order too,
-    does not depend on the chunk size; ``labeler`` sees each distinct
-    outcome once.
+    A shot's outcome is a function of the sorted bits ``D`` of its draws.
+    With at most :data:`_PATTERN_BITS` of them, all a call reads of the plan
+    is its pattern table (``plan.patterns``, a :class:`_Table`), and a chunk
+    draws each Philox block holding a bit of ``D`` once, gathers each shot's
+    pattern and is two bincounts: how many shots drew each pattern, summed
+    under each pattern's outcome id.  With more, the table is refused, and
+    ``lanes(plan, n, key, first)`` records one lane per shot ``first ..
+    first + n - 1`` as ``{label: bit column}`` for :func:`_distinct` to
+    count.  Either way the counts are those of one lane per shot, Python
+    ints labelled in ascending code order (bit ``j`` is label ``j``), so no
+    chunk size changes the result or its order; ``labeler`` sees each
+    outcome once.  Shot counts outside ``[1, 2**64]`` are refused first.
     """
     import numpy as np
 
     _check_shots(shots)
     key = derive_seed(seed)
-    if len(dependencies) <= _PATTERN_BITS:
-        runs = _index_runs(dependencies)
-        blocks = {word >> 2 for word, *_ in runs}
-        labels, codes, ids = patterns()
-
-        def counted(first: int, n: int) -> tuple[Sequence[str], Sequence[int], np.ndarray]:
-            drawn = {block: _block(key, first, n, block).view(np.int64) for block in blocks}
-            index = np.zeros(n, dtype=np.int64)  # D empty: pattern 0; else the first run sets it
-            for word, shift, mask, position in runs:
-                column = drawn[word >> 2][:, word & 3]
-                column = (column >> shift if shift else column) & mask
-                index = index | column << position if position else column
-            drew = np.bincount(index, minlength=len(ids))
-            return labels, codes, np.bincount(ids, drew, len(codes)).astype(np.int64)
-    else:
-        def counted(first: int, n: int) -> tuple[Sequence[str], Sequence[int], np.ndarray]:
-            labels, codes, ids = _distinct(lanes(key, first, n), n)
-            return labels, codes, np.bincount(ids, minlength=len(codes))
-
-    tallies: dict[int, int] = {}
-    for first in range(0, shots, _CHUNK_SHOTS):
-        labels, codes, sizes = counted(first, min(_CHUNK_SHOTS, shots - first))
-        for code, size in zip(codes, sizes.tolist()):
-            if size:
+    chunks = ((first, min(_CHUNK_SHOTS, shots - first)) for first in range(0, shots, _CHUNK_SHOTS))
+    try:
+        table = plan.patterns
+    except CapabilityError:  # D holds more bits than a pattern table
+        tallies: dict[int, int] = {}
+        for first, n in chunks:
+            labels, codes, ids = _distinct(lanes(plan, n, key, first), n)
+            for code, size in zip(codes, np.bincount(ids).tolist()):
                 tallies[code] = tallies.get(code, 0) + size
+        outcomes = [(tuple((label, code >> j & 1) for j, label in enumerate(labels)), tallies[code])
+                    for code in sorted(tallies)]
+    else:
+        ids = table[2]
+        totals = [0] * len(table[1])
+        for first, n in chunks:
+            drawn = [_block(key, first, n, block) for block in table.blocks]
+            index = None  # D empty: every shot draws pattern 0
+            for slot, word, move, mask in table.runs:
+                bits = drawn[slot][:, word]
+                if move:
+                    bits = bits << move if move > 0 else bits >> -move
+                index = bits & mask if index is None else index | bits & mask
+            drew = (n,) if index is None else np.bincount(index.view(np.int64), minlength=len(ids))
+            sizes = np.bincount(ids, drew, len(totals)).astype(np.int64).tolist()
+            totals = [total + size for total, size in zip(totals, sizes)]
+            del drawn  # freed before the next draw, which reuses its pages, not faulting new ones
+        outcomes = zip(table.outcomes, totals)
     counts: dict[str, int] = {}
-    for code in sorted(tallies):
-        label = labeler({label: (code >> j) & 1 for j, label in enumerate(labels)})
-        counts[label] = counts.get(label, 0) + tallies[code]
+    for pairs, total in outcomes:
+        if total:
+            label = labeler(dict(pairs))
+            counts[label] = counts.get(label, 0) + total
     return counts
+
+
+def _shot_events(plan: ToyPlan, shots: int, key: int, first: int) -> dict[str, np.ndarray]:
+    """One lane per shot through the plan's cached kernel: each label's value column."""
+    support, ops, bits = plan.column_kernel
+    events = _lanes(support, ops, _shot_words(key, first, shots, max(1, -(-bits // 64))))[1]
+    return {e.label: e.value for e in events}
 
 
 def run_experiment(
@@ -549,24 +561,12 @@ def run_experiment(
 ) -> dict[str, int]:
     """Outcome counts over shots ``0 .. shots - 1`` of ``seed``, with the
     contract of :func:`toyfield.automaton.run_experiment`; no exact
-    reference is computed.
-
-    A shot's outcome reads the low ``B - 1`` bits of its word 0, all its
-    ``B`` bits but the last measurement's coin (``B`` with no measurement),
-    and :func:`_tally` counts it from the plan's pattern table
-    (:attr:`ToyPlan.patterns`) or, past :data:`_PATTERN_BITS` bits, from
-    one lane per shot drawn from every word the plan's kernel
-    (:attr:`ToyPlan.column_kernel`) reads.
-    """
-    support, ops, bits = plan.column_kernel
-    words = max(1, -(-bits // 64))
-
-    def lanes(key: int, first: int, n: int) -> dict[str, np.ndarray]:
-        events = _lanes(support, ops, _shot_words(key, first, n, words))[1]
-        return {e.label: e.value for e in events}
-
-    return _tally(shots, seed, range(_outcome_bits(support, bits)), lambda: plan.patterns, lanes,
-                  labeler or default_labeler)
+    reference is computed.  A shot's outcome reads the low ``B - 1`` bits
+    of its word 0, all its ``B`` bits but the last measurement's coin (``B``
+    with no measurement), and :func:`_tally` counts it from the plan's
+    pattern table (:attr:`ToyPlan.patterns`) or, past :data:`_PATTERN_BITS`
+    bits, from one lane per shot through the plan's cached kernel."""
+    return _tally(plan, shots, seed, _shot_events, labeler or default_labeler)
 
 
 def estimate(

@@ -33,7 +33,7 @@ catalogue.
 from __future__ import annotations
 
 import functools
-from typing import Iterator
+from typing import Callable, Iterator
 
 from toyfield.circuits import (  # noqa: F401  re-exported: callers read them here too
     ENGINES,
@@ -223,8 +223,19 @@ def mirror_removed() -> Scenario:
     return Scenario("mirror_removed", (), _program(text), _port_label)
 
 
+# (scenario, parameter, type, value) of every accepted form: typed, as True == 1 == 1.0
+_FORMS = frozenset((name, param, type(form), form) for name, accepted in SCENARIO_PARAMS.items()
+                   for param, forms in accepted.items() for form in forms)
+
+
+@functools.lru_cache(maxsize=64)  # only validated arguments reach it: the 17 variants
+def _variant(build: Callable[..., Scenario], *args) -> Scenario:
+    return build(*args)
+
+
 def scenario_by_name(name: str, **params) -> Scenario:
-    """The scenario ``name`` with the parameters of :data:`SCENARIO_PARAMS`.
+    """The scenario ``name`` with the parameters of :data:`SCENARIO_PARAMS`,
+    one object per variant.
 
     Raises ``KeyError`` for an unknown name, and ``ValueError`` for a
     parameter the scenario does not take or a value outside its accepted
@@ -236,22 +247,24 @@ def scenario_by_name(name: str, **params) -> Scenario:
     for param, value in params.items():
         if param not in accepted:
             raise ValueError(f"{name} takes no parameter {param!r}")
-        # forms match by type too, since True == 1, 0 == False and 1.0 == 1
-        if not any(type(value) is type(form) and value == form for form in accepted[param]):
+        try:
+            known = (name, param, type(value), value) in _FORMS
+        except TypeError:  # an unhashable value is no accepted form
+            known = False
+        if not known:
             raise ValueError(f"{name} parameter {param}={value!r} is not one of {accepted[param]}")
+    get = params.get
     if name == "mzi_phase":
-        return mzi_phase(1 if params.get("phase", "0") in (1, "1", "pi") else 0)
+        return _variant(mzi_phase, 1 if get("phase", "0") in (1, "1", "pi") else 0)
     if name == "mzi_whichway":
-        return mzi_whichway(DisturbanceKind(params.get("kind", "nondestructive")))
+        return _variant(mzi_whichway, DisturbanceKind(get("kind", "nondestructive")))
     if name == "bomb_tester":
-        return bomb_tester(params.get("functional", True))
+        return _variant(bomb_tester, get("functional", True))
     if name == "delayed_choice":
-        return delayed_choice(params.get("choice", "detector"), params.get("timing", "after"))
+        return _variant(delayed_choice, get("choice", "detector"), get("timing", "after"))
     if name == "quantum_eraser":
-        return quantum_eraser(
-            params.get("basis", "P"), params.get("ancilla_timing", "after")
-        )
-    return mirror_removed()
+        return _variant(quantum_eraser, get("basis", "P"), get("ancilla_timing", "after"))
+    return _variant(mirror_removed)
 
 
 def all_variants() -> Iterator[Scenario]:

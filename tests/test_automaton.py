@@ -44,7 +44,7 @@ from scalar_reference import beamsplitter_formula
 from toyfield.toy_dynamics import Beamsplitter, apply_gate_index
 from toyfield.toy_measurement import DisturbanceKind
 
-from test_montecarlo import stays_valid
+from test_montecarlo import spy_tally, stays_valid
 from test_quantum_exact import random_program
 
 PLAIN = plan_from_program(mzi_phase(0).program)
@@ -506,7 +506,9 @@ class TestReplay:
         tally = collections.Counter(
             scenario.labeler(run_single(plan, self.SEED, s)) for s in range(self.SHOTS)
         )
-        assert run_experiment(plan, self.SHOTS, self.SEED, scenario.labeler) == dict(tally)
+        counts = run_experiment(plan, self.SHOTS, self.SEED, scenario.labeler)
+        assert counts == dict(tally)
+        assert all(type(count) is int for count in counts.values())
 
     def test_batches_never_exceed_the_chunk(self, monkeypatch):
         from toyfield import automaton, montecarlo
@@ -642,7 +644,7 @@ class TestPatternLanes:
     """Counts from one lane per pattern of the bits the events depend on,
     against one lane per shot."""
 
-    SHOTS = (1, 7, 8, 9, 1000, 65_537, 140_001)
+    SHOTS = (1, 7, 8, 9, 1000, 65_536, 65_537, 140_001)
     SEEDS = (0, 5, 2**70)
 
     def test_dependencies_of_the_hosted_layouts(self):
@@ -664,17 +666,19 @@ class TestPatternLanes:
             expected = shot_lane_counts(plan, shots, seed, scenario.labeler)
             counts = run_experiment(plan, shots, seed, scenario.labeler)
             assert list(counts.items()) == list(expected.items()), (shots, seed)
+            assert all(type(count) is int for count in counts.values())
+            assert sum(counts.values()) == shots
 
     @pytest.mark.parametrize("scenario, plan", HOSTABLE, ids=HOSTABLE_IDS)
     def test_bits_outside_the_dependencies_change_no_event(self, scenario, plan):
         bits, dependencies = plan.reads
         rng = np.random.default_rng(3)
-        planes = rng.integers(0, 256, size=(8 * -(-bits // 64), 64), dtype=np.uint8)
-        events = automaton._lanes(plan, planes)
+        drawn = rng.integers(0, 2, size=(bits, 64), dtype=np.uint8)  # row b: bit b of 64 lanes
+        events = automaton._lanes(plan, 64, drawn.__getitem__)
         for b in sorted(set(range(bits)) - set(dependencies)):
-            flipped = planes.copy()
-            flipped[b >> 3] ^= np.uint8(1 << (b & 7))
-            for label, column in automaton._lanes(plan, flipped).items():
+            flipped = drawn.copy()
+            flipped[b] ^= 1
+            for label, column in automaton._lanes(plan, 64, flipped.__getitem__).items():
                 assert np.array_equal(column, events[label]), (b, label)
 
     def test_a_leaky_rule_grows_the_dependencies(self, monkeypatch):
@@ -699,9 +703,9 @@ class TestPatternLanes:
         evolved: list[int] = []
         lanes = automaton._lanes
 
-        def spy(plan, planes, *args):
-            evolved.append(planes.shape[1])
-            return lanes(plan, planes, *args)
+        def spy(plan, count, *args):
+            evolved.append(count)
+            return lanes(plan, count, *args)
 
         def no_shot_lanes(*args):
             raise AssertionError("a bulk chunk took one lane per shot")
@@ -723,9 +727,9 @@ class TestPatternLanes:
         evolved: list[int] = []
         lanes = automaton._lanes
 
-        def spy(plan, planes, *args):
-            evolved.append(planes.shape[1])
-            return lanes(plan, planes, *args)
+        def spy(plan, count, *args):
+            evolved.append(count)
+            return lanes(plan, count, *args)
 
         monkeypatch.setattr(automaton, "_lanes", spy)
         monkeypatch.setattr(montecarlo, "_CHUNK_SHOTS", 8)
@@ -739,6 +743,34 @@ class TestPatternLanes:
         )
         assert montecarlo._index_runs(()) == ()
         assert montecarlo._index_runs(range(5)) == ((0, 0, 0b11111, 0),)  # Monte Carlo's D
+
+    def test_a_second_call_does_only_seed_dependent_work(self, monkeypatch):
+        # a fresh copy of a layout whose events read bits of Philox blocks 0 and 1
+        spanning = next(plan for _, plan in random_plans()
+                        if plan.reads[1] and plan.reads[1][0] < 256 <= plan.reads[1][-1])
+        plan = CaPlan(spanning.wires, spanning.length, spanning.bindings)
+        made, drawn = spy_tally(monkeypatch, automaton)
+        for seed in (1, 2):
+            del drawn[:]
+            assert sum(run_experiment(plan, 65_537, seed, record_label).values()) == 65_537
+            assert drawn == [(first, n, block) for first, n in ((0, 65_536), (65_536, 1))
+                             for block in (0, 1)]  # each block once per chunk
+        assert made == ["_pattern_table", "_index_runs"]  # by the first call alone
+
+    @pytest.mark.parametrize("scenario, plan", HOSTABLE, ids=HOSTABLE_IDS)
+    def test_pattern_lanes_read_one_zero_column_outside_the_dependencies(self, scenario, plan):
+        # the table equals one whose lanes read every bit off all-zero byte planes
+        bits, dependencies = plan.reads
+
+        def record(every):
+            planes = np.zeros((8 * -(-bits // 64), len(every)), dtype=np.uint8)
+            for i, b in enumerate(dependencies):
+                planes[b >> 3] |= ((every >> i & 1) << (b & 7)).astype(np.uint8)
+            return automaton._lanes(plan, len(every), lambda b: planes[b >> 3] >> (b & 7) & 1)
+
+        labels, codes, ids = montecarlo._pattern_table(dependencies, record)
+        assert plan.patterns[:2] == (labels, codes)
+        assert np.array_equal(plan.patterns[2], ids)
 
     def test_pattern_table_is_read_only(self):
         labels, codes, ids = WHICHWAY.patterns

@@ -356,7 +356,9 @@ class TestBatchOracle:
         tally = collections.Counter(
             scenario.labeler(sample_run(plan, 5, shot).outcome) for shot in range(300)
         )
-        assert estimate(plan, 300, 5, labeler=scenario.labeler).counts == dict(tally)
+        counts = estimate(plan, 300, 5, labeler=scenario.labeler).counts
+        assert counts == dict(tally)
+        assert all(type(count) is int for count in counts.values())
 
     @pytest.mark.parametrize("chunk", [1, 7])
     def test_chunk_size_changes_nothing(self, chunk, monkeypatch):
@@ -432,13 +434,38 @@ class TestBatchOracle:
 
 
 def lane_per_shot_counts(plan, shots, seed):
-    """Default-labelled counts read row by row off one lane per shot."""
-    counts = collections.Counter()
+    """Default-labelled counts read row by row off one lane per shot,
+    labelled in ascending code order (bit ``j`` of a code is event ``j``)."""
+    rows = collections.Counter()
     for batch in montecarlo._shot_columns(plan, seed, shots):
-        rows = zip(*(e.value.tolist() for e in batch.events)) if batch.events else [()] * batch.runs
-        for row in rows:
-            counts[default_labeler(dict(zip(plan.program.labels(), row)))] += 1
-    return dict(counts)
+        rows.update(zip(*(e.value.tolist() for e in batch.events)) if batch.events
+                    else [()] * batch.runs)
+    counts: dict[str, int] = {}
+    for row in sorted(rows, key=lambda row: sum(bit << j for j, bit in enumerate(row))):
+        label = default_labeler(dict(zip(plan.program.labels(), row)))
+        counts[label] = counts.get(label, 0) + rows[row]
+    return counts
+
+
+def spy_tally(monkeypatch, home):
+    """Log the plan setup a sampled call makes, ``_index_runs`` and the
+    ``_pattern_table`` that ``home`` calls, and the ``(first, shots,
+    block)`` of every Philox block it draws."""
+    made, drawn = [], []
+
+    def wrap(module, name, log, entry):
+        real = getattr(module, name)
+
+        def spy(*args):
+            log.append(entry(*args))
+            return real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+
+    wrap(montecarlo, "_index_runs", made, lambda *args: "_index_runs")
+    wrap(home, "_pattern_table", made, lambda *args: "_pattern_table")
+    wrap(montecarlo, "_block", drawn, lambda key, first, shots, block=0: (first, shots, block))
+    return made, drawn
 
 
 class TestPatternLanes:
@@ -502,6 +529,16 @@ class TestPatternLanes:
         assert sum(counts.values()) == 20_000
         assert lanes == [1 << montecarlo._kernel(plan)[2] - 1]
 
+    @pytest.mark.parametrize("shots", [1, 65_536, 65_537])  # one chunk, a full one, two
+    @pytest.mark.parametrize("scenario", [*RECORDED.values(), SEVENTY], ids=lambda s: s.key)
+    def test_counts_are_ints_in_code_order(self, scenario, shots):
+        # SEVENTY's outcome reads more bits than a pattern table holds
+        plan = compile_toy(scenario.program)
+        counts = montecarlo.run_experiment(plan, shots, 3)
+        assert list(counts.items()) == list(lane_per_shot_counts(plan, shots, 3).items())
+        assert all(type(count) is int for count in counts.values())
+        assert sum(counts.values()) == shots
+
     @pytest.mark.parametrize("detections", [63, 64])
     def test_last_coin_on_a_word_boundary(self, detections):
         # 1 support bit plus one coin per detection: with 64 the last coin,
@@ -542,6 +579,15 @@ class TestPlanCache:
                 assert self.items(cached, shots, seed, scenario.labeler) == expected
                 assert self.items(cached, shots, seed, scenario.labeler) == expected
         assert "column_kernel" in vars(cached) and "patterns" in vars(cached)
+
+    def test_a_second_call_does_only_seed_dependent_work(self, monkeypatch):
+        made, drawn = spy_tally(monkeypatch, montecarlo)
+        plan = fresh_plan(bomb_tester(functional=True))
+        for seed in (1, 2):
+            del drawn[:]
+            assert sum(montecarlo.run_experiment(plan, 65_537, seed).values()) == 65_537
+            assert drawn == [(0, 65_536, 0), (65_536, 1, 0)]  # its one block, once per chunk
+        assert made == ["_pattern_table", "_index_runs"]  # by the first call alone
 
     @pytest.mark.parametrize("chunk", [6, 20])
     def test_chunk_size_after_caching_changes_nothing(self, chunk, monkeypatch):

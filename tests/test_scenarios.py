@@ -208,6 +208,7 @@ class TestRegistry:
 
         monkeypatch.setattr(scenarios, "parse", spy)
         scenarios._program.cache_clear()
+        scenarios._variant.cache_clear()
         first, second = mzi_phase(1), scenario_by_name("mzi_phase", phase="pi")
         assert len(texts) == 1
         assert second.program is first.program
@@ -229,6 +230,20 @@ class TestRegistry:
         assert scenario_by_name("mzi_phase", phase=1).program == mzi_phase(1).program
         assert scenario_by_name("mzi_phase", phase="0").program == mzi_phase(0).program
         assert scenario_by_name("bomb_tester", functional=False).params == (("bomb", "faulty"),)
+
+    def test_one_object_per_variant(self):
+        pi = scenario_by_name("mzi_phase", phase="pi")
+        assert scenario_by_name("mzi_phase", phase=1) is pi is scenario_by_name("mzi_phase", phase="1")
+        assert scenario_by_name("mzi_phase") is scenario_by_name("mzi_phase", phase=0) is not pi
+        assert scenario_by_name("mzi_whichway", kind="destructive") is scenario_by_name(
+            "mzi_whichway", kind=DisturbanceKind.DESTRUCTIVE)
+        assert scenario_by_name("quantum_eraser") is scenario_by_name(
+            "quantum_eraser", basis="P", ancilla_timing="after")
+
+    @pytest.mark.parametrize("value", [["pi"], {"phase": 1}, {1}])
+    def test_an_unhashable_value_is_refused_as_a_value(self, value):
+        with pytest.raises(ValueError, match="parameter phase=.* is not one of"):
+            scenario_by_name("mzi_phase", phase=value)
 
     @pytest.mark.parametrize("name, param, value", [
         ("mzi_phase", "phase", "banana"),
