@@ -49,6 +49,7 @@ from typing import Callable, Union
 
 from toyfield._record import record
 from toyfield.phase_space import (
+    ONE,
     SMALL_REGISTER_POINTS,
     EpistemicState,
     RegisterShape,
@@ -61,8 +62,8 @@ from toyfield.toy_dynamics import (
     PhaseShift,
     SwapModes,
     ToyGate,
-    gate_image,
-    gate_table,  # noqa: F401  the tracer test reads it (ROADMAP item 1)
+    _gate_kernel,
+    gate_table,
     push_forward,
 )
 from toyfield.toy_measurement import (
@@ -509,9 +510,11 @@ def _compile_toy(program: Program) -> ToyPlan:
     steps = program.steps
     shape = _shape(len(program.modes), len(program.ancillas))
     sourced = [s.mode for s in program.statements if isinstance(s, Source)]
+    # every gate is checked to be a permutation up front, in the form push_forward reads
+    check = gate_table if shape.point_count <= SMALL_REGISTER_POINTS else _gate_kernel
     for step in steps:
         if isinstance(step, GateStep):
-            gate_image(step.gate, shape)  # verifies the permutation up front
+            check(step.gate, shape)
     # Unprepared modes default to the vacuum; ancillas start with q known 0.
     return ToyPlan(program, shape, prepared(shape, sourced), steps)
 
@@ -537,10 +540,6 @@ def compile_quantum(program: Program) -> QuantumPlan:
 
 Assignment = tuple[tuple[str, int], ...]
 JointDistribution = dict[Assignment, Fraction]
-
-# The weight of a branch no measurement has split, and the probability of a
-# certain outcome: the one object ``branches`` multiplies by nothing.
-ONE = (1, 1)
 
 
 def _product(w: tuple[int, int], p: tuple[int, int]) -> tuple[int, int]:
@@ -631,8 +630,9 @@ def run_quantum_exact(plan: QuantumPlan) -> JointDistribution:
 
     Each branch is an unnormalized amplitude vector over Z[sqrt(2)] with one
     scale exponent, as integer tuples; a step's own gate picks its map
-    (``quantum.exact_gate``), and ``quantum.exact_measure`` splits it, each
-    outcome of probability :data:`ONE`.  A final branch's squared norm
+    (``quantum.exact_gate``), and ``quantum.exact_measure`` splits it: its
+    memo's ``(value, ONE, branch)`` triples are the split, each outcome of
+    probability :data:`ONE`, used as they are.  A final branch's squared norm
     (``quantum.exact_weight``) is the Born probability of its record; a
     weight with an irrational part raises ``ValueError``, and every other
     weight is a dyadic ``Fraction`` of whatever denominator it has, the
@@ -651,8 +651,7 @@ def run_quantum_exact(plan: QuantumPlan) -> JointDistribution:
     def measure(state, step: MeasureStep):
         subsystem = step.index if step.target_kind == "mode" else modes + step.index
         destructive = step.kind is DisturbanceKind.DESTRUCTIVE
-        outcomes = exact_measure(state, subsystem, step.variable, destructive)
-        return [(value, ONE, after) for value, after in outcomes]
+        return exact_measure(state, subsystem, step.variable, destructive)
 
     final = _final([(ONE, plan.initial, ())], plan.steps, apply, measure)
     return {tuple(sorted(events)): exact_weight(state) for _, state, events in final}
@@ -671,7 +670,7 @@ def joint_to_labeled(
     for key, weight in joint.items():
         label = labeler(dict(key))
         out[label] = out[label] + weight if label in out else weight
-    return {label: w for label, w in out.items() if w}
+    return out
 
 
 # ---------------------------------------------------------------------------

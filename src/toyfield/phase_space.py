@@ -29,6 +29,7 @@ from toyfield._record import record
 
 __all__ = [
     "EpistemicState",
+    "ONE",
     "RegisterShape",
     "ValidityReport",
     "enumerate_valid_states",
@@ -260,6 +261,12 @@ def shared_state(shape: RegisterShape, support: frozenset[int]) -> EpistemicStat
 
 
 _shared_state = lru_cache(maxsize=4096)(EpistemicState)
+
+
+# The weight of a branch no measurement has split, and the probability of a
+# certain outcome, as a reduced ``(numerator, denominator)`` pair: the one
+# object ``circuits.branches`` multiplies by nothing.
+ONE = (1, 1)
 
 
 @lru_cache(maxsize=1024)

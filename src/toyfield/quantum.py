@@ -42,7 +42,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from toyfield._record import record
-from toyfield.phase_space import shared_fraction
+from toyfield.phase_space import ONE, shared_fraction
 from toyfield.toy_dynamics import Beamsplitter, Cnot, PhaseShift, SwapModes, ToyGate
 
 __all__ = [
@@ -461,16 +461,18 @@ def _halves(subsystem: int, qubits: int) -> tuple[tuple[int, ...], tuple[int, ..
 
 @lru_cache(maxsize=_TRANSITIONS)
 def exact_measure(state: ExactState, subsystem: int, variable: str,
-                  destructive: bool = False) -> tuple[tuple[int, ExactState], ...]:
+                  destructive: bool = False) -> tuple[tuple[int, tuple, ExactState], ...]:
     """Split a branch over a projective measurement of one subsystem.
 
     ``variable`` "N" or "Q" measures the bit (``OCCUPATION_BASIS``,
     ``ANCILLA_Q_BASIS``); a destructive N then moves the bit-1 part to bit
     0, as ``reset_to_zero`` does.  "P" projects on (|0> +- |1>)/sqrt(2)
     (``ANCILLA_P_BASIS``): both entries of a pair become +-(x0 +- x1) and e
-    grows by 2.  Returns the ``(outcome, branch)`` pairs of the nonzero
-    branches as a tuple, shared by every call on an equal branch; a zero
-    branch is dropped exactly.
+    grows by 2.  Returns the ``(outcome, ONE, branch)`` triples of the
+    nonzero branches as a tuple, shared by every call on an equal branch; a
+    zero branch is dropped exactly.  The branches are unnormalized, so each
+    outcome's probability is :data:`~toyfield.phase_space.ONE`, and the
+    triples are the ones ``circuits.branches`` splits over.
     """
     a, b, e = state
     size = len(a)
@@ -485,7 +487,7 @@ def exact_measure(state: ExactState, subsystem: int, variable: str,
                 y = b[k0] + sign * b[k1]
                 a2[k0], a2[k1], b2[k0], b2[k1] = x, sign * x, y, sign * y
             if any(a2) or any(b2):
-                out.append((value, (tuple(a2), tuple(b2), e + 2)))
+                out.append((value, ONE, (tuple(a2), tuple(b2), e + 2)))
         return tuple(out)
     for value, kept in enumerate((low, high)):
         a2 = [0] * size
@@ -494,7 +496,7 @@ def exact_measure(state: ExactState, subsystem: int, variable: str,
             a2[to] = a[k]
             b2[to] = b[k]
         if any(a2) or any(b2):
-            out.append((value, (tuple(a2), tuple(b2), e)))
+            out.append((value, ONE, (tuple(a2), tuple(b2), e)))
     return tuple(out)
 
 

@@ -47,7 +47,6 @@ __all__ = [
     "SwapModes",
     "ToyGate",
     "beamsplitter_rule",
-    "gate_image",
     "gate_table",
     "push_forward",
 ]
@@ -174,36 +173,10 @@ def _gate_kernel(gate: ToyGate, shape: RegisterShape) -> tuple[int, int, tuple[i
     return shift0, shift1, tuple(deltas * (16 // len(deltas)))
 
 
-@record
-class _KernelImage:
-    """A gate's permutation of one register, read off its kernel at each
-    point asked for; it stores no point."""
-
-    shift0: int
-    shift1: int
-    deltas: tuple[int, ...]
-
-    def __getitem__(self, x: int) -> int:
-        return x ^ self.deltas[(x >> self.shift0) & 3 | ((x >> self.shift1) & 3) << 2]
-
-
-# Up to three subsystems (64 points, the quantum engine's cap) a full table
-# is about as cheap to build as one push-forward's visits, and indexing a
-# tuple beats reading the kernel; beyond that the table grows 4x per
-# subsystem while a state's support need not.
-_FULL_TABLE_POINTS = SMALL_REGISTER_POINTS
-
-
-def gate_image(gate: ToyGate, shape: RegisterShape) -> tuple[int, ...] | _KernelImage:
-    """Point -> image under the gate, checked to be a permutation.
-
-    On registers of at most three subsystems this is :func:`gate_table`;
-    on larger ones each point asked for is read off the gate's kernel, so
-    no 4^n table is built and no point is kept.
-    """
-    if shape.point_count <= _FULL_TABLE_POINTS:
-        return gate_table(gate, shape)
-    return _KernelImage(*_gate_kernel(gate, shape))
+def _kernel_images(gate: ToyGate, shape: RegisterShape, points) -> list[int]:
+    """The images of ``points`` under the gate, read off its kernel."""
+    shift0, shift1, deltas = _gate_kernel(gate, shape)
+    return [x ^ deltas[(x >> shift0) & 3 | ((x >> shift1) & 3) << 2] for x in points]
 
 
 @lru_cache(maxsize=None, typed=True)  # typed, as for _gate_kernel
@@ -213,14 +186,13 @@ def gate_table(gate: ToyGate, shape: RegisterShape) -> tuple[int, ...]:
     Each gate reads and writes only the bits of the one or two subsystems it
     touches (a splitter or swap its two modes, a phase shift its mode, a
     marker its mode and ancilla), so at most 16 local patterns fix its action
-    everywhere.  The table is built from that kernel, whose local check
-    already proves the map a permutation, and is checked once more in full.
-    Push-forwards on more than three subsystems apply the kernel to the
-    support and never build it, and Monte Carlo applies the kernel itself
-    to whole columns of shots.
+    everywhere.  The table is that kernel's image of every point; the
+    kernel's local check already proves the map a permutation, and the
+    table is checked once more in full.  Push-forwards on more than three
+    subsystems apply the kernel to the support and never build it, and
+    Monte Carlo applies the kernel itself to whole columns of shots.
     """
-    table = tuple(map(_KernelImage(*_gate_kernel(gate, shape)).__getitem__,
-                      range(shape.point_count)))
+    table = tuple(_kernel_images(gate, shape, range(shape.point_count)))
     if len(set(table)) != shape.point_count:
         raise ValueError(f"gate {gate!r} is not a bijection on {shape}")
     return table
@@ -229,15 +201,17 @@ def gate_table(gate: ToyGate, shape: RegisterShape) -> tuple[int, ...]:
 def push_forward(state: EpistemicState, gate: ToyGate) -> EpistemicState:
     """Image of the support under the gate permutation; stays flat.
 
-    On registers of at most three subsystems the image is read off
-    :func:`gate_table`, and equal images are one object
-    (:func:`~toyfield.phase_space.shared_state`), built and range-checked
-    once.  On larger ones the gate's kernel is applied to the whole support
-    in one comprehension, and each image is a new state."""
+    On registers of at most ``SMALL_REGISTER_POINTS`` points (three
+    subsystems) the image is read off :func:`gate_table`, and equal images
+    are one object (:func:`~toyfield.phase_space.shared_state`), built and
+    range-checked once.  On larger ones the gate's kernel is applied to the
+    whole support, and each image is a new state."""
     shape = state.shape
-    if shape.point_count <= _FULL_TABLE_POINTS:
+    # Up to three subsystems (64 points, the quantum engine's cap) a full table
+    # is about as cheap to build as one push-forward's visits, and indexing a
+    # tuple beats reading the kernel; beyond that the table grows 4x per
+    # subsystem while a state's support need not.
+    if shape.point_count <= SMALL_REGISTER_POINTS:
         table = gate_table(gate, shape)
         return shared_state(shape, frozenset(map(table.__getitem__, state.support)))
-    shift0, shift1, deltas = _gate_kernel(gate, shape)
-    return shared_state(shape, frozenset(
-        [x ^ deltas[(x >> shift0) & 3 | ((x >> shift1) & 3) << 2] for x in state.support]))
+    return shared_state(shape, frozenset(_kernel_images(gate, shape, state.support)))

@@ -44,3 +44,11 @@ def test_the_scenario_api_resolves_through_the_catalogue():
     # one object at both sites, so a wrapper put on one is the other's too
     for name in ("run_scenario", "Scenario", "OutcomeDistribution"):
         assert getattr(scenarios, name) is getattr(circuits, name), name
+
+
+def test_every_name_in_every_module_all_exists():
+    modules = {"toyfield": toyfield, **{f"toyfield.{name}": module
+                                        for name, module in all_modules().items()}}
+    missing = [f"{name}.{item}" for name, module in modules.items()
+               for item in getattr(module, "__all__", ()) if not hasattr(module, item)]
+    assert missing == []

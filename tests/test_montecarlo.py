@@ -822,4 +822,4 @@ def test_every_record_in_src_has_its_own_docstring():
                 continue
             seen += 1
             assert vars(cls).get("__doc__"), f"{module.__name__}.{cls.__name__}"
-    assert seen >= 32
+    assert seen >= 31

@@ -153,6 +153,11 @@ class TestDelayedChoice:
             late = run_scenario(delayed_choice(choice, "after"), "toy").probs
             assert early == late
 
+    @pytest.mark.parametrize("choice", ["phase0", "phasepi", "detector"])
+    def test_both_timings_are_one_program(self, choice):
+        # the timing flag is metadata, so the check suite's timing rows hold by construction
+        assert delayed_choice(choice, "before").program is delayed_choice(choice, "after").program
+
     def test_detector_choice_reproduces_whichway(self):
         got = run_scenario(delayed_choice("detector"), "toy").probs
         want = run_scenario(mzi_whichway(DisturbanceKind.NONDESTRUCTIVE), "toy").probs

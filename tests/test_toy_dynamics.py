@@ -20,7 +20,6 @@ from toyfield.toy_dynamics import (
     SwapModes,
     apply_gate_index,
     beamsplitter_rule,
-    gate_image,
     gate_table,
     push_forward,
 )
@@ -288,12 +287,14 @@ class TestKernel:
                 apply_gate_index(gate, index, shape) for index in range(shape.point_count)
             )
             assert gate_table(gate, shape) == expected, gate
-            image = gate_image(gate, shape)
-            assert [image[index] for index in range(shape.point_count)] == list(expected)
+            # a register of more than three subsystems is pushed through the kernel
+            for support in (frozenset(range(k, shape.point_count, 3)) for k in range(3)):
+                moved = push_forward(EpistemicState(shape, support), gate)
+                assert moved.support == frozenset(expected[x] for x in support), gate
 
     @pytest.mark.parametrize("shape", [TWO, RegisterShape(2, 1)], ids=repr)
     def test_lazy_push_forward_equals_table_image(self, shape, monkeypatch):
-        monkeypatch.setattr(toy_dynamics, "_FULL_TABLE_POINTS", 0)
+        monkeypatch.setattr(toy_dynamics, "SMALL_REGISTER_POINTS", 0)
         for gate in all_gates(shape):
             table = gate_table(gate, shape)
             for state in enumerate_valid_states(shape):
@@ -311,6 +312,22 @@ class TestKernel:
         with pytest.raises(ValueError, match="not a bijection"):
             toy_dynamics._gate_kernel(PhaseShift(0, 1), RegisterShape(4))
 
+    @pytest.mark.parametrize("modes", [2, 5])
+    def test_compile_refuses_a_gate_that_is_not_a_permutation(self, modes, monkeypatch):
+        from toyfield.circuits import compile_toy, parse
+
+        names = " ".join(f"m{k}" for k in range(modes))
+        program = parse(f"mode {names}; source m0; bs m0 m1; detect m0 as d;")
+        monkeypatch.setattr(toy_dynamics, "apply_gate_index", lambda gate, index, shape: index & ~1)
+        toy_dynamics.gate_table.cache_clear()
+        toy_dynamics._gate_kernel.cache_clear()
+        with pytest.raises(ValueError, match="not a bijection"):
+            compile_toy(program)
+        assert toy_dynamics.gate_table.cache_info().currsize == 0
+        assert toy_dynamics._gate_kernel.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert compile_toy(program).program is program  # the refusal kept nothing
+
     def test_exact_run_on_ten_modes_builds_no_gate_table(self):
         from toyfield.circuits import compile_toy, parse, run_toy_exact
 
@@ -327,7 +344,7 @@ class TestKernel:
         clicks = {2 * pair + pair % 2 for pair in range(5)}
         assert joint == {tuple(sorted((f"d{k}", int(k in clicks)) for k in range(10))): 1}
 
-    def test_gate_images_keep_no_point(self):
+    def test_wide_push_forwards_keep_no_point(self):
         import gc
         import tracemalloc
 
