@@ -26,8 +26,8 @@ the token and ASCII spacing characters once and splits it on its spacing;
 the parser is one loop over that token list, a declaration or a statement a
 turn, with its state in local variables and no call per token.  The text is
 scanned with a regular expression only for a ``ParseError``, to find a stray
-character or a token's line and column; that pattern and the comment pattern
-are compiled on first use.
+character or a token's line and column; its three patterns (the scan, the
+token characters and the comment) are compiled on first use.
 
 Phase literals are restricted to 0 and pi in the grammar itself: the program
 text is the contract shared by every engine, and the classical engine has no
@@ -270,8 +270,7 @@ _NOT_NAMES = _KEYWORDS | {"", ";"}
 # split on its spacing; the ``_LEXEME`` scan runs only for a ParseError, to
 # find a stray character or where a token sits.  "" marks the end of input.
 # Only a ParseError or a comment reads the patterns of ``_LAZY``, so each is
-# compiled on first use and kept by ``re``'s own cache; ``circuits._LEXEME``
-# and the others still read as module attributes.
+# compiled on first use and kept by ``re``'s own cache.
 _PLAIN = re.compile(r"[;\w \t\r\n]*")
 _LAZY = {"_LEXEME": r";|\w+|#[^\n]*|[^ \t\r\n]", "_TOKEN_CHARS": r"[;\w]*",
          "_COMMENT": r"#[^\n]*"}
@@ -279,12 +278,6 @@ _LAZY = {"_LEXEME": r";|\w+|#[^\n]*|[^ \t\r\n]", "_TOKEN_CHARS": r"[;\w]*",
 
 def _pattern(name: str) -> re.Pattern:
     return re.compile(_LAZY[name])
-
-
-def __getattr__(name: str) -> re.Pattern:
-    if name in _LAZY:
-        return _pattern(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _error(text: str, message: str, index: int) -> ParseError:

@@ -363,9 +363,6 @@ class FrequencyReport:
     tv_distance: float
     program_sha256: str
 
-    def frequencies(self) -> dict[str, float]:
-        return {label: count / self.shots for label, count in self.counts.items()}
-
     def max_abs_z(self) -> float:
         return max((abs(z) for z in self.z_scores.values()), default=0.0)
 

@@ -1,10 +1,13 @@
 """Scripted interferometer experiments, runnable on every engine.
 
-Each scenario is a program in the circuit language plus a labeling function
-that maps the raw joint measurement record onto a fixed outcome vocabulary
-(``detector_L``, ``fired & detector_R``, ``exploded``, ``a+ & detector_L``,
-``no_click``, ...).  The vocabulary is stable across engines so exact
-distributions can be diffed verbatim.
+Every scenario is one Mach-Zehnder interferometer, written once
+(``_mzi_text``), with a different device between its splitters, plus a
+labeler that maps the raw joint measurement record onto a fixed outcome
+vocabulary: the lit port (``detector_L``, ``no_click``, ...), or, through
+the one device labeler, the device event's name and the port (``fired &
+detector_R``, ``a+ & detector_L``), an absorbing device that fired named
+alone (``absorbed``, ``exploded``).  The vocabulary is stable across engines
+so exact distributions can be diffed verbatim.
 
 Scenario catalog:
 
@@ -33,6 +36,7 @@ catalogue.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Callable, Iterator
 
 from toyfield.circuits import (  # noqa: F401  re-exported: callers read them here too
@@ -81,47 +85,51 @@ def _port_label(events: dict[str, int]) -> str:
     return "no_click"
 
 
-def _mzi_text(device: str) -> str:
-    return (
-        "mode L R;\n"
-        "source L;\n"
-        "vacuum R;\n"
-        "bs L R;\n"
-        f"{device}"
-        "bs L R;\n"
-        "detect L as detector_L;\n"
-        "detect R as detector_R;\n"
-    )
+def _mzi_text(device: str, modes: str = "L R", ancilla: str = "", before: str = "",
+              after: str = "") -> str:
+    """The one interferometer: ``modes`` (L, R and any extra mode, each
+    extra one empty like R), an optional ancilla, a source in L, the
+    ``device`` statement between the two splitters and the two port
+    detections, with one optional statement just ``before`` them and one
+    just ``after``."""
+    lines = (f"mode {modes}", ancilla and f"ancilla {ancilla}", "source L",
+             *(f"vacuum {mode}" for mode in modes.split()[1:]), "bs L R", device, "bs L R",
+             before, "detect L as detector_L", "detect R as detector_R", after)
+    return "".join(f"{line};\n" for line in lines if line)
+
+
+def _device_labeler(event: str, names: tuple[str, str], absorbing: bool = False) -> Labeler:
+    """Each outcome named by ``names[value]`` of the device's ``event``, then
+    `` & `` and the lit port.  An ``absorbing`` device that fired took the
+    excitation, so its name stands alone: a live bomb is an absorbing
+    which-way detector."""
+
+    def labeler(events: dict[str, int]) -> str:
+        value = events[event]
+        if value and absorbing:
+            return names[1]
+        return f"{names[value]} & {_port_label(events)}"
+
+    return labeler
 
 
 def mzi_phase(s: int) -> Scenario:
     """Interferometer with a phase shifter; s = 1 means a pi shift."""
     if s not in (0, 1):
         raise ValueError("phase bit must be 0 or 1")
-    program = _program(_mzi_text(f"phase R {'pi' if s else '0'};\n"))
+    program = _program(_mzi_text(f"phase R {'pi' if s else '0'}"))
     return Scenario(
         "mzi_phase", (("phase", "pi" if s else "0"),), program, _port_label
     )
 
 
-def _whichway_labeler(kind: DisturbanceKind) -> Labeler:
-    def labeler(events: dict[str, int]) -> str:
-        port = _port_label(events)
-        if events["which_way"]:
-            if kind is DisturbanceKind.DESTRUCTIVE:
-                return "absorbed"
-            return f"fired & {port}"
-        return f"silent & {port}"
-
-    return labeler
-
-
 def mzi_whichway(kind: DisturbanceKind = DisturbanceKind.NONDESTRUCTIVE) -> Scenario:
     """Interferometer with an occupation detector in the R arm."""
-    program = _program(_mzi_text(f"measure N R {kind.value} as which_way;\n"))
-    return Scenario(
-        "mzi_whichway", (("kind", kind.value),), program, _whichway_labeler(kind)
-    )
+    program = _program(_mzi_text(f"measure N R {kind.value} as which_way"))
+    absorbing = kind is DisturbanceKind.DESTRUCTIVE
+    names = ("silent", "absorbed" if absorbing else "fired")
+    labeler = _device_labeler("which_way", names, absorbing)
+    return Scenario("mzi_whichway", (("kind", kind.value),), program, labeler)
 
 
 def bomb_tester(functional: bool) -> Scenario:
@@ -132,13 +140,8 @@ def bomb_tester(functional: bool) -> Scenario:
     always exits at the L port.
     """
     if functional:
-        program = _program(_mzi_text("measure N R destructive as trigger;\n"))
-
-        def labeler(events: dict[str, int]) -> str:
-            if events["trigger"]:
-                return "exploded"
-            return f"safe & {_port_label(events)}"
-
+        program = _program(_mzi_text("measure N R destructive as trigger"))
+        labeler = _device_labeler("trigger", ("safe", "exploded"), absorbing=True)
         return Scenario("bomb_tester", (("bomb", "functional"),), program, labeler)
     program = _program(_mzi_text(""))
     return Scenario("bomb_tester", (("bomb", "faulty"),), program, _port_label)
@@ -178,49 +181,18 @@ def quantum_eraser(basis: str, ancilla_timing: str = "after") -> Scenario:
         raise ValueError("basis must be 'Q' or 'P'")
     if ancilla_timing not in ("before", "after"):
         raise ValueError("ancilla_timing must be 'before' or 'after'")
-    measure = f"measure {basis} A as anc;\n"
-    body = (
-        "mode L R;\n"
-        "ancilla A;\n"
-        "source L;\n"
-        "vacuum R;\n"
-        "bs L R;\n"
-        "cnot R A;\n"
-        "bs L R;\n"
-    )
-    if ancilla_timing == "before":
-        text = body + measure + "detect L as detector_L;\ndetect R as detector_R;\n"
-    else:
-        text = body + "detect L as detector_L;\ndetect R as detector_R;\n" + measure
-    program = _program(text)
-    names = ("a0", "a1") if basis == "Q" else ("a+", "a-")
-
-    def labeler(events: dict[str, int]) -> str:
-        return f"{names[events['anc']]} & {_port_label(events)}"
-
-    return Scenario(
-        "quantum_eraser",
-        (("basis", basis), ("ancilla_timing", ancilla_timing)),
-        program,
-        labeler,
-    )
+    # the timing names the template's slot for the readout
+    text = _mzi_text("cnot R A", ancilla="A", **{ancilla_timing: f"measure {basis} A as anc"})
+    labeler = _device_labeler("anc", ("a0", "a1") if basis == "Q" else ("a+", "a-"))
+    params = (("basis", basis), ("ancilla_timing", ancilla_timing))
+    return Scenario("quantum_eraser", params, _program(text), labeler)
 
 
 def mirror_removed() -> Scenario:
     """The R-arm mirror is gone: the splitter's R input tracks a fresh
     unoccupied mode and the excitation can leave the interferometer."""
-    text = (
-        "mode L R E;\n"
-        "source L;\n"
-        "vacuum R;\n"
-        "vacuum E;\n"
-        "bs L R;\n"
-        "swap R E;\n"
-        "bs L R;\n"
-        "detect L as detector_L;\n"
-        "detect R as detector_R;\n"
-    )
-    return Scenario("mirror_removed", (), _program(text), _port_label)
+    program = _program(_mzi_text("swap R E", modes="L R E"))
+    return Scenario("mirror_removed", (), program, _port_label)
 
 
 # (scenario, parameter, type, value) of every accepted form: typed, as True == 1 == 1.0
@@ -268,19 +240,17 @@ def scenario_by_name(name: str, **params) -> Scenario:
 
 
 def all_variants() -> Iterator[Scenario]:
-    """Every scenario at every parameter setting; the equivalence sweep."""
+    """Every scenario at every parameter setting; the equivalence sweep.  The
+    two-parameter sweeps are the product of their :data:`SCENARIO_PARAMS` values."""
     yield mzi_phase(0)
     yield mzi_phase(1)
     yield mzi_whichway(DisturbanceKind.NONDESTRUCTIVE)
     yield mzi_whichway(DisturbanceKind.DESTRUCTIVE)
     yield bomb_tester(functional=True)
     yield bomb_tester(functional=False)
-    for choice in ("phase0", "phasepi", "detector"):
-        for timing in ("before", "after"):
-            yield delayed_choice(choice, timing)
-    for basis in ("Q", "P"):
-        for timing in ("before", "after"):
-            yield quantum_eraser(basis, timing)
+    for build in (delayed_choice, quantum_eraser):
+        values = SCENARIO_PARAMS[build.__name__].values()
+        yield from itertools.starmap(build, itertools.product(*values))
     yield mirror_removed()
 
 

@@ -15,17 +15,18 @@ from toyfield.circuits import (
     _ANGLES,
     _ARTICLE,
     _DISTURBANCES,
-    _LEXEME,
     _NOT_NAMES,
     _STATEMENTS,
-    _TOKEN_CHARS,
     ParseError,
     Program,
     Source,
     Statement,
     Vacuum,
+    _pattern,
 )
 from toyfield.toy_measurement import DisturbanceKind
+
+_LEXEME, _TOKEN_CHARS = _pattern("_LEXEME"), _pattern("_TOKEN_CHARS")
 
 
 class _Parser:

@@ -1,5 +1,6 @@
 """Scenario distributions and cross-engine agreement."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from toyfield import scenarios
 from toyfield.circuits import compile_toy, run_toy_exact, parse
 from toyfield.scenarios import (
+    SCENARIO_PARAMS,
     all_variants,
     bomb_tester,
     delayed_choice,
@@ -174,6 +176,28 @@ class TestMirrorRemoved:
         clicked = probs["detector_L"] + probs["detector_R"]
         assert probs["detector_L"] / clicked == H
         assert probs["detector_R"] / clicked == H
+
+
+class TestCatalogue:
+    def test_every_variant_is_the_plain_interferometer_with_a_device(self):
+        plain = bomb_tester(False).program.statements
+        for scenario in all_variants():
+            assert scenario.program.modes[:2] == ("L", "R"), scenario.key
+            rest = iter(scenario.program.statements)
+            assert all(statement in rest for statement in plain), scenario.key
+
+    def test_every_accepted_form_resolves_to_a_catalogued_variant(self):
+        catalogued = {(s.key, s.program) for s in all_variants()}
+        for name, accepted in SCENARIO_PARAMS.items():
+            for values in itertools.product(*accepted.values()):
+                scenario = scenario_by_name(name, **dict(zip(accepted, values)))
+                assert (scenario.key, scenario.program) in catalogued, (name, values)
+
+    @pytest.mark.parametrize("name", ["delayed_choice", "quantum_eraser"])
+    def test_a_two_parameter_sweep_is_the_product_of_its_table(self, name):
+        accepted = SCENARIO_PARAMS[name]
+        want = [tuple(zip(accepted, values)) for values in itertools.product(*accepted.values())]
+        assert [s.params for s in all_variants() if s.name == name] == want
 
 
 class TestRegistry:
