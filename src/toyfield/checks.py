@@ -2,6 +2,8 @@
 
 Each suite returns ``(name, ok, detail)`` rows; :func:`suite_rows` assembles the
 suites a ``check`` command names and :func:`print_suite` prints them.  The
+equivalence suite runs each catalogued variant once per exact engine, and its
+timing rows pair the two timings of a setting off that sweep's toy runs.  The
 command line checks its arguments and imports this module only when it runs a
 check, so a ``toyfield run`` neither loads nor compiles it.
 """
@@ -12,34 +14,30 @@ from toyfield import scenarios
 from toyfield.circuits import compile_toy
 from toyfield.first_quantized import check_commutation
 from toyfield.phase_space import RegisterShape, enumerate_valid_states, marginal
-from toyfield.scenarios import run_scenario
 from toyfield.toy_dynamics import Beamsplitter, PhaseShift
 from toyfield.toy_measurement import DisturbanceKind, measure_occupation
 
 Row = tuple[str, bool, str]
 
 
+# the scenarios whose parameters are a setting and its timing, with their rows' title
+_TIMED = {"quantum_eraser": "eraser", "delayed_choice": "delayed-choice"}
+
+
 def _check_equivalence() -> list[Row]:
-    rows = []
-    for key, toy, quantum_dist, ok in scenarios.equivalence_sweep():
-        detail = "" if ok else f"toy={toy.as_floats()} quantum={quantum_dist.as_floats()}"
-        rows.append((f"equivalence {key}", ok, detail))
-    for basis in ("Q", "P"):
-        before = run_scenario(scenarios.quantum_eraser(basis, "before"), "toy")
-        after = run_scenario(scenarios.quantum_eraser(basis, "after"), "toy")
-        rows.append(
-            (
-                f"eraser timing invariance basis={basis}",
-                before.probs == after.probs,
-                "",
-            )
-        )
-    for choice in ("phase0", "phasepi", "detector"):
-        early = run_scenario(scenarios.delayed_choice(choice, "before"), "toy")
-        late = run_scenario(scenarios.delayed_choice(choice, "after"), "toy")
-        rows.append(
-            (f"delayed-choice timing invariance choice={choice}", early.probs == late.probs, "")
-        )
+    sweep = scenarios.equivalence_sweep()
+    rows = [(f"equivalence {key}", ok,
+             "" if ok else f"toy={toy.as_floats()} quantum={quantum.as_floats()}")
+            for key, toy, quantum, ok in sweep]
+    runs = list(zip(scenarios.all_variants(), sweep))
+    for name, title in _TIMED.items():
+        # each setting's toy distributions at its two timings, off the sweep's own runs
+        timings: dict[tuple[str, str], list] = {}
+        for scenario, (_, toy, _, _) in runs:
+            if scenario.name == name:
+                timings.setdefault(scenario.params[0], []).append(toy.probs)
+        rows.extend((f"{title} timing invariance {param}={value}", early == late, "")
+                    for (param, value), (early, late) in timings.items())
     return rows
 
 
@@ -58,27 +56,19 @@ def _check_coarse_grain() -> list[Row]:
 
 
 def _check_destructive() -> list[Row]:
-    rows = []
-    mismatch = ""
-    ok = True
+    """One row, failed at the first state and mode whose two updates differ."""
+    name = "destructive ~ nondestructive (all valid two-mode states)"
     for state in enumerate_valid_states(RegisterShape(2)):
         for mode in (0, 1):
-            other = 1 - mode
             nd = measure_occupation(state, mode, DisturbanceKind.NONDESTRUCTIVE)
             de = measure_occupation(state, mode, DisturbanceKind.DESTRUCTIVE)
-            if [(o.value, o.probability) for o in nd] != [
-                (o.value, o.probability) for o in de
-            ]:
-                ok, mismatch = False, f"probabilities differ on {state}"
-                break
-            for a, b in zip(nd, de):
-                if marginal(a.posterior, modes=(other,)).support != marginal(
-                    b.posterior, modes=(other,)
-                ).support:
-                    ok, mismatch = False, f"posterior marginals differ on {state}"
-                    break
-    rows.append(("destructive ~ nondestructive (all valid two-mode states)", ok, mismatch))
-    return rows
+            if [(o.value, o.probability) for o in nd] != [(o.value, o.probability) for o in de]:
+                return [(name, False, f"probabilities differ on {state}")]
+            other = (1 - mode,)
+            if any(marginal(a.posterior, modes=other).support
+                   != marginal(b.posterior, modes=other).support for a, b in zip(nd, de)):
+                return [(name, False, f"posterior marginals differ on {state}")]
+    return [(name, True, "")]
 
 
 def _check_locality(shots: int, seed: int) -> list[Row]:

@@ -45,7 +45,6 @@ this module.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import threading
 from fractions import Fraction
@@ -365,19 +364,6 @@ class FrequencyReport:
 
     def max_abs_z(self) -> float:
         return max((abs(z) for z in self.z_scores.values()), default=0.0)
-
-    def to_json(self) -> str:
-        payload = {
-            "scenario": self.scenario,
-            "shots": self.shots,
-            **provenance(self.seed, self.program_sha256),
-            "counts": dict(sorted(self.counts.items())),
-            "exact": {k: f"{v.numerator}/{v.denominator}" if v.denominator != 1 else str(v.numerator)
-                      for k, v in sorted(self.exact.items())},
-            "z_scores": {k: round(v, 6) for k, v in sorted(self.z_scores.items())},
-            "tv_distance": round(self.tv_distance, 9),
-        }
-        return json.dumps(payload, indent=2)
 
 
 def _z_score(count: int, shots: int, p: Fraction) -> float:

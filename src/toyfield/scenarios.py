@@ -240,18 +240,14 @@ def scenario_by_name(name: str, **params) -> Scenario:
 
 
 def all_variants() -> Iterator[Scenario]:
-    """Every scenario at every parameter setting; the equivalence sweep.  The
-    two-parameter sweeps are the product of their :data:`SCENARIO_PARAMS` values."""
-    yield mzi_phase(0)
-    yield mzi_phase(1)
-    yield mzi_whichway(DisturbanceKind.NONDESTRUCTIVE)
-    yield mzi_whichway(DisturbanceKind.DESTRUCTIVE)
-    yield bomb_tester(functional=True)
-    yield bomb_tester(functional=False)
-    for build in (delayed_choice, quantum_eraser):
-        values = SCENARIO_PARAMS[build.__name__].values()
-        yield from itertools.starmap(build, itertools.product(*values))
-    yield mirror_removed()
+    """Every scenario at every parameter setting, the equivalence sweep: the
+    distinct objects :func:`scenario_by_name` returns over the product of each
+    scenario's :data:`SCENARIO_PARAMS` forms, in table order, so aliases such
+    as ``phase=1`` and ``phase="pi"`` give one variant."""
+    variants = (scenario_by_name(name, **dict(zip(accepted, values)))
+                for name, accepted in SCENARIO_PARAMS.items()
+                for values in itertools.product(*accepted.values()))
+    return iter({id(variant): variant for variant in variants}.values())
 
 
 def equivalence_sweep() -> list[tuple[str, OutcomeDistribution, OutcomeDistribution, bool]]:

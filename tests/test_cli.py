@@ -572,6 +572,57 @@ class TestCheck:
         assert out == ""
         assert "--seed must be non-negative" in err
 
+    def test_check_all_output(self, capsys):
+        code, out, _ = run_cli(capsys, "check", "all")
+        assert code == 0
+        assert out == (GOLDEN / "check_all.txt").read_text(encoding="utf-8")
+
+    def test_the_equivalence_suite_runs_each_variant_once_per_engine(self, capsys, monkeypatch):
+        from toyfield import circuits
+
+        calls = []
+        for name in ("run_toy_exact", "run_quantum_exact"):
+            real = getattr(circuits, name)
+            monkeypatch.setattr(circuits, name,
+                                lambda plan, name=name, real=real: calls.append(name) or real(plan))
+        code, _, _ = run_cli(capsys, "check", "equivalence")
+        assert code == 0
+        assert (calls.count("run_toy_exact"), calls.count("run_quantum_exact")) == (17, 17)
+
+    def test_a_timing_row_compares_the_sweeps_own_distributions(self, capsys, monkeypatch):
+        from fractions import Fraction
+
+        from toyfield import scenarios
+
+        rows = scenarios.equivalence_sweep()
+        tampered = scenarios.OutcomeDistribution({"tampered": Fraction(1)})
+        monkeypatch.setattr(scenarios, "equivalence_sweep", lambda: [
+            (key, tampered, quantum, False)
+            if key == "quantum_eraser[basis=Q,ancilla_timing=before]" else (key, toy, quantum, ok)
+            for key, toy, quantum, ok in rows])
+        code, out, _ = run_cli(capsys, "check", "equivalence")
+        assert code == 1
+        timing = [line for line in out.splitlines() if "timing invariance" in line]
+        assert len(timing) == 5
+        assert [line for line in timing if line.startswith("FAIL")] == [
+            "FAIL  eraser timing invariance basis=Q"]
+
+    def test_the_destructive_row_names_the_first_mismatching_state(self, monkeypatch):
+        from toyfield import checks
+        from toyfield.phase_space import RegisterShape, enumerate_valid_states
+        from toyfield.toy_measurement import DisturbanceKind
+
+        real = checks.measure_occupation
+
+        def reversed_destructive(state, mode, kind):
+            outcomes = real(state, mode, kind)
+            return outcomes[::-1] if kind is DisturbanceKind.DESTRUCTIVE else outcomes
+
+        monkeypatch.setattr(checks, "measure_occupation", reversed_destructive)
+        [(_, ok, detail)] = checks._check_destructive()
+        first = enumerate_valid_states(RegisterShape(2))[0]
+        assert (ok, detail) == (False, f"probabilities differ on {first}")
+
     def test_unknown_suite_rejected(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["check", "nosuch"])

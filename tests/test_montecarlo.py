@@ -158,15 +158,6 @@ class TestEstimate:
         report = estimate(WW, shots=1000, seed=5)
         assert sum(report.counts.values()) == 1000
 
-    def test_json_schema(self):
-        report = estimate(PHASE0, shots=100, seed=1, scenario="phase0")
-        payload = json.loads(report.to_json())
-        assert set(payload) == {
-            "scenario", "shots", "seed", "counts", "exact", "z_scores", "tv_distance",
-            "rng", "program_sha256", "toyfield_version",
-        }
-        assert payload["exact"]["detector_L=1 detector_R=0"] == "1"
-
     def test_seed_determinism(self):
         a = estimate(WW, shots=400, seed=11)
         b = estimate(WW, shots=400, seed=11)

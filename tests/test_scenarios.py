@@ -193,6 +193,14 @@ class TestCatalogue:
                 scenario = scenario_by_name(name, **dict(zip(accepted, values)))
                 assert (scenario.key, scenario.program) in catalogued, (name, values)
 
+    def test_every_variant_is_the_object_the_registry_returns(self):
+        variants = list(all_variants())
+        returned = [scenario_by_name(name, **dict(zip(accepted, values)))
+                    for name, accepted in SCENARIO_PARAMS.items()
+                    for values in itertools.product(*accepted.values())]
+        assert len({id(variant) for variant in variants}) == 17
+        assert all(any(variant is form for form in returned) for variant in variants)
+
     @pytest.mark.parametrize("name", ["delayed_choice", "quantum_eraser"])
     def test_a_two_parameter_sweep_is_the_product_of_its_table(self, name):
         accepted = SCENARIO_PARAMS[name]
