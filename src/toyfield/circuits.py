@@ -21,13 +21,14 @@ index), which the parser reads statements through and the renderer writes
 them back through, names taken from the program's declarations.  A parsed
 program holds what the engines run: the preparations ``Source`` and
 ``Vacuum``, and each gate or measurement as its hash-consed ``GateStep`` or
-``MeasureStep``.  The tokenizer checks the text, comments removed, against
-the token and ASCII spacing characters once and splits it on its spacing;
-the parser is one loop over that token list, a declaration or a statement a
-turn, with its state in local variables and no call per token.  The text is
-scanned with a regular expression only for a ``ParseError``, to find a stray
-character or a token's line and column; its three patterns (the scan, the
-token characters and the comment) are compiled on first use.
+``MeasureStep``.  The parser checks the text, comments removed, against
+the token and ASCII spacing characters once and splits it on ``;``, one
+declaration or statement a piece.  A statement's piece is read by one loop
+over its tokens, memoised by its text and the declared names; the parser
+itself checks only what reads earlier statements (labels, preparations).
+The text is scanned with a regular expression only for a ``ParseError``, to
+find a stray character or a token's line and column; its three patterns
+(the scan, the token characters and the comment) are compiled on first use.
 
 Phase literals are restricted to 0 and pi in the grammar itself: the program
 text is the contract shared by every engine, and the classical engine has no
@@ -267,10 +268,10 @@ _NOT_NAMES = _KEYWORDS | {"", ";"}
 # A token (";" or a word), a comment, or any other character but spacing,
 # which is an error.  A text whose characters outside comments are all token
 # characters or ASCII spacing (``_PLAIN``, after ``_COMMENT`` is removed) is
-# split on its spacing; the ``_LEXEME`` scan runs only for a ParseError, to
-# find a stray character or where a token sits.  "" marks the end of input.
-# Only a ParseError or a comment reads the patterns of ``_LAZY``, so each is
-# compiled on first use and kept by ``re``'s own cache.
+# split on ";" and on its spacing; the ``_LEXEME`` scan runs only for a
+# ParseError, to find a stray character or where a token sits.  "" marks the
+# end of input.  Only a ParseError or a comment reads the patterns of
+# ``_LAZY``, so each is compiled on first use and kept by ``re``'s own cache.
 _PLAIN = re.compile(r"[;\w \t\r\n]*")
 _LAZY = {"_LEXEME": r";|\w+|#[^\n]*|[^ \t\r\n]", "_TOKEN_CHARS": r"[;\w]*",
          "_COMMENT": r"#[^\n]*"}
@@ -290,13 +291,22 @@ def _error(text: str, message: str, index: int) -> ParseError:
     return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
+class _Misread(Exception):
+    """An error at token ``index`` of one declaration or statement; ``label``
+    is the label read before a missing ``;``, reported first if a duplicate."""
+
+    def __init__(self, message: str, index: int, label: str | None = None):
+        super().__init__(message)
+        self.message, self.index, self.label = message, index, label
+
+
 def parse(text: str) -> Program:
     """Parse program text; raises ParseError with line/column on failure.
 
-    One loop over the token list, one declaration or statement a turn.  A
-    statement is read through its ``_STATEMENTS`` entry, one argument kind
-    at a time; a name is checked against the declarations so far, and every
-    error names the token it stopped at.
+    The text, comments removed, is split on ``;``: the declarations are read
+    here, and each later piece by the memoised :func:`_statement`; here are
+    only the checks that read earlier statements.  An error names the token
+    it stopped at, counting the tokens before its piece.
     """
     text = text.replace("\r\n", "\n")
     code = _pattern("_COMMENT").sub("", text) if "#" in text else text
@@ -305,112 +315,122 @@ def parse(text: str) -> Program:
         token_chars = _pattern("_TOKEN_CHARS")
         stray = next(t for t in tokens if not token_chars.fullmatch(t))
         raise _error(text, f"unexpected character {stray!r}", tokens.index(stray))
-    tokens = code.replace(";", " ; ").split()
-    tokens.append("")  # the end of input
+    pieces = code.split(";")
+    last = len(pieces) - 1  # the text after the last ";", blank unless a ";" is missing
     names: dict[str, dict[str, int]] = {"mode": {}, "ancilla": {}}  # name -> index
     statements: list[Statement] = []
-    prepared: set[str] = set()
-    touched: set[str] = set()
-    labels: set[str] = set()
-    i = 0
-    word = tokens[0]
-    while word:
-        start = i
-        i += 1
-        if (word == "mode" or word == "ancilla") and not statements:  # a declaration
-            declared = []
-            if word == "mode":
-                while tokens[i] not in _NOT_NAMES:
-                    if tokens[i][0].isdigit():
-                        raise _error(text, "expected mode name", i)
-                    declared.append(i)
-                    i += 1
-                if not declared:
-                    raise _error(text, "expected at least one mode name", i)
-            else:
-                if tokens[i] in _NOT_NAMES or tokens[i][0].isdigit():
-                    raise _error(text, "expected ancilla name", i)
-                declared.append(i)
+    prepared, touched, labels = set(), set(), set()  # names and labels
+    try:
+        for k, piece in enumerate(pieces):  # the declarations, up to the first other piece
+            tokens = piece.split()
+            word = tokens[0] if tokens else ""
+            if word != "mode" and word != "ancilla":
+                break
+            tokens.append(";" if k < last else "")  # "" marks the end of input
+            i = 1  # the names: one or more modes, or one ancilla
+            while tokens[i] not in _NOT_NAMES and (word == "mode" or i == 1):
+                if tokens[i][0].isdigit():
+                    raise _Misread(f"expected {word} name", i)
                 i += 1
+            if i == 1:
+                raise _Misread("expected at least one mode name" if word == "mode"
+                               else "expected ancilla name", i)
             if tokens[i] != ";":
-                raise _error(text, "expected ';'", i)
-            for at in declared:
+                raise _Misread("expected ';'", i)
+            for at in range(1, i):
                 if tokens[at] in names["mode"] or tokens[at] in names["ancilla"]:
-                    raise _error(text, f"duplicate declaration of {tokens[at]}", at)
+                    raise _Misread(f"duplicate declaration of {tokens[at]}", at)
                 names[word][tokens[at]] = len(names[word])
-            i += 1
-            word = tokens[i]
-            continue
-        if word == ";":
-            raise _error(text, "expected a statement", start)
-        if word == "mode" or word == "ancilla":
-            raise _error(text, "declarations must precede statements", start)
-        key = word
-        if word == "measure":
-            if tokens[i] not in ("N", "Q", "P"):
-                raise _error(text, "expected measured variable N, Q or P", i)
-            key = "measure " + tokens[i]
-            i += 1
-        if key not in _STATEMENTS:
-            raise _error(text, f"unknown statement {word!r}", start)
-        build, kinds = _STATEMENTS[key]
-        values: list = []
-        named = []  # the subsystems the statement names
-        for kind in kinds:
-            token = tokens[i]
-            if kind == "mode" or kind == "ancilla":
-                if token == "" or token == ";":
-                    raise _error(text, f"expected {kind} name", i)
-                if token not in names[kind]:
-                    other = "ancilla" if kind == "mode" else "mode"
-                    if token in names[other]:
-                        raise _error(text, f"{token} is {_ARTICLE[other]}, not {_ARTICLE[kind]}", i)
-                    raise _error(text, f"unknown identifier {token}", i)
-                named.append(token)
-                values.append(names[kind][token])
-            elif kind == "angle":
-                if token not in _ANGLES:
-                    raise _error(text, "expected phase literal 0 or pi", i)
-                values.append(_ANGLES.index(token))
-            elif kind == "kind":
-                if token not in _DISTURBANCES:
-                    values.append(_NONDESTRUCTIVE)
-                    continue  # the kind is optional and takes no token here
-                values.append(_KINDS[token])
-            elif kind == "as":
-                if token in _DISTURBANCES and (key == "measure Q" or key == "measure P"):
-                    raise _error(
-                        text, "disturbance kind applies only to occupation measurements", i
-                    )
-                if token != "as":
-                    raise _error(text, "expected 'as'", i)
-            else:  # a new label
-                if token in _NOT_NAMES or token[0].isdigit():
-                    raise _error(text, "expected label", i)
-                if token in labels:
-                    raise _error(text, f"duplicate label {token}", i)
-                labels.add(token)
-                values.append(token)
-            i += 1
-        if tokens[i] != ";":
-            raise _error(text, "expected ';'", i)
-        # Both checks below point at the last name, the token before the ";":
-        # a preparation's one mode, or the second of two modes.
-        if build is Source or build is Vacuum:
-            mode = named[0]
-            if mode in prepared:
-                raise _error(text, f"duplicate preparation of {mode}", i - 1)
-            if mode in touched:
-                raise _error(text, f"preparation of {mode} after it was used", i - 1)
-            prepared.add(mode)
-        else:
-            if len(named) == 2 and named[0] == named[1]:
-                raise _error(text, f"{word} needs two distinct modes", i - 1)
-            touched.update(named)
-        statements.append(build(*values))
+        modes, ancillas = tuple(names["mode"]), tuple(names["ancilla"])
+        for k in range(k, last):
+            statement, named, label, count = _statement(pieces[k], modes, ancillas)
+            # Each check points at the last token: the label or the prepared mode.
+            if label is not None:
+                if label in labels:
+                    raise _Misread(f"duplicate label {label}", count - 1)
+                labels.add(label)
+            if type(statement) is Source or type(statement) is Vacuum:
+                mode = named[0]
+                if mode in prepared:
+                    raise _Misread(f"duplicate preparation of {mode}", count - 1)
+                if mode in touched:
+                    raise _Misread(f"preparation of {mode} after it was used", count - 1)
+                prepared.add(mode)
+            else:
+                touched.update(named)
+            statements.append(statement)
+        k = last
+        if pieces[last].strip():
+            _statement(pieces[last], modes, ancillas, "")  # raises, at the latest for the ";"
+    except _Misread as misread:
+        message, index = misread.message, misread.index
+        if misread.label in labels:
+            message, index = f"duplicate label {misread.label}", index - 1
+        before = sum(len(piece.split()) + 1 for piece in pieces[:k])  # each piece and its ";"
+        raise _error(text, message, before + index) from None
+    return Program(modes, ancillas, tuple(statements))
+
+
+@lru_cache(maxsize=1024)
+def _statement(piece: str, modes: tuple[str, ...], ancillas: tuple[str, ...], end: str = ";"):
+    """A statement's piece read through its ``_STATEMENTS`` entry, one
+    argument kind at a time, against the declared names: its hash-consed
+    statement, the names it reads, its label (or None) and its token count.
+    ``end`` is the token after it, ``";"`` or ``""`` for the end of input.
+    An error raises ``_Misread``; errors are not cached."""
+    tokens = [*piece.split(), end]
+    word = tokens[0]
+    if word == ";":
+        raise _Misread("expected a statement", 0)
+    if word == "mode" or word == "ancilla":
+        raise _Misread("declarations must precede statements", 0)
+    key, i = word, 1
+    if word == "measure":
+        if tokens[1] not in ("N", "Q", "P"):
+            raise _Misread("expected measured variable N, Q or P", 1)
+        key, i = "measure " + tokens[1], 2
+    if key not in _STATEMENTS:
+        raise _Misread(f"unknown statement {word!r}", 0)
+    build, kinds = _STATEMENTS[key]
+    declared = {"mode": modes, "ancilla": ancillas}
+    values, named, label = [], [], None  # named: the subsystems the statement names
+    for kind in kinds:
+        token = tokens[i]
+        if kind == "mode" or kind == "ancilla":
+            if token == "" or token == ";":
+                raise _Misread(f"expected {kind} name", i)
+            if token not in declared[kind]:
+                other = "ancilla" if kind == "mode" else "mode"
+                if token in declared[other]:
+                    raise _Misread(f"{token} is {_ARTICLE[other]}, not {_ARTICLE[kind]}", i)
+                raise _Misread(f"unknown identifier {token}", i)
+            named.append(token)
+            values.append(declared[kind].index(token))
+        elif kind == "angle":
+            if token not in _ANGLES:
+                raise _Misread("expected phase literal 0 or pi", i)
+            values.append(_ANGLES.index(token))
+        elif kind == "kind":
+            if token not in _DISTURBANCES:
+                values.append(_NONDESTRUCTIVE)
+                continue  # the kind is optional and takes no token here
+            values.append(_KINDS[token])
+        elif kind == "as":
+            if token in _DISTURBANCES and (key == "measure Q" or key == "measure P"):
+                raise _Misread("disturbance kind applies only to occupation measurements", i)
+            if token != "as":
+                raise _Misread("expected 'as'", i)
+        else:  # a label, new unless parse finds it earlier in the program
+            if token in _NOT_NAMES or token[0].isdigit():
+                raise _Misread("expected label", i)
+            label = token
+            values.append(token)
         i += 1
-        word = tokens[i]
-    return Program(tuple(names["mode"]), tuple(names["ancilla"]), tuple(statements))
+    if tokens[i] != ";":
+        raise _Misread("expected ';'", i, label)
+    if len(named) == 2 and named[0] == named[1]:  # the second mode, the last token
+        raise _Misread(f"{word} needs two distinct modes", i - 1)
+    return build(*values), tuple(named), label, i
 
 
 def _arguments(stmt: Statement) -> tuple[str, tuple]:

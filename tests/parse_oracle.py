@@ -1,5 +1,6 @@
 """The program parser as a class with one method per grammar rule: the
-reference that ``circuits.parse``'s single token loop is checked against.
+reference that ``circuits.parse``, which reads a program a statement at a
+time, is checked against.
 
 ``test_parse_oracle`` feeds both the same texts; each must give the same
 ``Program`` or the same ``(message, line, column)``.  The oracle reads the

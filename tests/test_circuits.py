@@ -9,6 +9,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
+from toyfield import circuits
 from toyfield.circuits import (
     CapabilityError,
     CompileError,
@@ -108,6 +109,77 @@ class TestParse:
     def test_preparation_after_use_rejected(self):
         with pytest.raises(ParseError, match="after it was used"):
             parse("mode L R; bs L R; source L;")
+
+    @pytest.mark.parametrize("text, message, column", [
+        # a duplicate label comes before the missing ";" after it
+        ("mode L; detect L as x1; measure N L as x1 junk;", "duplicate label x1", 40),
+        # a statement's own errors come before the checks that read earlier ones
+        ("mode L R; bs L R; source L junk;", "expected ';'", 28),
+        ("mode L R; source L; bs L L junk;", "expected ';'", 28),
+    ])
+    def test_error_precedence_across_statements(self, text, message, column):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"line 1, column {column}: {message}"
+
+
+def parse_error(text: str) -> tuple[str, int, int]:
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    return str(err.value).split(": ", 1)[1], err.value.line, err.value.column
+
+
+class TestStatementMemo:
+    """``parse`` reads each statement's text through a bounded memo keyed by
+    the text and the program's declarations; the checks that read earlier
+    statements are made on every parse."""
+
+    def test_the_same_text_resolves_to_each_programs_own_indices(self):
+        assert parse("mode L R;\nsource L;\n").statements == (Source(0),)
+        assert parse("mode R L;\nsource L;\n").statements == (Source(1),)
+
+    @pytest.mark.parametrize("valid, invalid, error", [
+        ("mode L R;\ndetect L as x1;\n", "mode L R;\ndetect R as x1;\ndetect L as x1;\n",
+         ("duplicate label x1", 3, 13)),
+        ("mode L R;\nsource L;\n", "mode L R;\nvacuum L;\nsource L;\n",
+         ("duplicate preparation of L", 3, 8)),
+        ("mode L R;\nsource L;\n", "mode L R;\nbs L R;\nsource L;\n",
+         ("preparation of L after it was used", 3, 8)),
+    ])
+    def test_a_remembered_statement_is_checked_against_the_program(self, valid, invalid, error):
+        parse(valid)
+        hits = circuits._statement.cache_info().hits
+        assert parse_error(invalid) == error
+        assert circuits._statement.cache_info().hits > hits  # the statement came from the memo
+
+    def test_a_failing_statement_raises_on_every_parse(self):
+        for _ in range(3):
+            misses = circuits._statement.cache_info().misses
+            assert parse_error("mode L;\nbs L L;\n") == ("bs needs two distinct modes", 2, 6)
+            assert circuits._statement.cache_info().misses == misses + 1
+
+    def test_the_memo_is_bounded(self):
+        bound = circuits._statement.cache_info().maxsize
+        for i in range(bound + 10):
+            parse(f"mode L; detect L as x{i};")
+        assert circuits._statement.cache_info().currsize == bound
+
+    @pytest.mark.parametrize("memo", ["cold", "warm"])
+    def test_the_oracle_checks_hold_with_the_memo(self, memo):
+        """``test_parse_oracle``'s checks from an empty memo, and from one
+        filled by the golden cases' texts."""
+        import test_parse_oracle
+
+        circuits._statement.cache_clear()
+        if memo == "warm":
+            for case in _PARSE_CASES:
+                try:
+                    parse(case["text"])
+                except ParseError:
+                    pass
+            assert circuits._statement.cache_info().currsize > 0
+        test_parse_oracle.test_parse_equals_the_oracle_on_programs_renders_and_mutants()
+        test_parse_oracle.test_parse_equals_the_oracle_on_spacing_and_character_mutants()
 
 
 class TestRender:
