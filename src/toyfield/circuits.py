@@ -54,6 +54,7 @@ from toyfield.phase_space import (
     SMALL_REGISTER_POINTS,
     EpistemicState,
     RegisterShape,
+    _prepared,
     prepared,
     shared_fraction,
 )
@@ -65,6 +66,7 @@ from toyfield.toy_dynamics import (
     ToyGate,
     _gate_kernel,
     gate_table,
+    kernel_forward,
     push_forward,
 )
 from toyfield.toy_measurement import (
@@ -175,9 +177,9 @@ Statement = Union[Source, Vacuum, GateStep, MeasureStep]
 
 # Hash-consed steps and shapes: equal values built by different programs are
 # one object, so the memos keyed by them (``gate_table``, ``toy_measure``,
-# ``prepared``) match their keys by identity.  Each is a bounded LRU, since
-# labels are user text, keyed by plain values, whose hashes are C code (an
-# enum's ``__hash__`` is Python).
+# ``phase_space._prepared``) match their keys by identity.  Each is a bounded
+# LRU, since labels are user text, keyed by plain values, whose hashes are C
+# code (an enum's ``__hash__`` is Python).
 @lru_cache(maxsize=1024)
 def _gate_step(gate: type, *targets: int) -> GateStep:
     return GateStep(gate(*targets))
@@ -478,12 +480,15 @@ def render(program: Program) -> str:
 
 @record
 class ToyPlan:
-    """A program compiled for the classical engine: its register, initial state and steps."""
+    """A program compiled for the classical engine: its register, initial state and steps,
+    and the state ops its register uses, as :func:`branches` reads them."""
 
     program: Program
     shape: RegisterShape
     initial: EpistemicState
     steps: tuple[Step, ...]
+    apply: Callable
+    measure: Callable
 
     # Monte Carlo's seed-independent work, done once per plan object; the
     # locality audit and single-run replay build their kernel on every call.
@@ -522,14 +527,19 @@ def compile_toy(program: Program) -> ToyPlan:
 def _compile_toy(program: Program) -> ToyPlan:
     steps = program.steps
     shape = _shape(len(program.modes), len(program.ancillas))
-    sourced = [s.mode for s in program.statements if isinstance(s, Source)]
-    # every gate is checked to be a permutation up front, in the form push_forward reads
-    check = gate_table if shape.point_count <= SMALL_REGISTER_POINTS else _gate_kernel
+    sourced = tuple(s.mode for s in program.statements if isinstance(s, Source))
+    # The one choice of state ops, read from this module's globals now (a wrapper
+    # set over one is what the plan holds); each gate is checked in apply's form.
+    if shape.point_count <= SMALL_REGISTER_POINTS:  # tables, and memos keyed by states
+        check, start, apply, measure = gate_table, _prepared, push_forward, toy_measure
+    else:  # gate kernels, and nothing kept
+        check, start, apply = _gate_kernel, prepared, kernel_forward
+        measure = toy_measure.__wrapped__
     for step in steps:
         if isinstance(step, GateStep):
             check(step.gate, shape)
     # Unprepared modes default to the vacuum; ancillas start with q known 0.
-    return ToyPlan(program, shape, prepared(shape, sourced), steps)
+    return ToyPlan(program, shape, start(shape, sourced), steps, apply, measure)
 
 
 def compile_quantum(program: Program) -> QuantumPlan:
@@ -603,21 +613,16 @@ def _final(start, steps, apply, measure) -> list:
     return final
 
 
+@lru_cache(maxsize=4096)
 def toy_measure(state: EpistemicState, step: MeasureStep) -> tuple:
     """The classical engine's outcomes of a measurement step, as a tuple of
     ``(value, probability, posterior)`` triples, each probability a reduced
     ``(numerator, denominator)`` pair; a certain outcome, the only one, has
     the probability :data:`ONE`.
 
-    On registers of at most ``SMALL_REGISTER_POINTS`` points the tuple is a
-    bounded memo's, keyed by the state and the step and shared by every call
-    on them; on larger registers it is computed anew."""
-    small = state.shape.point_count <= SMALL_REGISTER_POINTS
-    return (_toy_outcomes if small else _toy_outcomes.__wrapped__)(state, step)
-
-
-@lru_cache(maxsize=4096)
-def _toy_outcomes(state: EpistemicState, step: MeasureStep) -> tuple:
+    A bounded memo keyed by the state and the step, whose tuple every call on
+    them shares.  It serves registers of at most ``SMALL_REGISTER_POINTS`` (64)
+    points; a plan on a larger one holds the uncached ``toy_measure.__wrapped__``."""
     if step.variable == "N":
         outcomes = measure_occupation(state, step.index, step.kind)
     else:
@@ -634,7 +639,7 @@ def run_toy_exact(plan: ToyPlan) -> JointDistribution:
 
     Weights are reduced int pairs (:func:`branches`); each outcome's is made
     a ``Fraction`` once, by :func:`~toyfield.phase_space.shared_fraction`."""
-    final = _final([(ONE, plan.initial, ())], plan.steps, push_forward, toy_measure)
+    final = _final([(ONE, plan.initial, ())], plan.steps, plan.apply, plan.measure)
     return {tuple(sorted(events)): shared_fraction(*w) for w, _, events in final}
 
 

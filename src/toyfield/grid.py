@@ -8,9 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from toyfield.circuits import ONE, CapabilityError, GateStep, ToyPlan, branches, toy_measure
+from toyfield.circuits import ONE, CapabilityError, GateStep, ToyPlan, branches
 from toyfield.phase_space import EpistemicState, marginal
-from toyfield.toy_dynamics import push_forward
 
 _AXIS_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -56,7 +55,7 @@ def print_grids(plan: ToyPlan, selected: set[int] | None) -> int:
         print("\nstep 0: preparation   p=1")
         for line in initial:
             print(line)
-    stepped = branches([(ONE, plan.initial, ())], plan.steps, push_forward, toy_measure)
+    stepped = branches([(ONE, plan.initial, ())], plan.steps, plan.apply, plan.measure)
     for step_number, (step, current) in enumerate(stepped, 1):
         if selected is not None and step_number not in selected:
             continue

@@ -46,8 +46,8 @@ __all__ = [
 # Registers of at most three subsystems (64 points, the quantum engine's cap)
 # reach a small, finite set of states, so work on them is memoised: gate
 # tables, measurement outcomes, preparations, and the states themselves
-# (:func:`shared_state`).  Beyond that the point count grows 4x per
-# subsystem, and nothing is kept.
+# (:func:`shared_state`).  Beyond that the point count grows 4x per subsystem,
+# and nothing is kept: a plan picks its ops once (``circuits._compile_toy``).
 SMALL_REGISTER_POINTS = 64
 
 
@@ -285,19 +285,17 @@ def shared_fraction(numerator: int, denominator: int) -> Fraction:
 def prepared(shape: RegisterShape, occupied: Sequence[int] = ()) -> EpistemicState:
     """Knowledge state: N fixed to 1 on the listed modes and to 0 on the
     others, every ancilla's q fixed to 0, every phase and momentum uniform.
-    Memoised on registers of at most ``SMALL_REGISTER_POINTS`` points."""
-    small = shape.point_count <= SMALL_REGISTER_POINTS
-    return (_prepared if small else _prepared.__wrapped__)(shape, tuple(occupied))
-
-
-@lru_cache(maxsize=256)
-def _prepared(shape: RegisterShape, occupied: tuple[int, ...]) -> EpistemicState:
+    The state is :func:`shared_state`'s, so equal preparations are one object."""
     support = {0}
     for m in occupied:
         support = {x | (1 << shape.occupation_slot(m)) for x in support}
     for slot in range(1, shape.bit_count, 2):  # the phase and momentum bits
         support |= {x ^ (1 << slot) for x in support}
     return shared_state(shape, frozenset(support))
+
+
+# The start of a plan on at most SMALL_REGISTER_POINTS points (``circuits._compile_toy``).
+_prepared = lru_cache(maxsize=256)(prepared)
 
 
 def make_occupied(mode_count: int, occupied_index: int) -> EpistemicState:

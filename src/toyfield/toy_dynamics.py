@@ -33,7 +33,6 @@ from typing import Callable, Union
 
 from toyfield._record import record
 from toyfield.phase_space import (
-    SMALL_REGISTER_POINTS,
     EpistemicState,
     RegisterShape,
     shared_state,
@@ -48,6 +47,7 @@ __all__ = [
     "ToyGate",
     "beamsplitter_rule",
     "gate_table",
+    "kernel_forward",
     "push_forward",
 ]
 
@@ -188,9 +188,9 @@ def gate_table(gate: ToyGate, shape: RegisterShape) -> tuple[int, ...]:
     marker its mode and ancilla), so at most 16 local patterns fix its action
     everywhere.  The table is that kernel's image of every point; the
     kernel's local check already proves the map a permutation, and the
-    table is checked once more in full.  Push-forwards on more than three
-    subsystems apply the kernel to the support and never build it, and
-    Monte Carlo applies the kernel itself to whole columns of shots.
+    table is checked once more in full.  Above three subsystems
+    :func:`kernel_forward` applies the kernel to the support and never
+    builds it, and Monte Carlo applies the kernel to whole columns of shots.
     """
     table = tuple(_kernel_images(gate, shape, range(shape.point_count)))
     if len(set(table)) != shape.point_count:
@@ -199,19 +199,17 @@ def gate_table(gate: ToyGate, shape: RegisterShape) -> tuple[int, ...]:
 
 
 def push_forward(state: EpistemicState, gate: ToyGate) -> EpistemicState:
-    """Image of the support under the gate permutation; stays flat.
+    """Image of the support under the gate permutation, read off :func:`gate_table`.
 
-    On registers of at most ``SMALL_REGISTER_POINTS`` points (three
-    subsystems) the image is read off :func:`gate_table`, and equal images
-    are one object (:func:`~toyfield.phase_space.shared_state`), built and
-    range-checked once.  On larger ones the gate's kernel is applied to the
-    whole support, and each image is a new state."""
+    Serves registers of at most ``SMALL_REGISTER_POINTS`` points (three
+    subsystems), where a full table is about as cheap to build as one
+    push-forward's visits; equal images are one object (``shared_state``)."""
     shape = state.shape
-    # Up to three subsystems (64 points, the quantum engine's cap) a full table
-    # is about as cheap to build as one push-forward's visits, and indexing a
-    # tuple beats reading the kernel; beyond that the table grows 4x per
-    # subsystem while a state's support need not.
-    if shape.point_count <= SMALL_REGISTER_POINTS:
-        table = gate_table(gate, shape)
-        return shared_state(shape, frozenset(map(table.__getitem__, state.support)))
-    return shared_state(shape, frozenset(_kernel_images(gate, shape, state.support)))
+    table = gate_table(gate, shape)
+    return shared_state(shape, frozenset(map(table.__getitem__, state.support)))
+
+
+def kernel_forward(state: EpistemicState, gate: ToyGate) -> EpistemicState:
+    """The push-forward above three subsystems, where a table grows 4x per subsystem
+    while a support need not: the gate's kernel on the support, a new state."""
+    return EpistemicState(state.shape, frozenset(_kernel_images(gate, state.shape, state.support)))

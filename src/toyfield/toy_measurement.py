@@ -76,10 +76,10 @@ def measurement_kernel(
 
 
 def _measure(state, label, kernel) -> list[MeasurementOutcome]:
-    """The kernel applied to the whole support: one outcome per read value.
-    Each posterior is :func:`~toyfield.phase_space.shared_state`'s, one
-    object per value on registers of at most ``SMALL_REGISTER_POINTS``
-    points."""
+    """The kernel applied to the whole support, on a register of any size:
+    one outcome per read value.  Each posterior is ``shared_state``'s, one
+    object per value on registers of at most ``SMALL_REGISTER_POINTS`` points,
+    where a plan memoises the outcomes (``circuits.toy_measure``)."""
     read, keep, flip = kernel
     parts: tuple[list[int], list[int]] = ([], [])
     for x in state.support:

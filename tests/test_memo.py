@@ -28,7 +28,9 @@ from toyfield.circuits import (
     toy_measure,
 )
 from toyfield.phase_space import EpistemicState, RegisterShape, enumerate_valid_states, prepared
-from toyfield.toy_dynamics import Beamsplitter, Cnot, PhaseShift, SwapModes, push_forward
+from toyfield.toy_dynamics import (
+    Beamsplitter, Cnot, PhaseShift, SwapModes, gate_table, kernel_forward, push_forward,
+)
 from toyfield.toy_measurement import DisturbanceKind, measure_ancilla, measure_occupation
 
 SMALL_SHAPES = [RegisterShape(m, a) for m in range(4) for a in range(4 - m) if m + a]
@@ -49,7 +51,7 @@ def measure_steps(shape: RegisterShape):
 def test_memoised_outcomes_equal_the_uncached_ones(shape):
     """The step memo on every valid state: the uncached triples, as one
     shared tuple whose posteriors are the shared states."""
-    uncached = circuits._toy_outcomes.__wrapped__
+    uncached = circuits.toy_measure.__wrapped__
     for state in enumerate_valid_states(shape):
         for step in measure_steps(shape):
             want = uncached(state, step)
@@ -72,7 +74,7 @@ def test_the_step_memo_equals_the_uncached_outcomes_on_random_programs(monkeypat
         circuits.run_toy_exact(compile_toy(parse(random_program(rng))))
     assert len(reached) > 300
     for state, step in reached:
-        assert toy_measure(state, step) == circuits._toy_outcomes.__wrapped__(state, step)
+        assert toy_measure(state, step) == toy_measure.__wrapped__(state, step)
 
 
 def test_a_returned_list_can_be_mutated():
@@ -89,17 +91,68 @@ def test_a_returned_list_can_be_mutated():
 
 
 def test_an_eight_mode_register_is_not_memoised():
-    memos = (circuits._toy_outcomes, phase_space._shared_state, phase_space._prepared)
+    memos = (circuits.toy_measure, phase_space._shared_state, phase_space._prepared)
     before = [memo.cache_info() for memo in memos]
+    plan = compile_toy(parse("mode " + " ".join(f"m{k}" for k in range(8)) + "; source m0; "
+                             "source m3; measure N m3 destructive as x;"))
     state = prepared(RegisterShape(8), (0, 3))
+    assert plan.initial == state
     outcomes = measure_occupation(state, 3, DisturbanceKind.DESTRUCTIVE)
     assert [o.value for o in outcomes] == [1]
     step = MeasureStep("x", "mode", 3, "N", DisturbanceKind.DESTRUCTIVE)
-    assert [value for value, _, _ in toy_measure(state, step)] == [1]
-    assert toy_measure(state, step) is not toy_measure(state, step)
-    assert push_forward(state, SwapModes(0, 3)) is not push_forward(state, SwapModes(0, 3))
+    assert [value for value, _, _ in plan.measure(state, step)] == [1]
+    assert plan.measure(state, step) is not plan.measure(state, step)
+    assert plan.apply(state, SwapModes(0, 3)) is not plan.apply(state, SwapModes(0, 3))
     assert measure_ancilla(prepared(RegisterShape(7, 1)), 0, "P")[0].probability == Fraction(1, 2)
     assert [memo.cache_info() for memo in memos] == before
+
+
+# Registers a program can declare (a mode at least): the small ones, and 4 to 6 subsystems.
+PLAN_SHAPES = [shape for shape in SMALL_SHAPES if shape.modes] + [
+    RegisterShape(4), RegisterShape(3, 1), RegisterShape(2, 2), RegisterShape(5),
+    RegisterShape(4, 1), RegisterShape(6), RegisterShape(3, 3)]
+
+
+@pytest.mark.parametrize("shape", PLAN_SHAPES, ids=str)
+def test_a_plan_holds_the_state_ops_of_its_register(shape):
+    """The table-and-memo ops up to three subsystems, the kernel ops above,
+    chosen once by the compiler; a larger plan's start is kept by no memo."""
+    text = ("mode " + " ".join(f"m{k}" for k in range(shape.modes)) + ";"
+            + "".join(f" ancilla a{k};" for k in range(shape.ancillas)) + " source m0;")
+    before = phase_space._prepared.cache_info()
+    plan = compile_toy(parse(text))
+    assert plan.shape == shape and plan.initial == prepared(shape, (0,))
+    if shape.subsystems <= 3:
+        assert plan.apply is push_forward and plan.measure is toy_measure
+        assert plan.initial is phase_space._prepared(shape, (0,))
+    else:
+        assert plan.apply is kernel_forward and plan.measure is toy_measure.__wrapped__
+        assert phase_space._prepared.cache_info() == before
+
+
+def test_an_idle_mode_gives_the_same_law_through_the_kernel_ops():
+    """300 random programs, each with one idle mode declared after the
+    others, give the exact toy law of the program as written.  A padded
+    program above three subsystems runs through the kernel ops, the
+    unmemoised preparation and the uncached measurement: no memo of states
+    or tables changes."""
+    from test_quantum_exact import random_program
+
+    memos = (toy_measure, phase_space._shared_state, phase_space._prepared, gate_table)
+    rng = random.Random(36)
+    widened = 0
+    for _ in range(300):
+        text = random_program(rng)
+        head, tail = text.split(";", 1)  # the mode declaration, then the rest
+        want = circuits.run_toy_exact(compile_toy(parse(text)))
+        before = [memo.cache_info() for memo in memos]
+        plan = compile_toy(parse(f"{head} idle;{tail}"))
+        assert circuits.run_toy_exact(plan) == want, text
+        if plan.shape.subsystems > 3:
+            widened += 1
+            assert plan.apply is kernel_forward and plan.measure is toy_measure.__wrapped__
+            assert [memo.cache_info() for memo in memos] == before, text
+    assert widened > 100
 
 
 def test_equal_small_register_push_forwards_are_one_object():
@@ -149,7 +202,7 @@ def test_every_memo_is_bounded():
             if callable(getattr(value, "cache_info", None)):
                 found.setdefault(value, f"{module_info.name}.{name}")
     assert unbounded <= found.keys()
-    assert {circuits._toy_outcomes, phase_space._shared_state, phase_space.shared_fraction,
+    assert {circuits.toy_measure, phase_space._shared_state, phase_space.shared_fraction,
             quantum._transition} <= found.keys()
     unchecked = [name for memo, name in found.items()
                  if memo not in unbounded and memo.cache_info().maxsize is None]

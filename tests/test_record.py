@@ -98,9 +98,9 @@ def test_a_step_pickled_under_another_hash_seed_finds_its_memo_entry():
 
     state = compile_toy(parse("mode a; source a;")).initial
     outcomes = circuits.toy_measure(state, fresh)
-    hits = circuits._toy_outcomes.cache_info().hits
+    hits = circuits.toy_measure.cache_info().hits
     assert circuits.toy_measure(state, loaded) is outcomes
-    assert circuits._toy_outcomes.cache_info().hits == hits + 1
+    assert circuits.toy_measure.cache_info().hits == hits + 1
 
 
 @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy])
