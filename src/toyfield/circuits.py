@@ -507,6 +507,9 @@ class ToyPlan:
 
         return _patterns(self)
 
+    def __reduce__(self):  # by the program: a large register's ``measure`` has no importable name
+        return compile_toy, (self.program,)
+
 
 @record
 class QuantumPlan:
@@ -702,19 +705,25 @@ class OutcomeDistribution:
     """Labeled outcome probabilities; exact engines carry rationals.
 
     Sampled engines also carry shot counts; ``probs`` then holds empirical
-    frequencies as Fractions of the shot count.  An exact distribution must
-    sum to 1; a sampled one's counts must sum to the shot count, which makes
-    its frequencies sum to 1.
+    frequencies as Fractions of the shot count, made from the counts on
+    first read when given as ``None``.  An exact distribution must sum to 1;
+    a sampled one's counts must sum to the shot count, as its frequencies do.
     """
 
     probs: dict[str, Fraction]
     shots: int | None = None
     counts: dict[str, int] | None = None
 
+    @object_memo
+    def probs(self) -> dict[str, Fraction]:
+        return {label: Fraction(c, self.shots) for label, c in self.counts.items()}
+
     def __post_init__(self) -> None:
         if self.counts is not None:
             if sum(self.counts.values()) != self.shots:
                 raise ValueError("counts must sum to the shot count")
+            if self.probs is None:  # the memo makes them from the counts on first read
+                del vars(self)["probs"]
             return
         total = sum(self.probs.values())
         if total != 1:
@@ -724,6 +733,7 @@ class OutcomeDistribution:
         return {k: float(v) for k, v in sorted(self.probs.items())}
 
 
+OutcomeDistribution.__init__.__defaults__ = (None, None)  # probs is required: no memo default
 Labeler = Callable[[dict[str, int]], str]
 
 
@@ -781,14 +791,13 @@ def run_scenario(
         if shots is None or seed is None:
             raise ValueError(f"engine {engine!r} requires shots and seed")
         if engine == "montecarlo":
-            from toyfield.montecarlo import run_experiment
+            import toyfield.montecarlo as sampler
 
             plan = compile_toy(scenario.program)
         else:
-            from toyfield.automaton import plan_from_program, run_experiment
+            import toyfield.automaton as sampler
 
-            plan = plan_from_program(scenario.program)
-        counts = run_experiment(plan, shots, seed, scenario.labeler)
-        probs = {label: Fraction(c, shots) for label, c in counts.items()}
-        return OutcomeDistribution(probs, shots=shots, counts=dict(counts))
+            plan = sampler.plan_from_program(scenario.program)
+        counts = sampler.run_experiment(plan, shots, seed, scenario.labeler)
+        return OutcomeDistribution(None, shots=shots, counts=counts)
     raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")

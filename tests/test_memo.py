@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import importlib
+import pickle
 import pkgutil
 import random
 import re
@@ -128,6 +129,21 @@ def test_a_plan_holds_the_state_ops_of_its_register(shape):
     else:
         assert plan.apply is kernel_forward and plan.measure is toy_measure.__wrapped__
         assert phase_space._prepared.cache_info() == before
+
+
+@pytest.mark.parametrize("modes", [2, 5])
+def test_a_plan_pickles_as_its_program(modes):
+    """A pickled plan is compiled again from its program on loading, so the
+    kernel ops of a register above three subsystems, whose ``measure`` has no
+    importable name, travel too."""
+    text = "mode " + " ".join(f"m{k}" for k in range(modes)) + "; source m0; bs m0 m1; detect m0 as d;"
+    plan = compile_toy(parse(text))
+    copy = pickle.loads(pickle.dumps(plan))
+    assert copy == plan and copy.program == plan.program
+    assert circuits.run_toy_exact(copy) == circuits.run_toy_exact(plan)
+    assert copy.apply is plan.apply and copy.measure is plan.measure
+    if modes > 3:
+        assert copy.apply is kernel_forward and copy.measure is toy_measure.__wrapped__
 
 
 def test_an_idle_mode_gives_the_same_law_through_the_kernel_ops():

@@ -1,7 +1,8 @@
-"""``circuits.parse``, one loop over the token list, against the class-based
-parser it replaced (``parse_oracle``): on seeded random programs, their
-canonical renders and token mutants of them, both give the same ``Program``
-or the same error message at the same line and column."""
+"""``circuits.parse``, which reads each statement through the memoised
+``circuits._statement``, against the class-based parser it replaced
+(``parse_oracle``): on seeded random programs, their canonical renders and
+token mutants of them, both give the same ``Program`` or the same error
+message at the same line and column."""
 
 from __future__ import annotations
 

@@ -1,11 +1,12 @@
 """Scenario distributions and cross-engine agreement."""
 
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
 
-from toyfield import scenarios
+from toyfield import circuits, scenarios
 from toyfield.circuits import compile_toy, run_toy_exact, parse
 from toyfield.scenarios import (
     SCENARIO_PARAMS,
@@ -107,6 +108,37 @@ class TestOutcomeDistribution:
         dist = run_scenario(bomb_tester(functional=True), "montecarlo", 1000, 7)
         assert sum(dist.counts.values()) == dist.shots == 1000
         assert dist.probs == {k: Fraction(c, 1000) for k, c in dist.counts.items()}
+
+    @pytest.mark.parametrize("engine", ["montecarlo", "ca"])
+    def test_a_sampled_run_makes_its_frequencies_on_first_read(self, engine, monkeypatch):
+        """A sampled run keeps the counts it drew and builds no ``Fraction``
+        until ``probs`` is read; then it reads, compares, prints and pickles
+        as the distribution built from its frequencies at once."""
+        made = []
+
+        def spy(*args):
+            made.append(args)
+            return Fraction(*args)
+
+        scenario = bomb_tester(functional=True)
+        run_scenario(scenario, engine, 1000, 7)  # the plan is made once
+        monkeypatch.setattr(circuits, "Fraction", spy)
+        dist = run_scenario(scenario, engine, 1000, 7)
+        assert made == [] and "probs" not in vars(dist)
+        eager = scenarios.OutcomeDistribution(
+            {k: Fraction(c, 1000) for k, c in dist.counts.items()},
+            shots=1000, counts=dict(dist.counts))
+        assert dist.probs == eager.probs
+        assert sorted(made) == sorted((c, 1000) for c in dist.counts.values())
+        assert dist.probs is dist.probs and len(made) == len(dist.counts)
+        assert dist == eager and repr(dist) == repr(eager)
+        assert dist.as_floats() == eager.as_floats()
+        copy = pickle.loads(pickle.dumps(run_scenario(scenario, engine, 1000, 7)))
+        assert copy == eager and "probs" in vars(copy)
+
+    def test_a_distribution_is_given_its_probabilities(self):
+        with pytest.raises(TypeError, match="probs"):
+            scenarios.OutcomeDistribution(shots=4, counts={"a": 4})
 
 
 class TestEraserProperties:
